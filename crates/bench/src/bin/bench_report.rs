@@ -70,6 +70,10 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH.json".to_string());
     let cycles = cycles_from_env(50_000);
+    let fanin_cap = razorbus_scenario::replay_fanin().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     eprintln!("# bench_report: {cycles} cycles/benchmark -> {out_path}");
 
     let mut stages: Vec<(&'static str, f64)> = Vec::new();
@@ -278,7 +282,6 @@ fn main() {
     // fan-in (requested width capped by `RAZORBUS_REPLAY_FANIN`) is
     // recorded in `component_fanin` so `--check` never gates a leg
     // across different group widths.
-    let fanin_cap = razorbus_scenario::replay_fanin();
     let resolved_fanin = |requested: usize| {
         if fanin_cap == 0 {
             requested

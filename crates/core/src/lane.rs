@@ -68,16 +68,20 @@ pub(crate) struct LaneThresholds {
 }
 
 impl LaneThresholds {
-    /// Requantizes one supply row's per-bucket float limits.
+    /// Requantizes one supply row's per-bucket float limits: once per
+    /// bucket, then fanned out to the toggle counts through
+    /// [`bucket_of`].
     pub(crate) fn from_limits(pass: &[f64; N_BUCKETS], shadow: &[f64; N_BUCKETS]) -> Self {
+        let err = pass.map(min_exceeding_bin);
+        let sh = shadow.map(min_exceeding_bin);
         let mut thr = Self {
             err_bin: [NEVER; MAX_TOGGLES + 1],
             shadow_bin: [NEVER; MAX_TOGGLES + 1],
         };
         for toggles in 1..=MAX_TOGGLES {
             let bucket = bucket_of(toggles as u32);
-            thr.err_bin[toggles] = min_exceeding_bin(pass[bucket]);
-            thr.shadow_bin[toggles] = min_exceeding_bin(shadow[bucket]);
+            thr.err_bin[toggles] = err[bucket];
+            thr.shadow_bin[toggles] = sh[bucket];
         }
         thr
     }
@@ -86,10 +90,24 @@ impl LaneThresholds {
 /// The smallest bin whose reconstructed load exceeds `limit`, using the
 /// identical float comparison the scalar loop performs — or [`NEVER`]
 /// when no representable bin does.
+///
+/// The comparison is monotone in the bin (the reconstruction is, and
+/// `x > limit` is monotone in `x` for every limit, NaN and ±inf
+/// included), so a binary search over it finds exactly the bin a linear
+/// scan would.
 fn min_exceeding_bin(limit: f64) -> u16 {
-    (0..NEVER)
-        .find(|&bin| f64::from(bin) * CEFF_BIN_WIDTH > limit)
-        .unwrap_or(NEVER)
+    // Every bin below `lo` stays at or under the limit; `hi` is either
+    // `NEVER` or a bin that exceeds it.
+    let (mut lo, mut hi) = (0, NEVER);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if f64::from(mid) * CEFF_BIN_WIDTH > limit {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 /// One chunk's worth of inner-loop accumulators — the exact quantities
@@ -383,6 +401,74 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The original requantization: a linear scan for the first
+    /// exceeding bin, repeated per toggle count — the reference the
+    /// binary search and the per-bucket fan-out are pinned to.
+    fn min_exceeding_bin_linear(limit: f64) -> u16 {
+        (0..NEVER)
+            .find(|&bin| f64::from(bin) * CEFF_BIN_WIDTH > limit)
+            .unwrap_or(NEVER)
+    }
+
+    fn from_limits_linear(
+        pass: &[f64; N_BUCKETS],
+        shadow: &[f64; N_BUCKETS],
+    ) -> ([u16; MAX_TOGGLES + 1], [u16; MAX_TOGGLES + 1]) {
+        let mut err_bin = [NEVER; MAX_TOGGLES + 1];
+        let mut shadow_bin = [NEVER; MAX_TOGGLES + 1];
+        for toggles in 1..=MAX_TOGGLES {
+            let bucket = bucket_of(toggles as u32);
+            err_bin[toggles] = min_exceeding_bin_linear(pass[bucket]);
+            shadow_bin[toggles] = min_exceeding_bin_linear(shadow[bucket]);
+        }
+        (err_bin, shadow_bin)
+    }
+
+    /// NaN, ±inf, ±0.0, every integer bin edge 0..=512 with its float
+    /// neighbours, and limits past the top bin.
+    fn oracle_limits() -> Vec<f64> {
+        let mut limits = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            511.5,
+            600.0,
+            1e9,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        for k in 0..=N_CEFF_BINS {
+            let x = k as f64;
+            limits.extend([x, x.next_up(), x.next_down()]);
+        }
+        limits
+    }
+
+    #[test]
+    fn requantization_matches_the_linear_scan_oracle() {
+        let limits = oracle_limits();
+        for &limit in &limits {
+            assert_eq!(
+                min_exceeding_bin(limit),
+                min_exceeding_bin_linear(limit),
+                "limit {limit:?}"
+            );
+        }
+        // Whole rows: every window of nine consecutive oracle limits as
+        // the pass row, the same window reversed as the shadow row.
+        for window in limits.windows(N_BUCKETS) {
+            let pass: [f64; N_BUCKETS] = window.try_into().expect("window width");
+            let mut shadow = pass;
+            shadow.reverse();
+            let thr = LaneThresholds::from_limits(&pass, &shadow);
+            let (err_bin, shadow_bin) = from_limits_linear(&pass, &shadow);
+            assert_eq!(thr.err_bin, err_bin, "pass {pass:?}");
+            assert_eq!(thr.shadow_bin, shadow_bin, "shadow {shadow:?}");
         }
     }
 

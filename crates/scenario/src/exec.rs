@@ -50,9 +50,12 @@ use razorbus_core::{
     TraceSummary,
 };
 use razorbus_ctrl::{BoxedGovernor, GovernorSpec};
-use razorbus_process::PvtCorner;
+use razorbus_process::{IrDrop, ProcessCorner, PvtCorner};
 use razorbus_traces::{Benchmark, TraceSource};
 use std::collections::{HashMap, HashSet};
+use std::ffi::OsString;
+use std::hash::{Hash, Hasher};
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 /// A named list of scenarios executed as one deduplicated, parallel
@@ -75,8 +78,9 @@ pub struct ScenarioSetRun {
     pub result: ScenarioSetResult,
 }
 
-/// Everything that identifies one closed-loop simulation.
-#[derive(Debug, Clone, PartialEq)]
+/// Everything that identifies one closed-loop simulation. Compares and
+/// hashes through [`LoopKey::identity`].
+#[derive(Debug, Clone)]
 struct LoopKey {
     design_idx: usize,
     corner: PvtCorner,
@@ -88,7 +92,7 @@ struct LoopKey {
 
 /// Everything that identifies one sweep histogram (corner- and
 /// controller-independent).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SummaryKey {
     design_idx: usize,
     workload: WorkloadSpec,
@@ -96,7 +100,49 @@ struct SummaryKey {
     seed: u64,
 }
 
+impl SummaryKey {
+    fn of(m: &ScenarioSpec, design_idx: usize) -> Self {
+        Self {
+            design_idx,
+            workload: m.workload.clone(),
+            cycles: m.run.cycles_per_benchmark,
+            seed: m.run.seed,
+        }
+    }
+}
+
+/// A [`PvtCorner`] as a hashable value: the temperature goes by its
+/// bit pattern.
+type CornerId = (ProcessCorner, u64, IrDrop);
+
 impl LoopKey {
+    fn of(m: &ScenarioSpec, design_idx: usize) -> Self {
+        Self {
+            design_idx,
+            corner: m.run.corner.resolve(),
+            workload: m.workload.clone(),
+            controller: m.controller,
+            cycles: m.run.cycles_per_benchmark,
+            seed: m.run.seed,
+        }
+    }
+
+    /// The fields a loop key compares and hashes by. The corner's f64
+    /// temperature is keyed by `to_bits`: for every non-NaN value that
+    /// groups exactly as its shortest-round-trip `Debug` rendering
+    /// would, and it keeps `-0.0` apart from `0.0`.
+    fn identity(&self) -> (usize, CornerId, &WorkloadSpec, ControllerSpec, u64, u64) {
+        let c = self.corner;
+        (
+            self.design_idx,
+            (c.process, c.temperature.celsius().to_bits(), c.ir),
+            &self.workload,
+            self.controller,
+            self.cycles,
+            self.seed,
+        )
+    }
+
     fn summary_key(&self) -> SummaryKey {
         SummaryKey {
             design_idx: self.design_idx,
@@ -104,6 +150,20 @@ impl LoopKey {
             cycles: self.cycles,
             seed: self.seed,
         }
+    }
+}
+
+impl PartialEq for LoopKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.identity() == other.identity()
+    }
+}
+
+impl Eq for LoopKey {}
+
+impl Hash for LoopKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.identity().hash(state);
     }
 }
 
@@ -238,17 +298,32 @@ fn plan_replay_groups(
     plans
 }
 
+/// Parses the raw value of the unsigned-integer knob `var`: `None` when
+/// it is unset, an error naming the variable and the bad value when it
+/// does not parse.
+fn parse_knob<T: FromStr>(var: &str, raw: Option<OsString>) -> Result<Option<T>, String> {
+    let Some(raw) = raw else {
+        return Ok(None);
+    };
+    raw.to_str()
+        .and_then(|s| s.parse().ok())
+        .map(Some)
+        .ok_or_else(|| format!("{var}={raw:?} is not an unsigned integer"))
+}
+
 /// Group-width cap for fused replays (`RAZORBUS_REPLAY_FANIN`): `0` (or
 /// unset) leaves groups unbounded — the whole sweep sharing a stream is
 /// judged in one pass. CI pins a small value to exercise group
 /// splitting; `bench_report` reads it to label its fused components
 /// honestly.
-#[must_use]
-pub fn replay_fanin() -> usize {
-    std::env::var("RAZORBUS_REPLAY_FANIN")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(0)
+///
+/// # Errors
+///
+/// Names the variable and its value when it is set but not an unsigned
+/// integer.
+pub fn replay_fanin() -> Result<usize, String> {
+    const VAR: &str = "RAZORBUS_REPLAY_FANIN";
+    Ok(parse_knob(VAR, std::env::var_os(VAR))?.unwrap_or(0))
 }
 
 /// Whether fused replays are enabled (`RAZORBUS_NO_FUSED` unset, empty
@@ -319,11 +394,20 @@ const DEFAULT_COMPILE_BUDGET: u64 = 768 * 1024 * 1024;
 /// [`CompiledTrace::memory_bytes`] by a test.
 const COMPILED_BYTES_PER_CYCLE: u64 = 11;
 
-pub(crate) fn compile_budget() -> u64 {
-    std::env::var("RAZORBUS_COMPILE_BUDGET_MB")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map_or(DEFAULT_COMPILE_BUDGET, |mb| mb * 1024 * 1024)
+/// The compiled-trace budget in bytes.
+///
+/// # Errors
+///
+/// Names the variable and its value when it is set but not an unsigned
+/// integer, or too large for a byte count.
+pub(crate) fn compile_budget() -> Result<u64, String> {
+    const VAR: &str = "RAZORBUS_COMPILE_BUDGET_MB";
+    match parse_knob::<u64>(VAR, std::env::var_os(VAR))? {
+        None => Ok(DEFAULT_COMPILE_BUDGET),
+        Some(mb) => mb
+            .checked_mul(1024 * 1024)
+            .ok_or_else(|| format!("{VAR}={mb} overflows a byte count")),
+    }
 }
 
 /// Estimated resident bytes of compiling `key`'s workload.
@@ -343,24 +427,17 @@ fn compiled_footprint(key: &SummaryKey) -> u64 {
 /// work — as does anything that would blow the compiled-memory
 /// `budget` (bytes).
 fn plan_compile_jobs(loop_jobs: &[LoopKey], budget: u64) -> Vec<SummaryKey> {
-    // Keys index by their Debug rendering: `f64::Debug` is shortest
-    // round-trip, so equal values render equally and the map agrees
-    // with `PartialEq` — and planning stays linear at Monte-Carlo
-    // member counts.
-    let mut users: HashMap<String, usize> = HashMap::new();
+    // Typed hash maps keep planning linear at Monte-Carlo member counts.
+    let mut users: HashMap<SummaryKey, usize> = HashMap::new();
     for job in loop_jobs {
-        *users.entry(format!("{:?}", job.summary_key())).or_insert(0) += 1;
+        *users.entry(job.summary_key()).or_insert(0) += 1;
     }
     let mut compile_jobs: Vec<SummaryKey> = Vec::new();
-    let mut planned: HashSet<String> = HashSet::new();
+    let mut planned: HashSet<SummaryKey> = HashSet::new();
     let mut footprint = 0u64;
     for job in loop_jobs {
         let skey = job.summary_key();
-        let key = format!("{skey:?}");
-        if planned.contains(&key) {
-            continue;
-        }
-        if users[&key] < 2 {
+        if planned.contains(&skey) || users[&skey] < 2 {
             continue;
         }
         let bytes = compiled_footprint(&skey);
@@ -368,7 +445,7 @@ fn plan_compile_jobs(loop_jobs: &[LoopKey], budget: u64) -> Vec<SummaryKey> {
             continue;
         }
         footprint += bytes;
-        planned.insert(key);
+        planned.insert(skey.clone());
         compile_jobs.push(skey);
     }
     compile_jobs
@@ -419,7 +496,9 @@ impl ScenarioSet {
     ///
     /// Propagates expansion, design-build, governor-build and trace
     /// construction errors. A malformed (but decodable) spec artifact
-    /// surfaces here as an `Err`, never a panic.
+    /// surfaces here as an `Err`, never a panic, and so does an
+    /// unparsable `RAZORBUS_REPLAY_FANIN` or
+    /// `RAZORBUS_COMPILE_BUDGET_MB`.
     pub fn run(&self) -> Result<ScenarioSetRun, String> {
         self.run_with_designs(Vec::new())
     }
@@ -497,6 +576,11 @@ impl ScenarioSet {
         fuse: Option<bool>,
         fanin: Option<usize>,
     ) -> Result<ScenarioSetRun, String> {
+        let budget = compile_budget()?;
+        let fanin = match fanin {
+            Some(fanin) => fanin,
+            None => replay_fanin()?,
+        };
         let members = self.expand()?;
 
         // Unique designs, first-appearance order.
@@ -532,64 +616,46 @@ impl ScenarioSet {
         // are planned over *all* members first so histogram attachment
         // is member-order-independent: a sweep-only member rides a loop
         // planned later in the set rather than spawning a redundant
-        // trace pass. Dedup and member→job mapping go through
-        // Debug-keyed hash maps (f64's shortest-round-trip rendering
-        // agrees with `PartialEq`), keeping planning linear at
-        // Monte-Carlo member counts.
+        // trace pass. Dedup and member→job mapping go through typed
+        // hash maps, keeping planning linear at Monte-Carlo member
+        // counts.
         let mut loop_jobs: Vec<LoopKey> = Vec::new();
-        let mut loop_idx_by_key: HashMap<String, usize> = HashMap::new();
+        let mut loop_idx_by_key: HashMap<LoopKey, usize> = HashMap::new();
         let mut member_loop: Vec<Option<usize>> = Vec::with_capacity(members.len());
         for m in &members {
             if !(m.analysis.wants_loop() || m.analysis.wants_aggregate()) {
                 member_loop.push(None);
                 continue;
             }
-            let key = LoopKey {
-                design_idx: design_idx(&m.design),
-                corner: m.run.corner.resolve(),
-                workload: m.workload.clone(),
-                controller: m.controller,
-                cycles: m.run.cycles_per_benchmark,
-                seed: m.run.seed,
-            };
-            let i = *loop_idx_by_key
-                .entry(format!("{key:?}"))
-                .or_insert_with(|| {
-                    loop_jobs.push(key);
-                    loop_jobs.len() - 1
-                });
+            let key = LoopKey::of(m, design_idx(&m.design));
+            let i = *loop_idx_by_key.entry(key).or_insert_with_key(|key| {
+                loop_jobs.push(key.clone());
+                loop_jobs.len() - 1
+            });
             member_loop.push(Some(i));
         }
-        let mut loop_by_skey: HashMap<String, usize> = HashMap::new();
+        let mut loop_by_skey: HashMap<SummaryKey, usize> = HashMap::new();
         for (i, job) in loop_jobs.iter().enumerate() {
-            loop_by_skey
-                .entry(format!("{:?}", job.summary_key()))
-                .or_insert(i);
+            loop_by_skey.entry(job.summary_key()).or_insert(i);
         }
         let mut loop_hist = vec![false; loop_jobs.len()];
         let mut summary_jobs: Vec<SummaryKey> = Vec::new();
-        let mut summary_idx_by_key: HashMap<String, usize> = HashMap::new();
+        let mut summary_idx_by_key: HashMap<SummaryKey, usize> = HashMap::new();
         let mut member_sweep: Vec<Option<SweepSource>> = Vec::with_capacity(members.len());
         for m in &members {
             if !m.analysis.wants_sweep() {
                 member_sweep.push(None);
                 continue;
             }
-            let skey = SummaryKey {
-                design_idx: design_idx(&m.design),
-                workload: m.workload.clone(),
-                cycles: m.run.cycles_per_benchmark,
-                seed: m.run.seed,
-            };
-            let key = format!("{skey:?}");
-            match loop_by_skey.get(&key) {
+            let skey = SummaryKey::of(m, design_idx(&m.design));
+            match loop_by_skey.get(&skey) {
                 Some(&i) => {
                     loop_hist[i] = true;
                     member_sweep.push(Some(SweepSource::Loop(i)));
                 }
                 None => {
-                    let s = *summary_idx_by_key.entry(key).or_insert_with(|| {
-                        summary_jobs.push(skey);
+                    let s = *summary_idx_by_key.entry(skey).or_insert_with_key(|skey| {
+                        summary_jobs.push(skey.clone());
                         summary_jobs.len() - 1
                     });
                     member_sweep.push(Some(SweepSource::Job(s)));
@@ -638,20 +704,16 @@ impl ScenarioSet {
         }
 
         let compile_jobs = if share_compiled {
-            plan_compile_jobs(&loop_jobs, compile_budget())
+            plan_compile_jobs(&loop_jobs, budget)
         } else {
             Vec::new()
         };
-        let compile_idx_by_key: HashMap<String, usize> = compile_jobs
+        let compile_idx_by_key: HashMap<&SummaryKey, usize> = compile_jobs
             .iter()
             .enumerate()
-            .map(|(c, k)| (format!("{k:?}"), c))
+            .map(|(c, k)| (k, c))
             .collect();
-        let compiled_idx = |job: &LoopKey| {
-            compile_idx_by_key
-                .get(&format!("{:?}", job.summary_key()))
-                .copied()
-        };
+        let compiled_idx = |job: &LoopKey| compile_idx_by_key.get(&job.summary_key()).copied();
 
         // Which loop indices replay each compiled workload — fixed
         // before the pool starts, drained when the compile finishes.
@@ -666,7 +728,6 @@ impl ScenarioSet {
         // else keeps its solo continuation. Planned up front, so
         // grouping never depends on scheduling.
         let fuse = fuse.unwrap_or_else(fused_replays_enabled);
-        let fanin = fanin.unwrap_or_else(replay_fanin);
         let replay_plans: Vec<Vec<ReplayPlan>> = compile_jobs
             .iter()
             .enumerate()
@@ -1528,6 +1589,98 @@ mod tests {
         let footprint = compiled_footprint(&jobs[0].summary_key());
         let tight = plan_compile_jobs(&more, footprint);
         assert_eq!(tight, vec![jobs[0].summary_key()]);
+    }
+
+    /// Each key's first-appearance group index under `K`'s `Hash`/`Eq`.
+    fn partition<K: Hash + Eq>(keys: impl IntoIterator<Item = K>) -> Vec<usize> {
+        let mut groups: HashMap<K, usize> = HashMap::new();
+        keys.into_iter()
+            .map(|k| {
+                let next = groups.len();
+                *groups.entry(k).or_insert(next)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn typed_plan_keys_group_exactly_as_debug_strings() {
+        // The planner once keyed its maps by `format!("{:?}")`; the
+        // typed keys must split loop and summary jobs into the very
+        // same groups — over every catalog set, and over synthetic
+        // corners where `-0.0` °C and `0.0` °C render (and so group)
+        // apart.
+        let mut cases: Vec<(String, Vec<ScenarioSpec>)> = crate::catalog::NAMES
+            .iter()
+            .map(|name| {
+                let set = crate::catalog::by_name(name, 1_000, 7).unwrap();
+                (set.name.clone(), set.expand().unwrap())
+            })
+            .collect();
+        let temperatures = [-0.0, 0.0, 25.0, -0.0, 0.0, 0.1 + 0.2, 0.3, 100.0];
+        let mut synthetic = member("corners", AnalysisSpec::Full, CornerSpec::Typical);
+        synthetic.sweep = vec![
+            SweepAxis::Corners(
+                temperatures
+                    .iter()
+                    .map(|&t| {
+                        CornerSpec::Pvt(PvtCorner::new(
+                            ProcessCorner::Typical,
+                            razorbus_units::Celsius::new(t),
+                            IrDrop::None,
+                        ))
+                    })
+                    .collect(),
+            ),
+            SweepAxis::Governors(vec![GovernorSpec::Threshold, GovernorSpec::Proportional]),
+        ];
+        cases.push(("synthetic corners".to_string(), synthetic.expand().unwrap()));
+
+        for (name, members) in &cases {
+            let mut designs: Vec<DesignSpec> = Vec::new();
+            let keys: Vec<(LoopKey, SummaryKey)> = members
+                .iter()
+                .map(|m| {
+                    let d = designs
+                        .iter()
+                        .position(|s| *s == m.design)
+                        .unwrap_or_else(|| {
+                            designs.push(m.design);
+                            designs.len() - 1
+                        });
+                    (LoopKey::of(m, d), SummaryKey::of(m, d))
+                })
+                .collect();
+            let loops = || keys.iter().map(|(l, _)| l);
+            let sums = || keys.iter().map(|(_, s)| s);
+            assert_eq!(
+                partition(loops()),
+                partition(loops().map(|k| format!("{k:?}"))),
+                "loop keys of {name}"
+            );
+            assert_eq!(
+                partition(sums()),
+                partition(sums().map(|k| format!("{k:?}"))),
+                "summary keys of {name}"
+            );
+        }
+
+        // Members 0/1 run at -0.0 °C, 2/3 at 0.0 °C, 6/7 again at
+        // -0.0 °C (two governors per corner).
+        let groups = partition(cases.last().unwrap().1.iter().map(|m| LoopKey::of(m, 0)));
+        assert_ne!(groups[0], groups[2], "-0.0 and 0.0 must key apart");
+        assert_eq!(groups[0], groups[6]);
+    }
+
+    #[test]
+    fn unparsable_knobs_name_the_variable_and_value() {
+        let var = "RAZORBUS_REPLAY_FANIN";
+        assert_eq!(parse_knob::<usize>(var, None), Ok(None));
+        assert_eq!(parse_knob::<usize>(var, Some("4".into())), Ok(Some(4)));
+        for bad in ["abc", "", "-1", "2.5"] {
+            let err = parse_knob::<usize>(var, Some(bad.into())).unwrap_err();
+            assert!(err.contains(var), "{err}");
+            assert!(err.contains(&format!("\"{bad}\"")), "{err}");
+        }
     }
 
     #[test]

@@ -189,7 +189,8 @@ impl CampaignRecording {
     /// # Errors
     ///
     /// Errors when `result` is not the product of `set` (member count or
-    /// names disagree with the set's expansion) or a digest fails.
+    /// names disagree with the set's expansion), a digest fails, or
+    /// `RAZORBUS_COMPILE_BUDGET_MB` is unparsable.
     pub fn from_run(
         set: &ScenarioSet,
         result: &ScenarioSetResult,
@@ -225,7 +226,7 @@ impl CampaignRecording {
             tool_version: TOOL_VERSION.to_string(),
             format_version: razorbus_artifact::CONTAINER_VERSION,
             share_compiled,
-            compile_budget_bytes: compile_budget(),
+            compile_budget_bytes: compile_budget()?,
             set: set.clone(),
             members,
             digest,

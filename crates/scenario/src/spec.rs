@@ -93,7 +93,7 @@ impl DesignSpec {
 }
 
 /// The traffic a scenario member drives over the bus.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum WorkloadSpec {
     /// The ten SPEC2000 programs run consecutively under one governor —
     /// the Fig. 8 / Table 1 protocol.
@@ -117,7 +117,7 @@ impl WorkloadSpec {
 }
 
 /// A parameterized synthetic traffic generator.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum TrafficRecipe {
     /// Idle-parked bus with dense DMA bursts
     /// ([`razorbus_traces::BurstyDma`]).
@@ -249,7 +249,7 @@ impl TraceSource for MixedTraffic {
 
 /// [`TrafficRecipe::BurstyDma`] parameters. Rates are permille so specs
 /// stay integer-exact across every encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct DmaProfile {
     /// Mean burst length in cycles.
     pub mean_burst: u64,
@@ -261,14 +261,14 @@ pub struct DmaProfile {
 }
 
 /// [`TrafficRecipe::IdleDominated`] parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct IdleProfile {
     /// Probability (‰) of a non-zero word.
     pub nonzero_permille: u32,
 }
 
 /// [`TrafficRecipe::CrosstalkStorm`] parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct StormProfile {
     /// Fraction (‰) of cycles carrying the worst coupling pattern.
     pub aggression_permille: u32,
@@ -277,7 +277,7 @@ pub struct StormProfile {
 /// [`TrafficRecipe::Mixed`] parameters: the three sub-generator
 /// profiles plus how many words each contributes per rotation.
 /// Zero-length phases are skipped; at least one must be non-zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct MixProfile {
     /// The DMA phase's generator profile.
     pub dma: DmaProfile,
@@ -295,7 +295,7 @@ pub struct MixProfile {
 
 /// The control side of a member: governor choice plus optional
 /// overrides of the paper controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct ControllerSpec {
     /// Which governor closes the loop.
     pub governor: GovernorSpec,
