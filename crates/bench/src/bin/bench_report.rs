@@ -69,11 +69,14 @@ fn main() {
         .first()
         .cloned()
         .unwrap_or_else(|| "BENCH.json".to_string());
-    let cycles = cycles_from_env(50_000);
-    let fanin_cap = razorbus_scenario::replay_fanin().unwrap_or_else(|e| {
+    let knob_error = |e: String| -> ! {
         eprintln!("error: {e}");
         std::process::exit(2);
-    });
+    };
+    let cycles = cycles_from_env(50_000).unwrap_or_else(|e| knob_error(e));
+    let fanin_cap = razorbus_scenario::replay_fanin().unwrap_or_else(|e| knob_error(e));
+    let max_workers = razorbus_scenario::worker_count(None).unwrap_or_else(|e| knob_error(e));
+    razorbus_core::compile_chunk_knob().unwrap_or_else(|e| knob_error(e));
     eprintln!("# bench_report: {cycles} cycles/benchmark -> {out_path}");
 
     let mut stages: Vec<(&'static str, f64)> = Vec::new();
@@ -214,9 +217,9 @@ fn main() {
         (words.len() - 1) as f64 / 1e6 / start.elapsed().as_secs_f64()
     });
     // The analyzer's crosstalk-storm worst case: a 90 %-aggression
-    // adversarial stream keeps the opposing-neighbour residual path hot
-    // on nearly every cycle, so this leg tracks what the analyzer's
-    // cycle cache and per-wire fold memo buy on hostile traffic.
+    // adversarial stream keeps the opposing-neighbour fold path hot on
+    // nearly every cycle, so this leg tracks what the analyzer's cycle
+    // cache buys on hostile traffic.
     let analyze_storm = best_of_3(&mut || {
         let mut trace = AdversarialCrosstalk::new(REPRO_SEED, 0.9);
         let words = trace.take_words(65_536);
@@ -246,7 +249,6 @@ fn main() {
     // the wmax leg records this runner's scaling ceiling (on a
     // single-core runner it duplicates w1 by construction — see
     // `component_threads`).
-    let max_workers = razorbus_scenario::worker_count(None);
     let compile_par_at = |workers: usize| {
         let runner = PoolChunks::new(workers);
         best_of_3(&mut || {

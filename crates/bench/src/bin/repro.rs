@@ -50,7 +50,10 @@
 //! `RAZORBUS_CYCLES` sets the cycles per benchmark (default 2,000,000;
 //! the paper uses 10,000,000 — expect a few minutes at full scale).
 //! `replay` takes its geometry from the manifest and `golden` pins the
-//! corpus geometry, so neither reads `RAZORBUS_CYCLES`.
+//! corpus geometry, so neither uses `RAZORBUS_CYCLES`. A
+//! `RAZORBUS_CYCLES`, `RAZORBUS_THREADS` or `RAZORBUS_COMPILE_CHUNK`
+//! that is not a positive integer exits 2 before any work, naming the
+//! variable and its value.
 //!
 //! `--save-summaries[=PATH]` / `--load-summaries[=PATH]` (valid with
 //! `all` only) persist/reuse the three shared heavy inputs; loaded
@@ -231,7 +234,12 @@ fn main() {
         std::env::set_var("RAZORBUS_NO_FUSED", "1");
     }
 
-    let cycles = cycles_from_env(2_000_000);
+    // Knobs fail loudly, before any work: an unparsable or zero value
+    // is an error naming the variable, on every artifact's path.
+    let knobs = razorbus_scenario::worker_count(None)
+        .and_then(|_| razorbus_core::compile_chunk_knob())
+        .and_then(|_| cycles_from_env(2_000_000));
+    let cycles = knobs.unwrap_or_else(|e| fail(&e));
     match what {
         // The replayed geometry is pinned by the manifest / corpus, not
         // the environment — don't print a misleading cycle count.
@@ -638,7 +646,8 @@ fn run_all(
         eprintln!("# loaded compiled traces from {path} (cycle analysis skipped)");
         bundle.into_shared_inputs(&design, &modified)
     } else if let Some(path) = &save_compiled {
-        let bundle = ReproCompiled::compile(&design, &modified, cycles, REPRO_SEED);
+        let bundle = ReproCompiled::compile(&design, &modified, cycles, REPRO_SEED)
+            .unwrap_or_else(|e| fail(&e));
         bundle
             .save(path)
             .unwrap_or_else(|e| fail(&format!("cannot save compiled traces to {path}: {e}")));

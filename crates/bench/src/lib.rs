@@ -19,15 +19,17 @@ pub mod golden;
 pub mod persist;
 pub mod report;
 
-/// Cycles per benchmark for full reproductions: the paper's 10 M unless
-/// `RAZORBUS_CYCLES` overrides (the `repro` binary defaults lower; see
-/// its `--help`).
-#[must_use]
-pub fn cycles_from_env(default: u64) -> u64 {
-    std::env::var("RAZORBUS_CYCLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// Cycles per benchmark for full reproductions: `default` unless
+/// `RAZORBUS_CYCLES` overrides (the paper uses 10 M; the `repro` binary
+/// defaults lower, see its `--help`).
+///
+/// # Errors
+///
+/// Names the variable and its value when it is set but is not a
+/// positive integer.
+pub fn cycles_from_env(default: u64) -> Result<u64, String> {
+    const VAR: &str = "RAZORBUS_CYCLES";
+    Ok(razorbus_core::parse_count_knob(VAR, std::env::var_os(VAR))?.map_or(default, |n| n as u64))
 }
 
 /// Seed used across the harness so reproduction runs are comparable.
@@ -41,6 +43,6 @@ mod tests {
     fn env_override_parses() {
         // Not setting the variable: default wins.
         std::env::remove_var("RAZORBUS_CYCLES_TEST_SENTINEL");
-        assert_eq!(cycles_from_env(123), 123);
+        assert_eq!(cycles_from_env(123), Ok(123));
     }
 }

@@ -268,26 +268,30 @@ impl ReproCompiled {
     /// drift from the in-memory protocol. Bit-identical at every
     /// worker count and chunk size; CI's compile-determinism leg
     /// `cmp`s the saved bytes at 1 vs N threads to prove it.
-    #[must_use]
+    ///
+    /// # Errors
+    ///
+    /// Names the variable and its value when `RAZORBUS_THREADS` is not
+    /// a positive integer.
     pub fn compile(
         design: &DvsBusDesign,
         modified: &DvsBusDesign,
         cycles_per_benchmark: u64,
         seed: u64,
-    ) -> Self {
-        let runner = razorbus_scenario::PoolChunks::new(razorbus_scenario::worker_count(None));
+    ) -> Result<Self, String> {
+        let runner = razorbus_scenario::PoolChunks::new(razorbus_scenario::worker_count(None)?);
         let owned = |design: &DvsBusDesign| {
             fig8::compile_suite_with(design, cycles_per_benchmark, seed, &runner)
                 .into_iter()
                 .map(|trace| Arc::try_unwrap(trace).expect("freshly compiled, sole owner"))
                 .collect::<Vec<_>>()
         };
-        Self {
+        Ok(Self {
             cycles_per_benchmark,
             seed,
             paper: owned(design),
             modified: owned(modified),
-        }
+        })
     }
 
     /// Saves to `path` as a framed binary artifact.
@@ -593,7 +597,7 @@ mod tests {
         // ReproSummaries the live collection produces.
         let design = DvsBusDesign::paper_default();
         let modified = DvsBusDesign::modified_paper_bus();
-        let compiled = ReproCompiled::compile(&design, &modified, 1_000, 7);
+        let compiled = ReproCompiled::compile(&design, &modified, 1_000, 7).unwrap();
         let via_replay = compiled.into_shared_inputs(&design, &modified);
         assert_eq!(via_replay, small_inputs());
     }
@@ -602,7 +606,7 @@ mod tests {
     fn compiled_bundle_round_trips_and_validates() {
         let design = DvsBusDesign::paper_default();
         let modified = DvsBusDesign::modified_paper_bus();
-        let compiled = ReproCompiled::compile(&design, &modified, 500, 7);
+        let compiled = ReproCompiled::compile(&design, &modified, 500, 7).unwrap();
         let path = std::env::temp_dir().join("razorbus-test-compiled.rzba");
         let path = path.to_str().unwrap();
         compiled.save(path).unwrap();

@@ -36,13 +36,23 @@ const DEFAULT_COMPILE_CHUNK: usize = 65_536;
 /// (`RAZORBUS_COMPILE_CHUNK`, default 64k). Each chunk is one
 /// independent analysis sub-job; smaller chunks expose more parallelism
 /// at more per-chunk overhead.
+///
+/// # Errors
+///
+/// Names the variable and its value when it is set but is not a
+/// positive integer.
+pub fn compile_chunk_knob() -> Result<usize, String> {
+    const VAR: &str = "RAZORBUS_COMPILE_CHUNK";
+    Ok(crate::knob::parse_count_knob(VAR, std::env::var_os(VAR))?.unwrap_or(DEFAULT_COMPILE_CHUNK))
+}
+
+/// [`compile_chunk_knob`] for infallible library paths
+/// ([`CompiledTrace::compile_with`]): a bad value reads as the default
+/// here. Entry points refuse it first — the scenario executor returns
+/// the knob's error, and `repro` and `bench_report` exit with it.
 #[must_use]
 pub fn compile_chunk_cycles() -> usize {
-    std::env::var("RAZORBUS_COMPILE_CHUNK")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&c| c > 0)
-        .unwrap_or(DEFAULT_COMPILE_CHUNK)
+    compile_chunk_knob().unwrap_or(DEFAULT_COMPILE_CHUNK)
 }
 
 /// Executes the independent per-chunk analysis jobs of a parallel
@@ -358,8 +368,8 @@ impl CompiledTrace {
     /// Phase two of the parallel compile: classifies the `len` cycles
     /// starting at `start` against `design`'s bus. Pure in
     /// `(design, words, start, len)` — safe to run chunks in any order
-    /// on any thread. Each chunk gets its own residual-fold memo
-    /// (results are memo-invariant, so chunk boundaries cannot show).
+    /// on any thread. Each chunk gets its own cycle cache (results are
+    /// cache-invariant, so chunk boundaries cannot show).
     ///
     /// # Panics
     ///

@@ -39,12 +39,17 @@
 mod compiled;
 mod design;
 pub mod experiments;
+mod knob;
 mod lane;
 mod sim;
 mod summary;
 
-pub use compiled::{compile_chunk_cycles, ChunkRunner, CompiledChunk, CompiledTrace, SerialChunks};
+pub use compiled::{
+    compile_chunk_cycles, compile_chunk_knob, ChunkRunner, CompiledChunk, CompiledTrace,
+    SerialChunks,
+};
 pub use design::DvsBusDesign;
+pub use knob::{parse_count_knob, parse_knob};
 pub use sim::{BusSimulator, FusedOp, SimReport, VoltageSample};
 pub use summary::{
     bucket_of, TraceSummary, WindowedSummary, CEFF_BIN_WIDTH, N_BUCKETS, N_CEFF_BINS,

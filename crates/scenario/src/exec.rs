@@ -46,16 +46,14 @@ use crate::result::{LoopData, MemberResult, ScenarioSetResult, StreamRun, SweepD
 use crate::spec::{ControllerSpec, DesignSpec, ScenarioSpec, WorkloadSpec};
 use razorbus_core::experiments::{fig8, SummaryBank};
 use razorbus_core::{
-    compile_chunk_cycles, BusSimulator, CompiledChunk, CompiledTrace, DvsBusDesign, FusedOp,
-    TraceSummary,
+    compile_chunk_knob, parse_knob, BusSimulator, CompiledChunk, CompiledTrace, DvsBusDesign,
+    FusedOp, TraceSummary,
 };
 use razorbus_ctrl::{BoxedGovernor, GovernorSpec};
 use razorbus_process::{IrDrop, ProcessCorner, PvtCorner};
 use razorbus_traces::{Benchmark, TraceSource};
 use std::collections::{HashMap, HashSet};
-use std::ffi::OsString;
 use std::hash::{Hash, Hasher};
-use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 /// A named list of scenarios executed as one deduplicated, parallel
@@ -298,19 +296,6 @@ fn plan_replay_groups(
     plans
 }
 
-/// Parses the raw value of the unsigned-integer knob `var`: `None` when
-/// it is unset, an error naming the variable and the bad value when it
-/// does not parse.
-fn parse_knob<T: FromStr>(var: &str, raw: Option<OsString>) -> Result<Option<T>, String> {
-    let Some(raw) = raw else {
-        return Ok(None);
-    };
-    raw.to_str()
-        .and_then(|s| s.parse().ok())
-        .map(Some)
-        .ok_or_else(|| format!("{var}={raw:?} is not an unsigned integer"))
-}
-
 /// Group-width cap for fused replays (`RAZORBUS_REPLAY_FANIN`): `0` (or
 /// unset) leaves groups unbounded — the whole sweep sharing a stream is
 /// judged in one pass. CI pins a small value to exercise group
@@ -498,7 +483,8 @@ impl ScenarioSet {
     /// construction errors. A malformed (but decodable) spec artifact
     /// surfaces here as an `Err`, never a panic, and so does an
     /// unparsable `RAZORBUS_REPLAY_FANIN` or
-    /// `RAZORBUS_COMPILE_BUDGET_MB`.
+    /// `RAZORBUS_COMPILE_BUDGET_MB`, or a `RAZORBUS_THREADS` or
+    /// `RAZORBUS_COMPILE_CHUNK` that is not a positive integer.
     pub fn run(&self) -> Result<ScenarioSetRun, String> {
         self.run_with_designs(Vec::new())
     }
@@ -555,7 +541,7 @@ impl ScenarioSet {
             prebuilt,
             share_compiled,
             workers,
-            compile_chunk_cycles(),
+            compile_chunk_knob()?,
             None,
             None,
         )
@@ -577,6 +563,9 @@ impl ScenarioSet {
         fanin: Option<usize>,
     ) -> Result<ScenarioSetRun, String> {
         let budget = compile_budget()?;
+        // Resolved once: a one-worker pool also routes compiles onto
+        // the streaming serial path (no chunk bookkeeping to win back).
+        let n_workers = pool::worker_count(workers)?;
         let fanin = match fanin {
             Some(fanin) => fanin,
             None => replay_fanin()?,
@@ -736,10 +725,6 @@ impl ScenarioSet {
                 plan_replay_groups(&replayers[c], &loop_jobs, &loop_hist, stream, fuse, fanin)
             })
             .collect();
-        // Resolved once: a one-worker pool also routes compiles onto
-        // the streaming serial path (no chunk bookkeeping to win back).
-        let n_workers = pool::worker_count(workers);
-
         // Drain the plan on the work-stealing pool. Compiles feed the
         // injector first so shared workloads materialize while the live
         // loops and summary passes fill the remaining slots; a finished
@@ -1795,7 +1780,7 @@ mod tests {
             name: "fused-vs-solo".to_string(),
             members: vec![spec, closed],
         };
-        let chunk = compile_chunk_cycles();
+        let chunk = compile_chunk_knob().unwrap();
         let solo = set
             .run_full(Vec::new(), true, Some(1), chunk, Some(false), None)
             .unwrap();
@@ -1905,7 +1890,7 @@ mod tests {
         // Aggregate campaign keeps) must not move when fusing is
         // disabled or the fan-in is pinned small.
         let set = crate::catalog::by_name("monte-carlo-dvs-1k", 1_500, 7).unwrap();
-        let chunk = compile_chunk_cycles();
+        let chunk = compile_chunk_knob().unwrap();
         let fused = set
             .run_full(Vec::new(), true, Some(2), chunk, Some(true), Some(0))
             .unwrap();

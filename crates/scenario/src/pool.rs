@@ -24,35 +24,44 @@
 //! visible, so a worker that scanned every queue empty under the lock
 //! cannot miss the wakeup for a job pushed an instant later.
 
+use razorbus_core::parse_count_knob;
 use std::collections::VecDeque;
+use std::ffi::OsString;
 use std::sync::{Condvar, Mutex};
+
+/// The environment variable behind [`worker_count`].
+const THREADS_VAR: &str = "RAZORBUS_THREADS";
 
 /// Resolves the pool's worker count: an explicit request (the
 /// `--threads=N` flag) wins over the `RAZORBUS_THREADS` environment
-/// variable, which wins over the machine's available parallelism.
-/// Unparsable or zero env values fall through to the hardware default;
-/// the result is always at least 1.
-pub fn worker_count(explicit: Option<usize>) -> usize {
-    resolve(
-        explicit,
-        std::env::var("RAZORBUS_THREADS").ok().as_deref(),
-        || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-    )
+/// variable, which wins over the machine's available parallelism. The
+/// result is always at least 1.
+///
+/// # Errors
+///
+/// Names the variable and its value when `RAZORBUS_THREADS` is
+/// consulted and is not a positive integer (`0` included).
+pub fn worker_count(explicit: Option<usize>) -> Result<usize, String> {
+    resolve(explicit, std::env::var_os(THREADS_VAR), || {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    })
 }
 
 /// [`worker_count`] with the environment and hardware queries factored
 /// out, so the precedence chain is testable without mutating process
 /// globals.
-fn resolve(explicit: Option<usize>, env: Option<&str>, hardware: impl FnOnce() -> usize) -> usize {
+fn resolve(
+    explicit: Option<usize>,
+    env: Option<OsString>,
+    hardware: impl FnOnce() -> usize,
+) -> Result<usize, String> {
     if let Some(n) = explicit {
-        return n.max(1);
+        return Ok(n.max(1));
     }
-    if let Some(n) = env.and_then(|s| s.trim().parse::<usize>().ok()) {
-        if n > 0 {
-            return n;
-        }
+    match parse_count_knob(THREADS_VAR, env)? {
+        Some(n) => Ok(n),
+        None => Ok(hardware().max(1)),
     }
-    hardware().max(1)
 }
 
 /// Handle the pool hands each job for scheduling continuations.
@@ -192,17 +201,22 @@ mod tests {
 
     #[test]
     fn worker_count_precedence_is_flag_env_hardware() {
+        let env = |s: &str| Some(OsString::from(s));
         // Explicit beats everything, including a set env var.
-        assert_eq!(resolve(Some(3), Some("8"), || 16), 3);
-        assert_eq!(resolve(Some(0), None, || 16), 1, "explicit 0 clamps");
-        // Env beats hardware when parsable and positive.
-        assert_eq!(resolve(None, Some("8"), || 16), 8);
-        assert_eq!(resolve(None, Some(" 2 "), || 16), 2);
-        // Garbage or zero env falls through to hardware.
-        assert_eq!(resolve(None, Some("0"), || 16), 16);
-        assert_eq!(resolve(None, Some("lots"), || 16), 16);
-        assert_eq!(resolve(None, None, || 16), 16);
-        assert_eq!(resolve(None, None, || 0), 1, "hardware floor");
+        assert_eq!(resolve(Some(3), env("8"), || 16), Ok(3));
+        assert_eq!(resolve(Some(0), None, || 16), Ok(1), "explicit 0 clamps");
+        // Env beats hardware when it is a positive integer.
+        assert_eq!(resolve(None, env("8"), || 16), Ok(8));
+        assert_eq!(resolve(None, None, || 16), Ok(16));
+        assert_eq!(resolve(None, None, || 0), Ok(1), "hardware floor");
+        // Garbage or zero env is an error naming the variable and value.
+        for bad in ["0", "lots", " 2 "] {
+            let err = resolve(None, env(bad), || 16).unwrap_err();
+            assert!(
+                err.contains("RAZORBUS_THREADS") && err.contains(&format!("\"{bad}\"")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ fn word_mask(n: usize) -> u32 {
     }
 }
 
-/// Sentinel-coded neighbor for the hot classification loop.
+/// Sentinel-coded neighbor of the reference slot loop and the table build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
     Signal(u8),
@@ -86,214 +86,175 @@ pub struct BusPhysical {
     max_path_delay: Picoseconds,
     design_corner: PvtCorner,
     droop: DroopModel,
-    /// Flattened neighbor tables for the hot loop.
+    /// Flattened neighbor tables of the reference slot loop.
     slots: Vec<[Slot; 4]>,
-    /// Per-wire bitmask of signal-neighbor indices: when
-    /// `toggled & sig_mask[i] == 0`, every neighbor of wire `i` is quiet
-    /// this cycle and the slot loop's result is exactly the precomputed
-    /// static sums below.
-    sig_mask: Vec<u32>,
-    /// Slot-ordered Σ scale·miller_static over non-open slots — the
-    /// delay weight of a wire whose whole neighborhood is quiet.
-    quiet_delay: Vec<f64>,
-    /// Slot-ordered Σ scale over non-open slots — the energy weight of a
-    /// wire whose whole neighborhood is quiet.
-    quiet_energy: Vec<f64>,
-    /// Per-wire neighborhood LUT: the slot loop, precompiled to one
-    /// lookup per toggling wire (plus an exact alignment fold only when
-    /// an opposing aggressor could beat the running worst).
-    lut: NeighborhoodLut,
+    /// The shield-group tables behind [`BusPhysical::analyze_cycle`].
+    groups: GroupTables,
 }
 
-/// Builds the quiet-neighborhood fast-path tables. The sums are
-/// accumulated in slot order so they are bit-identical to what the full
-/// slot loop produces when no signal neighbor toggles.
-fn quiet_tables(
-    slots: &[[Slot; 4]],
-    parasitics: &WireParasitics,
-    coupling: &CouplingModel,
-) -> (Vec<u32>, Vec<f64>, Vec<f64>) {
-    let cc = parasitics.cc_per_mm().ff();
-    let cc2 = parasitics.cc2_per_mm().ff();
-    let mut sig_mask = Vec::with_capacity(slots.len());
-    let mut quiet_delay = Vec::with_capacity(slots.len());
-    let mut quiet_energy = Vec::with_capacity(slots.len());
-    for wire_slots in slots {
-        let mut mask = 0u32;
-        let mut k_delay = 0.0;
-        let mut k_energy = 0.0;
-        for (idx, slot) in wire_slots.iter().enumerate() {
-            let scale = if idx < 2 { cc } else { cc2 };
-            match *slot {
-                Slot::Open => {}
-                Slot::Shield => {
-                    k_delay += scale * coupling.miller_static;
-                    k_energy += scale;
-                }
-                Slot::Signal(j) => {
-                    mask |= 1u32 << j;
-                    k_delay += scale * coupling.miller_static;
-                    k_energy += scale;
-                }
-            }
-        }
-        sig_mask.push(mask);
-        quiet_delay.push(k_delay);
-        quiet_energy.push(k_energy);
-    }
-    (sig_mask, quiet_delay, quiet_energy)
-}
+/// Slot class of a shield or quiet signal neighbor: static Miller weight.
+const CLASS_STATIC: u8 = 0;
+/// Slot class of a neighbor toggling with the victim.
+const CLASS_SAME: u8 = 1;
+/// Slot class of a neighbor toggling against the victim.
+const CLASS_OPPOSITE: u8 = 2;
+/// Slot class of an empty (screened or off-edge) slot.
+const CLASS_OPEN: u8 = 3;
 
-/// One precompiled neighborhood pattern of one wire: everything the slot
-/// loop would compute for this (own direction, per-signal-neighbor
-/// toggled/direction) combination, folded at table-build time in slot
-/// order so the sums are bit-identical to running the loop.
-#[derive(Debug, Clone, Copy)]
-struct LutEntry {
-    /// `cg + k_delay` of this pattern with every opposing aggressor at
-    /// perfect alignment (`u = 0`). When `opp_mask == 0` this *is* the
-    /// wire's exact load; otherwise it is an upper bound (alignment only
-    /// ever reduces the opposing weight), used to skip the exact fold
-    /// when the wire cannot beat the running worst.
+/// What the reference slot loop computes for one toggling wire whose
+/// four slots (left, right, left2, right2) fall in one class
+/// combination, folded in slot order so the sums are bit-identical.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotClass {
+    /// `cg + k_delay` with every opposing aggressor perfectly aligned
+    /// (`u = 0`). Exact when `opp_mask == 0`; otherwise an upper bound
+    /// (alignment only ever lowers the opposing weight).
     ceff: f64,
     /// `cg + k_energy` — never alignment-dependent, always exact.
     switched: f64,
-    /// Slot-ordered delay terms of the non-open slots: the constant
-    /// contribution for quiet/aligned/shield slots, `opp_w[side]` for
-    /// opposing slots (to be scaled by the per-cycle alignment draw).
+    /// Per-slot delay terms: the constant weight of static/same slots,
+    /// `opp_w[side]` of opposing slots (scaled by the per-cycle
+    /// alignment draw), `+0.0` for open slots.
     terms: [f64; 4],
-    /// Bitmask over `terms`: which are opposing (alignment-dependent).
+    /// Which slots oppose the victim.
     opp_mask: u8,
 }
 
-/// Per-wire constants of the neighborhood LUT: how to gather the key
-/// bits and which physical slots the entry terms correspond to.
-#[derive(Debug, Clone, Copy)]
-struct LutWire {
-    /// Start of this wire's entry block in [`NeighborhoodLut::entries`].
-    offset: u32,
-    /// Bit indices of the signal-neighbor slots, in slot order.
-    sig_bits: [u8; 4],
-    /// Number of signal-neighbor slots (key width = `1 + 2 * n_sig`).
-    n_sig: u8,
-    /// Original slot index of each term (for the alignment hash).
-    term_slots: [u8; 4],
-    /// Number of non-open slots (= number of terms per entry).
-    n_terms: u8,
+/// One `(toggled, cur)` pattern of one shield group, pre-folded.
+#[derive(Debug, Clone, Copy, Default)]
+struct GroupPattern {
+    /// `switched` of the toggling wires in ascending wire order, padded
+    /// with `+0.0`.
+    switched: [f64; 4],
+    /// Max exact load over toggling wires with no opposing aggressor.
+    exact: f64,
+    /// Max perfect-alignment bound over toggling wires with an opposing
+    /// aggressor.
+    bound: f64,
+    /// Which wires of the group have an opposing aggressor.
+    opp: u8,
+    /// Each wire's [`SlotClass`] code (2 bits per slot).
+    class: [u8; 4],
 }
 
-/// The per-wire neighborhood look-up table behind
-/// [`BusPhysical::analyze_cycle`]: for every wire, one entry per local
-/// (own direction × signal-neighbor toggled/direction) pattern — at most
-/// `2^(1+2·4) = 512` entries per wire, typically 32–128 on the paper
-/// layout. Rebuilt whenever the parasitics change
-/// ([`BusPhysical::with_boosted_coupling`]).
+/// The shield-group tables behind [`BusPhysical::analyze_cycle`].
+///
+/// Shields screen all coupling, so a wire's slot classes depend only on
+/// the `toggled`/`cur` bits of its own group, and every group of a
+/// [`BusLayout`] repeats the same slot pattern. A group of at most 4
+/// signals has at most 256 patterns; each is folded once here, and a
+/// cycle costs one lookup per group.
 #[derive(Debug, Clone)]
-struct NeighborhoodLut {
-    wires: Vec<LutWire>,
-    entries: Vec<LutEntry>,
+struct GroupTables {
+    group_size: usize,
+    classes: Vec<SlotClass>,
+    patterns: Vec<GroupPattern>,
 }
 
-/// Builds the neighborhood LUT. Every arithmetic expression mirrors the
-/// reference slot loop ([`BusPhysical::analyze_cycle_reference`])
-/// operand-for-operand, so each entry's folded sums are bit-identical to
-/// what the loop would produce for that pattern.
-fn build_lut(
-    slots: &[[Slot; 4]],
-    parasitics: &WireParasitics,
-    coupling: &CouplingModel,
-) -> NeighborhoodLut {
-    let cg = parasitics.cg_per_mm().ff();
-    let cc = parasitics.cc_per_mm().ff();
-    let cc2 = parasitics.cc2_per_mm().ff();
-    let m = coupling;
-    let static_w = [cc * m.miller_static, cc2 * m.miller_static];
-    let same_w = [cc * m.miller_same, cc2 * m.miller_same];
-    let opp_w = [cc * m.miller_opposite, cc2 * m.miller_opposite];
-    let energy_2w = [cc * 2.0, cc2 * 2.0];
+impl GroupTables {
+    /// Builds both tables from the first group's slots. Every
+    /// expression mirrors the reference slot loop
+    /// ([`BusPhysical::analyze_cycle_reference`]) operand for operand.
+    fn build(group: &[[Slot; 4]], parasitics: &WireParasitics, coupling: &CouplingModel) -> Self {
+        let cg = parasitics.cg_per_mm().ff();
+        let cc = parasitics.cc_per_mm().ff();
+        let cc2 = parasitics.cc2_per_mm().ff();
+        let m = coupling;
+        let static_w = [cc * m.miller_static, cc2 * m.miller_static];
+        let same_w = [cc * m.miller_same, cc2 * m.miller_same];
+        let opp_w = [cc * m.miller_opposite, cc2 * m.miller_opposite];
+        let energy_w = [cc, cc2];
+        let energy_2w = [cc * 2.0, cc2 * 2.0];
 
-    let mut wires = Vec::with_capacity(slots.len());
-    let mut entries = Vec::new();
-    for wire_slots in slots {
-        let mut sig_bits = [0u8; 4];
-        let mut n_sig = 0u8;
-        let mut term_slots = [0u8; 4];
-        let mut n_terms = 0u8;
-        for (idx, slot) in wire_slots.iter().enumerate() {
-            match *slot {
-                Slot::Open => {}
-                Slot::Shield => {
-                    term_slots[n_terms as usize] = idx as u8;
-                    n_terms += 1;
-                }
-                Slot::Signal(j) => {
-                    sig_bits[n_sig as usize] = j;
-                    n_sig += 1;
-                    term_slots[n_terms as usize] = idx as u8;
-                    n_terms += 1;
-                }
-            }
-        }
-        let offset = entries.len() as u32;
-        for key in 0..1usize << (1 + 2 * n_sig) {
-            let rising = key & 1 == 1;
-            let mut k_delay = 0.0f64;
-            let mut k_energy = 0.0f64;
-            let mut terms = [0.0f64; 4];
-            let mut opp_mask = 0u8;
-            let mut t = 0usize;
-            let mut p = 0usize;
-            for (idx, slot) in wire_slots.iter().enumerate() {
-                let side = usize::from(idx >= 2);
-                match *slot {
-                    Slot::Open => {}
-                    Slot::Shield => {
-                        terms[t] = static_w[side];
-                        k_delay += static_w[side];
-                        k_energy += if side == 0 { cc } else { cc2 };
-                        t += 1;
-                    }
-                    Slot::Signal(_) => {
-                        let toggled_j = (key >> (1 + 2 * p)) & 1 == 1;
-                        let cur_j = (key >> (2 + 2 * p)) & 1 == 1;
-                        p += 1;
-                        if !toggled_j {
-                            terms[t] = static_w[side];
+        let classes = (0..256usize)
+            .map(|code| {
+                let mut k_delay = 0.0f64;
+                let mut k_energy = 0.0f64;
+                let mut terms = [0.0f64; 4];
+                let mut opp_mask = 0u8;
+                for (t, term) in terms.iter_mut().enumerate() {
+                    let side = usize::from(t >= 2);
+                    match (code >> (2 * t)) as u8 & 3 {
+                        CLASS_STATIC => {
+                            *term = static_w[side];
                             k_delay += static_w[side];
-                            k_energy += if side == 0 { cc } else { cc2 };
-                        } else if cur_j == rising {
-                            terms[t] = same_w[side];
+                            k_energy += energy_w[side];
+                        }
+                        CLASS_SAME => {
+                            *term = same_w[side];
                             k_delay += same_w[side];
                             // aligned: no charge across the coupling cap
-                        } else {
-                            terms[t] = opp_w[side];
+                        }
+                        CLASS_OPPOSITE => {
+                            *term = opp_w[side];
                             opp_mask |= 1 << t;
-                            // Perfect-alignment (u = 0) fold: the exact
-                            // load when every draw lands in the atom, an
-                            // upper bound otherwise.
                             k_delay += opp_w[side];
                             k_energy += energy_2w[side];
                         }
-                        t += 1;
+                        _ => {}
                     }
                 }
-            }
-            entries.push(LutEntry {
-                ceff: cg + k_delay,
-                switched: cg + k_energy,
-                terms,
-                opp_mask,
-            });
+                SlotClass {
+                    ceff: cg + k_delay,
+                    switched: cg + k_energy,
+                    terms,
+                    opp_mask,
+                }
+            })
+            .collect::<Vec<_>>();
+
+        let gs = group.len();
+        let patterns = (0..1usize << (2 * gs))
+            .map(|key| {
+                let toggled = key & ((1 << gs) - 1);
+                let cur = key >> gs;
+                let mut p = GroupPattern::default();
+                let mut n = 0;
+                for (l, wire) in group.iter().enumerate() {
+                    if (toggled >> l) & 1 == 0 {
+                        continue;
+                    }
+                    let rising = (cur >> l) & 1;
+                    let mut code = 0u8;
+                    for (t, slot) in wire.iter().enumerate() {
+                        let class = match *slot {
+                            Slot::Open => CLASS_OPEN,
+                            Slot::Shield => CLASS_STATIC,
+                            Slot::Signal(j) if (toggled >> j) & 1 == 0 => CLASS_STATIC,
+                            Slot::Signal(j) if (cur >> j) & 1 == rising => CLASS_SAME,
+                            Slot::Signal(_) => CLASS_OPPOSITE,
+                        };
+                        code |= class << (2 * t);
+                    }
+                    let c = &classes[usize::from(code)];
+                    p.switched[n] = c.switched;
+                    n += 1;
+                    p.class[l] = code;
+                    if c.opp_mask == 0 {
+                        p.exact = p.exact.max(c.ceff);
+                    } else {
+                        p.opp |= 1 << l;
+                        p.bound = p.bound.max(c.ceff);
+                    }
+                }
+                p
+            })
+            .collect();
+
+        Self {
+            group_size: gs,
+            classes,
+            patterns,
         }
-        wires.push(LutWire {
-            offset,
-            sig_bits,
-            n_sig,
-            term_slots,
-            n_terms,
-        });
     }
-    NeighborhoodLut { wires, entries }
+
+    /// The pattern of the group whose lowest wire is bit `base`.
+    #[inline]
+    fn pattern(&self, toggled: u32, cur: u32, base: usize) -> &GroupPattern {
+        let mask = (1u32 << self.group_size) - 1;
+        let key = (toggled >> base) & mask | ((cur >> base) & mask) << self.group_size;
+        &self.patterns[key as usize]
+    }
 }
 
 impl BusPhysical {
@@ -322,6 +283,11 @@ impl BusPhysical {
             layout.n_bits() <= 32,
             "word-oriented analysis supports at most 32 bits"
         );
+        assert!(
+            layout.group_size() <= 4,
+            "group-table analysis supports shield groups of at most 4 signals, got group size {}",
+            layout.group_size()
+        );
         let worst_ceff = worst_effective_cap(&layout, &parasitics, &coupling);
         let v_design = nominal_of(&line_proto)
             * (1.0 - design_corner.ir.fraction() - droop.droop_fraction(1.0));
@@ -345,8 +311,7 @@ impl BusPhysical {
                 ]
             })
             .collect();
-        let (sig_mask, quiet_delay, quiet_energy) = quiet_tables(&slots, &parasitics, &coupling);
-        let lut = build_lut(&slots, &parasitics, &coupling);
+        let groups = GroupTables::build(&slots[..layout.group_size()], &parasitics, &coupling);
         Ok(Self {
             layout,
             parasitics,
@@ -357,10 +322,7 @@ impl BusPhysical {
             design_corner,
             droop,
             slots,
-            sig_mask,
-            quiet_delay,
-            quiet_energy,
-            lut,
+            groups,
         })
     }
 
@@ -402,19 +364,16 @@ impl BusPhysical {
     pub fn with_boosted_coupling(&self, ratio_boost: f64) -> Self {
         let (k1w, k2w) = worst_weights(&self.layout, &self.coupling);
         let parasitics = self.parasitics.boost_coupling_ratio(ratio_boost, k1w, k2w);
-        // The coupling caps changed, so the quiet-path tables and the
-        // neighborhood LUT must be rebuilt from the new parasitics.
-        let (sig_mask, quiet_delay, quiet_energy) =
-            quiet_tables(&self.slots, &parasitics, &self.coupling);
-        let lut = build_lut(&self.slots, &parasitics, &self.coupling);
+        // The coupling caps changed, so the group tables must be rebuilt
+        // from the new parasitics.
+        let groups = GroupTables::build(
+            &self.slots[..self.groups.group_size],
+            &parasitics,
+            &self.coupling,
+        );
         Self {
             parasitics,
-            slots: self.slots.clone(),
-            layout: self.layout.clone(),
-            sig_mask,
-            quiet_delay,
-            quiet_energy,
-            lut,
+            groups,
             ..self.clone()
         }
     }
@@ -626,143 +585,92 @@ impl BusPhysical {
     /// words, Miller-weighted worst load, charge-weighted switched
     /// capacitance and toggle count.
     ///
-    /// The slot loop is precompiled into a per-wire neighborhood LUT:
-    /// each toggling wire's delay/energy sums are one table lookup keyed
-    /// on its ≤9 local bits. Wires with opposing aggressors run their
-    /// exact alignment fold only while the entry's perfect-alignment
-    /// upper bound beats the running worst — a skipped fold cannot
-    /// change the max. Bit-identical to
-    /// [`BusPhysical::analyze_cycle_reference`] by construction — each
-    /// entry stores the same slot-ordered f64 sums, each fold replays
-    /// the slot-ordered term sequence exactly, and the f64 max over
-    /// per-wire loads is order-independent — pinned by unit and
-    /// property tests.
+    /// One shield-group table lookup per group replaces the per-wire
+    /// slot loop: each group pattern stores its toggling wires'
+    /// switched capacitance, the max exact load of its wires without an
+    /// opposing aggressor, and the perfect-alignment bound of the rest.
+    /// Wires with opposing aggressors run their exact alignment fold
+    /// only while their bound beats the running worst — a skipped fold
+    /// cannot change the max. Bit-identical to
+    /// [`BusPhysical::analyze_cycle_reference`] by construction: every
+    /// table entry stores the same slot-ordered f64 sums, the switched
+    /// sum is added in ascending wire order (its `+0.0` pads are exact
+    /// no-ops), each fold replays the slot-ordered term sequence, and
+    /// the f64 max over per-wire loads is order-independent — pinned by
+    /// unit and property tests.
     #[must_use]
     pub fn analyze_cycle(&self, prev: u32, cur: u32) -> CycleAnalysis {
-        self.analyze_cycle_memo(prev, cur, None)
-    }
-
-    /// A reusable analysis context over this bus: same classification as
-    /// [`BusPhysical::analyze_cycle`], behind a whole-cycle result cache
-    /// plus a per-wire memo over the residual alignment folds.
-    /// Opposing-dense traffic (crosstalk storms) cycles through a small
-    /// set of worst patterns, so both levels are exact-key lookups that
-    /// return the previously computed bits verbatim.
-    #[must_use]
-    pub fn analyzer(&self) -> CycleAnalyzer<'_> {
-        CycleAnalyzer::new(self)
-    }
-
-    fn analyze_cycle_memo(
-        &self,
-        prev: u32,
-        cur: u32,
-        memo: Option<&mut FoldMemo>,
-    ) -> CycleAnalysis {
-        let toggled = (prev ^ cur) & word_mask(self.layout.n_bits());
+        let n = self.layout.n_bits();
+        let toggled = (prev ^ cur) & word_mask(n);
         if toggled == 0 {
             return CycleAnalysis::default();
         }
-
-        let cg = self.parasitics.cg_per_mm().ff();
+        let gs = self.groups.group_size;
 
         let mut worst: f64 = 0.0;
+        let mut bound: f64 = 0.0;
         let mut switched: f64 = 0.0;
-        let mut count: u32 = 0;
-
-        // One pass, ascending wire order: accumulate switched
-        // capacitance (f64 addition order is part of the bit-identity
-        // contract), take the max over quiet-path and exact (no
-        // opposing aggressor) entries, and run the residual alignment
-        // fold only for entries whose perfect-alignment bound still
-        // beats the running worst — a skipped fold is ≤ its bound ≤
-        // worst, so it cannot change the max. (A sort- or
-        // selection-based deferral of the folds measures *slower* than
-        // this running-max prune on both storm and random traffic: the
-        // candidate bookkeeping costs more than the handful of folds it
-        // saves. Storm repeats are instead killed one level up, by
-        // [`CycleAnalyzer`]'s whole-cycle cache.)
-        let mut memo = memo;
-        let mut bits = toggled;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            count += 1;
-
-            if toggled & self.sig_mask[i] == 0 {
-                // Quiet neighborhood: every neighbor contributes its
-                // static Miller weight, precomputed in slot order — no
-                // key gather, no entry load.
-                let ceff = cg + self.quiet_delay[i];
-                if ceff > worst {
-                    worst = ceff;
-                }
-                switched += cg + self.quiet_energy[i];
-                continue;
+        for base in (0..n).step_by(gs) {
+            let p = self.groups.pattern(toggled, cur, base);
+            switched += p.switched[0];
+            switched += p.switched[1];
+            switched += p.switched[2];
+            switched += p.switched[3];
+            if p.exact > worst {
+                worst = p.exact;
             }
-
-            let idx = self.entry_index(toggled, cur, i);
-            let e = &self.lut.entries[idx];
-            switched += e.switched;
-            if e.opp_mask == 0 {
-                // No opposing aggressor: the entry is the exact
-                // slot-ordered fold.
-                if e.ceff > worst {
-                    worst = e.ceff;
-                }
-            } else if e.ceff > worst {
-                let ceff = match memo.as_deref_mut() {
-                    Some(memo) => memo.fold(self, prev, cur, i, idx),
-                    None => self.fold_entry(prev, cur, i, idx),
-                };
-                if ceff > worst {
-                    worst = ceff;
-                }
+            if p.bound > bound {
+                bound = p.bound;
             }
+        }
+        if bound > worst {
+            worst = self.fold_opposing(prev, cur, toggled, worst);
         }
 
         CycleAnalysis {
             worst_ceff_per_mm: worst,
             switched_cap_per_mm: switched,
-            toggled_wires: count,
+            toggled_wires: toggled.count_ones(),
         }
     }
 
-    /// LUT entry index for toggling wire `i` under this cycle's words:
-    /// own direction bit plus (toggled, direction) for each signal
-    /// neighbor.
-    #[inline]
-    fn entry_index(&self, toggled: u32, cur: u32, i: usize) -> usize {
-        let w = &self.lut.wires[i];
-        let mut key = ((cur >> i) & 1) as usize;
-        for p in 0..w.n_sig as usize {
-            let j = w.sig_bits[p] as usize;
-            key |= (((toggled >> j) & 1) as usize) << (1 + 2 * p);
-            key |= (((cur >> j) & 1) as usize) << (2 + 2 * p);
+    /// Raises `worst` to the max exact load over the wires with an
+    /// opposing aggressor, folding only groups and wires whose
+    /// perfect-alignment bound still beats the running worst.
+    fn fold_opposing(&self, prev: u32, cur: u32, toggled: u32, mut worst: f64) -> f64 {
+        let gs = self.groups.group_size;
+        for base in (0..self.layout.n_bits()).step_by(gs) {
+            let p = self.groups.pattern(toggled, cur, base);
+            if p.bound <= worst {
+                continue;
+            }
+            let mut opp = p.opp;
+            while opp != 0 {
+                let l = opp.trailing_zeros() as usize;
+                opp &= opp - 1;
+                let c = &self.groups.classes[usize::from(p.class[l])];
+                if c.ceff > worst {
+                    let ceff = self.fold(prev, cur, base + l, c);
+                    if ceff > worst {
+                        worst = ceff;
+                    }
+                }
+            }
         }
-        w.offset as usize + key
+        worst
     }
 
-    /// Exact effective load of toggling wire `i`: replays the LUT
-    /// entry's slot-ordered term sequence with the alignment hash
-    /// evaluated for each opposing aggressor. `entry` must be
-    /// `entry_index(toggled, cur, i)` — the caller always has it in
-    /// hand — so the fold stays a pure function of `(prev, cur, i)`,
-    /// which is what lets [`FoldMemo`] key on the words alone.
+    /// Exact effective load of toggling wire `i` in slot class `c`:
+    /// replays the slot-ordered terms with the alignment hash evaluated
+    /// for each opposing aggressor. Open slots add `+0.0` to a sum that
+    /// is never `-0.0`, an exact no-op.
     #[inline]
-    fn fold_entry(&self, prev: u32, cur: u32, i: usize, entry: usize) -> f64 {
-        let w = &self.lut.wires[i];
-        let e = &self.lut.entries[entry];
+    fn fold(&self, prev: u32, cur: u32, i: usize, c: &SlotClass) -> f64 {
         let m = &self.coupling;
         let mut k = 0.0f64;
-        for (t, &v) in e.terms[..w.n_terms as usize].iter().enumerate() {
-            if e.opp_mask & (1 << t) != 0 {
-                let u = m.misalignment(crate::coupling::alignment_unit(
-                    prev,
-                    cur,
-                    i,
-                    w.term_slots[t] as usize,
-                ));
+        for (t, &v) in c.terms.iter().enumerate() {
+            if c.opp_mask & (1 << t) != 0 {
+                let u = m.misalignment(crate::coupling::alignment_unit(prev, cur, i, t));
                 k += v * (1.0 - m.alignment_spread * u);
             } else {
                 k += v;
@@ -771,11 +679,21 @@ impl BusPhysical {
         self.parasitics.cg_per_mm().ff() + k
     }
 
+    /// A reusable analysis context over this bus: same classification as
+    /// [`BusPhysical::analyze_cycle`], behind a whole-cycle result cache.
+    /// Opposing-dense traffic (crosstalk storms) cycles through a small
+    /// set of worst patterns, so repeats are exact-key lookups that
+    /// return the previously computed bits verbatim.
+    #[must_use]
+    pub fn analyzer(&self) -> CycleAnalyzer<'_> {
+        CycleAnalyzer::new(self)
+    }
+
     /// The reference implementation of [`BusPhysical::analyze_cycle`]:
-    /// the full per-slot classification loop with no precomputed tables,
-    /// no quiet fast path and no LUT. Slower, but trivially auditable —
-    /// kept so differential and property tests can pin the LUT-backed
-    /// hot path to it bitwise on every pattern.
+    /// the full per-slot classification loop with no precomputed tables.
+    /// Slower, but trivially auditable — kept so differential and
+    /// property tests can pin the group-table hot path to it bitwise on
+    /// every pattern.
     #[must_use]
     pub fn analyze_cycle_reference(&self, prev: u32, cur: u32) -> CycleAnalysis {
         let toggled = (prev ^ cur) & word_mask(self.layout.n_bits());
@@ -885,62 +803,6 @@ impl BusPhysical {
     }
 }
 
-/// Direct-mapped ways per wire in the residual-fold memo. Storm traffic
-/// alternates between a handful of worst patterns per wire, so a few
-/// ways catch nearly all repeats without the memo outgrowing L1.
-const MEMO_WAYS: usize = 8;
-
-/// One memo slot: the folded effective load of one wire under one
-/// `(prev, cur)` word pair. `prev == cur` marks an empty slot — equal
-/// words toggle nothing, so no fold query can ever present that key.
-#[derive(Clone, Copy)]
-struct MemoSlot {
-    prev: u32,
-    cur: u32,
-    ceff: f64,
-}
-
-/// Exact-keyed cache over the residual fold (`fold_entry`). Keys are
-/// the full `(prev, cur)` words per wire — the fold is a pure function
-/// of exactly those — so a hit returns the identical f64 bits the fold
-/// would produce, never an approximation.
-struct FoldMemo {
-    slots: Vec<MemoSlot>,
-}
-
-impl FoldMemo {
-    fn new(n_wires: usize) -> Self {
-        Self {
-            slots: vec![
-                MemoSlot {
-                    prev: 0,
-                    cur: 0,
-                    ceff: 0.0,
-                };
-                n_wires * MEMO_WAYS
-            ],
-        }
-    }
-
-    /// Which of the wire's ways a word pair maps to.
-    #[inline]
-    fn way(prev: u32, cur: u32) -> usize {
-        let h = (prev ^ cur.rotate_left(16)).wrapping_mul(0x9E37_79B1);
-        (h >> 29) as usize
-    }
-
-    #[inline]
-    fn fold(&mut self, bus: &BusPhysical, prev: u32, cur: u32, i: usize, entry: usize) -> f64 {
-        let slot = &mut self.slots[i * MEMO_WAYS + Self::way(prev, cur)];
-        if slot.prev == prev && slot.cur == cur {
-            return slot.ceff;
-        }
-        let ceff = bus.fold_entry(prev, cur, i, entry);
-        *slot = MemoSlot { prev, cur, ceff };
-        ceff
-    }
-}
-
 /// Slots in the analyzer's cycle-level cache (direct-mapped, 32 bytes
 /// each — 8 KiB total). Storm and burst generators emit a handful of
 /// distinct word pairs by construction, so a tiny cache catches nearly
@@ -958,19 +820,16 @@ struct CycleSlot {
 }
 
 /// A per-thread cycle-analysis context: [`BusPhysical::analyze_cycle`]
-/// behind a two-level exact-keyed memo. Level 1 caches whole
+/// behind an exact-keyed whole-cycle cache. It caches
 /// [`CycleAnalysis`] results per `(prev, cur)` word pair — the
 /// classification is a pure function of exactly that pair — so
 /// pattern-repeating traffic (crosstalk storms alternate between two
-/// worst-case words) collapses to one probe per cycle. Level 2, the
-/// residual-fold memo (`FoldMemo`), catches per-wire fold repeats on
-/// cycles that miss level 1. Create one per compile/summary loop via
-/// [`BusPhysical::analyzer`] and feed it consecutive cycles; results
-/// are bit-identical to the memo-free path at every cycle (both keys
-/// are exact), pinned by differential tests.
+/// worst-case words) collapses to one probe per cycle. Create one per
+/// compile/summary loop via [`BusPhysical::analyzer`] and feed it
+/// consecutive cycles; results are bit-identical to the cache-free path
+/// at every cycle, pinned by differential tests.
 pub struct CycleAnalyzer<'a> {
     bus: &'a BusPhysical,
-    memo: FoldMemo,
     cycles: Vec<CycleSlot>,
 }
 
@@ -978,7 +837,6 @@ impl<'a> CycleAnalyzer<'a> {
     fn new(bus: &'a BusPhysical) -> Self {
         Self {
             bus,
-            memo: FoldMemo::new(bus.layout.n_bits()),
             cycles: vec![
                 CycleSlot {
                     prev: 0,
@@ -1002,7 +860,7 @@ impl<'a> CycleAnalyzer<'a> {
         if slot.prev == prev && slot.cur == cur {
             return slot.result;
         }
-        let result = self.bus.analyze_cycle_memo(prev, cur, Some(&mut self.memo));
+        let result = self.bus.analyze_cycle(prev, cur);
         *slot = CycleSlot { prev, cur, result };
         result
     }
@@ -1197,11 +1055,11 @@ mod tests {
     #[test]
     fn analyze_cycle_fast_path_matches_per_wire_reference() {
         // per_wire_effective_caps and analyze_cycle_reference keep the
-        // original full slot loop, so the LUT-backed hot path must
+        // original full slot loop, so the group-table hot path must
         // reproduce their results *bitwise* on every pattern — isolated
-        // toggles (quiet fast path), dense toggles (LUT + alignment
-        // fold), and mixtures, on both the paper bus and the
-        // boosted-coupling variant (whose tables are rebuilt).
+        // toggles, dense toggles (alignment folds), and mixtures, on
+        // both the paper bus and the boosted-coupling variant (whose
+        // tables are rebuilt).
         for b in [bus(), bus().with_boosted_coupling(1.95)] {
             let mut x = 0x1234_5678_9ABC_DEFFu64;
             let mut prev = 0u32;
@@ -1236,22 +1094,24 @@ mod tests {
 
     #[test]
     fn analyzer_memo_matches_memo_free_path_bitwise() {
-        // The residual-fold memo must be invisible in the results: its
-        // key is the exact (prev, cur) word pair per wire, so a hit
-        // returns the identical f64 bits the fold would produce. Drive
-        // storm (alternating opposing phases, high hit rate), dense
-        // random, and random-walk sequences through a long-lived
-        // analyzer and require bitwise equality with the memo-free
-        // path at every cycle, on both table variants.
+        // The whole-cycle cache must be invisible in the results: its
+        // key is the exact (prev, cur) word pair, so a hit returns the
+        // identical bits analyze_cycle would produce. Drive a pure
+        // storm (two alternating opposing words: every cycle after the
+        // first two hits), then interleaved storm, dense random and
+        // random-walk sequences through a long-lived analyzer, and
+        // require bitwise equality with the cache-free path at every
+        // cycle, on both table variants.
         for b in [bus(), bus().with_boosted_coupling(1.95)] {
             let mut analyzer = b.analyzer();
             let mut x = 0xFEED_F00D_1234_5678u64;
             let mut prev = 0x5555_5555u32;
-            for step in 0..3_000u32 {
+            for step in 0..4_000u32 {
                 x = x
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1_442_695_040_888_963_407);
                 let cur = match step % 3 {
+                    _ if step < 1_000 => !prev,                   // pure storm
                     0 => !prev,                                   // storm: every pair opposes
                     1 => (x >> 32) as u32,                        // dense random
                     _ => prev ^ ((x >> 32) as u32 & 0x8421_8421), // random walk
@@ -1264,6 +1124,59 @@ mod tests {
                 prev = cur;
             }
         }
+    }
+
+    #[test]
+    fn every_group_pattern_matches_reference_bitwise() {
+        // All 256 (toggled, cur) nibble patterns at every group position,
+        // alone (so the group's own folds decide the worst load) and
+        // inside random context words (so neighboring groups toggle
+        // too), on both table variants.
+        for b in [bus(), bus().with_boosted_coupling(1.95)] {
+            let mut x = 0x0DDB_A11C_AFE5_EED5u64;
+            for base in (0..32).step_by(4) {
+                for pattern in 0..256u32 {
+                    x = x
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let (toggled, cur_bits) = (pattern & 0xF, pattern >> 4);
+                    let outside = !(0xF << base);
+                    for (context_prev, context_cur) in [(0, 0), ((x >> 32) as u32, x as u32)] {
+                        let prev = context_prev & outside | (cur_bits ^ toggled) << base;
+                        let cur = context_cur & outside | cur_bits << base;
+                        let a = b.analyze_cycle(prev, cur);
+                        let r = b.analyze_cycle_reference(prev, cur);
+                        assert_eq!(
+                            a.worst_ceff_per_mm.to_bits(),
+                            r.worst_ceff_per_mm.to_bits(),
+                            "worst, group {base} pattern {pattern:#04x}"
+                        );
+                        assert_eq!(
+                            a.switched_cap_per_mm.to_bits(),
+                            r.switched_cap_per_mm.to_bits(),
+                            "switched, group {base} pattern {pattern:#04x}"
+                        );
+                        assert_eq!(a.toggled_wires, r.toggled_wires);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "group size 8")]
+    fn build_rejects_groups_wider_than_four() {
+        let b = bus();
+        let _ = BusPhysical::build(
+            BusLayout::new(16, 8),
+            *b.parasitics(),
+            *b.coupling(),
+            *b.line(),
+            b.clock(),
+            b.max_path_delay(),
+            b.design_corner(),
+            b.droop(),
+        );
     }
 
     #[test]

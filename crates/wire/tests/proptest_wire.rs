@@ -1,4 +1,4 @@
-//! Property tests pinning the LUT-backed `analyze_cycle` hot path
+//! Property tests pinning the group-table `analyze_cycle` hot path
 //! bitwise against the full-slot-loop references
 //! (`analyze_cycle_reference` and `per_wire_effective_caps`) on random
 //! buses and word patterns — dense, sparse and mixed.
@@ -9,8 +9,10 @@ use razorbus_wire::{BusLayout, BusPhysical, CouplingModel};
 use std::sync::OnceLock;
 
 /// The buses under test: the paper bus, its §6 boosted-coupling variant
-/// (rebuilt tables), an Elmore-ideal-coupling build and a narrow
-/// 8-bit/2-per-shield layout (different slot shapes and key widths).
+/// (rebuilt tables), an Elmore-ideal-coupling build, and three narrower
+/// layouts — 16 bits in groups of 4 (fewer groups than the word), 8 bits
+/// in groups of 2 and 8 fully shielded bits (other slot shapes and
+/// group-table widths).
 fn buses() -> &'static Vec<(&'static str, BusPhysical)> {
     static BUSES: OnceLock<Vec<(&'static str, BusPhysical)>> = OnceLock::new();
     BUSES.get_or_init(|| {
@@ -18,12 +20,16 @@ fn buses() -> &'static Vec<(&'static str, BusPhysical)> {
         let boosted = paper.with_boosted_coupling(1.95);
         let elmore =
             rebuild_with_coupling(CouplingModel::elmore_ideal(), BusLayout::paper_default());
+        let half = rebuild_with_coupling(CouplingModel::default(), BusLayout::new(16, 4));
         let narrow = rebuild_with_coupling(CouplingModel::default(), BusLayout::new(8, 2));
+        let shielded = rebuild_with_coupling(CouplingModel::default(), BusLayout::new(8, 1));
         vec![
             ("paper", paper),
             ("boosted", boosted),
             ("elmore", elmore),
+            ("half", half),
             ("narrow", narrow),
+            ("shielded", shielded),
         ]
     })
 }
@@ -51,9 +57,8 @@ fn rebuild_with_coupling(coupling: CouplingModel, layout: BusLayout) -> BusPhysi
 }
 
 /// Word pairs spanning the interesting densities, derived from raw
-/// draws: identical words (quiet), single-bit flips (quiet fast path),
-/// sparse nibble toggles, and dense random transitions (LUT +
-/// alignment fold).
+/// draws: identical words (quiet), single-bit flips, sparse nibble
+/// toggles, and dense random transitions (alignment folds).
 fn word_pair(w: u32, m: u32, mode: u32) -> (u32, u32) {
     match mode {
         0 => (w, w),
@@ -64,11 +69,11 @@ fn word_pair(w: u32, m: u32, mode: u32) -> (u32, u32) {
 }
 
 proptest! {
-    /// The LUT-backed hot path reproduces the reference slot loop
+    /// The group-table hot path reproduces the reference slot loop
     /// bitwise — worst load, switched capacitance and toggle count — on
     /// every bus and pattern class.
     #[test]
-    fn lut_analyze_matches_reference_bitwise(w in any::<u32>(), m in any::<u32>(), mode in 0u32..4) {
+    fn analyze_matches_reference_bitwise(w in any::<u32>(), m in any::<u32>(), mode in 0u32..4) {
         let (prev, cur) = word_pair(w, m, mode);
         for (name, bus) in buses() {
             let fast = bus.analyze_cycle(prev, cur);
@@ -90,7 +95,7 @@ proptest! {
     /// The per-wire detail view agrees with the aggregate on every bus:
     /// its max is the worst load (bitwise), its count the toggle count.
     #[test]
-    fn lut_analyze_matches_per_wire_caps(w in any::<u32>(), m in any::<u32>(), mode in 0u32..4) {
+    fn analyze_matches_per_wire_caps(w in any::<u32>(), m in any::<u32>(), mode in 0u32..4) {
         let (prev, cur) = word_pair(w, m, mode);
         for (name, bus) in buses() {
             let a = bus.analyze_cycle(prev, cur);
