@@ -19,7 +19,7 @@
 //! The planned jobs then drain on a bounded work-stealing pool
 //! ([`crate::pool`]) instead of one OS thread per job: the worker count
 //! comes from `--threads` / `RAZORBUS_THREADS` / available parallelism,
-//! compile jobs are scheduled ahead of loop and summary jobs, and each
+//! live loops are fed ahead of compile and summary jobs, and each
 //! finished compile spawns its replay continuations onto the finishing
 //! worker's own deque, where idle workers steal them. Suite compiles
 //! and suite summary passes split into one job per benchmark with a
@@ -203,10 +203,8 @@ struct ChunkJob {
 }
 
 /// One schedulable unit of a campaign, indexing into the plan's job
-/// vectors. The initial pool feed lists every compile first (suite
-/// compiles split per benchmark), then the live (unshared) `Loop`s and
-/// the summary passes (suite summaries likewise split); `Replay`s are
-/// continuations a finished compile spawns for each waiting loop index,
+/// vectors. [`initial_feed`] builds the pool's starting list; `Replay`s
+/// are continuations a finished compile spawns for each waiting loop index,
 /// and `CompileChunk`s are continuations a compile's serial drain
 /// spawns for each cycle chunk — both interleave with every other job
 /// on the pool.
@@ -436,6 +434,57 @@ fn plan_compile_jobs(loop_jobs: &[LoopKey], budget: u64) -> Vec<SummaryKey> {
     compile_jobs
 }
 
+/// The deduplicated loop jobs in first-appearance order, and each
+/// member's job (`None` if it needs none). A typed hash map keeps this
+/// linear at Monte-Carlo member counts.
+fn plan_loop_jobs(
+    members: &[ScenarioSpec],
+    design_idx: impl Fn(&DesignSpec) -> usize,
+) -> (Vec<LoopKey>, Vec<Option<usize>>) {
+    let mut loop_jobs: Vec<LoopKey> = Vec::new();
+    let mut loop_idx_by_key: HashMap<LoopKey, usize> = HashMap::new();
+    let mut member_loop: Vec<Option<usize>> = Vec::with_capacity(members.len());
+    for m in members {
+        if !(m.analysis.wants_loop() || m.analysis.wants_aggregate()) {
+            member_loop.push(None);
+            continue;
+        }
+        let key = LoopKey::of(m, design_idx(&m.design));
+        let i = *loop_idx_by_key.entry(key).or_insert_with_key(|key| {
+            loop_jobs.push(key.clone());
+            loop_jobs.len() - 1
+        });
+        member_loop.push(Some(i));
+    }
+    (loop_jobs, member_loop)
+}
+
+/// The initial pool feed, each block in plan order: live (uncompiled)
+/// loops, then compiles, then summary passes, suites split per
+/// benchmark. A live loop cannot split below a whole workload — a suite
+/// loop threads one governor through every benchmark — so it starts
+/// first, and the compiles' stealable chunk jobs fill the pool around it.
+fn initial_feed(
+    loop_jobs: &[LoopKey],
+    compile_jobs: &[SummaryKey],
+    summary_jobs: &[SummaryKey],
+) -> Vec<Job> {
+    let split = |keys: &[SummaryKey], whole: fn(usize) -> Job, bench: fn(usize, usize) -> Job| {
+        let per_key = |(i, key): (usize, &SummaryKey)| match key.workload {
+            WorkloadSpec::Suite => (0..Benchmark::ALL.len()).map(|b| bench(i, b)).collect(),
+            _ => vec![whole(i)],
+        };
+        Vec::from_iter(keys.iter().enumerate().flat_map(per_key))
+    };
+    let compiled: HashSet<&SummaryKey> = compile_jobs.iter().collect();
+    (0..loop_jobs.len())
+        .filter(|&i| !compiled.contains(&loop_jobs[i].summary_key()))
+        .map(Job::Loop)
+        .chain(split(compile_jobs, Job::Compile, Job::CompileBench))
+        .chain(split(summary_jobs, Job::Summary, Job::SummaryBench))
+        .collect()
+}
+
 impl ScenarioSet {
     /// A set with a single (possibly swept) scenario.
     #[must_use]
@@ -605,24 +654,8 @@ impl ScenarioSet {
         // are planned over *all* members first so histogram attachment
         // is member-order-independent: a sweep-only member rides a loop
         // planned later in the set rather than spawning a redundant
-        // trace pass. Dedup and member→job mapping go through typed
-        // hash maps, keeping planning linear at Monte-Carlo member
-        // counts.
-        let mut loop_jobs: Vec<LoopKey> = Vec::new();
-        let mut loop_idx_by_key: HashMap<LoopKey, usize> = HashMap::new();
-        let mut member_loop: Vec<Option<usize>> = Vec::with_capacity(members.len());
-        for m in &members {
-            if !(m.analysis.wants_loop() || m.analysis.wants_aggregate()) {
-                member_loop.push(None);
-                continue;
-            }
-            let key = LoopKey::of(m, design_idx(&m.design));
-            let i = *loop_idx_by_key.entry(key).or_insert_with_key(|key| {
-                loop_jobs.push(key.clone());
-                loop_jobs.len() - 1
-            });
-            member_loop.push(Some(i));
-        }
+        // trace pass.
+        let (loop_jobs, member_loop) = plan_loop_jobs(&members, design_idx);
         let mut loop_by_skey: HashMap<SummaryKey, usize> = HashMap::new();
         for (i, job) in loop_jobs.iter().enumerate() {
             loop_by_skey.entry(job.summary_key()).or_insert(i);
@@ -725,13 +758,12 @@ impl ScenarioSet {
                 plan_replay_groups(&replayers[c], &loop_jobs, &loop_hist, stream, fuse, fanin)
             })
             .collect();
-        // Drain the plan on the work-stealing pool. Compiles feed the
-        // injector first so shared workloads materialize while the live
-        // loops and summary passes fill the remaining slots; a finished
-        // compile spawns one `Replay` continuation per waiting loop
-        // (the compiled stream `Arc`-shared, one clone per job). Suite
-        // compiles and summaries split into per-benchmark jobs whose
-        // last finisher assembles the slot-ordered whole. Every job
+        // Drain the plan on the work-stealing pool, fed in
+        // `initial_feed` order; a finished compile spawns one `Replay`
+        // continuation per waiting loop (the compiled stream
+        // `Arc`-shared, one clone per job). Suite compiles and
+        // summaries split into per-benchmark jobs whose last finisher
+        // assembles the slot-ordered whole. Every job
         // writes its pre-assigned slot — and aggregate metrics fold
         // through the rank-ordered `DigestBuilder` — so worker count
         // and steal order never affect the assembled result.
@@ -852,31 +884,7 @@ impl ScenarioSet {
                 }
             };
 
-        let mut initial: Vec<Job> = Vec::new();
-        for (c, key) in compile_jobs.iter().enumerate() {
-            match key.workload {
-                WorkloadSpec::Suite => {
-                    initial.extend((0..Benchmark::ALL.len()).map(|b| Job::CompileBench(c, b)));
-                }
-                _ => initial.push(Job::Compile(c)),
-            }
-        }
-        initial.extend(
-            loop_jobs
-                .iter()
-                .enumerate()
-                .filter(|(_, job)| compiled_idx(job).is_none())
-                .map(|(i, _)| Job::Loop(i)),
-        );
-        for (s, key) in summary_jobs.iter().enumerate() {
-            match key.workload {
-                WorkloadSpec::Suite => {
-                    initial.extend((0..Benchmark::ALL.len()).map(|b| Job::SummaryBench(s, b)));
-                }
-                _ => initial.push(Job::Summary(s)),
-            }
-        }
-
+        let initial = initial_feed(&loop_jobs, &compile_jobs, &summary_jobs);
         pool::run(n_workers, initial, |job, spawner| match job {
             Job::Compile(c) => {
                 let key = &compile_jobs[c];
@@ -1343,6 +1351,7 @@ impl ScenarioSetRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper::paper_all_set;
     use crate::spec::{AnalysisSpec, CornerSpec, RunSpec, SweepAxis};
     use razorbus_ctrl::GovernorSpec;
 
@@ -1574,6 +1583,107 @@ mod tests {
         let footprint = compiled_footprint(&jobs[0].summary_key());
         let tight = plan_compile_jobs(&more, footprint);
         assert_eq!(tight, vec![jobs[0].summary_key()]);
+    }
+
+    /// A fed job as a plain, comparable value (`Job` holds `Arc`s).
+    #[derive(Debug, PartialEq)]
+    enum Fed {
+        Loop(usize),
+        Compile(usize),
+        CompileBench(usize, usize),
+        Summary(usize),
+        SummaryBench(usize, usize),
+    }
+
+    fn fed(feed: Vec<Job>) -> Vec<Fed> {
+        feed.into_iter()
+            .map(|job| match job {
+                Job::Loop(i) => Fed::Loop(i),
+                Job::Compile(c) => Fed::Compile(c),
+                Job::CompileBench(c, b) => Fed::CompileBench(c, b),
+                Job::Summary(s) => Fed::Summary(s),
+                Job::SummaryBench(s, b) => Fed::SummaryBench(s, b),
+                Job::CompileChunk(..) | Job::Replay(..) | Job::FusedReplay(..) => {
+                    panic!("continuations are spawned, never fed")
+                }
+            })
+            .collect()
+    }
+
+    /// `set`'s expanded members, loop plan and compile plan, as
+    /// `run_full` plans them; asserts that every sweep rides a loop, so
+    /// the plan has no summary job.
+    fn plan_of(
+        set: &ScenarioSet,
+        share_compiled: bool,
+    ) -> (Vec<ScenarioSpec>, Vec<LoopKey>, Vec<SummaryKey>) {
+        let members = set.expand().unwrap();
+        let mut designs: Vec<DesignSpec> = Vec::new();
+        for m in &members {
+            if !designs.contains(&m.design) {
+                designs.push(m.design);
+            }
+        }
+        let design_idx = |d: &DesignSpec| designs.iter().position(|s| s == d).unwrap();
+        let (loops, _) = plan_loop_jobs(&members, design_idx);
+        let skeys: HashSet<SummaryKey> = loops.iter().map(LoopKey::summary_key).collect();
+        assert!(members
+            .iter()
+            .filter(|m| m.analysis.wants_sweep())
+            .all(|m| skeys.contains(&SummaryKey::of(m, design_idx(&m.design)))));
+        let compiles = if share_compiled {
+            plan_compile_jobs(&loops, DEFAULT_COMPILE_BUDGET)
+        } else {
+            Vec::new()
+        };
+        (members, loops, compiles)
+    }
+
+    #[test]
+    fn live_loops_are_fed_before_compiles_and_summaries() {
+        // paper-all: the modified bus's single-user suite loop runs
+        // live and is fed first, ahead of the paper bus's suite compile
+        // (shared by its typical and worst loops), split per benchmark.
+        let (members, loops, compiles) = plan_of(&paper_all_set(1_000, 7), true);
+        let modified = members.iter().find(|m| m.name == "fig10-modified").unwrap();
+        let live = loops
+            .iter()
+            .position(|job| *job == LoopKey::of(modified, 1)) // second design
+            .unwrap();
+        assert_eq!(compiles.len(), 1);
+        let mut expected = vec![Fed::Loop(live)];
+        expected.extend((0..Benchmark::ALL.len()).map(|b| Fed::CompileBench(0, b)));
+        assert_eq!(fed(initial_feed(&loops, &compiles, &[])), expected);
+
+        // Summary passes come last, in plan order: a suite pass split
+        // per benchmark, a single-stream pass whole.
+        let single = SummaryKey {
+            workload: WorkloadSpec::Single(Benchmark::ALL[0]),
+            ..compiles[0].clone()
+        };
+        let summaries = [loops[live].summary_key(), single];
+        expected.extend((0..Benchmark::ALL.len()).map(|b| Fed::SummaryBench(0, b)));
+        expected.push(Fed::Summary(1));
+        assert_eq!(fed(initial_feed(&loops, &compiles, &summaries)), expected);
+
+        // Without sharing, the three suite loops all run live, in plan
+        // order.
+        let (_, loops, compiles) = plan_of(&paper_all_set(1_000, 7), false);
+        assert_eq!(loops.len(), 3);
+        assert_eq!(
+            fed(initial_feed(&loops, &compiles, &[])),
+            vec![Fed::Loop(0), Fed::Loop(1), Fed::Loop(2)]
+        );
+
+        // A Monte-Carlo campaign compiles every seed's stream and runs
+        // no loop live: its feed is the compiles, in plan order.
+        let set = crate::catalog::by_name("monte-carlo-dvs-1k", 1_000, 7).unwrap();
+        let (_, loops, compiles) = plan_of(&set, true);
+        assert_eq!(compiles.len(), 125);
+        assert_eq!(
+            fed(initial_feed(&loops, &compiles, &[])),
+            (0..compiles.len()).map(Fed::Compile).collect::<Vec<_>>()
+        );
     }
 
     /// Each key's first-appearance group index under `K`'s `Hash`/`Eq`.

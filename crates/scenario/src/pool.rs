@@ -6,7 +6,8 @@
 //! count and balances load dynamically:
 //!
 //! * **Injector** — the initial job list drains FIFO from a shared
-//!   queue, so jobs scheduled first (compiles) start first.
+//!   queue, so jobs listed first start first (the executor lists its
+//!   unsplittable live loops first).
 //! * **Local deques** — a job may [`Spawner::spawn`] continuations;
 //!   they land on the spawning worker's own deque and pop LIFO (the
 //!   data the continuation needs is still cache-warm there).
@@ -280,9 +281,9 @@ mod tests {
     }
 
     #[test]
-    fn compile_first_ordering_drains_the_injector_fifo() {
+    fn injector_drains_in_push_order() {
         // On one worker the injector must drain in push order — the
-        // executor relies on this to start compile jobs before loops.
+        // executor relies on this to start its live loops first.
         let order = Mutex::new(Vec::new());
         run(1, vec![0usize, 1, 2, 3], |i, _| {
             order.lock().unwrap().push(i);

@@ -9,14 +9,17 @@
 //! RAZORBUS_CYCLES=10000000 cargo run --release --example dvs_memory_bus
 //! ```
 
-use razorbus::core::{experiments, DvsBusDesign};
+use razorbus::core::{experiments, parse_count_knob, DvsBusDesign};
 use razorbus::process::PvtCorner;
 
 fn main() {
-    let cycles: u64 = std::env::var("RAZORBUS_CYCLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1_000_000);
+    let cycles = match parse_count_knob("RAZORBUS_CYCLES", std::env::var_os("RAZORBUS_CYCLES")) {
+        Ok(n) => n.map_or(1_000_000, |n| n as u64),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
     let design = DvsBusDesign::paper_default();
 
     for corner in [PvtCorner::WORST, PvtCorner::TYPICAL] {

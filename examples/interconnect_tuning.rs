@@ -6,13 +6,16 @@
 //! cargo run --release --example interconnect_tuning
 //! ```
 
-use razorbus::core::{experiments, DvsBusDesign};
+use razorbus::core::{experiments, parse_count_knob, DvsBusDesign};
 
 fn main() {
-    let cycles: u64 = std::env::var("RAZORBUS_CYCLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200_000);
+    let cycles = match parse_count_knob("RAZORBUS_CYCLES", std::env::var_os("RAZORBUS_CYCLES")) {
+        Ok(n) => n.map_or(200_000, |n| n as u64),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
 
     let base = DvsBusDesign::paper_default();
     let modified = DvsBusDesign::modified_paper_bus();

@@ -6,14 +6,17 @@
 //! cargo run --release --example static_scaling_explorer
 //! ```
 
-use razorbus::core::{experiments, DvsBusDesign};
+use razorbus::core::{experiments, parse_count_knob, DvsBusDesign};
 use razorbus::process::PvtCorner;
 
 fn main() {
-    let cycles: u64 = std::env::var("RAZORBUS_CYCLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200_000);
+    let cycles = match parse_count_knob("RAZORBUS_CYCLES", std::env::var_os("RAZORBUS_CYCLES")) {
+        Ok(n) => n.map_or(200_000, |n| n as u64),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
     let design = DvsBusDesign::paper_default();
 
     // Fig. 4: the two corners the paper plots.
