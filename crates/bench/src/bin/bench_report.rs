@@ -8,8 +8,8 @@
 //!
 //! The report has three sections (all wall-clock, single process):
 //!
-//! * `stages_ms` — the `repro all` pipeline stage by stage (same shared
-//!   inputs, same work, printing suppressed),
+//! * `stages_ms` — the `repro all` pipeline stage by stage (the same
+//!   `paper-all` executor run and figure adapters, printing suppressed),
 //! * `components` — steady-state throughputs of the simulator's batched
 //!   loop, its cycle-at-a-time reference loop (their ratio is the
 //!   fast-path speedup), the sweep-engine collector, the wire analyzer
@@ -34,7 +34,6 @@
 //! CI") for the schema.
 
 use razorbus_bench::cli::CliArgs;
-use razorbus_bench::persist::collect_shared_inputs;
 use razorbus_bench::report::{check_components, BenchReport};
 use razorbus_bench::{ablations, cycles_from_env, REPRO_SEED};
 use razorbus_core::{
@@ -42,7 +41,7 @@ use razorbus_core::{
 };
 use razorbus_ctrl::ThresholdController;
 use razorbus_process::{ProcessCorner, PvtCorner};
-use razorbus_scenario::{catalog, PoolChunks};
+use razorbus_scenario::{catalog, paper, PoolChunks};
 use razorbus_traces::{AdversarialCrosstalk, Benchmark, TraceSource};
 use razorbus_units::Millivolts;
 use std::time::Instant;
@@ -94,37 +93,26 @@ fn main() {
         design = Some(DvsBusDesign::paper_default());
     });
     let design = design.expect("design built");
-    let modified = DvsBusDesign::modified_paper_bus();
 
-    // The `repro all` shared inputs, through the same collection path the
-    // repro binary and the `--save-summaries` artifact use.
-    let mut shared = None;
+    // The `repro all` heavy work: the same `paper-all` executor run.
+    let mut paper_all = None;
     time("shared_inputs", &mut || {
-        shared = Some(collect_shared_inputs(
-            &design, &modified, cycles, REPRO_SEED,
-        ));
+        paper_all = Some(
+            paper::paper_all_set(cycles, REPRO_SEED)
+                .run()
+                .expect("valid spec"),
+        );
     });
-    let shared = shared.expect("shared pass");
+    let paper_all = paper_all.expect("paper-all run");
 
+    // The figures `repro all` prints, through the same adapters.
     time("static_sweeps", &mut || {
-        let a = experiments::fig4::from_summary(&design, PvtCorner::WORST, shared.bank.combined());
-        let b =
-            experiments::fig4::from_summary(&design, PvtCorner::TYPICAL, shared.bank.combined());
-        let f5 = experiments::fig5::from_summary(&design, shared.bank.combined());
-        let t1 = experiments::table1::from_parts(
-            &design,
-            &shared.bank,
-            &shared.dvs_worst,
-            &shared.dvs_typical,
-        );
-        let f10 = experiments::fig10::from_parts(
-            &design,
-            &modified,
-            shared.bank.combined(),
-            &shared.mod_summary,
-            &shared.dvs_worst,
-            &shared.mod_dvs,
-        );
+        let run = &paper_all;
+        let a = paper::fig4_panel(run, "fig4@worst").expect("paper-all member");
+        let b = paper::fig4_panel(run, "fig4@typical").expect("paper-all member");
+        let f5 = paper::fig5_data(run).expect("paper-all member");
+        let t1 = paper::table1_data(run).expect("paper-all member");
+        let f10 = paper::fig10_data(run).expect("paper-all member");
         std::hint::black_box((a.points.len(), b.points.len(), f5.rows.len()));
         std::hint::black_box((t1.corners.len(), f10.modified.len()));
     });

@@ -21,17 +21,9 @@
 //! cargo run -p razorbus-bench --bin repro --release -- digest-merge \
 //!     shard-a.rzba shard-b.rzba --out=combined.rzba
 //!
-//! # Collect the shared heavy inputs once, then reuse them (bit-identical):
-//! cargo run -p razorbus-bench --bin repro --release -- all --save-summaries
-//! cargo run -p razorbus-bench --bin repro --release -- all --load-summaries
-//!
-//! # Cache the design tables so warm runs skip BusTables::build:
-//! cargo run -p razorbus-bench --bin repro --release -- all --save-tables
-//! cargo run -p razorbus-bench --bin repro --release -- all --load-tables
-//!
-//! # Cache the compiled traces so warm runs skip the cycle analysis:
-//! cargo run -p razorbus-bench --bin repro --release -- all --save-compiled
-//! cargo run -p razorbus-bench --bin repro --release -- all --load-compiled
+//! # Run the paper-all campaign once, then re-render it (bit-identical):
+//! cargo run -p razorbus-bench --bin repro --release -- all --save-result
+//! cargo run -p razorbus-bench --bin repro --release -- all --load-result
 //!
 //! # Record a campaign manifest, then verify a later build replays it
 //! # bit-identically (exit 1 + a localized report on divergence):
@@ -55,20 +47,16 @@
 //! that is not a positive integer exits 2 before any work, naming the
 //! variable and its value.
 //!
-//! `--save-summaries[=PATH]` / `--load-summaries[=PATH]` (valid with
-//! `all` only) persist/reuse the three shared heavy inputs; loaded
-//! summaries must match the current `RAZORBUS_CYCLES` and seed, and the
-//! reused run's output is bit-identical to a cold run (pinned by CI's
-//! cache-reuse job). `--save-tables[=PATH]` / `--load-tables[=PATH]`
-//! (also `all` only) persist/reuse the two designs' look-up tables;
-//! tables stamped for a different bus are refused.
-//! `--save-compiled[=PATH]` / `--load-compiled[=PATH]` (also `all`
-//! only) persist/reuse both suites' compiled traces, so a warm run
-//! replays the stored per-cycle classification instead of re-running
-//! the cycle analysis — bit-identically; stale budgets/seeds and
-//! foreign-bus stamps are refused. `--save-result[=PATH]` /
-//! `--load-result[=PATH]` (with `scenario` only) persist/reload a
-//! scenario run so it re-renders without re-simulating.
+//! `all` is one `paper-all` campaign through the scenario executor,
+//! rendered by the same figure adapters as `scenario paper-all`, with
+//! Fig. 6, §6 scaling and the ablations printed between them.
+//! `--save-result[=PATH]` / `--load-result[=PATH]` (with `scenario` or
+//! `all`) persist/reload the campaign's `scenario-result` so it
+//! re-renders without re-simulating — bit-identically, pinned by CI's
+//! `artifact-cache` job. A reloaded result must carry exactly the
+//! member specs the current run would expand to (same set, same
+//! `RAZORBUS_CYCLES`, same seed); a stale one exits 2. `all` and
+//! `scenario paper-all` share the same result.
 //! `--save-digest[=PATH]` / `--digest-csv[=PATH]` (with `scenario`
 //! only) write an aggregate campaign's streaming digest as a framed
 //! `campaign-digest` artifact / a one-row-per-metric CSV; both fail if
@@ -91,15 +79,13 @@
 
 use razorbus_bench::cli::CliArgs;
 use razorbus_bench::defaults::{
-    COMPILED_PATH, DIGEST_CSV_PATH, DIGEST_PATH, GOLDEN_CYCLES, GOLDEN_DIR, MANIFEST_PATH,
-    MERGED_DIGEST_PATH, REPRO_ARTIFACTS, RESULT_PATH, SUMMARIES_PATH, TABLES_PATH,
+    DIGEST_CSV_PATH, DIGEST_PATH, GOLDEN_CYCLES, GOLDEN_DIR, MANIFEST_PATH, MERGED_DIGEST_PATH,
+    REPRO_ARTIFACTS, RESULT_PATH,
 };
-use razorbus_bench::persist::{ReproCompiled, ReproSummaries, ReproTables};
 use razorbus_bench::{ablations, cycles_from_env, golden, REPRO_SEED};
 use razorbus_core::{experiments, DvsBusDesign};
-use razorbus_process::PvtCorner;
 use razorbus_scenario::{
-    catalog, paper, CampaignDigest, CampaignRecording, DesignSpec, ScenarioSetResult,
+    catalog, paper, CampaignDigest, CampaignRecording, DesignSpec, ScenarioSet, ScenarioSetResult,
     ScenarioSetRun,
 };
 
@@ -107,16 +93,10 @@ fn main() {
     let args = CliArgs::parse(
         std::env::args().skip(1),
         &[
-            "save-summaries",
-            "load-summaries",
-            "save-tables",
-            "load-tables",
             "save-result",
             "load-result",
             "save-digest",
             "digest-csv",
-            "save-compiled",
-            "load-compiled",
             "no-compiled",
             "no-fused",
             "manifest",
@@ -150,36 +130,18 @@ fn main() {
         ));
     }
 
-    let save_path = args.valued_flag("save-summaries", SUMMARIES_PATH);
-    let load_path = args.valued_flag("load-summaries", SUMMARIES_PATH);
-    let save_tables = args.valued_flag("save-tables", TABLES_PATH);
-    let load_tables = args.valued_flag("load-tables", TABLES_PATH);
     let save_result = args.valued_flag("save-result", RESULT_PATH);
     let load_result = args.valued_flag("load-result", RESULT_PATH);
     let save_digest = args.valued_flag("save-digest", DIGEST_PATH);
     let digest_csv = args.valued_flag("digest-csv", DIGEST_CSV_PATH);
-    let save_compiled = args.valued_flag("save-compiled", COMPILED_PATH);
-    let load_compiled = args.valued_flag("load-compiled", COMPILED_PATH);
     let no_compiled = args.has("no-compiled");
     let manifest = args.valued_flag("manifest", MANIFEST_PATH);
     let golden_record = args.has("record");
     let golden_dir = args.valued_flag("dir", GOLDEN_DIR);
     let merge_out = args.valued_flag("out", MERGED_DIGEST_PATH);
 
-    if (save_path.is_some() || load_path.is_some()) && what != "all" {
-        usage_error("--save-summaries/--load-summaries are only valid with `all`");
-    }
-    if (save_tables.is_some() || load_tables.is_some()) && what != "all" {
-        usage_error("--save-tables/--load-tables are only valid with `all`");
-    }
-    if save_path.is_some() && load_path.is_some() {
-        usage_error("--save-summaries and --load-summaries are mutually exclusive");
-    }
-    if save_tables.is_some() && load_tables.is_some() {
-        usage_error("--save-tables and --load-tables are mutually exclusive");
-    }
-    if (save_result.is_some() || load_result.is_some()) && what != "scenario" {
-        usage_error("--save-result/--load-result are only valid with `scenario`");
+    if (save_result.is_some() || load_result.is_some()) && !matches!(what, "scenario" | "all") {
+        usage_error("--save-result/--load-result are only valid with `scenario` or `all`");
     }
     if save_result.is_some() && load_result.is_some() {
         usage_error("--save-result and --load-result are mutually exclusive");
@@ -187,20 +149,8 @@ fn main() {
     if (save_digest.is_some() || digest_csv.is_some()) && what != "scenario" {
         usage_error("--save-digest/--digest-csv are only valid with `scenario`");
     }
-    if (save_compiled.is_some() || load_compiled.is_some()) && what != "all" {
-        usage_error("--save-compiled/--load-compiled are only valid with `all`");
-    }
-    if save_compiled.is_some() && load_compiled.is_some() {
-        usage_error("--save-compiled and --load-compiled are mutually exclusive");
-    }
-    if (save_compiled.is_some() || load_compiled.is_some()) && load_path.is_some() {
-        usage_error("--load-summaries already skips the simulations a compiled cache would feed");
-    }
     if no_compiled && !matches!(what, "scenario" | "all" | "record" | "replay") {
         usage_error("--no-compiled is only valid with `scenario`, `all`, `record` or `replay`");
-    }
-    if no_compiled && (save_compiled.is_some() || load_compiled.is_some()) {
-        usage_error("--no-compiled contradicts --save-compiled/--load-compiled");
     }
     let no_fused = args.has("no-fused");
     if no_fused && !matches!(what, "scenario" | "all" | "record" | "replay") {
@@ -298,12 +248,8 @@ fn main() {
         }
         "all" => run_all(
             cycles,
-            save_path,
-            load_path,
-            save_tables,
-            load_tables,
-            save_compiled,
-            load_compiled,
+            save_result.as_deref(),
+            load_result.as_deref(),
             !no_compiled,
         ),
         "fig4" => {
@@ -373,45 +319,12 @@ fn run_scenario(name: &str, cycles: u64, outputs: &ScenarioOutputs, share_compil
             catalog::NAMES.join(" ")
         ));
     };
-    let run = match &load_result {
-        Some(path) => {
-            use razorbus_artifact::Artifact;
-            let result = ScenarioSetResult::load_file(path)
-                .unwrap_or_else(|e| fail(&format!("cannot reload scenario result {path}: {e}")));
-            if result.name != set.name {
-                fail(&format!(
-                    "result in {path} is for scenario set `{}`, not `{}`",
-                    result.name, set.name
-                ));
-            }
-            // A result rendered under this banner must be the result of
-            // *this* campaign: same members, same cycles/benchmark, same
-            // seed — the same staleness contract `--load-summaries`
-            // enforces (a 1 000-cycle result must not silently render
-            // under a 10 M-cycle banner).
-            let expected = set.expand().unwrap_or_else(|e| fail(&e));
-            let stored: Vec<_> = result.members.iter().map(|m| &m.spec).collect();
-            if !stored.iter().copied().eq(expected.iter()) {
-                fail(&format!(
-                    "result in {path} was produced by different member specs \
-                     (likely another RAZORBUS_CYCLES cycles/benchmark or seed) — \
-                     re-save or match the environment"
-                ));
-            }
-            eprintln!("# reloaded scenario result from {path} (no simulation)");
-            ScenarioSetRun::from_result(result).unwrap_or_else(|e| fail(&e))
-        }
-        None => set
-            .run_with_options(Vec::new(), share_compiled)
-            .unwrap_or_else(|e| fail(&e)),
-    };
-    if let Some(path) = &save_result {
-        use razorbus_artifact::Artifact;
-        run.result
-            .save_file(path, razorbus_artifact::Encoding::Binary)
-            .unwrap_or_else(|e| fail(&format!("cannot save scenario result to {path}: {e}")));
-        eprintln!("# saved scenario result to {path}");
-    }
+    let run = run_or_reload(
+        &set,
+        save_result.as_deref(),
+        load_result.as_deref(),
+        share_compiled,
+    );
     let digest = run.result.digest.as_ref();
     if (save_digest.is_some() || digest_csv.is_some()) && digest.is_none() {
         fail(&format!(
@@ -597,81 +510,96 @@ fn run_golden(dir: &std::path::Path, record: bool) {
     );
 }
 
-/// The `all` pipeline: the `paper-all` scenario set supplies every
-/// shared heavy input (deduplicated and fanned out by the executor —
-/// the same three concurrent jobs the old hand-wired collection ran),
-/// then the figures print from those inputs exactly as before.
-#[allow(clippy::too_many_arguments)] // one parameter per CLI cache flag
+/// Runs `set` through the executor — or, with `load_result`, reloads a
+/// saved result of the same campaign ([`ScenarioSetRun::reload`]
+/// refuses a stale one) — then saves it when `save_result` is given.
+fn run_or_reload(
+    set: &ScenarioSet,
+    save_result: Option<&str>,
+    load_result: Option<&str>,
+    share_compiled: bool,
+) -> ScenarioSetRun {
+    use razorbus_artifact::Artifact;
+    let run = match load_result {
+        Some(path) => {
+            let result = ScenarioSetResult::load_file(path)
+                .unwrap_or_else(|e| fail(&format!("cannot reload scenario result {path}: {e}")));
+            let run = ScenarioSetRun::reload(result, set).unwrap_or_else(|e| {
+                fail(&format!(
+                    "cannot reuse scenario result {path}: {e} (re-save it, or rerun with \
+                     the RAZORBUS_CYCLES and scenario it was saved under)"
+                ))
+            });
+            eprintln!("# reloaded scenario result from {path} (no simulation)");
+            run
+        }
+        None => set
+            .run_with_options(Vec::new(), share_compiled)
+            .unwrap_or_else(|e| fail(&e)),
+    };
+    if let Some(path) = save_result {
+        run.result
+            .save_file(path, razorbus_artifact::Encoding::Binary)
+            .unwrap_or_else(|e| fail(&format!("cannot save scenario result to {path}: {e}")));
+        eprintln!("# saved scenario result to {path}");
+    }
+    run
+}
+
+/// The `all` pipeline: one `paper-all` campaign (run, or reloaded with
+/// `--load-result`) supplies every figure through the same adapters
+/// `repro scenario paper-all` renders with; Fig. 6, §6 scaling and the
+/// ablations run live between them. Every adapter resolves before the
+/// first line prints, so a malformed reloaded result exits 2 with no
+/// partial output.
 fn run_all(
     cycles: u64,
-    save_path: Option<String>,
-    load_path: Option<String>,
-    save_tables: Option<String>,
-    load_tables: Option<String>,
-    save_compiled: Option<String>,
-    load_compiled: Option<String>,
+    save_result: Option<&str>,
+    load_result: Option<&str>,
     share_compiled: bool,
 ) {
-    let (design, modified) = match &load_tables {
-        Some(path) => match ReproTables::load_designs(path) {
-            Ok(pair) => {
-                eprintln!("# loaded design tables from {path} (BusTables::build skipped)");
-                pair
-            }
-            Err(e) => fail(&format!("cannot reuse tables from {path}: {e}")),
-        },
-        None => (
-            DvsBusDesign::paper_default(),
-            DvsBusDesign::modified_paper_bus(),
-        ),
-    };
-    if let Some(path) = &save_tables {
-        ReproTables::capture(&design, &modified)
-            .save(path)
-            .unwrap_or_else(|e| fail(&format!("cannot save tables to {path}: {e}")));
-        eprintln!("# saved design tables to {path}");
-    }
+    let run = run_or_reload(
+        &paper::paper_all_set(cycles, REPRO_SEED),
+        save_result,
+        load_result,
+        share_compiled,
+    );
+    let fig4 = [
+        adapter(paper::fig4_panel(&run, "fig4@worst")),
+        adapter(paper::fig4_panel(&run, "fig4@typical")),
+    ];
+    let fig5 = adapter(paper::fig5_data(&run));
+    let fig8 = adapter(paper::fig8_data(&run));
+    let table1 = adapter(paper::table1_data(&run));
+    let fig10 = adapter(paper::fig10_data(&run));
+    let design = adapter(run.design_for(&DesignSpec::Paper));
 
-    let shared = if let Some(path) = &load_path {
-        match ReproSummaries::load(path, cycles, REPRO_SEED) {
-            Ok(shared) => {
-                eprintln!("# loaded shared summaries from {path}");
-                shared
-            }
-            Err(e) => fail(&format!("cannot reuse summaries from {path}: {e}")),
-        }
-    } else if let Some(path) = &load_compiled {
-        let bundle = ReproCompiled::load(path, &design, &modified, cycles, REPRO_SEED)
-            .unwrap_or_else(|e| fail(&format!("cannot reuse compiled traces from {path}: {e}")));
-        eprintln!("# loaded compiled traces from {path} (cycle analysis skipped)");
-        bundle.into_shared_inputs(&design, &modified)
-    } else if let Some(path) = &save_compiled {
-        let bundle = ReproCompiled::compile(&design, &modified, cycles, REPRO_SEED)
-            .unwrap_or_else(|e| fail(&e));
-        bundle
-            .save(path)
-            .unwrap_or_else(|e| fail(&format!("cannot save compiled traces to {path}: {e}")));
-        eprintln!("# saved compiled traces to {path}");
-        bundle.into_shared_inputs(&design, &modified)
-    } else {
-        let run = paper::paper_all_set(cycles, REPRO_SEED)
-            .run_with_options(
-                vec![
-                    (DesignSpec::Paper, design.clone()),
-                    (DesignSpec::ModifiedCoupling, modified.clone()),
-                ],
-                share_compiled,
-            )
-            .unwrap_or_else(|e| fail(&e));
-        ReproSummaries::from_scenario_run(&run, cycles, REPRO_SEED).unwrap_or_else(|e| fail(&e))
-    };
-    if let Some(path) = &save_path {
-        shared
-            .save(path)
-            .unwrap_or_else(|e| fail(&format!("cannot save summaries to {path}: {e}")));
-        eprintln!("# saved shared summaries to {path}");
-    }
-    run_everything(&design, &modified, cycles, &shared);
+    banner("Fig. 4 (energy & error rate vs. static VDD)");
+    fig4[0].print();
+    println!();
+    fig4[1].print();
+
+    banner("Fig. 5 (gains vs. PVT delay spread)");
+    fig5.print();
+
+    banner("Fig. 6 (optimal supply residency)");
+    let windows = (cycles / 10_000).max(10) as usize;
+    experiments::fig6::run(design, windows, 10_000, REPRO_SEED).print();
+
+    banner("Fig. 8 (closed-loop trajectory, typical corner)");
+    fig8.print();
+
+    banner("Table 1 (fixed VS vs. proposed DVS)");
+    table1.print();
+
+    banner("Fig. 10 / §6 (modified bus)");
+    fig10.print();
+
+    banner("§6 technology scaling");
+    experiments::scaling::run(cycles / 4, REPRO_SEED).print();
+
+    banner("Ablations (DESIGN.md §6)");
+    ablations::run_all(cycles / 4);
 }
 
 fn adapter<T>(result: Result<T, String>) -> T {
@@ -688,9 +616,6 @@ fn usage_error(msg: &str) -> ! {
         "error: {msg}\nusage: repro [fig4|fig5|fig6|fig8|table1|fig10|scaling|ablations|\
          scenario <name>|scenarios|record <name>|replay <manifest>|golden|\
          digest-merge <digest...>|all] \
-         [--save-summaries[=PATH] | --load-summaries[=PATH]] \
-         [--save-tables[=PATH] | --load-tables[=PATH]] \
-         [--save-compiled[=PATH] | --load-compiled[=PATH]] \
          [--save-result[=PATH] | --load-result[=PATH]] \
          [--save-digest[=PATH]] [--digest-csv[=PATH]] [--no-compiled] \
          [--no-fused] [--manifest[=PATH]] [--record] [--dir[=PATH]] \
@@ -699,61 +624,7 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Prints every figure/table of the paper from one shared set of heavy
-/// inputs.
-///
-/// The expensive inputs arrive pre-collected (through the scenario
-/// executor) or pre-loaded as a [`ReproSummaries`]: one
-/// [`experiments::SummaryBank`] (reused by Fig. 4's two panels, Fig. 5,
-/// Table 1's two corners and Fig. 10's original-bus side), the modified
-/// bus's combined summary, and one consecutive closed-loop run per
-/// unique (design, corner) pair (the typical-corner run serves both
-/// Fig. 8 and Table 1; the worst-corner run serves both Table 1 and
-/// Fig. 10).
-fn run_everything(
-    design: &DvsBusDesign,
-    modified: &DvsBusDesign,
-    cycles: u64,
-    shared: &ReproSummaries,
-) {
-    banner("Fig. 4 (energy & error rate vs. static VDD)");
-    experiments::fig4::from_summary(design, PvtCorner::WORST, shared.bank.combined()).print();
-    println!();
-    experiments::fig4::from_summary(design, PvtCorner::TYPICAL, shared.bank.combined()).print();
-
-    banner("Fig. 5 (gains vs. PVT delay spread)");
-    experiments::fig5::from_summary(design, shared.bank.combined()).print();
-
-    banner("Fig. 6 (optimal supply residency)");
-    let windows = (cycles / 10_000).max(10) as usize;
-    experiments::fig6::run(design, windows, 10_000, REPRO_SEED).print();
-
-    banner("Fig. 8 (closed-loop trajectory, typical corner)");
-    shared.dvs_typical.print();
-
-    banner("Table 1 (fixed VS vs. proposed DVS)");
-    experiments::table1::from_parts(design, &shared.bank, &shared.dvs_worst, &shared.dvs_typical)
-        .print();
-
-    banner("Fig. 10 / §6 (modified bus)");
-    experiments::fig10::from_parts(
-        design,
-        modified,
-        shared.bank.combined(),
-        &shared.mod_summary,
-        &shared.dvs_worst,
-        &shared.mod_dvs,
-    )
-    .print();
-
-    banner("§6 technology scaling");
-    experiments::scaling::run(cycles / 4, REPRO_SEED).print();
-
-    banner("Ablations (DESIGN.md §6)");
-    ablations::run_all(cycles / 4);
-}
-
-fn run_set(set: razorbus_scenario::ScenarioSet) -> ScenarioSetRun {
+fn run_set(set: ScenarioSet) -> ScenarioSetRun {
     set.run().unwrap_or_else(|e| fail(&e))
 }
 

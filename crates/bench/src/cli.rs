@@ -12,13 +12,13 @@
 /// use razorbus_bench::cli::CliArgs;
 ///
 /// let args = CliArgs::parse(
-///     ["all", "--save-tables=x.rzba"].map(String::from),
-///     &["save-tables", "load-tables"],
+///     ["all", "--save-result=x.rzba"].map(String::from),
+///     &["save-result", "load-result"],
 /// )
 /// .unwrap();
 /// assert_eq!(args.positionals(), ["all"]);
-/// assert_eq!(args.valued_flag("save-tables", "d"), Some("x.rzba".to_string()));
-/// assert_eq!(args.valued_flag("load-tables", "d"), None);
+/// assert_eq!(args.valued_flag("save-result", "d"), Some("x.rzba".to_string()));
+/// assert_eq!(args.valued_flag("load-result", "d"), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CliArgs {

@@ -7,17 +7,9 @@
 //! meant chasing literals across files. This module is the single
 //! source.
 
-/// Default path for `repro`'s `--save-summaries`/`--load-summaries`.
-pub const SUMMARIES_PATH: &str = "repro-summaries.rzba";
-
-/// Default path for `repro`'s `--save-tables`/`--load-tables`.
-pub const TABLES_PATH: &str = "repro-tables.rzba";
-
-/// Default path for `repro`'s `--save-result`/`--load-result`.
+/// Default path for `repro`'s `--save-result`/`--load-result`
+/// (`scenario` and `all`).
 pub const RESULT_PATH: &str = "scenario-result.rzba";
-
-/// Default path for `repro`'s `--save-compiled`/`--load-compiled`.
-pub const COMPILED_PATH: &str = "repro-compiled.rzba";
 
 /// Default path for `repro record`'s `--manifest`.
 pub const MANIFEST_PATH: &str = "campaign.rzba";

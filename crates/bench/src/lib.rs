@@ -16,7 +16,6 @@ pub mod ablations;
 pub mod cli;
 pub mod defaults;
 pub mod golden;
-pub mod persist;
 pub mod report;
 
 /// Cycles per benchmark for full reproductions: `default` unless

@@ -46,17 +46,17 @@ pub fn compile_chunk_knob() -> Result<usize, String> {
     Ok(crate::knob::parse_count_knob(VAR, std::env::var_os(VAR))?.unwrap_or(DEFAULT_COMPILE_CHUNK))
 }
 
-/// [`compile_chunk_knob`] for infallible library paths
-/// ([`CompiledTrace::compile_with`]): a bad value reads as the default
-/// here. Entry points refuse it first — the scenario executor returns
-/// the knob's error, and `repro` and `bench_report` exit with it.
+/// [`compile_chunk_knob`] for infallible callers (the `razorbench`
+/// harness's traced compile): a bad value reads as the default here.
+/// Entry points refuse it first — the scenario executor returns the
+/// knob's error, and `repro` and `bench_report` exit with it.
 #[must_use]
 pub fn compile_chunk_cycles() -> usize {
     compile_chunk_knob().unwrap_or(DEFAULT_COMPILE_CHUNK)
 }
 
 /// Executes the independent per-chunk analysis jobs of a parallel
-/// compile ([`CompiledTrace::compile_with`]). `razorbus-core` stays
+/// compile ([`CompiledTrace::compile_chunked`]). `razorbus-core` stays
 /// thread-pool-free: callers inject whatever execution resource they
 /// have — [`SerialChunks`] here, the scenario executor's work-stealing
 /// pool downstream.
@@ -273,31 +273,13 @@ impl CompiledTrace {
         Self::from_arrays(design, cycles, toggles, bins, switched)
     }
 
-    /// Parallel compile with the chunk size from
-    /// [`compile_chunk_cycles`] (`RAZORBUS_COMPILE_CHUNK`): drains the
-    /// trace serially (RNG streams stay sequential, so seeds produce
-    /// the same words), then classifies fixed-size cycle chunks as
-    /// independent jobs on `runner`. Bit-identical to
-    /// [`CompiledTrace::compile`] for every chunk size and runner —
-    /// each cycle's classification is a pure function of its
-    /// `(prev, cur)` word pair, and assembly preserves cycle order —
-    /// pinned by differential and property tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycles == 0`.
-    #[must_use]
-    pub fn compile_with<S: TraceSource>(
-        design: &DvsBusDesign,
-        trace: &mut S,
-        cycles: u64,
-        runner: &dyn ChunkRunner,
-    ) -> Self {
-        Self::compile_chunked(design, trace, cycles, compile_chunk_cycles(), runner)
-    }
-
-    /// [`CompiledTrace::compile_with`] with an explicit chunk size —
-    /// the testing/benching entry point (no env coupling).
+    /// Parallel compile: drains the trace serially (RNG streams stay
+    /// sequential, so seeds produce the same words), then classifies
+    /// `chunk_cycles`-sized cycle chunks as independent jobs on
+    /// `runner`. Bit-identical to [`CompiledTrace::compile`] for every
+    /// chunk size and runner — each cycle's classification is a pure
+    /// function of its `(prev, cur)` word pair, and assembly preserves
+    /// cycle order — pinned by differential and property tests.
     ///
     /// # Panics
     ///
@@ -617,17 +599,6 @@ mod tests {
                 assert_eq!(serial, chunked, "random, chunk {chunk}");
             }
         }
-    }
-
-    #[test]
-    fn compile_with_reads_the_chunk_knob_default() {
-        // compile_with (env-default chunk size) must agree with serial
-        // compile like every other chunking.
-        let d = DvsBusDesign::paper_default();
-        let serial = CompiledTrace::compile(&d, &mut Benchmark::Swim.trace(9), 3_000);
-        let auto =
-            CompiledTrace::compile_with(&d, &mut Benchmark::Swim.trace(9), 3_000, &SerialChunks);
-        assert_eq!(serial, auto);
     }
 
     #[test]

@@ -61,79 +61,6 @@ impl DvsBusDesign {
         }
     }
 
-    /// Assembles a design from a sized bus and **pre-built** tables —
-    /// the table-cache path (`repro --load-tables`) that skips
-    /// [`BusTables::build`].
-    ///
-    /// The tables carry no provenance beyond their numbers, so every
-    /// stamp the design recomputes cheaply from the bus is checked
-    /// against them: supply grid, bus width, setup budget, shadow skew
-    /// (re-derived from the short-path analysis), worst-case load and
-    /// repeater cap. Tables built for a different technology, coupling
-    /// or corner calibration fail at least one of these and are refused
-    /// — mirroring how `--load-summaries` refuses a stale cycle budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first stamp mismatch.
-    pub fn from_bus_with_tables(
-        bus: BusPhysical,
-        grid: VoltageGrid,
-        tables: BusTables,
-    ) -> Result<Self, String> {
-        let skew = ShadowSkewAnalysis::paper_default(bus.min_path_delay());
-        if tables.grid() != grid {
-            return Err(format!(
-                "cached tables cover supply grid {:?}, this design wants {:?}",
-                tables.grid(),
-                grid
-            ));
-        }
-        if tables.n_bits() != bus.layout().n_bits() {
-            return Err(format!(
-                "cached tables are for a {}-bit bus, this design has {} bits",
-                tables.n_bits(),
-                bus.layout().n_bits()
-            ));
-        }
-        if tables.setup() != bus.max_path_delay() {
-            return Err(format!(
-                "cached tables use setup budget {}, this bus needs {} \
-                 (different technology or sizing)",
-                tables.setup(),
-                bus.max_path_delay()
-            ));
-        }
-        if tables.shadow_skew() != skew.chosen_skew() {
-            return Err(format!(
-                "cached tables use shadow skew {}, this bus derives {} \
-                 (different short-path/coupling profile)",
-                tables.shadow_skew(),
-                skew.chosen_skew()
-            ));
-        }
-        if tables.worst_ceff() != bus.worst_effective_cap_per_mm() {
-            return Err(format!(
-                "cached tables assume worst-case load {}, this bus has {}",
-                tables.worst_ceff(),
-                bus.worst_effective_cap_per_mm()
-            ));
-        }
-        if tables.repeater_cap_per_toggle() != bus.line().repeater_cap_per_toggle() {
-            return Err(format!(
-                "cached tables assume repeater cap {}, this bus has {}",
-                tables.repeater_cap_per_toggle(),
-                bus.line().repeater_cap_per_toggle()
-            ));
-        }
-        Ok(Self {
-            bus,
-            tables,
-            skew,
-            flop_energy: FlopEnergyModel::l130_default(),
-        })
-    }
-
     /// The paper's reference design (§3).
     #[must_use]
     pub fn paper_default() -> Self {
@@ -323,52 +250,6 @@ mod tests {
             .abs()
                 < 1.0
         );
-    }
-
-    #[test]
-    fn design_from_cached_tables_matches_fresh_build() {
-        let fresh = DvsBusDesign::paper_default();
-        let cached = DvsBusDesign::from_bus_with_tables(
-            BusPhysical::paper_default(),
-            VoltageGrid::paper_default(),
-            fresh.tables().clone(),
-        )
-        .unwrap();
-        assert_eq!(cached.skew().chosen_skew(), fresh.skew().chosen_skew());
-        assert_eq!(cached.nominal(), fresh.nominal());
-        assert_eq!(
-            cached.regulator_floor(ProcessCorner::Typical),
-            fresh.regulator_floor(ProcessCorner::Typical)
-        );
-    }
-
-    #[test]
-    fn cached_tables_for_the_wrong_bus_are_refused() {
-        let paper_tables = DvsBusDesign::paper_default().tables().clone();
-        // The §6 modified bus has a different coupling profile (and with
-        // it a different shadow skew and worst-case load).
-        let err = DvsBusDesign::from_bus_with_tables(
-            BusPhysical::paper_default().with_boosted_coupling(1.95),
-            VoltageGrid::paper_default(),
-            paper_tables.clone(),
-        )
-        .unwrap_err();
-        assert!(
-            err.contains("shadow skew") || err.contains("worst-case load"),
-            "{err}"
-        );
-        // A different supply grid is refused before anything else.
-        let err = DvsBusDesign::from_bus_with_tables(
-            BusPhysical::paper_default(),
-            VoltageGrid::new(
-                Millivolts::new(800),
-                Millivolts::new(1_200),
-                Millivolts::new(20),
-            ),
-            paper_tables,
-        )
-        .unwrap_err();
-        assert!(err.contains("supply grid"), "{err}");
     }
 
     #[test]

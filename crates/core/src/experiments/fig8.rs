@@ -213,28 +213,13 @@ pub fn compile_suite(
     cycles_per_benchmark: u64,
     seed: u64,
 ) -> Vec<std::sync::Arc<crate::CompiledTrace>> {
-    compile_suite_with(design, cycles_per_benchmark, seed, &crate::SerialChunks)
-}
-
-/// [`compile_suite`] through the parallel compile pipeline: each
-/// benchmark's analysis chunks run on `runner`
-/// ([`crate::CompiledTrace::compile_with`]). Bit-identical to the
-/// serial suite for any runner and chunk size.
-#[must_use]
-pub fn compile_suite_with(
-    design: &DvsBusDesign,
-    cycles_per_benchmark: u64,
-    seed: u64,
-    runner: &dyn crate::ChunkRunner,
-) -> Vec<std::sync::Arc<crate::CompiledTrace>> {
     Benchmark::ALL
         .into_iter()
         .map(|benchmark| {
-            std::sync::Arc::new(crate::CompiledTrace::compile_with(
+            std::sync::Arc::new(crate::CompiledTrace::compile(
                 design,
                 &mut benchmark.trace(seed),
                 cycles_per_benchmark,
-                runner,
             ))
         })
         .collect()

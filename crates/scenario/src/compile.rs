@@ -2,10 +2,10 @@
 //! executor's work-stealing pool.
 //!
 //! `razorbus-core` owns the two-phase compile pipeline
-//! ([`razorbus_core::CompiledTrace::compile_with`]) but stays
+//! ([`razorbus_core::CompiledTrace::compile_chunked`]) but stays
 //! thread-pool-free; this adapter injects the pool from
-//! [`crate::pool`] as the chunk executor. Standalone compiles
-//! (`ReproCompiled`, bench components) go through [`PoolChunks`];
+//! [`crate::pool`] as the chunk executor. Standalone compiles (the
+//! `bench_report` components) go through [`PoolChunks`];
 //! campaign runs instead interleave chunk jobs with replays inside the
 //! executor's own pool invocation (`Job::CompileChunk` in `exec.rs`).
 
@@ -16,7 +16,7 @@ use razorbus_core::ChunkRunner;
 /// Results are bit-identical to [`razorbus_core::SerialChunks`] at any
 /// worker count: every chunk is a pure function of its word range and
 /// writes its own slot, so scheduling order cannot show (pinned by the
-/// differential tests below and in `razorbus-bench`).
+/// differential tests below).
 pub struct PoolChunks {
     workers: usize,
 }

@@ -539,10 +539,9 @@ impl ScenarioSet {
     }
 
     /// Like [`ScenarioSet::run`], with caller-supplied designs for some
-    /// (or all) of the member [`DesignSpec`]s — the table-cache path:
-    /// `repro --load-tables` reconstitutes designs from persisted
-    /// `BusTables` and hands them in, skipping their `BusTables::build`.
-    /// Specs without a prebuilt entry are built as usual.
+    /// (or all) of the member [`DesignSpec`]s, so a caller that already
+    /// holds a design skips its `BusTables::build`. Specs without a
+    /// prebuilt entry are built as usual.
     ///
     /// # Errors
     ///
@@ -1292,6 +1291,56 @@ impl ScenarioSetRun {
         })
     }
 
+    /// [`ScenarioSetRun::from_result`] for a result that is about to be
+    /// rendered as the run of `set`: the result must carry the set's
+    /// name and exactly the member specs `set` expands to — same
+    /// members, same cycles/benchmark, same seed — so a result saved at
+    /// one geometry never renders under another's banner.
+    ///
+    /// # Errors
+    ///
+    /// Names the first mismatch (set name, member count, or the first
+    /// differing member and what differs); propagates expansion and
+    /// design-build errors.
+    pub fn reload(result: ScenarioSetResult, set: &ScenarioSet) -> Result<Self, String> {
+        if result.name != set.name {
+            return Err(format!(
+                "result is for scenario set `{}`, not `{}`",
+                result.name, set.name
+            ));
+        }
+        let expected = set.expand()?;
+        if result.members.len() != expected.len() {
+            return Err(format!(
+                "result holds {} members, but `{}` expands to {}",
+                result.members.len(),
+                set.name,
+                expected.len()
+            ));
+        }
+        for (stored, wanted) in result.members.iter().map(|m| &m.spec).zip(&expected) {
+            let what = if stored.name != wanted.name {
+                format!("member `{}` where `{}` belongs", stored.name, wanted.name)
+            } else if stored.run.cycles_per_benchmark != wanted.run.cycles_per_benchmark {
+                format!(
+                    "member `{}` ran {} cycles/benchmark, this run wants {}",
+                    wanted.name, stored.run.cycles_per_benchmark, wanted.run.cycles_per_benchmark
+                )
+            } else if stored.run.seed != wanted.run.seed {
+                format!(
+                    "member `{}` ran seed {}, this run wants {}",
+                    wanted.name, stored.run.seed, wanted.run.seed
+                )
+            } else if stored != wanted {
+                format!("member `{}` was produced by a different spec", wanted.name)
+            } else {
+                continue;
+            };
+            return Err(format!("stale result: {what}"));
+        }
+        Self::from_result(result)
+    }
+
     /// Prints a generic render of every member: closed-loop aggregates
     /// and/or static-sweep gains at the paper's 0 / 2 / 5 % targets.
     /// Aggregate-mode members are rendered collectively through the
@@ -1381,6 +1430,59 @@ mod tests {
             ],
         };
         assert!(set.expand().unwrap_err().contains("duplicate"));
+    }
+
+    /// A product-free result carrying exactly `set`'s expanded specs —
+    /// all [`ScenarioSetRun::reload`] checks.
+    fn bare_result(set: &ScenarioSet) -> ScenarioSetResult {
+        ScenarioSetResult {
+            name: set.name.clone(),
+            members: set
+                .expand()
+                .unwrap()
+                .into_iter()
+                .map(|spec| MemberResult {
+                    spec,
+                    closed_loop: None,
+                    sweep: None,
+                })
+                .collect(),
+            digest: None,
+        }
+    }
+
+    #[test]
+    fn reload_accepts_the_same_campaign() {
+        let set = paper_all_set(1_000, 7);
+        let run = ScenarioSetRun::reload(bare_result(&set), &set).unwrap();
+        assert_eq!(run.result.members.len(), 8);
+        assert!(run.design_for(&DesignSpec::ModifiedCoupling).is_ok());
+    }
+
+    #[test]
+    fn reload_rejects_a_wrong_set_name() {
+        let saved = bare_result(&paper_all_set(1_000, 7));
+        let mut other = paper_all_set(1_000, 7);
+        other.name = "paper-some".to_string();
+        let err = ScenarioSetRun::reload(saved, &other).unwrap_err();
+        assert!(err.contains("`paper-all`, not `paper-some`"), "{err}");
+    }
+
+    #[test]
+    fn reload_rejects_wrong_cycles_per_benchmark() {
+        let saved = bare_result(&paper_all_set(1_000, 7));
+        let err = ScenarioSetRun::reload(saved, &paper_all_set(2_000, 7)).unwrap_err();
+        assert!(
+            err.contains("1000 cycles/benchmark, this run wants 2000"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn reload_rejects_a_wrong_seed() {
+        let saved = bare_result(&paper_all_set(1_000, 7));
+        let err = ScenarioSetRun::reload(saved, &paper_all_set(1_000, 8)).unwrap_err();
+        assert!(err.contains("seed 7, this run wants 8"), "{err}");
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::spec::{
 };
 use razorbus_core::experiments::{self, fig10::Fig10Data, fig4::Fig4Data, fig5::Fig5Data};
 use razorbus_core::experiments::{fig8::Fig8Data, table1::Table1Data, SummaryBank};
+use razorbus_traces::Benchmark;
 
 fn paper_member(
     name: &str,
@@ -123,9 +124,8 @@ pub fn fig10_set(cycles: u64, seed: u64) -> ScenarioSet {
 
 /// The whole `repro all` figure pipeline as one set. Member order puts
 /// the typical-corner loop first so the shared bank rides it — the
-/// executor then plans exactly the three concurrent heavy jobs the old
-/// hand-wired `collect_shared_inputs` ran: paper/typical (+histogram),
-/// paper/worst, modified/worst (+histogram).
+/// executor then plans exactly three heavy loop jobs: paper/typical
+/// (+histogram), paper/worst, modified/worst (+histogram).
 #[must_use]
 pub fn paper_all_set(cycles: u64, seed: u64) -> ScenarioSet {
     let mut members = vec![paper_member(
@@ -205,21 +205,54 @@ pub fn fig8_data(run: &ScenarioSetRun) -> Result<&Fig8Data, String> {
     suite_loop(run.result.member("fig8")?, "fig8")
 }
 
+/// Errors unless `programs` lists the ten benchmarks in Table 1
+/// ([`Benchmark::ALL`]) order.
+fn in_table1_order(
+    member: &MemberResult,
+    what: &str,
+    programs: impl Iterator<Item = Benchmark>,
+) -> Result<(), String> {
+    if programs.eq(Benchmark::ALL) {
+        Ok(())
+    } else {
+        Err(format!(
+            "member `{}`: {what} does not list the ten benchmarks in Table 1 order",
+            member.spec.name
+        ))
+    }
+}
+
 /// Table 1 from the `table1@worst` / `table1@typical` members.
 ///
 /// # Errors
 ///
-/// Errors when the members or their products are missing.
+/// Errors when the members or their products are missing, or when the
+/// bank or either loop is not in [`Benchmark::ALL`] order (a decodable
+/// but reordered reloaded result).
 pub fn table1_data(run: &ScenarioSetRun) -> Result<Table1Data, String> {
     let worst = run.result.member("table1@worst")?;
     let typical = run.result.member("table1@typical")?;
     let bank = sweep_bank(typical, "table1")?;
+    let worst_loop = suite_loop(worst, "table1 worst loop")?;
+    let typical_loop = suite_loop(typical, "table1 typical loop")?;
+    in_table1_order(
+        typical,
+        "bank",
+        bank.per_benchmark().iter().map(|(b, _)| *b),
+    )?;
+    for (member, data) in [(worst, worst_loop), (typical, typical_loop)] {
+        in_table1_order(
+            member,
+            "closed loop",
+            data.segments.iter().map(|s| s.benchmark),
+        )?;
+    }
     let design = run.design_for(&worst.spec.design)?;
     Ok(experiments::table1::from_parts(
         design,
         bank,
-        suite_loop(worst, "table1 worst loop")?,
-        suite_loop(typical, "table1 typical loop")?,
+        worst_loop,
+        typical_loop,
     ))
 }
 
@@ -282,5 +315,26 @@ mod tests {
         assert_eq!(fig8_data(&run).unwrap().segments.len(), 10);
         assert_eq!(table1_data(&run).unwrap().corners.len(), 2);
         assert_eq!(fig10_data(&run).unwrap().original.len(), 5);
+    }
+
+    #[test]
+    fn table1_refuses_a_reordered_bank() {
+        // A decodable result whose bank is out of step with the loops'
+        // segments must error here, not panic in `table1::from_parts`.
+        let mut run = paper_all_set(1_000, 7).run().unwrap();
+        let member = run
+            .result
+            .members
+            .iter_mut()
+            .find(|m| m.spec.name == "table1@typical")
+            .unwrap();
+        let Some(SweepData::Bank(bank)) = &member.sweep else {
+            panic!("table1@typical carries a bank");
+        };
+        let mut reversed = bank.per_benchmark().to_vec();
+        reversed.reverse();
+        member.sweep = Some(SweepData::Bank(SummaryBank::from_per_benchmark(reversed)));
+        let err = table1_data(&run).unwrap_err();
+        assert!(err.contains("`table1@typical`: bank"), "{err}");
     }
 }

@@ -6,9 +6,10 @@
 //! Identity is asserted on the full `Debug` rendering — every voltage,
 //! energy ratio and error count, not a summary statistic.
 
+use razorbus_artifact::{decode, encode, Artifact, Encoding};
 use razorbus_core::{experiments, DvsBusDesign};
 use razorbus_process::PvtCorner;
-use razorbus_scenario::paper;
+use razorbus_scenario::{paper, ScenarioSetResult, ScenarioSetRun};
 
 const CYCLES: u64 = 10_000;
 const SEED: u64 = 2005;
@@ -92,4 +93,32 @@ fn paper_all_set_figures_match_standalone_sets() {
         debug(&paper::fig10_data(&all).unwrap()),
         debug(&paper::fig10_data(&fig10).unwrap()),
     );
+}
+
+/// Every figure `repro all` prints from a `paper-all` run, rendered.
+fn paper_all_figures(run: &ScenarioSetRun) -> Vec<String> {
+    vec![
+        debug(&paper::fig4_panel(run, "fig4@worst").unwrap()),
+        debug(&paper::fig4_panel(run, "fig4@typical").unwrap()),
+        debug(&paper::fig5_data(run).unwrap()),
+        debug(paper::fig8_data(run).unwrap()),
+        debug(&paper::table1_data(run).unwrap()),
+        debug(&paper::fig10_data(run).unwrap()),
+    ]
+}
+
+#[test]
+fn reloaded_paper_all_renders_identically() {
+    // `repro all --load-result` renders a saved `paper-all` result: after
+    // an encode/decode round trip in either encoding, every figure must
+    // equal the live run's.
+    let live = paper::paper_all_set(1_000, 7).run().unwrap();
+    let expected = paper_all_figures(&live);
+    for encoding in [Encoding::Binary, Encoding::Json] {
+        let bytes = encode(ScenarioSetResult::KIND, encoding, &live.result).unwrap();
+        let back: ScenarioSetResult = decode(ScenarioSetResult::KIND, &bytes).unwrap();
+        assert_eq!(back, live.result, "{encoding:?} round trip drifted");
+        let reloaded = ScenarioSetRun::from_result(back).unwrap();
+        assert_eq!(paper_all_figures(&reloaded), expected, "{encoding:?}");
+    }
 }
