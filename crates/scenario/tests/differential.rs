@@ -107,18 +107,32 @@ fn paper_all_figures(run: &ScenarioSetRun) -> Vec<String> {
     ]
 }
 
+/// `result` after an encode/decode round trip in `encoding`.
+fn round_trip(result: &ScenarioSetResult, encoding: Encoding) -> ScenarioSetResult {
+    let bytes = encode(ScenarioSetResult::KIND, encoding, result).unwrap();
+    decode(ScenarioSetResult::KIND, &bytes).unwrap()
+}
+
+#[test]
+fn paper_all_result_round_trips_both_encodings() {
+    // `repro all --save-result` writes a `paper-all` result in either
+    // encoding; decoding it must give back the identical result.
+    let live = paper::paper_all_set(1_000, 7).run().unwrap();
+    for encoding in [Encoding::Binary, Encoding::Json] {
+        let back = round_trip(&live.result, encoding);
+        assert_eq!(back, live.result, "{encoding:?} round trip drifted");
+    }
+}
+
 #[test]
 fn reloaded_paper_all_renders_identically() {
     // `repro all --load-result` renders a saved `paper-all` result: after
-    // an encode/decode round trip in either encoding, every figure must
-    // equal the live run's.
+    // a round trip in either encoding, every figure must equal the live
+    // run's.
     let live = paper::paper_all_set(1_000, 7).run().unwrap();
     let expected = paper_all_figures(&live);
     for encoding in [Encoding::Binary, Encoding::Json] {
-        let bytes = encode(ScenarioSetResult::KIND, encoding, &live.result).unwrap();
-        let back: ScenarioSetResult = decode(ScenarioSetResult::KIND, &bytes).unwrap();
-        assert_eq!(back, live.result, "{encoding:?} round trip drifted");
-        let reloaded = ScenarioSetRun::from_result(back).unwrap();
+        let reloaded = ScenarioSetRun::from_result(round_trip(&live.result, encoding)).unwrap();
         assert_eq!(paper_all_figures(&reloaded), expected, "{encoding:?}");
     }
 }
