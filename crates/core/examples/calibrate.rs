@@ -2,16 +2,19 @@
 //! anchors against (per-benchmark error onset, closed-loop equilibrium,
 //! floors and fixed-VS baselines).
 
-use razorbus_core::{BusSimulator, DvsBusDesign, TraceSummary};
+use razorbus_core::{parse_count_knob, BusSimulator, DvsBusDesign, TraceSummary};
 use razorbus_ctrl::ThresholdController;
 use razorbus_process::{ProcessCorner, PvtCorner};
 use razorbus_traces::Benchmark;
 
 fn main() {
-    let cycles: u64 = std::env::var("RAZORBUS_CYCLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300_000);
+    let cycles = match parse_count_knob("RAZORBUS_CYCLES", std::env::var_os("RAZORBUS_CYCLES")) {
+        Ok(n) => n.map_or(300_000, |n| n as u64),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
     let design = DvsBusDesign::paper_default();
 
     println!("shadow skew: {:.1}", design.skew().chosen_skew());

@@ -32,6 +32,9 @@ use std::sync::Mutex;
 /// Default cycles per parallel-compile chunk.
 const DEFAULT_COMPILE_CHUNK: usize = 65_536;
 
+/// The environment variable that overrides [`DEFAULT_COMPILE_CHUNK`].
+const COMPILE_CHUNK_VAR: &str = "RAZORBUS_COMPILE_CHUNK";
+
 /// Cycles per chunk for the parallel compile pipeline
 /// (`RAZORBUS_COMPILE_CHUNK`, default 64k). Each chunk is one
 /// independent analysis sub-job; smaller chunks expose more parallelism
@@ -42,17 +45,26 @@ const DEFAULT_COMPILE_CHUNK: usize = 65_536;
 /// Names the variable and its value when it is set but is not a
 /// positive integer.
 pub fn compile_chunk_knob() -> Result<usize, String> {
-    const VAR: &str = "RAZORBUS_COMPILE_CHUNK";
-    Ok(crate::knob::parse_count_knob(VAR, std::env::var_os(VAR))?.unwrap_or(DEFAULT_COMPILE_CHUNK))
+    compile_chunk_from(std::env::var_os(COMPILE_CHUNK_VAR))
 }
 
-/// [`compile_chunk_knob`] for infallible callers (the `razorbench`
-/// harness's traced compile): a bad value reads as the default here.
-/// Entry points refuse it first — the scenario executor returns the
-/// knob's error, and `repro` and `bench_report` exit with it.
+/// [`compile_chunk_knob`] for callers without an error path (the
+/// `razorbench` harness's traced compile).
+///
+/// # Panics
+///
+/// Panics with [`compile_chunk_knob`]'s message when
+/// `RAZORBUS_COMPILE_CHUNK` is set but is not a positive integer.
 #[must_use]
 pub fn compile_chunk_cycles() -> usize {
-    compile_chunk_knob().unwrap_or(DEFAULT_COMPILE_CHUNK)
+    compile_chunk_knob().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Resolves a raw `RAZORBUS_COMPILE_CHUNK` value: the default when it
+/// is unset, an error naming the variable and value when it is not a
+/// positive integer.
+fn compile_chunk_from(raw: Option<std::ffi::OsString>) -> Result<usize, String> {
+    Ok(crate::knob::parse_count_knob(COMPILE_CHUNK_VAR, raw)?.unwrap_or(DEFAULT_COMPILE_CHUNK))
 }
 
 /// Executes the independent per-chunk analysis jobs of a parallel
@@ -545,6 +557,20 @@ fn classify(a: &CycleAnalysis) -> (u8, u16, f64) {
 mod tests {
     use super::*;
     use razorbus_traces::Benchmark;
+
+    #[test]
+    fn compile_chunk_refuses_bad_values_by_name() {
+        assert_eq!(compile_chunk_from(None), Ok(DEFAULT_COMPILE_CHUNK));
+        assert_eq!(compile_chunk_from(Some("5000".into())), Ok(5_000));
+        for bad in ["0", "abc", "-1", ""] {
+            let err = compile_chunk_from(Some(bad.into())).unwrap_err();
+            assert_eq!(
+                err,
+                crate::knob::parse_count_knob(COMPILE_CHUNK_VAR, Some(bad.into())).unwrap_err()
+            );
+            assert!(err.contains("RAZORBUS_COMPILE_CHUNK"), "{err}");
+        }
+    }
 
     #[test]
     fn chunked_compile_matches_serial_bitwise() {

@@ -14,14 +14,16 @@ use crate::parasitics::WireParasitics;
 use crate::sizing::{size_repeater_for_delay, SizingError};
 
 /// Per-cycle electrical summary of the whole bus, produced by
-/// [`BusPhysical::analyze_cycle`]. This is the only trace-dependent input
-/// the timing/energy tables need — exactly the role of the per-pattern
-/// HSPICE tables in §3.
+/// [`BusPhysical::analyze_cycle`] and, bit for bit, by
+/// [`BusPhysical::analyze_cycle_reference`]. This is the only
+/// trace-dependent input the timing/energy tables need — exactly the
+/// role of the per-pattern HSPICE tables in §3.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CycleAnalysis {
     /// The largest Miller-weighted effective capacitance (fF/mm) over all
-    /// toggling wires — the slowest wire's load this cycle. Zero when no
-    /// wire toggles.
+    /// toggling wires, each opposing aggressor weighted by its alignment
+    /// draw — the slowest wire's load this cycle. Zero when no wire
+    /// toggles.
     pub worst_ceff_per_mm: f64,
     /// Sum over toggling wires of charge-weighted capacitance (fF/mm):
     /// the data-dependent part of this cycle's switched energy.
@@ -149,6 +151,10 @@ struct GroupTables {
     group_size: usize,
     classes: Vec<SlotClass>,
     patterns: Vec<GroupPattern>,
+    /// The reciprocal of [`CouplingModel::misalignment`]'s divisor when
+    /// that divisor is a power of two, so multiplying by it rounds
+    /// exactly as dividing does.
+    recip: Option<f64>,
 }
 
 impl GroupTables {
@@ -245,6 +251,7 @@ impl GroupTables {
             group_size: gs,
             classes,
             patterns,
+            recip: exact_reciprocal((1.0 - m.alignment_atom).max(1e-12)),
         }
     }
 
@@ -255,6 +262,15 @@ impl GroupTables {
         let key = (toggled >> base) & mask | ((cur >> base) & mask) << self.group_size;
         &self.patterns[key as usize]
     }
+}
+
+/// `1 / d` when `d` is a normal power of two with a normal reciprocal,
+/// so that `x * (1 / d)` and `x / d` round to the same bits for every
+/// `x` (both are the correctly rounded `x · 2^-e`).
+fn exact_reciprocal(d: f64) -> Option<f64> {
+    let r = 1.0 / d;
+    let mantissa = d.to_bits() & ((1u64 << 52) - 1);
+    (d.is_normal() && r.is_normal() && mantissa == 0).then_some(r)
 }
 
 impl BusPhysical {
@@ -585,19 +601,23 @@ impl BusPhysical {
     /// words, Miller-weighted worst load, charge-weighted switched
     /// capacitance and toggle count.
     ///
-    /// One shield-group table lookup per group replaces the per-wire
-    /// slot loop: each group pattern stores its toggling wires'
-    /// switched capacitance, the max exact load of its wires without an
-    /// opposing aggressor, and the perfect-alignment bound of the rest.
-    /// Wires with opposing aggressors run their exact alignment fold
-    /// only while their bound beats the running worst — a skipped fold
-    /// cannot change the max. Bit-identical to
-    /// [`BusPhysical::analyze_cycle_reference`] by construction: every
-    /// table entry stores the same slot-ordered f64 sums, the switched
-    /// sum is added in ascending wire order (its `+0.0` pads are exact
-    /// no-ops), each fold replays the slot-ordered term sequence, and
-    /// the f64 max over per-wire loads is order-independent — pinned by
-    /// unit and property tests.
+    /// Pass 1 does one shield-group table lookup per group. Each group
+    /// pattern stores its toggling wires' switched capacitance, the max
+    /// exact load of its wires without an opposing aggressor, the
+    /// perfect-alignment bound of the rest, and every wire's slot class.
+    /// The pass sums the first, maxes the second and third, and gathers
+    /// a word mask of the wires with an opposing aggressor plus their
+    /// class codes. Only when the bound beats the exact max does the
+    /// fold phase walk that mask once, in ascending wire order, and run
+    /// the alignment fold of each wire whose class bound still beats
+    /// the running worst; a skipped fold cannot change the max.
+    ///
+    /// Bit-identical to [`BusPhysical::analyze_cycle_reference`] by
+    /// construction: every table entry stores the same slot-ordered f64
+    /// sums, the switched sum is added in ascending wire order (its
+    /// `+0.0` pads are exact no-ops), each fold replays the slot-ordered
+    /// term sequence, and the f64 max over per-wire loads is
+    /// order-independent — pinned by unit and property tests.
     #[must_use]
     pub fn analyze_cycle(&self, prev: u32, cur: u32) -> CycleAnalysis {
         let n = self.layout.n_bits();
@@ -605,13 +625,18 @@ impl BusPhysical {
         if toggled == 0 {
             return CycleAnalysis::default();
         }
-        let gs = self.groups.group_size;
+        let g = &self.groups;
 
         let mut worst: f64 = 0.0;
         let mut bound: f64 = 0.0;
         let mut switched: f64 = 0.0;
-        for base in (0..n).step_by(gs) {
-            let p = self.groups.pattern(toggled, cur, base);
+        let mut opp = 0u32;
+        // Each group writes its four class codes at its base wire. A
+        // narrower group's padding is overwritten by the next group, and
+        // the last group's lands in the three spare bytes.
+        let mut codes = [0u8; 32 + 3];
+        for base in (0..n).step_by(g.group_size) {
+            let p = g.pattern(toggled, cur, base);
             switched += p.switched[0];
             switched += p.switched[1];
             switched += p.switched[2];
@@ -622,9 +647,21 @@ impl BusPhysical {
             if p.bound > bound {
                 bound = p.bound;
             }
+            opp |= u32::from(p.opp) << base;
+            codes[base..base + 4].copy_from_slice(&p.class);
         }
         if bound > worst {
-            worst = self.fold_opposing(prev, cur, toggled, worst);
+            while opp != 0 {
+                let i = opp.trailing_zeros() as usize;
+                opp &= opp - 1;
+                let c = &g.classes[usize::from(codes[i])];
+                if c.ceff > worst {
+                    let ceff = self.exact_load(prev, cur, i, c);
+                    if ceff > worst {
+                        worst = ceff;
+                    }
+                }
+            }
         }
 
         CycleAnalysis {
@@ -634,47 +671,34 @@ impl BusPhysical {
         }
     }
 
-    /// Raises `worst` to the max exact load over the wires with an
-    /// opposing aggressor, folding only groups and wires whose
-    /// perfect-alignment bound still beats the running worst.
-    fn fold_opposing(&self, prev: u32, cur: u32, toggled: u32, mut worst: f64) -> f64 {
-        let gs = self.groups.group_size;
-        for base in (0..self.layout.n_bits()).step_by(gs) {
-            let p = self.groups.pattern(toggled, cur, base);
-            if p.bound <= worst {
-                continue;
-            }
-            let mut opp = p.opp;
-            while opp != 0 {
-                let l = opp.trailing_zeros() as usize;
-                opp &= opp - 1;
-                let c = &self.groups.classes[usize::from(p.class[l])];
-                if c.ceff > worst {
-                    let ceff = self.fold(prev, cur, base + l, c);
-                    if ceff > worst {
-                        worst = ceff;
-                    }
-                }
-            }
-        }
-        worst
-    }
-
-    /// Exact effective load of toggling wire `i` in slot class `c`:
-    /// replays the slot-ordered terms with the alignment hash evaluated
-    /// for each opposing aggressor. Open slots add `+0.0` to a sum that
-    /// is never `-0.0`, an exact no-op.
+    /// Exact effective load of toggling wire `i` in slot class `c`: the
+    /// slot-ordered term sum with each opposing term scaled by its
+    /// alignment draw, as [`CouplingModel::misalignment`] maps it.
+    ///
+    /// Each slot's term is a select between its constant `v` (never
+    /// `v * 1.0`) and the scaled `v * (1 − spread · u)`, and a draw
+    /// inside the atom selects `u = 0`. With a power-of-two divisor the
+    /// scaling is a multiply by its exact reciprocal; otherwise only
+    /// opposing slots pay the division. Open slots add `+0.0` to a sum
+    /// that is never `-0.0`, an exact no-op.
     #[inline]
-    fn fold(&self, prev: u32, cur: u32, i: usize, c: &SlotClass) -> f64 {
+    fn exact_load(&self, prev: u32, cur: u32, i: usize, c: &SlotClass) -> f64 {
         let m = &self.coupling;
         let mut k = 0.0f64;
         for (t, &v) in c.terms.iter().enumerate() {
-            if c.opp_mask & (1 << t) != 0 {
-                let u = m.misalignment(crate::coupling::alignment_unit(prev, cur, i, t));
-                k += v * (1.0 - m.alignment_spread * u);
+            let opposes = c.opp_mask >> t & 1 != 0;
+            let h = crate::coupling::alignment_unit(prev, cur, i, t);
+            let u = match self.groups.recip {
+                Some(_) if h < m.alignment_atom => 0.0,
+                Some(r) => (h - m.alignment_atom) * r,
+                None if opposes => m.misalignment(h),
+                None => 0.0,
+            };
+            k += if opposes {
+                v * (1.0 - m.alignment_spread * u)
             } else {
-                k += v;
-            }
+                v
+            };
         }
         self.parasitics.cg_per_mm().ff() + k
     }
@@ -1126,21 +1150,51 @@ mod tests {
         }
     }
 
+    /// The paper bus rebuilt with another coupling model and layout.
+    fn rebuilt(coupling: CouplingModel, layout: BusLayout) -> BusPhysical {
+        let b = bus();
+        BusPhysical::build(
+            layout,
+            *b.parasitics(),
+            coupling,
+            *b.line(),
+            b.clock(),
+            b.max_path_delay(),
+            b.design_corner(),
+            b.droop(),
+        )
+        .expect("test bus sizes")
+    }
+
     #[test]
     fn every_group_pattern_matches_reference_bitwise() {
-        // All 256 (toggled, cur) nibble patterns at every group position,
-        // alone (so the group's own folds decide the worst load) and
-        // inside random context words (so neighboring groups toggle
-        // too), on both table variants.
-        for b in [bus(), bus().with_boosted_coupling(1.95)] {
+        // Every (toggled, cur) pattern of a group at every group
+        // position, alone (so the group's own folds decide the worst
+        // load) and inside random context words (so neighboring groups
+        // toggle too). Both table variants of the paper bus, plus
+        // alignment atoms of 0.3 (a divisor of 0.7: the fold divides)
+        // and 0 (a divisor of 1: it multiplies by the reciprocal) on
+        // the paper layout, 32 bits in pairs and 32 fully shielded bits.
+        let atom_03 = CouplingModel::new(0.3, 1.0, 2.2, 0.10, 0.3);
+        let atom_0 = CouplingModel::new(0.3, 1.0, 2.2, 0.10, 0.0);
+        for b in [
+            bus(),
+            bus().with_boosted_coupling(1.95),
+            rebuilt(atom_03, BusLayout::paper_default()),
+            rebuilt(atom_0, BusLayout::paper_default()),
+            rebuilt(atom_03, BusLayout::new(32, 2)),
+            rebuilt(atom_0, BusLayout::new(32, 1)),
+        ] {
+            let gs = b.layout().group_size();
+            let group = (1u32 << gs) - 1;
             let mut x = 0x0DDB_A11C_AFE5_EED5u64;
-            for base in (0..32).step_by(4) {
-                for pattern in 0..256u32 {
+            for base in (0..b.layout().n_bits()).step_by(gs) {
+                for pattern in 0..1u32 << (2 * gs) {
                     x = x
                         .wrapping_mul(6_364_136_223_846_793_005)
                         .wrapping_add(1_442_695_040_888_963_407);
-                    let (toggled, cur_bits) = (pattern & 0xF, pattern >> 4);
-                    let outside = !(0xF << base);
+                    let (toggled, cur_bits) = (pattern & group, pattern >> gs);
+                    let outside = !(group << base);
                     for (context_prev, context_cur) in [(0, 0), ((x >> 32) as u32, x as u32)] {
                         let prev = context_prev & outside | (cur_bits ^ toggled) << base;
                         let cur = context_cur & outside | cur_bits << base;
@@ -1164,19 +1218,18 @@ mod tests {
     }
 
     #[test]
+    fn exact_reciprocal_only_for_powers_of_two() {
+        assert_eq!(exact_reciprocal(0.5), Some(2.0));
+        assert_eq!(exact_reciprocal(1.0), Some(1.0));
+        assert_eq!(exact_reciprocal(0.7), None);
+        assert_eq!(exact_reciprocal(1e-12), None);
+        assert_eq!(exact_reciprocal(f64::MIN_POSITIVE / 2.0), None);
+    }
+
+    #[test]
     #[should_panic(expected = "group size 8")]
     fn build_rejects_groups_wider_than_four() {
-        let b = bus();
-        let _ = BusPhysical::build(
-            BusLayout::new(16, 8),
-            *b.parasitics(),
-            *b.coupling(),
-            *b.line(),
-            b.clock(),
-            b.max_path_delay(),
-            b.design_corner(),
-            b.droop(),
-        );
+        let _ = rebuilt(CouplingModel::default(), BusLayout::new(16, 8));
     }
 
     #[test]

@@ -13,6 +13,13 @@ use std::sync::OnceLock;
 /// layouts — 16 bits in groups of 4 (fewer groups than the word), 8 bits
 /// in groups of 2 and 8 fully shielded bits (other slot shapes and
 /// group-table widths).
+///
+/// The `atom` builds pin the fold's two misalignment scalings: an atom
+/// of 0.3 leaves a divisor of 0.7, which is not a power of two, so the
+/// fold divides; an atom of 0 leaves 1, so it multiplies by the exact
+/// reciprocal. Both keep a nonzero spread, and the 0.3 atom also runs
+/// on 32 bits in pairs and 30 bits in triples, the 0 atom on 32 fully
+/// shielded bits, whose last group writes class codes past bit 31.
 fn buses() -> &'static Vec<(&'static str, BusPhysical)> {
     static BUSES: OnceLock<Vec<(&'static str, BusPhysical)>> = OnceLock::new();
     BUSES.get_or_init(|| {
@@ -23,6 +30,8 @@ fn buses() -> &'static Vec<(&'static str, BusPhysical)> {
         let half = rebuild_with_coupling(CouplingModel::default(), BusLayout::new(16, 4));
         let narrow = rebuild_with_coupling(CouplingModel::default(), BusLayout::new(8, 2));
         let shielded = rebuild_with_coupling(CouplingModel::default(), BusLayout::new(8, 1));
+        let atom_03 = CouplingModel::new(0.3, 1.0, 2.2, 0.10, 0.3);
+        let atom_0 = CouplingModel::new(0.3, 1.0, 2.2, 0.10, 0.0);
         vec![
             ("paper", paper),
             ("boosted", boosted),
@@ -30,6 +39,26 @@ fn buses() -> &'static Vec<(&'static str, BusPhysical)> {
             ("half", half),
             ("narrow", narrow),
             ("shielded", shielded),
+            (
+                "atom-0.3",
+                rebuild_with_coupling(atom_03, BusLayout::paper_default()),
+            ),
+            (
+                "atom-0.3-pairs",
+                rebuild_with_coupling(atom_03, BusLayout::new(32, 2)),
+            ),
+            (
+                "atom-0.3-triples",
+                rebuild_with_coupling(atom_03, BusLayout::new(30, 3)),
+            ),
+            (
+                "atom-0",
+                rebuild_with_coupling(atom_0, BusLayout::paper_default()),
+            ),
+            (
+                "atom-0-shielded",
+                rebuild_with_coupling(atom_0, BusLayout::new(32, 1)),
+            ),
         ]
     })
 }
