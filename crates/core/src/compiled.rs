@@ -57,7 +57,12 @@ pub fn compile_chunk_knob() -> Result<usize, String> {
 /// `RAZORBUS_COMPILE_CHUNK` is set but is not a positive integer.
 #[must_use]
 pub fn compile_chunk_cycles() -> usize {
-    compile_chunk_knob().unwrap_or_else(|e| panic!("{e}"))
+    compile_chunk_cycles_from(std::env::var_os(COMPILE_CHUNK_VAR))
+}
+
+/// [`compile_chunk_cycles`] for a raw `RAZORBUS_COMPILE_CHUNK` value.
+fn compile_chunk_cycles_from(raw: Option<std::ffi::OsString>) -> usize {
+    compile_chunk_from(raw).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Resolves a raw `RAZORBUS_COMPILE_CHUNK` value: the default when it
@@ -559,17 +564,17 @@ mod tests {
     use razorbus_traces::Benchmark;
 
     #[test]
-    fn compile_chunk_refuses_bad_values_by_name() {
-        assert_eq!(compile_chunk_from(None), Ok(DEFAULT_COMPILE_CHUNK));
-        assert_eq!(compile_chunk_from(Some("5000".into())), Ok(5_000));
-        for bad in ["0", "abc", "-1", ""] {
-            let err = compile_chunk_from(Some(bad.into())).unwrap_err();
-            assert_eq!(
-                err,
-                crate::knob::parse_count_knob(COMPILE_CHUNK_VAR, Some(bad.into())).unwrap_err()
-            );
-            assert!(err.contains("RAZORBUS_COMPILE_CHUNK"), "{err}");
-        }
+    fn compile_chunk_defaults_when_unset_and_refuses_bad_values() {
+        assert_eq!(compile_chunk_cycles_from(None), DEFAULT_COMPILE_CHUNK);
+        assert_eq!(compile_chunk_cycles_from(Some("5000".into())), 5_000);
+        let err = compile_chunk_from(Some("abc".into())).unwrap_err();
+        assert!(err.contains("RAZORBUS_COMPILE_CHUNK"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "RAZORBUS_COMPILE_CHUNK=\"0\"")]
+    fn compile_chunk_cycles_panics_on_a_bad_value() {
+        let _ = compile_chunk_cycles_from(Some("0".into()));
     }
 
     #[test]

@@ -164,8 +164,34 @@ impl CouplingModel {
         if h < self.alignment_atom {
             0.0
         } else {
-            (h - self.alignment_atom) / (1.0 - self.alignment_atom).max(1e-12)
+            (h - self.alignment_atom) / self.misalignment_divisor()
         }
+    }
+
+    /// The reciprocal of [`misalignment`](Self::misalignment)'s divisor
+    /// when that divisor is a power of two (`0.5` at the default atom),
+    /// so multiplying by it rounds exactly as dividing does. The divisor
+    /// lies in `[1e-12, 1]`, a normal range, so a zero mantissa makes it
+    /// a power of two and its reciprocal exact.
+    pub(crate) fn misalignment_reciprocal(&self) -> Option<f64> {
+        let d = self.misalignment_divisor();
+        (d.to_bits() & ((1u64 << 52) - 1) == 0).then(|| 1.0 / d)
+    }
+
+    /// [`misalignment`](Self::misalignment), bit for bit, given this
+    /// model's [`misalignment_reciprocal`](Self::misalignment_reciprocal):
+    /// a multiply in place of the division when it is `Some`.
+    #[inline]
+    pub(crate) fn misalignment_with(&self, h: f64, recip: Option<f64>) -> f64 {
+        match recip {
+            Some(_) if h < self.alignment_atom => 0.0,
+            Some(r) => (h - self.alignment_atom) * r,
+            None => self.misalignment(h),
+        }
+    }
+
+    fn misalignment_divisor(&self) -> f64 {
+        (1.0 - self.alignment_atom).max(1e-12)
     }
 
     /// Delay-weight contribution of `neighbor` on a toggling `victim`.
@@ -303,6 +329,23 @@ mod tests {
     #[should_panic(expected = "alignment spread out of range")]
     fn rejects_large_spread() {
         let _ = CouplingModel::new(0.3, 1.0, 2.2, 0.8, 0.5);
+    }
+
+    #[test]
+    fn misalignment_reciprocal_only_for_power_of_two_divisors() {
+        let model = |atom| CouplingModel::new(0.3, 1.0, 2.2, 0.10, atom);
+        for (atom, recip) in [(0.5, Some(2.0)), (0.0, Some(1.0)), (0.3, None), (1.0, None)] {
+            let m = model(atom);
+            assert_eq!(m.misalignment_reciprocal(), recip, "atom {atom}");
+            for i in 0..1_000 {
+                let h = alignment_unit(i, !i, (i % 32) as usize, 0);
+                assert_eq!(
+                    m.misalignment_with(h, recip).to_bits(),
+                    m.misalignment(h).to_bits(),
+                    "atom {atom}, h {h}"
+                );
+            }
+        }
     }
 
     #[test]

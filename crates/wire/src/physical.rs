@@ -151,9 +151,8 @@ struct GroupTables {
     group_size: usize,
     classes: Vec<SlotClass>,
     patterns: Vec<GroupPattern>,
-    /// The reciprocal of [`CouplingModel::misalignment`]'s divisor when
-    /// that divisor is a power of two, so multiplying by it rounds
-    /// exactly as dividing does.
+    /// The coupling model's exact misalignment reciprocal, if any, for
+    /// [`CouplingModel::misalignment_with`].
     recip: Option<f64>,
 }
 
@@ -251,7 +250,7 @@ impl GroupTables {
             group_size: gs,
             classes,
             patterns,
-            recip: exact_reciprocal((1.0 - m.alignment_atom).max(1e-12)),
+            recip: m.misalignment_reciprocal(),
         }
     }
 
@@ -262,15 +261,6 @@ impl GroupTables {
         let key = (toggled >> base) & mask | ((cur >> base) & mask) << self.group_size;
         &self.patterns[key as usize]
     }
-}
-
-/// `1 / d` when `d` is a normal power of two with a normal reciprocal,
-/// so that `x * (1 / d)` and `x / d` round to the same bits for every
-/// `x` (both are the correctly rounded `x · 2^-e`).
-fn exact_reciprocal(d: f64) -> Option<f64> {
-    let r = 1.0 / d;
-    let mantissa = d.to_bits() & ((1u64 << 52) - 1);
-    (d.is_normal() && r.is_normal() && mantissa == 0).then_some(r)
 }
 
 impl BusPhysical {
@@ -673,29 +663,18 @@ impl BusPhysical {
 
     /// Exact effective load of toggling wire `i` in slot class `c`: the
     /// slot-ordered term sum with each opposing term scaled by its
-    /// alignment draw, as [`CouplingModel::misalignment`] maps it.
-    ///
-    /// Each slot's term is a select between its constant `v` (never
-    /// `v * 1.0`) and the scaled `v * (1 − spread · u)`, and a draw
-    /// inside the atom selects `u = 0`. With a power-of-two divisor the
-    /// scaling is a multiply by its exact reciprocal; otherwise only
-    /// opposing slots pay the division. Open slots add `+0.0` to a sum
-    /// that is never `-0.0`, an exact no-op.
+    /// alignment draw, as [`CouplingModel::misalignment`] maps it. With a
+    /// power-of-two divisor the scaling multiplies by its exact
+    /// reciprocal; only opposing slots hash their draw. Open slots add
+    /// `+0.0` to a sum that is never `-0.0`, an exact no-op.
     #[inline]
     fn exact_load(&self, prev: u32, cur: u32, i: usize, c: &SlotClass) -> f64 {
         let m = &self.coupling;
         let mut k = 0.0f64;
         for (t, &v) in c.terms.iter().enumerate() {
-            let opposes = c.opp_mask >> t & 1 != 0;
-            let h = crate::coupling::alignment_unit(prev, cur, i, t);
-            let u = match self.groups.recip {
-                Some(_) if h < m.alignment_atom => 0.0,
-                Some(r) => (h - m.alignment_atom) * r,
-                None if opposes => m.misalignment(h),
-                None => 0.0,
-            };
-            k += if opposes {
-                v * (1.0 - m.alignment_spread * u)
+            k += if c.opp_mask >> t & 1 != 0 {
+                let h = crate::coupling::alignment_unit(prev, cur, i, t);
+                v * (1.0 - m.alignment_spread * m.misalignment_with(h, self.groups.recip))
             } else {
                 v
             };
@@ -1215,15 +1194,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn exact_reciprocal_only_for_powers_of_two() {
-        assert_eq!(exact_reciprocal(0.5), Some(2.0));
-        assert_eq!(exact_reciprocal(1.0), Some(1.0));
-        assert_eq!(exact_reciprocal(0.7), None);
-        assert_eq!(exact_reciprocal(1e-12), None);
-        assert_eq!(exact_reciprocal(f64::MIN_POSITIVE / 2.0), None);
     }
 
     #[test]
