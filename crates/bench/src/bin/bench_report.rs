@@ -14,14 +14,13 @@
 //!   loop, its cycle-at-a-time reference loop (their ratio is the
 //!   fast-path speedup), the sweep-engine collector, the wire analyzer
 //!   (and its crosstalk-storm worst case, `analyze_cycle_storm`), the
-//!   compile/replay split, the parallel two-phase compile at 1, 2 and N
-//!   pool workers (`trace_compile_par_w*`), the fused multi-member
-//!   replay at fan-in 1, 4 and 16 (`fused_replay_f*` — member-cycles
-//!   per second, growing with fan-in as one streaming pass judges more
-//!   members), and the executor's aggregate sweep throughput at 1, 2
-//!   and N pool workers (`sweep_aggregate_w*` — the multi-core scaling
-//!   record; N and therefore the `w2`/`wmax` numbers depend on the
-//!   runner's core count),
+//!   compile/replay split, the fused multi-member replay at fan-in 1, 4
+//!   and 16 (`fused_replay_f*` — member-cycles per second, growing with
+//!   fan-in as one streaming pass judges more members), and the
+//!   executor's aggregate sweep throughput at 1, 2 and N pool workers
+//!   (`sweep_aggregate_w*` — the multi-core scaling record; N and
+//!   therefore the `w2`/`wmax` numbers depend on the runner's core
+//!   count),
 //! * environment echoes (`cycles_per_benchmark`, `threads` — the
 //!   resolved pool worker count — `component_threads`, the resolved
 //!   thread count behind each runner-bound component, and
@@ -41,7 +40,7 @@ use razorbus_core::{
 };
 use razorbus_ctrl::ThresholdController;
 use razorbus_process::{ProcessCorner, PvtCorner};
-use razorbus_scenario::{catalog, paper, PoolChunks};
+use razorbus_scenario::{catalog, paper};
 use razorbus_traces::{AdversarialCrosstalk, Benchmark, TraceSource};
 use razorbus_units::Millivolts;
 use std::time::Instant;
@@ -165,7 +164,7 @@ fn main() {
     time("scenario_shootout_cold", &mut || {
         let run = catalog::by_name("governor-shootout", cycles, REPRO_SEED)
             .expect("catalog name")
-            .run_with_options(Vec::new(), false)
+            .run_with_workers(Vec::new(), false, None)
             .expect("valid spec");
         std::hint::black_box(run.result.members.len());
     });
@@ -230,31 +229,6 @@ fn main() {
         std::hint::black_box(c.cycles());
         comp_cycles as f64 / 1e6 / start.elapsed().as_secs_f64()
     });
-    // The same compile through the chunked two-phase pipeline on the
-    // work-stealing pool at 1, 2 and N workers. A small explicit chunk
-    // keeps every worker fed even at the 200 k-cycle component size;
-    // the w1 leg prices the chunking overhead against `trace_compile`,
-    // the wmax leg records this runner's scaling ceiling (on a
-    // single-core runner it duplicates w1 by construction — see
-    // `component_threads`).
-    let compile_par_at = |workers: usize| {
-        let runner = PoolChunks::new(workers);
-        best_of_3(&mut || {
-            let start = Instant::now();
-            let c = CompiledTrace::compile_chunked(
-                &design,
-                &mut Benchmark::Gap.trace(REPRO_SEED),
-                comp_cycles,
-                8_192,
-                &runner,
-            );
-            std::hint::black_box(c.cycles());
-            comp_cycles as f64 / 1e6 / start.elapsed().as_secs_f64()
-        })
-    };
-    let compile_par_w1 = compile_par_at(1);
-    let compile_par_w2 = compile_par_at(2);
-    let compile_par_wmax = compile_par_at(max_workers);
     let compiled =
         CompiledTrace::compile(&design, &mut Benchmark::Gap.trace(REPRO_SEED), comp_cycles);
     let replay = best_of_3(&mut || {
@@ -302,7 +276,7 @@ fn main() {
     let fused_f4 = fused_at(4);
     let fused_f16 = fused_at(16);
     eprintln!(
-        "  components: batched {batched:.1} / reference {reference:.1} Mcyc/s (x{:.2}), collect {collect:.1}, analyze {analyze:.1} (storm {analyze_storm:.1}), compile {compile:.1} (par w1 {compile_par_w1:.1} / w2 {compile_par_w2:.1} / w{max_workers} {compile_par_wmax:.1}), replay {replay:.1} (fused f1 {fused_f1:.1} / f4 {fused_f4:.1} / f16 {fused_f16:.1})",
+        "  components: batched {batched:.1} / reference {reference:.1} Mcyc/s (x{:.2}), collect {collect:.1}, analyze {analyze:.1} (storm {analyze_storm:.1}), compile {compile:.1}, replay {replay:.1} (fused f1 {fused_f1:.1} / f4 {fused_f4:.1} / f16 {fused_f16:.1})",
         batched / reference
     );
 
@@ -347,9 +321,6 @@ fn main() {
             ("analyze_cycle", round2(analyze)),
             ("analyze_cycle_storm", round2(analyze_storm)),
             ("trace_compile", round2(compile)),
-            ("trace_compile_par_w1", round2(compile_par_w1)),
-            ("trace_compile_par_w2", round2(compile_par_w2)),
-            ("trace_compile_par_wmax", round2(compile_par_wmax)),
             ("compiled_replay", round2(replay)),
             ("replay_speedup", round2(replay / batched)),
             ("fused_replay_f1", round2(fused_f1)),
@@ -360,9 +331,6 @@ fn main() {
             ("sweep_aggregate_wmax", round2(sweep_wmax)),
         ],
         component_threads: vec![
-            ("trace_compile_par_w1", resolved_threads(1)),
-            ("trace_compile_par_w2", resolved_threads(2)),
-            ("trace_compile_par_wmax", resolved_threads(max_workers)),
             ("sweep_aggregate_w1", resolved_threads(1)),
             ("sweep_aggregate_w2", resolved_threads(2)),
             ("sweep_aggregate_wmax", resolved_threads(max_workers)),

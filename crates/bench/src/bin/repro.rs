@@ -534,7 +534,7 @@ fn run_or_reload(
             run
         }
         None => set
-            .run_with_options(Vec::new(), share_compiled)
+            .run_with_workers(Vec::new(), share_compiled, None)
             .unwrap_or_else(|e| fail(&e)),
     };
     if let Some(path) = save_result {

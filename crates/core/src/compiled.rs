@@ -19,6 +19,18 @@
 //! match bitwise, energies are exact (same per-cycle add sequence) —
 //! pinned by differential tests across governors × corners.
 //!
+//! A trace compiles by one of two routes over the same per-cycle
+//! classification loop. [`CompiledTrace::compile`] streams: it pulls
+//! words straight from the trace, with no word buffer. The chunked route
+//! splits the same work into three phases: [`CompiledTrace::drain_words`]
+//! drains the words serially (RNG streams stay sequential, so seeds
+//! produce the same words), [`CompiledTrace::analyze_chunk`] classifies
+//! independent cycle ranges on any thread, and
+//! [`CompiledTrace::from_chunks`] assembles them in cycle order. Both
+//! routes give the same bytes for every chunk size. The scenario
+//! executor streams unless its pool has more than one worker and the
+//! trace spans more than one chunk.
+//!
 //! Compiled traces persist through `razorbus-artifact` as the
 //! `compiled-trace` kind; the embedded bus stamps refuse replay against
 //! a design the trace was not compiled for (see [`CompiledTrace::matches`]).
@@ -27,18 +39,18 @@ use crate::design::DvsBusDesign;
 use crate::summary::{bin_of, bucket_of, N_BUCKETS, N_CEFF_BINS};
 use razorbus_traces::TraceSource;
 use razorbus_wire::CycleAnalysis;
-use std::sync::Mutex;
 
-/// Default cycles per parallel-compile chunk.
+/// Default cycles per compile chunk.
 const DEFAULT_COMPILE_CHUNK: usize = 65_536;
 
 /// The environment variable that overrides [`DEFAULT_COMPILE_CHUNK`].
 const COMPILE_CHUNK_VAR: &str = "RAZORBUS_COMPILE_CHUNK";
 
-/// Cycles per chunk for the parallel compile pipeline
+/// Cycles per chunk for the chunked compile route
 /// (`RAZORBUS_COMPILE_CHUNK`, default 64k). Each chunk is one
 /// independent analysis sub-job; smaller chunks expose more parallelism
-/// at more per-chunk overhead.
+/// at more per-chunk overhead, and a trace no longer than one chunk
+/// streams through [`CompiledTrace::compile`] instead.
 ///
 /// # Errors
 ///
@@ -70,44 +82,6 @@ fn compile_chunk_cycles_from(raw: Option<std::ffi::OsString>) -> usize {
 /// positive integer.
 fn compile_chunk_from(raw: Option<std::ffi::OsString>) -> Result<usize, String> {
     Ok(crate::knob::parse_count_knob(COMPILE_CHUNK_VAR, raw)?.unwrap_or(DEFAULT_COMPILE_CHUNK))
-}
-
-/// Executes the independent per-chunk analysis jobs of a parallel
-/// compile ([`CompiledTrace::compile_chunked`]). `razorbus-core` stays
-/// thread-pool-free: callers inject whatever execution resource they
-/// have — [`SerialChunks`] here, the scenario executor's work-stealing
-/// pool downstream.
-pub trait ChunkRunner {
-    /// Runs every job exactly once, in any order, possibly
-    /// concurrently, returning only after all of them finish. Jobs may
-    /// borrow from the caller's stack, so implementations must not
-    /// outlive the call (scoped threads are fine, detached ones are
-    /// not).
-    fn run_chunks<'a>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'a>>);
-
-    /// Whether this runner executes chunk jobs strictly one at a time
-    /// on the calling thread. An opt-in fast-path hint:
-    /// [`CompiledTrace::compile_chunked`] gains nothing from the
-    /// drain-then-chunk pipeline on a single-threaded runner, so it
-    /// routes to the streaming single-pass [`CompiledTrace::compile`]
-    /// instead (bit-identical — pinned by the chunk differentials).
-    /// [`SerialChunks`] deliberately keeps the default `false`: its job
-    /// is exercising the chunk pipeline itself in tests.
-    fn single_threaded(&self) -> bool {
-        false
-    }
-}
-
-/// The no-parallelism [`ChunkRunner`]: runs chunk jobs in order on the
-/// calling thread.
-pub struct SerialChunks;
-
-impl ChunkRunner for SerialChunks {
-    fn run_chunks<'a>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        for job in jobs {
-            job();
-        }
-    }
 }
 
 /// The classification of one contiguous cycle range, produced by
@@ -264,7 +238,7 @@ impl CompiledTrace {
     /// Drains `cycles` words from `trace` through `design`'s bus —
     /// exactly the word protocol of [`crate::BusSimulator::new`] (the
     /// first word primes `prev`) — and records each cycle's
-    /// classification.
+    /// classification in one streaming pass, with no word buffer.
     ///
     /// # Panics
     ///
@@ -272,79 +246,12 @@ impl CompiledTrace {
     #[must_use]
     pub fn compile<S: TraceSource>(design: &DvsBusDesign, trace: &mut S, cycles: u64) -> Self {
         assert!(cycles > 0, "need at least one cycle");
-        let mut analyzer = design.bus().analyzer();
         let n = usize::try_from(cycles).expect("cycle count fits in memory");
-        let mut toggles = Vec::with_capacity(n);
-        let mut bins = Vec::with_capacity(n);
-        let mut switched = Vec::with_capacity(n);
-        let mut prev = trace.next_word();
-        for _ in 0..cycles {
-            let cur = trace.next_word();
-            let a = analyzer.analyze(prev, cur);
-            prev = cur;
-            let (t, b, s) = classify(&a);
-            toggles.push(t);
-            bins.push(b);
-            switched.push(s);
-        }
-        Self::from_arrays(design, cycles, toggles, bins, switched)
+        let words = std::iter::repeat_with(|| trace.next_word()).take(n + 1);
+        Self::from_arrays(design, cycles, classify_words(design, n, words))
     }
 
-    /// Parallel compile: drains the trace serially (RNG streams stay
-    /// sequential, so seeds produce the same words), then classifies
-    /// `chunk_cycles`-sized cycle chunks as independent jobs on
-    /// `runner`. Bit-identical to [`CompiledTrace::compile`] for every
-    /// chunk size and runner — each cycle's classification is a pure
-    /// function of its `(prev, cur)` word pair, and assembly preserves
-    /// cycle order — pinned by differential and property tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycles == 0` or `chunk_cycles == 0`.
-    #[must_use]
-    pub fn compile_chunked<S: TraceSource>(
-        design: &DvsBusDesign,
-        trace: &mut S,
-        cycles: u64,
-        chunk_cycles: usize,
-        runner: &dyn ChunkRunner,
-    ) -> Self {
-        assert!(chunk_cycles > 0, "need at least one cycle per chunk");
-        if runner.single_threaded() {
-            // No parallelism to exploit: skip the word buffer and chunk
-            // bookkeeping entirely and stream the compile in one pass.
-            return Self::compile(design, trace, cycles);
-        }
-        let words = Self::drain_words(trace, cycles);
-        let n = words.len() - 1;
-        let n_chunks = n.div_ceil(chunk_cycles);
-        let slots: Vec<Mutex<Option<CompiledChunk>>> =
-            (0..n_chunks).map(|_| Mutex::new(None)).collect();
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n_chunks)
-            .map(|k| {
-                let start = k * chunk_cycles;
-                let len = chunk_cycles.min(n - start);
-                let words = &words;
-                let slot = &slots[k];
-                Box::new(move || {
-                    let chunk = Self::analyze_chunk(design, words, start, len);
-                    *slot.lock().expect("chunk slot poisoned") = Some(chunk);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        runner.run_chunks(jobs);
-        let chunks = slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("chunk slot poisoned")
-                    .expect("runner dropped a chunk job")
-            })
-            .collect();
-        Self::from_chunks(design, cycles, chunks)
-    }
-
-    /// Phase one of the parallel compile: drains `cycles + 1` words
+    /// Phase one of the chunked compile: drains `cycles + 1` words
     /// from `trace` — the priming `prev` word plus one per cycle,
     /// exactly the word protocol of [`CompiledTrace::compile`] — into a
     /// buffer the analysis chunks index into (`words[c]`/`words[c + 1]`
@@ -364,8 +271,9 @@ impl CompiledTrace {
         words
     }
 
-    /// Phase two of the parallel compile: classifies the `len` cycles
-    /// starting at `start` against `design`'s bus. Pure in
+    /// Phase two of the chunked compile: classifies the `len` cycles
+    /// starting at `start` against `design`'s bus, through the same
+    /// per-cycle loop as [`CompiledTrace::compile`]. Pure in
     /// `(design, words, start, len)` — safe to run chunks in any order
     /// on any thread. Each chunk gets its own cycle cache (results are
     /// cache-invariant, so chunk boundaries cannot show).
@@ -380,25 +288,10 @@ impl CompiledTrace {
         start: usize,
         len: usize,
     ) -> CompiledChunk {
-        let mut analyzer = design.bus().analyzer();
-        let mut toggles = Vec::with_capacity(len);
-        let mut bins = Vec::with_capacity(len);
-        let mut switched = Vec::with_capacity(len);
-        for c in start..start + len {
-            let a = analyzer.analyze(words[c], words[c + 1]);
-            let (t, b, s) = classify(&a);
-            toggles.push(t);
-            bins.push(b);
-            switched.push(s);
-        }
-        CompiledChunk {
-            toggles,
-            bins,
-            switched,
-        }
+        classify_words(design, len, words[start..=start + len].iter().copied())
     }
 
-    /// Final phase of the parallel compile: concatenates slot-ordered
+    /// Final phase of the chunked compile: concatenates slot-ordered
     /// chunks into the struct-of-arrays layout. `chunks` must cover
     /// exactly `cycles` cycles in cycle order.
     ///
@@ -409,34 +302,30 @@ impl CompiledTrace {
     pub fn from_chunks(design: &DvsBusDesign, cycles: u64, chunks: Vec<CompiledChunk>) -> Self {
         assert!(cycles > 0, "need at least one cycle");
         let n = usize::try_from(cycles).expect("cycle count fits in memory");
-        let mut toggles = Vec::with_capacity(n);
-        let mut bins = Vec::with_capacity(n);
-        let mut switched = Vec::with_capacity(n);
+        let mut whole = CompiledChunk {
+            toggles: Vec::with_capacity(n),
+            bins: Vec::with_capacity(n),
+            switched: Vec::with_capacity(n),
+        };
         for c in chunks {
-            toggles.extend_from_slice(&c.toggles);
-            bins.extend_from_slice(&c.bins);
-            switched.extend_from_slice(&c.switched);
+            whole.toggles.extend_from_slice(&c.toggles);
+            whole.bins.extend_from_slice(&c.bins);
+            whole.switched.extend_from_slice(&c.switched);
         }
         assert_eq!(
-            toggles.len(),
+            whole.cycles(),
             n,
             "assembled chunks do not cover the cycle count"
         );
-        Self::from_arrays(design, cycles, toggles, bins, switched)
+        Self::from_arrays(design, cycles, whole)
     }
 
-    fn from_arrays(
-        design: &DvsBusDesign,
-        cycles: u64,
-        toggles: Vec<u8>,
-        bins: Vec<u16>,
-        switched: Vec<f64>,
-    ) -> Self {
+    fn from_arrays(design: &DvsBusDesign, cycles: u64, arrays: CompiledChunk) -> Self {
         Self {
             cycles,
-            toggles,
-            bins,
-            switched,
+            toggles: arrays.toggles,
+            bins: arrays.bins,
+            switched: arrays.switched,
             n_bits: design.bus().layout().n_bits() as u32,
             worst_load_ff: design.bus().worst_effective_cap_per_mm().ff(),
             best_load_ff: design.bus().best_effective_cap_per_mm().ff(),
@@ -544,6 +433,34 @@ impl CompiledTrace {
     }
 }
 
+/// The per-cycle classification loop behind both compile routes:
+/// `words` yields the priming `prev` word, then one word per cycle, for
+/// `len` cycles. [`CompiledTrace::compile`] feeds it straight from the
+/// trace, [`CompiledTrace::analyze_chunk`] from a drained word slice.
+fn classify_words(
+    design: &DvsBusDesign,
+    len: usize,
+    mut words: impl Iterator<Item = u32>,
+) -> CompiledChunk {
+    let mut analyzer = design.bus().analyzer();
+    let mut toggles = Vec::with_capacity(len);
+    let mut bins = Vec::with_capacity(len);
+    let mut switched = Vec::with_capacity(len);
+    let mut prev = words.next().expect("a priming word");
+    for cur in words {
+        let (t, b, s) = classify(&analyzer.analyze(prev, cur));
+        prev = cur;
+        toggles.push(t);
+        bins.push(b);
+        switched.push(s);
+    }
+    CompiledChunk {
+        toggles,
+        bins,
+        switched,
+    }
+}
+
 /// One cycle's analysis as the stored tuple. The narrowings are
 /// checked: a bus wider than `u8::MAX` wires or a histogram wider than
 /// `u16::MAX` bins must fail loudly here, not wrap into silently wrong
@@ -577,57 +494,50 @@ mod tests {
         let _ = compile_chunk_cycles_from(Some("0".into()));
     }
 
+    /// The chunked route by hand: drain, analyze `chunk`-cycle ranges,
+    /// assemble in cycle order.
+    fn staged<S: TraceSource>(
+        design: &DvsBusDesign,
+        trace: &mut S,
+        cycles: u64,
+        chunk: usize,
+    ) -> CompiledTrace {
+        let words = CompiledTrace::drain_words(trace, cycles);
+        let n = words.len() - 1;
+        let chunks = (0..n)
+            .step_by(chunk)
+            .map(|start| CompiledTrace::analyze_chunk(design, &words, start, chunk.min(n - start)))
+            .collect();
+        CompiledTrace::from_chunks(design, cycles, chunks)
+    }
+
     #[test]
     fn chunked_compile_matches_serial_bitwise() {
-        // The parallel pipeline's contract: any chunk size — one cycle
-        // per chunk, a prime that never divides the cycle count, the
+        // The chunked route's contract: any chunk size — one cycle per
+        // chunk, a prime that never divides the cycle count, the
         // default, larger than the whole trace — assembles to exactly
-        // the serial compile, across designs and generator families
+        // the streaming compile, across designs and generator families
         // (benchmark mixtures, adversarial storm traffic, uniform
         // random). PartialEq covers every array element and stamp.
+        type Open = fn() -> Box<dyn TraceSource>;
+        let traces: [(&str, Open); 3] = [
+            ("Gap", || Box::new(Benchmark::Gap.trace(11))),
+            ("storm", || {
+                Box::new(razorbus_traces::AdversarialCrosstalk::new(5, 0.9))
+            }),
+            ("random", || Box::new(razorbus_traces::RandomWords::new(17))),
+        ];
         let cycles = 4_096u64;
         for design in [
             DvsBusDesign::paper_default(),
             DvsBusDesign::modified_paper_bus(),
         ] {
-            for chunk in [1usize, 7, 65_536, 5_000] {
-                let serial = CompiledTrace::compile(&design, &mut Benchmark::Gap.trace(11), cycles);
-                let chunked = CompiledTrace::compile_chunked(
-                    &design,
-                    &mut Benchmark::Gap.trace(11),
-                    cycles,
-                    chunk,
-                    &SerialChunks,
-                );
-                assert_eq!(serial, chunked, "Gap, chunk {chunk}");
-
-                let serial = CompiledTrace::compile(
-                    &design,
-                    &mut razorbus_traces::AdversarialCrosstalk::new(5, 0.9),
-                    cycles,
-                );
-                let chunked = CompiledTrace::compile_chunked(
-                    &design,
-                    &mut razorbus_traces::AdversarialCrosstalk::new(5, 0.9),
-                    cycles,
-                    chunk,
-                    &SerialChunks,
-                );
-                assert_eq!(serial, chunked, "storm, chunk {chunk}");
-
-                let serial = CompiledTrace::compile(
-                    &design,
-                    &mut razorbus_traces::RandomWords::new(17),
-                    cycles,
-                );
-                let chunked = CompiledTrace::compile_chunked(
-                    &design,
-                    &mut razorbus_traces::RandomWords::new(17),
-                    cycles,
-                    chunk,
-                    &SerialChunks,
-                );
-                assert_eq!(serial, chunked, "random, chunk {chunk}");
+            for (name, open) in traces {
+                let serial = CompiledTrace::compile(&design, &mut open(), cycles);
+                for chunk in [1usize, 7, 65_536, 5_000] {
+                    let chunked = staged(&design, &mut open(), cycles, chunk);
+                    assert_eq!(serial, chunked, "{name}, chunk {chunk}");
+                }
             }
         }
     }

@@ -1,11 +1,12 @@
-//! Property tests for the parallel compile pipeline: any chunking of
-//! any trace assembles bit-identically to the serial
+//! Property tests for the chunked compile route: any chunking of any
+//! trace, drained with `drain_words`, analyzed with `analyze_chunk` and
+//! assembled with `from_chunks`, is bit-identical to the streaming
 //! `CompiledTrace::compile`, with the chunk-boundary `prev`-word seams
 //! (cycle `k*chunk` reading the last word of the previous chunk)
 //! exercised at randomized cycle counts and chunk sizes.
 
 use proptest::prelude::*;
-use razorbus_core::{CompiledTrace, DvsBusDesign, SerialChunks};
+use razorbus_core::{CompiledTrace, DvsBusDesign};
 use razorbus_traces::{RandomWords, TraceRecording, TraceSource};
 
 use std::sync::OnceLock;
@@ -21,7 +22,7 @@ fn designs() -> &'static Vec<(&'static str, DvsBusDesign)> {
 }
 
 /// A recorded word stream replayable any number of times: the chunked
-/// and serial compiles must consume identical words.
+/// and streaming compiles must consume identical words.
 fn record(seed: u64, cycles: u64) -> TraceRecording {
     TraceRecording::capture(
         &mut RandomWords::new(seed),
@@ -30,7 +31,7 @@ fn record(seed: u64, cycles: u64) -> TraceRecording {
 }
 
 proptest! {
-    /// Chunked ≡ serial at arbitrary (cycles, chunk) combinations —
+    /// Chunked ≡ streaming at arbitrary (cycles, chunk) combinations —
     /// including chunk = 1 (every cycle a seam), chunks that divide the
     /// count, chunks that leave a short tail, and chunks beyond the
     /// whole trace. `PartialEq` covers every array element and stamp,
@@ -40,18 +41,18 @@ proptest! {
         let recording = record(seed, cycles);
         for (name, design) in designs() {
             let serial = CompiledTrace::compile(design, &mut recording.replay(), cycles);
-            let chunked = CompiledTrace::compile_chunked(
-                design,
-                &mut recording.replay(),
-                cycles,
-                chunk,
-                &SerialChunks,
-            );
+            let words = CompiledTrace::drain_words(&mut recording.replay(), cycles);
+            let n = words.len() - 1;
+            let chunks = (0..n)
+                .step_by(chunk)
+                .map(|start| CompiledTrace::analyze_chunk(design, &words, start, chunk.min(n - start)))
+                .collect();
+            let chunked = CompiledTrace::from_chunks(design, cycles, chunks);
             prop_assert_eq!(&serial, &chunked, "{}: cycles {}, chunk {}", name, cycles, chunk);
         }
     }
 
-    /// The drained word buffer is exactly the serial path's word
+    /// The drained word buffer is exactly the streaming path's word
     /// protocol: `cycles + 1` words in stream order, the first priming
     /// `prev`.
     #[test]

@@ -25,7 +25,9 @@
 //! and suite summary passes split into one job per benchmark with a
 //! slot-ordered merge (the last finisher assembles in
 //! [`razorbus_traces::Benchmark::ALL`] order), so a small campaign's
-//! parallelism is no longer capped at its member count. Every job
+//! parallelism is no longer capped at its member count. A compile
+//! streams in one pass when the pool has one worker or its stream fits
+//! in one chunk, and otherwise splits into chunk jobs. Every job
 //! writes into a pre-assigned result slot, so scheduling order never
 //! touches the output — results are bit-identical at any worker count
 //! (pinned by a test below).
@@ -183,10 +185,10 @@ enum CompiledWorkload {
 
 /// A chunked compile in flight: the serially drained word buffer plus
 /// the slot-ordered chunk assembly. `Compile`/`CompileBench` handlers
-/// build one of these when a stream spans more than one chunk, spawn a
-/// [`Job::CompileChunk`] per chunk, and the last chunk to finish
-/// assembles the trace and completes the compile exactly as the
-/// unchunked path would.
+/// build one of these when a stream spans more than one chunk on a
+/// pool of more than one worker, spawn a [`Job::CompileChunk`] per
+/// chunk, and the last chunk to finish assembles the trace and
+/// completes the compile exactly as the streaming route would.
 struct ChunkJob {
     /// Index into the plan's `compile_jobs`.
     c: usize,
@@ -195,8 +197,6 @@ struct ChunkJob {
     bench: Option<usize>,
     /// `cycles + 1` words: cycle `k` reads `(words[k], words[k + 1])`.
     words: Vec<u32>,
-    /// Cycles per chunk (every chunk but the last).
-    chunk_cycles: usize,
     /// Per-chunk assembly slots, filled in any order, taken whole by
     /// the last finisher in chunk (= cycle) order.
     slots: Mutex<BenchSlots<CompiledChunk>>,
@@ -209,12 +209,12 @@ struct ChunkJob {
 /// spawns for each cycle chunk — both interleave with every other job
 /// on the pool.
 enum Job {
-    /// Drain `compile_jobs[i]`'s single-stream workload and spawn its
-    /// analysis chunks (or finish directly when one chunk covers it).
+    /// Compile `compile_jobs[i]`'s single-stream workload: stream it,
+    /// or drain it and spawn its analysis chunks.
     Compile(usize),
-    /// Drain benchmark `b` of suite compile job `c` and spawn its
-    /// analysis chunks; the last bench to finish assembles the suite
-    /// and spawns its replays.
+    /// Compile benchmark `b` of suite compile job `c` the same way;
+    /// the last bench to finish assembles the suite and spawns its
+    /// replays.
     CompileBench(usize, usize),
     /// Analyze chunk `k` of an in-flight chunked compile; the last
     /// chunk to finish assembles the trace and completes the compile.
@@ -535,46 +535,23 @@ impl ScenarioSet {
     /// `RAZORBUS_COMPILE_BUDGET_MB`, or a `RAZORBUS_THREADS` or
     /// `RAZORBUS_COMPILE_CHUNK` that is not a positive integer.
     pub fn run(&self) -> Result<ScenarioSetRun, String> {
-        self.run_with_designs(Vec::new())
+        self.run_with_workers(Vec::new(), true, None)
     }
 
-    /// Like [`ScenarioSet::run`], with caller-supplied designs for some
-    /// (or all) of the member [`DesignSpec`]s, so a caller that already
-    /// holds a design skips its `BusTables::build`. Specs without a
-    /// prebuilt entry are built as usual.
+    /// [`ScenarioSet::run`] with the executor's options explicit:
     ///
-    /// # Errors
-    ///
-    /// Same as [`ScenarioSet::run`].
-    pub fn run_with_designs(
-        &self,
-        prebuilt: Vec<(DesignSpec, DvsBusDesign)>,
-    ) -> Result<ScenarioSetRun, String> {
-        self.run_with_options(prebuilt, true)
-    }
-
-    /// The fully-parameterized executor entry point:
-    /// `share_compiled = false` disables compiled-trace sharing, forcing
-    /// every loop job onto the live `analyze_cycle` path — the
-    /// comparison baseline CI uses to pin the shared path bit-identical
-    /// (`repro scenario <name> --no-compiled`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScenarioSet::run`].
-    pub fn run_with_options(
-        &self,
-        prebuilt: Vec<(DesignSpec, DvsBusDesign)>,
-        share_compiled: bool,
-    ) -> Result<ScenarioSetRun, String> {
-        self.run_with_workers(prebuilt, share_compiled, None)
-    }
-
-    /// [`ScenarioSet::run_with_options`] with an explicit pool size:
-    /// `workers = Some(n)` pins the executor to `n` workers, bypassing
-    /// `RAZORBUS_THREADS` and the hardware default — how `bench_report`
-    /// measures 1/2/N-worker scaling in one process, and how the tests
-    /// pin results bit-identical across worker counts.
+    /// * `prebuilt` supplies designs for some (or all) of the member
+    ///   [`DesignSpec`]s, so a caller that already holds a design skips
+    ///   its `BusTables::build`; specs without an entry build as usual.
+    /// * `share_compiled = false` disables compiled-trace sharing,
+    ///   forcing every loop job onto the live `analyze_cycle` path —
+    ///   the comparison baseline CI uses to pin the shared path
+    ///   bit-identical (`repro scenario <name> --no-compiled`).
+    /// * `workers = Some(n)` pins the pool to `n` workers, bypassing
+    ///   `RAZORBUS_THREADS` and the hardware default — how
+    ///   `bench_report` measures 1/2/N-worker scaling in one process,
+    ///   and how the tests pin results bit-identical across worker
+    ///   counts.
     ///
     /// # Errors
     ///
@@ -601,6 +578,12 @@ impl ScenarioSet {
     /// `RAZORBUS_NO_FUSED`, `fanin` overrides `RAZORBUS_REPLAY_FANIN`)
     /// — lets the chunk-size and fused/solo differential tests run
     /// without mutating process globals.
+    ///
+    /// Each shared compile takes one of two routes, by one rule: it
+    /// streams through [`CompiledTrace::compile`] when the pool has one
+    /// worker or the stream fits in one chunk (`cycles <=
+    /// chunk_cycles`), and otherwise drains its words and spawns one
+    /// [`Job::CompileChunk`] per chunk. Both routes give the same bytes.
     fn run_full(
         &self,
         prebuilt: Vec<(DesignSpec, DvsBusDesign)>,
@@ -611,8 +594,6 @@ impl ScenarioSet {
         fanin: Option<usize>,
     ) -> Result<ScenarioSetRun, String> {
         let budget = compile_budget()?;
-        // Resolved once: a one-worker pool also routes compiles onto
-        // the streaming serial path (no chunk bookkeeping to win back).
         let n_workers = pool::worker_count(workers)?;
         let fanin = match fanin {
             Some(fanin) => fanin,
@@ -854,85 +835,51 @@ impl ScenarioSet {
                 }
             };
 
-        // A serially drained word buffer: classify it in one piece when
-        // a single chunk covers it (no assembly detour), otherwise
-        // spawn one `CompileChunk` continuation per chunk — stolen by
-        // idle workers like any other job.
-        let spawn_chunks =
-            |c: usize, bench: Option<usize>, words: Vec<u32>, spawner: &pool::Spawner<'_, Job>| {
-                let key = &compile_jobs[c];
-                let design = &designs[key.design_idx];
-                let n = words.len() - 1;
-                let n_chunks = n.div_ceil(chunk_cycles.max(1));
-                if n_chunks <= 1 {
-                    let chunk = CompiledTrace::analyze_chunk(design, &words, 0, n);
-                    let compiled =
-                        Arc::new(CompiledTrace::from_chunks(design, key.cycles, vec![chunk]));
-                    finish_compile(c, bench, compiled, spawner);
+        // Starts compile `c` (benchmark `bench` of a suite compile):
+        // stream it in one pass when nothing can run beside it or one
+        // chunk covers it, otherwise drain its words and spawn one
+        // `CompileChunk` continuation per chunk — stolen by idle
+        // workers like any other job.
+        let start_compile = |c: usize, bench: Option<usize>, spawner: &pool::Spawner<'_, Job>| {
+            let key = &compile_jobs[c];
+            let design = &designs[key.design_idx];
+            let mut trace = match open_trace(key, bench) {
+                Ok(trace) => trace,
+                Err(e) => {
+                    let mut slots = loops.lock().expect("loop results");
+                    for &i in &replayers[c] {
+                        slots[i] = Some(Err(e.clone()));
+                    }
                     return;
                 }
-                let job = Arc::new(ChunkJob {
-                    c,
-                    bench,
-                    words,
-                    chunk_cycles: chunk_cycles.max(1),
-                    slots: Mutex::new(BenchSlots::new(n_chunks)),
-                });
-                for k in 0..n_chunks {
-                    spawner.spawn(Job::CompileChunk(Arc::clone(&job), k));
-                }
             };
+            if n_workers == 1 || key.cycles <= chunk_cycles as u64 {
+                let compiled = CompiledTrace::compile(design, &mut trace, key.cycles);
+                finish_compile(c, bench, Arc::new(compiled), spawner);
+                return;
+            }
+            let words = CompiledTrace::drain_words(&mut trace, key.cycles);
+            let n_chunks = (words.len() - 1).div_ceil(chunk_cycles);
+            let job = Arc::new(ChunkJob {
+                c,
+                bench,
+                words,
+                slots: Mutex::new(BenchSlots::new(n_chunks)),
+            });
+            for k in 0..n_chunks {
+                spawner.spawn(Job::CompileChunk(Arc::clone(&job), k));
+            }
+        };
 
         let initial = initial_feed(&loop_jobs, &compile_jobs, &summary_jobs);
         pool::run(n_workers, initial, |job, spawner| match job {
-            Job::Compile(c) => {
-                let key = &compile_jobs[c];
-                // One worker: no chunk parallelism to exploit, so
-                // stream the compile in a single pass (no word
-                // buffer, no chunk assembly) — bit-identical by the
-                // chunk differentials.
-                if n_workers == 1 {
-                    match compile_stream_serial(&designs[key.design_idx], key) {
-                        Ok(compiled) => finish_compile(c, None, Arc::new(compiled), spawner),
-                        Err(e) => {
-                            let mut slots = loops.lock().expect("loop results");
-                            for &i in &replayers[c] {
-                                slots[i] = Some(Err(e.clone()));
-                            }
-                        }
-                    }
-                    return;
-                }
-                match drain_stream_words(key) {
-                    Ok(words) => spawn_chunks(c, None, words, spawner),
-                    Err(e) => {
-                        let mut slots = loops.lock().expect("loop results");
-                        for &i in &replayers[c] {
-                            slots[i] = Some(Err(e.clone()));
-                        }
-                    }
-                }
-            }
-            Job::CompileBench(c, b) => {
-                let key = &compile_jobs[c];
-                if n_workers == 1 {
-                    let compiled = CompiledTrace::compile(
-                        &designs[key.design_idx],
-                        &mut Benchmark::ALL[b].trace(key.seed),
-                        key.cycles,
-                    );
-                    finish_compile(c, Some(b), Arc::new(compiled), spawner);
-                    return;
-                }
-                let words =
-                    CompiledTrace::drain_words(&mut Benchmark::ALL[b].trace(key.seed), key.cycles);
-                spawn_chunks(c, Some(b), words, spawner);
-            }
+            Job::Compile(c) => start_compile(c, None, spawner),
+            Job::CompileBench(c, b) => start_compile(c, Some(b), spawner),
             Job::CompileChunk(job, k) => {
                 let key = &compile_jobs[job.c];
                 let design = &designs[key.design_idx];
-                let start = k * job.chunk_cycles;
-                let len = job.chunk_cycles.min(job.words.len() - 1 - start);
+                let start = k * chunk_cycles;
+                let len = chunk_cycles.min(job.words.len() - 1 - start);
                 let chunk = CompiledTrace::analyze_chunk(design, &job.words, start, len);
                 let done = job
                     .slots
@@ -1001,8 +948,11 @@ impl ScenarioSet {
             }
             Job::Summary(s) => {
                 let job = &summary_jobs[s];
-                summaries.lock().expect("summary results")[s] =
-                    Some(run_summary_job(&designs[job.design_idx], job));
+                let sweep = open_trace(job, None).map(|mut trace| {
+                    let design = &designs[job.design_idx];
+                    SweepData::Summary(TraceSummary::collect(design, &mut trace, job.cycles))
+                });
+                summaries.lock().expect("summary results")[s] = Some(sweep);
             }
             Job::SummaryBench(s, b) => {
                 let key = &summary_jobs[s];
@@ -1084,40 +1034,18 @@ impl ScenarioSet {
     }
 }
 
-/// Drains one shared single-stream workload's words (the serial phase
-/// of a chunked compile — RNG streams stay sequential, so seeds
-/// produce exactly the live path's words). Suite workloads never reach
-/// here — they split into per-benchmark [`Job::CompileBench`] jobs.
-fn drain_stream_words(key: &SummaryKey) -> Result<Vec<u32>, String> {
-    match &key.workload {
-        WorkloadSpec::Suite => unreachable!("suite compiles split into per-benchmark jobs"),
-        WorkloadSpec::Single(benchmark) => Ok(CompiledTrace::drain_words(
-            &mut benchmark.trace(key.seed),
-            key.cycles,
-        )),
-        WorkloadSpec::Recipe(recipe) => {
-            let mut trace = recipe.build_trace(key.seed)?;
-            Ok(CompiledTrace::drain_words(&mut trace, key.cycles))
-        }
-    }
-}
-
-/// Compiles one single-stream workload in one streaming pass — the
-/// one-worker fast path, where chunk assembly buys nothing (pinned
-/// bit-identical to the chunked path by the differential tests in
-/// `compile.rs` and `razorbus-core`).
-fn compile_stream_serial(design: &DvsBusDesign, key: &SummaryKey) -> Result<CompiledTrace, String> {
-    match &key.workload {
-        WorkloadSpec::Suite => unreachable!("suite compiles split into per-benchmark jobs"),
-        WorkloadSpec::Single(benchmark) => Ok(CompiledTrace::compile(
-            design,
-            &mut benchmark.trace(key.seed),
-            key.cycles,
-        )),
-        WorkloadSpec::Recipe(recipe) => {
-            let mut trace = recipe.build_trace(key.seed)?;
-            Ok(CompiledTrace::compile(design, &mut trace, key.cycles))
-        }
+/// Opens the trace of one compile or summary key: benchmark `bench` of
+/// a suite key, or the key's single stream. Recipe errors surface here
+/// as an `Err`.
+fn open_trace(
+    key: &SummaryKey,
+    bench: Option<usize>,
+) -> Result<Box<dyn TraceSource + Send>, String> {
+    match (&key.workload, bench) {
+        (WorkloadSpec::Suite, Some(b)) => Ok(Box::new(Benchmark::ALL[b].trace(key.seed))),
+        (WorkloadSpec::Single(benchmark), None) => Ok(Box::new(benchmark.trace(key.seed))),
+        (WorkloadSpec::Recipe(recipe), None) => recipe.build_trace(key.seed),
+        _ => unreachable!("suite keys split into per-benchmark jobs, and only they"),
     }
 }
 
@@ -1231,24 +1159,6 @@ fn run_stream_job<S: TraceSource>(
             report,
         }),
         sweep,
-    }
-}
-
-fn run_summary_job(design: &DvsBusDesign, job: &SummaryKey) -> Result<SweepData, String> {
-    match &job.workload {
-        WorkloadSpec::Suite => unreachable!("suite summaries split into per-benchmark jobs"),
-        WorkloadSpec::Single(benchmark) => {
-            let mut trace = benchmark.trace(job.seed);
-            Ok(SweepData::Summary(TraceSummary::collect(
-                design, &mut trace, job.cycles,
-            )))
-        }
-        WorkloadSpec::Recipe(recipe) => {
-            let mut trace = recipe.build_trace(job.seed)?;
-            Ok(SweepData::Summary(TraceSummary::collect(
-                design, &mut trace, job.cycles,
-            )))
-        }
     }
 }
 
@@ -1573,8 +1483,8 @@ mod tests {
             GovernorSpec::Fixed(razorbus_units::Millivolts::new(1_100)),
         ])];
         let set = ScenarioSet::single(spec);
-        let shared = set.run_with_options(Vec::new(), true).unwrap();
-        let live = set.run_with_options(Vec::new(), false).unwrap();
+        let shared = set.run_with_workers(Vec::new(), true, None).unwrap();
+        let live = set.run_with_workers(Vec::new(), false, None).unwrap();
         assert_eq!(shared.result, live.result);
     }
 
@@ -1608,28 +1518,61 @@ mod tests {
 
     #[test]
     fn results_are_bit_identical_across_compile_chunk_sizes() {
-        // The chunked compile path must be invisible in campaign
-        // results: a chunk smaller than the trace (many CompileChunk
-        // continuations interleaving with replays), an awkward prime,
-        // and the 64k default (one chunk covers everything — the
-        // unchunked fast path) all assemble the same bytes, serial and
-        // pooled.
-        let mut spec = member("chunked", AnalysisSpec::Full, CornerSpec::Typical);
-        spec.run.cycles_per_benchmark = 2_000;
-        spec.sweep = vec![SweepAxis::Governors(vec![
+        // The compile route must be invisible in campaign results, on
+        // both sides of the stream-or-chunk rule: chunks smaller than
+        // the trace (many CompileChunk continuations interleaving with
+        // replays), an awkward prime, and chunks that cover a whole
+        // stream (it streams) — serial and pooled. Inputs: a suite, and
+        // a single-stream mixed-traffic recipe at one length below and
+        // one above the 2 000-cycle chunk, whose members mix fused
+        // fixed-supply replays with a closed-loop solo replay. Every
+        // run must equal the live path bitwise.
+        use crate::spec::{DmaProfile, IdleProfile, MixProfile, StormProfile, TrafficRecipe};
+        use razorbus_units::Millivolts;
+        let mut suite = member("suite", AnalysisSpec::Full, CornerSpec::Typical);
+        suite.run.cycles_per_benchmark = 2_000;
+        suite.sweep = vec![SweepAxis::Governors(vec![
             GovernorSpec::Threshold,
             GovernorSpec::Proportional,
         ])];
-        let set = ScenarioSet::single(spec);
-        let baseline = set
-            .run_full(Vec::new(), true, Some(1), 65_536, None, None)
+        let mut recipe = member("recipe", AnalysisSpec::ClosedLoop, CornerSpec::Typical);
+        recipe.workload = WorkloadSpec::Recipe(TrafficRecipe::Mixed(MixProfile {
+            dma: DmaProfile {
+                mean_burst: 200,
+                mean_idle: 400,
+                housekeeping_permille: 10,
+            },
+            dma_words: 300,
+            idle: IdleProfile {
+                nonzero_permille: 50,
+            },
+            idle_words: 300,
+            storm: StormProfile {
+                aggression_permille: 120,
+            },
+            storm_words: 200,
+        }));
+        recipe.sweep = vec![
+            SweepAxis::Cycles(vec![1_500, 2_500]),
+            SweepAxis::Governors(vec![
+                GovernorSpec::Threshold,
+                GovernorSpec::Fixed(Millivolts::new(1_000)),
+                GovernorSpec::Fixed(Millivolts::new(960)),
+            ]),
+        ];
+        let set = ScenarioSet {
+            name: "chunked".to_string(),
+            members: vec![suite, recipe],
+        };
+        let live = set
+            .run_full(Vec::new(), false, Some(1), 65_536, None, None)
             .unwrap();
-        for chunk in [127usize, 500] {
+        for chunk in [127usize, 500, 2_000, 65_536] {
             for workers in [Some(1), Some(2), None] {
                 let run = set
                     .run_full(Vec::new(), true, workers, chunk, None, None)
                     .unwrap();
-                assert_eq!(baseline.result, run.result, "chunk {chunk}, {workers:?}");
+                assert_eq!(live.result, run.result, "chunk {chunk}, {workers:?}");
             }
         }
     }
@@ -1645,9 +1588,9 @@ mod tests {
             SweepAxis::Governors(vec![GovernorSpec::Threshold, GovernorSpec::Proportional]),
         ];
         let set = ScenarioSet::single(spec);
-        let shared = set.run_with_options(Vec::new(), true).unwrap();
+        let shared = set.run_with_workers(Vec::new(), true, None).unwrap();
         assert_eq!(shared.result.members.len(), 4);
-        let live = set.run_with_options(Vec::new(), false).unwrap();
+        let live = set.run_with_workers(Vec::new(), false, None).unwrap();
         assert_eq!(shared.result, live.result);
         // Different seeds really produce different trajectories.
         let a = shared.result.member("bands#seed3+threshold").unwrap();
@@ -1675,7 +1618,7 @@ mod tests {
         let plan = plan_compile_jobs(&jobs, DEFAULT_COMPILE_BUDGET);
         assert_eq!(plan, vec![jobs[0].summary_key()]);
         // A zero budget compiles nothing — the executor falls back to
-        // the live path (which `run_with_options(.., false)` pins
+        // the live path (which `run_with_workers(.., false, ..)` pins
         // bit-identical to the shared one above).
         assert!(plan_compile_jobs(&jobs, 0).is_empty());
         // The budget is cumulative: once the suite's footprint is

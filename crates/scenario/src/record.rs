@@ -179,7 +179,7 @@ impl CampaignRecording {
         set: &ScenarioSet,
         share_compiled: bool,
     ) -> Result<(Self, ScenarioSetRun), String> {
-        let run = set.run_with_options(Vec::new(), share_compiled)?;
+        let run = set.run_with_workers(Vec::new(), share_compiled, None)?;
         let recording = Self::from_run(set, &run.result, share_compiled)?;
         Ok((recording, run))
     }
@@ -365,7 +365,9 @@ impl CampaignRecording {
     pub fn replay_with_sharing(&self, share_compiled: bool) -> Result<ReplayReport, String> {
         self.verify_versions()?;
         self.verify_self_consistent()?;
-        let run = self.set.run_with_options(Vec::new(), share_compiled)?;
+        let run = self
+            .set
+            .run_with_workers(Vec::new(), share_compiled, None)?;
         self.diff(&run.result)
     }
 
