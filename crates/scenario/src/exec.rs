@@ -80,11 +80,12 @@ pub struct ScenarioSetRun {
 
 /// Everything that identifies one closed-loop simulation. Compares and
 /// hashes through [`LoopKey::identity`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct LoopKey {
     design_idx: usize,
     corner: PvtCorner,
-    workload: WorkloadSpec,
+    /// Index into the plan's interned workloads.
+    workload: usize,
     controller: ControllerSpec,
     cycles: u64,
     seed: u64,
@@ -92,23 +93,13 @@ struct LoopKey {
 
 /// Everything that identifies one sweep histogram (corner- and
 /// controller-independent).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SummaryKey {
     design_idx: usize,
-    workload: WorkloadSpec,
+    /// Index into the plan's interned workloads.
+    workload: usize,
     cycles: u64,
     seed: u64,
-}
-
-impl SummaryKey {
-    fn of(m: &ScenarioSpec, design_idx: usize) -> Self {
-        Self {
-            design_idx,
-            workload: m.workload.clone(),
-            cycles: m.run.cycles_per_benchmark,
-            seed: m.run.seed,
-        }
-    }
 }
 
 /// A [`PvtCorner`] as a hashable value: the temperature goes by its
@@ -116,11 +107,11 @@ impl SummaryKey {
 type CornerId = (ProcessCorner, u64, IrDrop);
 
 impl LoopKey {
-    fn of(m: &ScenarioSpec, design_idx: usize) -> Self {
+    fn of(m: &ScenarioSpec, design_idx: usize, workload: usize) -> Self {
         Self {
             design_idx,
             corner: m.run.corner.resolve(),
-            workload: m.workload.clone(),
+            workload,
             controller: m.controller,
             cycles: m.run.cycles_per_benchmark,
             seed: m.run.seed,
@@ -131,12 +122,12 @@ impl LoopKey {
     /// temperature is keyed by `to_bits`: for every non-NaN value that
     /// groups exactly as its shortest-round-trip `Debug` rendering
     /// would, and it keeps `-0.0` apart from `0.0`.
-    fn identity(&self) -> (usize, CornerId, &WorkloadSpec, ControllerSpec, u64, u64) {
+    fn identity(&self) -> (usize, CornerId, usize, ControllerSpec, u64, u64) {
         let c = self.corner;
         (
             self.design_idx,
             (c.process, c.temperature.celsius().to_bits(), c.ir),
-            &self.workload,
+            self.workload,
             self.controller,
             self.cycles,
             self.seed,
@@ -146,7 +137,7 @@ impl LoopKey {
     fn summary_key(&self) -> SummaryKey {
         SummaryKey {
             design_idx: self.design_idx,
-            workload: self.workload.clone(),
+            workload: self.workload,
             cycles: self.cycles,
             seed: self.seed,
         }
@@ -164,6 +155,37 @@ impl Eq for LoopKey {}
 impl Hash for LoopKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.identity().hash(state);
+    }
+}
+
+/// Dense ids in first-appearance order: equal values share an id. A
+/// run of equal values costs one comparison each instead of a hash.
+struct Interner<T> {
+    ids: HashMap<T, usize>,
+    values: Vec<T>,
+    last: Option<usize>,
+}
+
+impl<T: Hash + Eq + Clone> Interner<T> {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            ids: HashMap::with_capacity(n),
+            values: Vec::with_capacity(n),
+            last: None,
+        }
+    }
+
+    fn id(&mut self, value: T) -> usize {
+        if let Some(last) = self.last.filter(|&last| self.values[last] == value) {
+            return last;
+        }
+        let values = &mut self.values;
+        let id = *self.ids.entry(value).or_insert_with_key(|value| {
+            values.push(value.clone());
+            values.len() - 1
+        });
+        self.last = Some(id);
+        id
     }
 }
 
@@ -393,96 +415,178 @@ pub(crate) fn compile_budget() -> Result<u64, String> {
     }
 }
 
-/// Estimated resident bytes of compiling `key`'s workload.
-fn compiled_footprint(key: &SummaryKey) -> u64 {
-    let streams = match &key.workload {
+/// Estimated resident bytes of compiling `key`'s workload, saturating
+/// for budgets no memory holds.
+fn compiled_footprint(key: &SummaryKey, workloads: &[WorkloadSpec]) -> u64 {
+    let streams = match &workloads[key.workload] {
         WorkloadSpec::Suite => razorbus_traces::Benchmark::ALL.len() as u64,
         WorkloadSpec::Single(_) | WorkloadSpec::Recipe(_) => 1,
     };
-    streams * key.cycles * COMPILED_BYTES_PER_CYCLE
+    (streams * COMPILED_BYTES_PER_CYCLE).saturating_mul(key.cycles)
 }
 
-/// The compile plan: a (design, workload, cycles, seed) analyzed by two
-/// or more loop jobs (a governor shootout, a corner sweep, `repro
-/// all`'s typical+worst pair, ...) is compiled once and replayed per
-/// job, so the `analyze_cycle` cost is paid once instead of N times.
-/// Single-user keys stay on the live path — compiling would only add
-/// work — as does anything that would blow the compiled-memory
-/// `budget` (bytes).
-fn plan_compile_jobs(loop_jobs: &[LoopKey], budget: u64) -> Vec<SummaryKey> {
-    // Typed hash maps keep planning linear at Monte-Carlo member counts.
-    let mut users: HashMap<SummaryKey, usize> = HashMap::new();
-    for job in loop_jobs {
-        *users.entry(job.summary_key()).or_insert(0) += 1;
-    }
-    let mut compile_jobs: Vec<SummaryKey> = Vec::new();
-    let mut planned: HashSet<SummaryKey> = HashSet::new();
-    let mut footprint = 0u64;
-    for job in loop_jobs {
-        let skey = job.summary_key();
-        if planned.contains(&skey) || users[&skey] < 2 {
-            continue;
-        }
-        let bytes = compiled_footprint(&skey);
-        if footprint + bytes > budget {
-            continue;
-        }
-        footprint += bytes;
-        planned.insert(skey.clone());
-        compile_jobs.push(skey);
-    }
-    compile_jobs
+/// Each spec's index among the distinct specs, and those specs in
+/// first-appearance order.
+fn distinct_designs<'a>(
+    specs: impl Iterator<Item = &'a DesignSpec>,
+) -> (Vec<DesignSpec>, Vec<usize>) {
+    let mut distinct: Vec<DesignSpec> = Vec::new();
+    let ids = specs
+        .map(|spec| {
+            distinct.iter().position(|d| d == spec).unwrap_or_else(|| {
+                distinct.push(*spec);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    (distinct, ids)
 }
 
-/// The deduplicated loop jobs in first-appearance order, and each
-/// member's job (`None` if it needs none). A typed hash map keeps this
-/// linear at Monte-Carlo member counts.
-fn plan_loop_jobs(
-    members: &[ScenarioSpec],
-    design_idx: impl Fn(&DesignSpec) -> usize,
-) -> (Vec<LoopKey>, Vec<Option<usize>>) {
-    let mut loop_jobs: Vec<LoopKey> = Vec::new();
-    let mut loop_idx_by_key: HashMap<LoopKey, usize> = HashMap::new();
-    let mut member_loop: Vec<Option<usize>> = Vec::with_capacity(members.len());
-    for m in members {
-        if !(m.analysis.wants_loop() || m.analysis.wants_aggregate()) {
-            member_loop.push(None);
-            continue;
-        }
-        let key = LoopKey::of(m, design_idx(&m.design));
-        let i = *loop_idx_by_key.entry(key).or_insert_with_key(|key| {
-            loop_jobs.push(key.clone());
-            loop_jobs.len() - 1
-        });
-        member_loop.push(Some(i));
-    }
-    (loop_jobs, member_loop)
+/// How a campaign's members map onto jobs, fixed before the pool
+/// starts. Keys name workloads by their index in `workloads`, so every
+/// map below hashes a few integers per member, never a recipe.
+struct Plan {
+    /// The members' distinct designs, first-appearance order.
+    designs: Vec<DesignSpec>,
+    /// The members' distinct workloads, first-appearance order.
+    workloads: Vec<WorkloadSpec>,
+    /// Deduplicated loop jobs, first-appearance order.
+    loop_jobs: Vec<LoopKey>,
+    /// Each member's loop job (`None` if it needs none).
+    member_loop: Vec<Option<usize>>,
+    /// Each member's sweep source (`None` if it wants no sweep).
+    member_sweep: Vec<Option<SweepSource>>,
+    /// Which loop jobs carry a histogram rider.
+    loop_hist: Vec<bool>,
+    /// Histogram-only passes no loop provides.
+    summary_jobs: Vec<SummaryKey>,
+    /// Shared compiles, first-appearance order.
+    compile_jobs: Vec<SummaryKey>,
+    /// Each loop job's compile (`None` runs live).
+    loop_compile: Vec<Option<usize>>,
 }
 
-/// The initial pool feed, each block in plan order: live (uncompiled)
-/// loops, then compiles, then summary passes, suites split per
-/// benchmark. A live loop cannot split below a whole workload — a suite
-/// loop threads one governor through every benchmark — so it starts
-/// first, and the compiles' stealable chunk jobs fill the pool around it.
-fn initial_feed(
-    loop_jobs: &[LoopKey],
-    compile_jobs: &[SummaryKey],
-    summary_jobs: &[SummaryKey],
-) -> Vec<Job> {
-    let split = |keys: &[SummaryKey], whole: fn(usize) -> Job, bench: fn(usize, usize) -> Job| {
-        let per_key = |(i, key): (usize, &SummaryKey)| match key.workload {
-            WorkloadSpec::Suite => (0..Benchmark::ALL.len()).map(|b| bench(i, b)).collect(),
-            _ => vec![whole(i)],
-        };
-        Vec::from_iter(keys.iter().enumerate().flat_map(per_key))
-    };
-    let compiled: HashSet<&SummaryKey> = compile_jobs.iter().collect();
-    (0..loop_jobs.len())
-        .filter(|&i| !compiled.contains(&loop_jobs[i].summary_key()))
-        .map(Job::Loop)
-        .chain(split(compile_jobs, Job::Compile, Job::CompileBench))
-        .chain(split(summary_jobs, Job::Summary, Job::SummaryBench))
-        .collect()
+impl Plan {
+    /// Plans `members`: deduplicated loop runs, histogram attachment,
+    /// summary-only passes for banks no loop can provide, and — when
+    /// `compile_budget` is given — the compile plan. Loop jobs are
+    /// planned over *all* members first so histogram attachment is
+    /// member-order-independent: a sweep-only member rides a loop
+    /// planned later in the set rather than spawning a redundant trace
+    /// pass. Every step is linear in the member count.
+    fn new(members: &[ScenarioSpec], compile_budget: Option<u64>) -> Self {
+        let (designs, member_design) = distinct_designs(members.iter().map(|m| &m.design));
+        let mut workloads = Interner::with_capacity(1);
+        let member_workload: Vec<usize> =
+            members.iter().map(|m| workloads.id(&m.workload)).collect();
+        let workloads: Vec<WorkloadSpec> = workloads.values.into_iter().cloned().collect();
+
+        let mut loops = Interner::with_capacity(members.len());
+        let member_loop: Vec<Option<usize>> = members
+            .iter()
+            .zip(member_design.iter().zip(&member_workload))
+            .map(|(m, (&d, &w))| {
+                (m.analysis.wants_loop() || m.analysis.wants_aggregate())
+                    .then(|| loops.id(LoopKey::of(m, d, w)))
+            })
+            .collect();
+        let loop_jobs = loops.values;
+
+        // Each loop job's summary key as a dense id; ids count up in
+        // loop order, so a key's first loop is where its id first shows.
+        let mut skeys = Interner::with_capacity(loop_jobs.len());
+        let loop_skey: Vec<usize> = loop_jobs
+            .iter()
+            .map(|job| skeys.id(job.summary_key()))
+            .collect();
+        let mut first_loop: Vec<usize> = Vec::with_capacity(skeys.values.len());
+        for (i, &s) in loop_skey.iter().enumerate() {
+            if s == first_loop.len() {
+                first_loop.push(i);
+            }
+        }
+
+        let mut loop_hist = vec![false; loop_jobs.len()];
+        let mut summaries = Interner::with_capacity(0);
+        let member_sweep = members
+            .iter()
+            .zip(member_design.iter().zip(&member_workload))
+            .map(|(m, (&d, &w))| {
+                if !m.analysis.wants_sweep() {
+                    return None;
+                }
+                let skey = LoopKey::of(m, d, w).summary_key();
+                Some(match skeys.ids.get(&skey) {
+                    Some(&s) => {
+                        loop_hist[first_loop[s]] = true;
+                        SweepSource::Loop(first_loop[s])
+                    }
+                    None => SweepSource::Job(summaries.id(skey)),
+                })
+            })
+            .collect();
+
+        // A (design, workload, cycles, seed) analyzed by two or more
+        // loop jobs (a governor shootout, a corner sweep, `repro all`'s
+        // typical+worst pair, ...) is compiled once and replayed per
+        // job, so the `analyze_cycle` cost is paid once instead of N
+        // times. Single-user keys stay on the live path — compiling
+        // would only add work — as does anything that would blow the
+        // compiled-memory budget (bytes).
+        let mut users = vec![0usize; skeys.values.len()];
+        for &s in &loop_skey {
+            users[s] += 1;
+        }
+        let mut skey_compile: Vec<Option<usize>> = vec![None; skeys.values.len()];
+        let mut compile_jobs = Vec::new();
+        if let Some(budget) = compile_budget {
+            let mut footprint = 0u64;
+            for (s, key) in skeys.values.iter().enumerate() {
+                let bytes = compiled_footprint(key, &workloads);
+                if users[s] < 2 || bytes > budget - footprint {
+                    continue;
+                }
+                footprint += bytes;
+                skey_compile[s] = Some(compile_jobs.len());
+                compile_jobs.push(*key);
+            }
+        }
+
+        Self {
+            designs,
+            workloads,
+            loop_compile: loop_skey.iter().map(|&s| skey_compile[s]).collect(),
+            loop_jobs,
+            member_loop,
+            member_sweep,
+            loop_hist,
+            summary_jobs: summaries.values,
+            compile_jobs,
+        }
+    }
+
+    /// The initial pool feed, each block in plan order: live
+    /// (uncompiled) loops, then compiles, then summary passes, suites
+    /// split per benchmark. A live loop cannot split below a whole
+    /// workload — a suite loop threads one governor through every
+    /// benchmark — so it starts first, and the compiles' stealable
+    /// chunk jobs fill the pool around it.
+    fn initial_feed(&self) -> Vec<Job> {
+        let split =
+            |keys: &[SummaryKey], whole: fn(usize) -> Job, bench: fn(usize, usize) -> Job| {
+                let per_key = |(i, key): (usize, &SummaryKey)| match self.workloads[key.workload] {
+                    WorkloadSpec::Suite => (0..Benchmark::ALL.len()).map(|b| bench(i, b)).collect(),
+                    _ => vec![whole(i)],
+                };
+                Vec::from_iter(keys.iter().enumerate().flat_map(per_key))
+            };
+        (0..self.loop_jobs.len())
+            .filter(|&i| self.loop_compile[i].is_none())
+            .map(Job::Loop)
+            .chain(split(&self.compile_jobs, Job::Compile, Job::CompileBench))
+            .chain(split(&self.summary_jobs, Job::Summary, Job::SummaryBench))
+            .collect()
+    }
 }
 
 impl ScenarioSet {
@@ -502,23 +606,38 @@ impl ScenarioSet {
     ///
     /// Propagates member expansion errors; rejects duplicate names.
     pub fn expand(&self) -> Result<Vec<ScenarioSpec>, String> {
-        let mut out: Vec<ScenarioSpec> = Vec::new();
-        let mut names: HashSet<String> = HashSet::new();
+        // Members expand up to the first error, which only surfaces if
+        // no earlier member resolved to a duplicate name.
+        let mut groups = Vec::with_capacity(self.members.len());
+        let mut failure = None;
         for member in &self.members {
-            for resolved in member.expand()? {
-                if !names.insert(resolved.name.clone()) {
-                    return Err(format!(
-                        "scenario set `{}` expands to duplicate member `{}`",
-                        self.name, resolved.name
-                    ));
+            match member.expand() {
+                Ok(group) => groups.push(group),
+                Err(e) => {
+                    failure = Some(e);
+                    break;
                 }
-                out.push(resolved);
             }
         }
-        if out.is_empty() {
-            return Err(format!("scenario set `{}` has no members", self.name));
+        let total = groups.iter().map(Vec::len).sum();
+        let mut names: HashSet<&str> = HashSet::with_capacity(total);
+        if let Some(dup) = groups.iter().flatten().find(|m| !names.insert(&m.name)) {
+            return Err(format!(
+                "scenario set `{}` expands to duplicate member `{}`",
+                self.name, dup.name
+            ));
         }
-        Ok(out)
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        groups
+            .into_iter()
+            .reduce(|mut out, group| {
+                out.extend(group);
+                out
+            })
+            .filter(|out| !out.is_empty())
+            .ok_or_else(|| format!("scenario set `{}` has no members", self.name))
     }
 
     /// Executes the set: builds each unique design once, deduplicates
@@ -600,14 +719,19 @@ impl ScenarioSet {
             None => replay_fanin()?,
         };
         let members = self.expand()?;
+        let plan = Plan::new(&members, share_compiled.then_some(budget));
+        let Plan {
+            designs: design_specs,
+            workloads,
+            loop_jobs,
+            member_loop,
+            member_sweep,
+            loop_hist,
+            summary_jobs,
+            compile_jobs,
+            loop_compile,
+        } = &plan;
 
-        // Unique designs, first-appearance order.
-        let mut design_specs: Vec<DesignSpec> = Vec::new();
-        for m in &members {
-            if !design_specs.contains(&m.design) {
-                design_specs.push(m.design);
-            }
-        }
         let mut prebuilt: Vec<(DesignSpec, Option<DvsBusDesign>)> = prebuilt
             .into_iter()
             .map(|(spec, design)| (spec, Some(design)))
@@ -621,49 +745,6 @@ impl ScenarioSet {
                 },
             )
             .collect::<Result<Vec<_>, _>>()?;
-
-        let design_idx = |spec: &DesignSpec| {
-            design_specs
-                .iter()
-                .position(|d| d == spec)
-                .expect("design collected above")
-        };
-
-        // Job plan: deduplicated loop runs, histogram attachment, and
-        // summary-only passes for banks no loop can provide. Loop jobs
-        // are planned over *all* members first so histogram attachment
-        // is member-order-independent: a sweep-only member rides a loop
-        // planned later in the set rather than spawning a redundant
-        // trace pass.
-        let (loop_jobs, member_loop) = plan_loop_jobs(&members, design_idx);
-        let mut loop_by_skey: HashMap<SummaryKey, usize> = HashMap::new();
-        for (i, job) in loop_jobs.iter().enumerate() {
-            loop_by_skey.entry(job.summary_key()).or_insert(i);
-        }
-        let mut loop_hist = vec![false; loop_jobs.len()];
-        let mut summary_jobs: Vec<SummaryKey> = Vec::new();
-        let mut summary_idx_by_key: HashMap<SummaryKey, usize> = HashMap::new();
-        let mut member_sweep: Vec<Option<SweepSource>> = Vec::with_capacity(members.len());
-        for m in &members {
-            if !m.analysis.wants_sweep() {
-                member_sweep.push(None);
-                continue;
-            }
-            let skey = SummaryKey::of(m, design_idx(&m.design));
-            match loop_by_skey.get(&skey) {
-                Some(&i) => {
-                    loop_hist[i] = true;
-                    member_sweep.push(Some(SweepSource::Loop(i)));
-                }
-                None => {
-                    let s = *summary_idx_by_key.entry(skey).or_insert_with_key(|skey| {
-                        summary_jobs.push(skey.clone());
-                        summary_jobs.len() - 1
-                    });
-                    member_sweep.push(Some(SweepSource::Job(s)));
-                }
-            }
-        }
 
         // Aggregate ranks: each aggregate-mode member folds into the
         // campaign digest at its position among the set's aggregate
@@ -690,38 +771,32 @@ impl ScenarioSet {
         }
 
         // Build governors (and validate recipes) before spawning, so
-        // every spec-level error surfaces as a clean Err.
-        let mut governors: Vec<Option<BoxedGovernor>> = Vec::new();
-        for job in &loop_jobs {
+        // every spec-level error surfaces as a clean Err. A recipe's
+        // errors do not depend on the seed, so each distinct workload
+        // is validated once, at its first job.
+        let mut validated = vec![false; workloads.len()];
+        let mut validate = |w: usize, seed: u64| {
+            if let (WorkloadSpec::Recipe(recipe), false) = (&workloads[w], validated[w]) {
+                recipe.build_trace(seed)?;
+            }
+            validated[w] = true;
+            Ok::<(), String>(())
+        };
+        let mut governors: Vec<Option<BoxedGovernor>> = Vec::with_capacity(loop_jobs.len());
+        for job in loop_jobs {
             let design = &designs[job.design_idx];
             governors.push(Some(job.controller.build(design, job.corner)?));
-            if let WorkloadSpec::Recipe(recipe) = &job.workload {
-                recipe.build_trace(job.seed)?;
-            }
+            validate(job.workload, job.seed)?;
         }
-        for job in &summary_jobs {
-            if let WorkloadSpec::Recipe(recipe) = &job.workload {
-                recipe.build_trace(job.seed)?;
-            }
+        for job in summary_jobs {
+            validate(job.workload, job.seed)?;
         }
-
-        let compile_jobs = if share_compiled {
-            plan_compile_jobs(&loop_jobs, budget)
-        } else {
-            Vec::new()
-        };
-        let compile_idx_by_key: HashMap<&SummaryKey, usize> = compile_jobs
-            .iter()
-            .enumerate()
-            .map(|(c, k)| (k, c))
-            .collect();
-        let compiled_idx = |job: &LoopKey| compile_idx_by_key.get(&job.summary_key()).copied();
 
         // Which loop indices replay each compiled workload — fixed
         // before the pool starts, drained when the compile finishes.
         let mut replayers: Vec<Vec<usize>> = vec![Vec::new(); compile_jobs.len()];
-        for (i, job) in loop_jobs.iter().enumerate() {
-            if let Some(c) = compiled_idx(job) {
+        for (i, c) in loop_compile.iter().enumerate() {
+            if let Some(c) = *c {
                 replayers[c].push(i);
             }
         }
@@ -734,8 +809,8 @@ impl ScenarioSet {
             .iter()
             .enumerate()
             .map(|(c, key)| {
-                let stream = !matches!(key.workload, WorkloadSpec::Suite);
-                plan_replay_groups(&replayers[c], &loop_jobs, &loop_hist, stream, fuse, fanin)
+                let stream = !matches!(workloads[key.workload], WorkloadSpec::Suite);
+                plan_replay_groups(&replayers[c], loop_jobs, loop_hist, stream, fuse, fanin)
             })
             .collect();
         // Drain the plan on the work-stealing pool, fed in
@@ -764,14 +839,14 @@ impl ScenarioSet {
         let suite_compiles: Vec<SuiteSlots<Arc<CompiledTrace>>> = compile_jobs
             .iter()
             .map(|k| {
-                matches!(k.workload, WorkloadSpec::Suite)
+                matches!(workloads[k.workload], WorkloadSpec::Suite)
                     .then(|| Mutex::new(BenchSlots::new(Benchmark::ALL.len())))
             })
             .collect();
         let suite_summaries: Vec<SuiteSlots<(Benchmark, TraceSummary)>> = summary_jobs
             .iter()
             .map(|k| {
-                matches!(k.workload, WorkloadSpec::Suite)
+                matches!(workloads[k.workload], WorkloadSpec::Suite)
                     .then(|| Mutex::new(BenchSlots::new(Benchmark::ALL.len())))
             })
             .collect();
@@ -843,7 +918,7 @@ impl ScenarioSet {
         let start_compile = |c: usize, bench: Option<usize>, spawner: &pool::Spawner<'_, Job>| {
             let key = &compile_jobs[c];
             let design = &designs[key.design_idx];
-            let mut trace = match open_trace(key, bench) {
+            let mut trace = match open_trace(&workloads[key.workload], key.seed, bench) {
                 Ok(trace) => trace,
                 Err(e) => {
                     let mut slots = loops.lock().expect("loop results");
@@ -871,7 +946,7 @@ impl ScenarioSet {
             }
         };
 
-        let initial = initial_feed(&loop_jobs, &compile_jobs, &summary_jobs);
+        let initial = plan.initial_feed();
         pool::run(n_workers, initial, |job, spawner| match job {
             Job::Compile(c) => start_compile(c, None, spawner),
             Job::CompileBench(c, b) => start_compile(c, Some(b), spawner),
@@ -896,6 +971,7 @@ impl ScenarioSet {
                 let product = run_loop_job(
                     &designs[job.design_idx],
                     job,
+                    &workloads[job.workload],
                     take_governor(i),
                     loop_hist[i],
                 );
@@ -948,10 +1024,11 @@ impl ScenarioSet {
             }
             Job::Summary(s) => {
                 let job = &summary_jobs[s];
-                let sweep = open_trace(job, None).map(|mut trace| {
-                    let design = &designs[job.design_idx];
-                    SweepData::Summary(TraceSummary::collect(design, &mut trace, job.cycles))
-                });
+                let sweep =
+                    open_trace(&workloads[job.workload], job.seed, None).map(|mut trace| {
+                        let design = &designs[job.design_idx];
+                        SweepData::Summary(TraceSummary::collect(design, &mut trace, job.cycles))
+                    });
                 summaries.lock().expect("summary results")[s] = Some(sweep);
             }
             Job::SummaryBench(s, b) => {
@@ -991,9 +1068,10 @@ impl ScenarioSet {
             folder.map(|f| f.into_inner().expect("digest folder").finish());
 
         // Assemble member results in expansion order, through the
-        // member→job maps fixed at planning time.
+        // member→job maps fixed at planning time; each spec moves into
+        // its result.
         let mut results = Vec::with_capacity(members.len());
-        for (mi, m) in members.iter().enumerate() {
+        for (mi, m) in members.into_iter().enumerate() {
             let closed_loop = if m.analysis.wants_loop() {
                 let i = member_loop[mi].expect("loop job planned above");
                 let product = loop_products[i]
@@ -1016,14 +1094,14 @@ impl ScenarioSet {
                 None => None,
             };
             results.push(MemberResult {
-                spec: m.clone(),
+                spec: m,
                 closed_loop,
                 sweep,
             });
         }
 
         Ok(ScenarioSetRun {
-            design_specs,
+            design_specs: design_specs.clone(),
             designs,
             result: ScenarioSetResult {
                 name: self.name.clone(),
@@ -1034,17 +1112,18 @@ impl ScenarioSet {
     }
 }
 
-/// Opens the trace of one compile or summary key: benchmark `bench` of
-/// a suite key, or the key's single stream. Recipe errors surface here
-/// as an `Err`.
+/// Opens the trace of one compile or summary key's workload at `seed`:
+/// benchmark `bench` of a suite, or the single stream. Recipe errors
+/// surface here as an `Err`.
 fn open_trace(
-    key: &SummaryKey,
+    workload: &WorkloadSpec,
+    seed: u64,
     bench: Option<usize>,
 ) -> Result<Box<dyn TraceSource + Send>, String> {
-    match (&key.workload, bench) {
-        (WorkloadSpec::Suite, Some(b)) => Ok(Box::new(Benchmark::ALL[b].trace(key.seed))),
-        (WorkloadSpec::Single(benchmark), None) => Ok(Box::new(benchmark.trace(key.seed))),
-        (WorkloadSpec::Recipe(recipe), None) => recipe.build_trace(key.seed),
+    match (workload, bench) {
+        (WorkloadSpec::Suite, Some(b)) => Ok(Box::new(Benchmark::ALL[b].trace(seed))),
+        (WorkloadSpec::Single(benchmark), None) => Ok(Box::new(benchmark.trace(seed))),
+        (WorkloadSpec::Recipe(recipe), None) => recipe.build_trace(seed),
         _ => unreachable!("suite keys split into per-benchmark jobs, and only they"),
     }
 }
@@ -1100,10 +1179,11 @@ fn run_replay_job(
 fn run_loop_job(
     design: &DvsBusDesign,
     job: &LoopKey,
+    workload: &WorkloadSpec,
     governor: BoxedGovernor,
     with_hist: bool,
 ) -> Result<LoopProduct, String> {
-    match &job.workload {
+    match workload {
         WorkloadSpec::Suite => {
             let (data, per) = fig8::run_protocol(
                 design,
@@ -1184,12 +1264,7 @@ impl ScenarioSetRun {
     ///
     /// Propagates design-build errors.
     pub fn from_result(result: ScenarioSetResult) -> Result<Self, String> {
-        let mut design_specs: Vec<DesignSpec> = Vec::new();
-        for m in &result.members {
-            if !design_specs.contains(&m.spec.design) {
-                design_specs.push(m.spec.design);
-            }
-        }
+        let (design_specs, _) = distinct_designs(result.members.iter().map(|m| &m.spec.design));
         let designs = design_specs
             .iter()
             .map(DesignSpec::build)
@@ -1600,34 +1675,46 @@ mod tests {
 
     #[test]
     fn compile_plan_shares_only_multi_user_keys_within_budget() {
-        let job = |corner: PvtCorner, cycles: u64| LoopKey {
-            design_idx: 0,
-            corner,
-            workload: WorkloadSpec::Suite,
-            controller: ControllerSpec::paper(),
-            cycles,
-            seed: 3,
+        let job = |corner: CornerSpec, cycles: u64| {
+            let mut m = member("m", AnalysisSpec::ClosedLoop, corner);
+            m.run.cycles_per_benchmark = cycles;
+            m
         };
         // Two corners over one suite: one compile key. The single-user
         // 7 k-cycle job stays live.
-        let jobs = [
-            job(PvtCorner::TYPICAL, 5_000),
-            job(PvtCorner::WORST, 5_000),
-            job(PvtCorner::TYPICAL, 7_000),
+        let members = vec![
+            job(CornerSpec::Typical, 5_000),
+            job(CornerSpec::Worst, 5_000),
+            job(CornerSpec::Typical, 7_000),
         ];
-        let plan = plan_compile_jobs(&jobs, DEFAULT_COMPILE_BUDGET);
-        assert_eq!(plan, vec![jobs[0].summary_key()]);
+        let plan = Plan::new(&members, Some(DEFAULT_COMPILE_BUDGET));
+        let first = plan.loop_jobs[0].summary_key();
+        assert_eq!(plan.compile_jobs, vec![first]);
+        assert_eq!(plan.loop_compile, vec![Some(0), Some(0), None]);
         // A zero budget compiles nothing — the executor falls back to
         // the live path (which `run_with_workers(.., false, ..)` pins
-        // bit-identical to the shared one above).
-        assert!(plan_compile_jobs(&jobs, 0).is_empty());
+        // bit-identical to the shared one above) — and so does no
+        // budget at all.
+        assert!(Plan::new(&members, Some(0)).compile_jobs.is_empty());
+        assert!(Plan::new(&members, None).compile_jobs.is_empty());
         // The budget is cumulative: once the suite's footprint is
         // spent, a second shareable key is left on the live path.
-        let mut more = jobs.to_vec();
-        more.push(job(PvtCorner::WORST, 7_000));
-        let footprint = compiled_footprint(&jobs[0].summary_key());
-        let tight = plan_compile_jobs(&more, footprint);
-        assert_eq!(tight, vec![jobs[0].summary_key()]);
+        let mut more = members.clone();
+        more.push(job(CornerSpec::Worst, 7_000));
+        let footprint = compiled_footprint(&first, &plan.workloads);
+        assert_eq!(Plan::new(&more, Some(footprint)).compile_jobs, vec![first]);
+        // A budget no memory holds saturates the footprint instead of
+        // wrapping it into a small one.
+        let huge = vec![
+            job(CornerSpec::Typical, u64::MAX),
+            job(CornerSpec::Worst, u64::MAX),
+        ];
+        let plan = Plan::new(&huge, Some(DEFAULT_COMPILE_BUDGET));
+        assert_eq!(
+            compiled_footprint(&plan.loop_jobs[0].summary_key(), &plan.workloads),
+            u64::MAX
+        );
+        assert!(plan.compile_jobs.is_empty());
     }
 
     /// A fed job as a plain, comparable value (`Job` holds `Arc`s).
@@ -1655,33 +1742,14 @@ mod tests {
             .collect()
     }
 
-    /// `set`'s expanded members, loop plan and compile plan, as
-    /// `run_full` plans them; asserts that every sweep rides a loop, so
-    /// the plan has no summary job.
-    fn plan_of(
-        set: &ScenarioSet,
-        share_compiled: bool,
-    ) -> (Vec<ScenarioSpec>, Vec<LoopKey>, Vec<SummaryKey>) {
+    /// `set`'s expanded members and their plan, as `run_full` plans
+    /// them; asserts that every sweep rides a loop, so the plan has no
+    /// summary job.
+    fn plan_of(set: &ScenarioSet, share_compiled: bool) -> (Vec<ScenarioSpec>, Plan) {
         let members = set.expand().unwrap();
-        let mut designs: Vec<DesignSpec> = Vec::new();
-        for m in &members {
-            if !designs.contains(&m.design) {
-                designs.push(m.design);
-            }
-        }
-        let design_idx = |d: &DesignSpec| designs.iter().position(|s| s == d).unwrap();
-        let (loops, _) = plan_loop_jobs(&members, design_idx);
-        let skeys: HashSet<SummaryKey> = loops.iter().map(LoopKey::summary_key).collect();
-        assert!(members
-            .iter()
-            .filter(|m| m.analysis.wants_sweep())
-            .all(|m| skeys.contains(&SummaryKey::of(m, design_idx(&m.design)))));
-        let compiles = if share_compiled {
-            plan_compile_jobs(&loops, DEFAULT_COMPILE_BUDGET)
-        } else {
-            Vec::new()
-        };
-        (members, loops, compiles)
+        let plan = Plan::new(&members, share_compiled.then_some(DEFAULT_COMPILE_BUDGET));
+        assert!(plan.summary_jobs.is_empty());
+        (members, plan)
     }
 
     #[test]
@@ -1689,45 +1757,54 @@ mod tests {
         // paper-all: the modified bus's single-user suite loop runs
         // live and is fed first, ahead of the paper bus's suite compile
         // (shared by its typical and worst loops), split per benchmark.
-        let (members, loops, compiles) = plan_of(&paper_all_set(1_000, 7), true);
+        let (members, mut plan) = plan_of(&paper_all_set(1_000, 7), true);
         let modified = members.iter().find(|m| m.name == "fig10-modified").unwrap();
-        let live = loops
+        let suite = plan
+            .workloads
             .iter()
-            .position(|job| *job == LoopKey::of(modified, 1)) // second design
+            .position(|w| *w == modified.workload)
             .unwrap();
-        assert_eq!(compiles.len(), 1);
+        let live = plan
+            .loop_jobs
+            .iter()
+            .position(|job| *job == LoopKey::of(modified, 1, suite)) // second design
+            .unwrap();
+        assert_eq!(plan.compile_jobs.len(), 1);
         let mut expected = vec![Fed::Loop(live)];
         expected.extend((0..Benchmark::ALL.len()).map(|b| Fed::CompileBench(0, b)));
-        assert_eq!(fed(initial_feed(&loops, &compiles, &[])), expected);
+        assert_eq!(fed(plan.initial_feed()), expected);
 
         // Summary passes come last, in plan order: a suite pass split
         // per benchmark, a single-stream pass whole.
+        plan.workloads.push(WorkloadSpec::Single(Benchmark::ALL[0]));
         let single = SummaryKey {
-            workload: WorkloadSpec::Single(Benchmark::ALL[0]),
-            ..compiles[0].clone()
+            workload: plan.workloads.len() - 1,
+            ..plan.compile_jobs[0]
         };
-        let summaries = [loops[live].summary_key(), single];
+        plan.summary_jobs = vec![plan.loop_jobs[live].summary_key(), single];
         expected.extend((0..Benchmark::ALL.len()).map(|b| Fed::SummaryBench(0, b)));
         expected.push(Fed::Summary(1));
-        assert_eq!(fed(initial_feed(&loops, &compiles, &summaries)), expected);
+        assert_eq!(fed(plan.initial_feed()), expected);
 
         // Without sharing, the three suite loops all run live, in plan
         // order.
-        let (_, loops, compiles) = plan_of(&paper_all_set(1_000, 7), false);
-        assert_eq!(loops.len(), 3);
+        let (_, plan) = plan_of(&paper_all_set(1_000, 7), false);
+        assert_eq!(plan.loop_jobs.len(), 3);
         assert_eq!(
-            fed(initial_feed(&loops, &compiles, &[])),
+            fed(plan.initial_feed()),
             vec![Fed::Loop(0), Fed::Loop(1), Fed::Loop(2)]
         );
 
         // A Monte-Carlo campaign compiles every seed's stream and runs
         // no loop live: its feed is the compiles, in plan order.
         let set = crate::catalog::by_name("monte-carlo-dvs-1k", 1_000, 7).unwrap();
-        let (_, loops, compiles) = plan_of(&set, true);
-        assert_eq!(compiles.len(), 125);
+        let (_, plan) = plan_of(&set, true);
+        assert_eq!(plan.compile_jobs.len(), 125);
         assert_eq!(
-            fed(initial_feed(&loops, &compiles, &[])),
-            (0..compiles.len()).map(Fed::Compile).collect::<Vec<_>>()
+            fed(plan.initial_feed()),
+            (0..plan.compile_jobs.len())
+                .map(Fed::Compile)
+                .collect::<Vec<_>>()
         );
     }
 
@@ -1744,11 +1821,15 @@ mod tests {
 
     #[test]
     fn typed_plan_keys_group_exactly_as_debug_strings() {
-        // The planner once keyed its maps by `format!("{:?}")`; the
-        // typed keys must split loop and summary jobs into the very
-        // same groups — over every catalog set, and over synthetic
-        // corners where `-0.0` °C and `0.0` °C render (and so group)
-        // apart.
+        // The planner once keyed its maps by `format!("{:?}")` of keys
+        // holding whole workload specs; the interned keys must split
+        // loop and summary jobs into the very same groups — over every
+        // catalog set, over synthetic corners where `-0.0` °C and
+        // `0.0` °C render (and so group) apart, over members alternating
+        // between two recipes (the last-seen fast path misses every
+        // time), and over suite, single-program and recipe workloads
+        // at one seed.
+        use crate::spec::{IdleProfile, StormProfile, TrafficRecipe};
         let mut cases: Vec<(String, Vec<ScenarioSpec>)> = crate::catalog::NAMES
             .iter()
             .map(|name| {
@@ -1774,39 +1855,104 @@ mod tests {
             SweepAxis::Governors(vec![GovernorSpec::Threshold, GovernorSpec::Proportional]),
         ];
         cases.push(("synthetic corners".to_string(), synthetic.expand().unwrap()));
+        let idle = WorkloadSpec::Recipe(TrafficRecipe::IdleDominated(IdleProfile {
+            nonzero_permille: 50,
+        }));
+        let storm = WorkloadSpec::Recipe(TrafficRecipe::CrosstalkStorm(StormProfile {
+            aggression_permille: 120,
+        }));
+        let with = |k: usize, workload: &WorkloadSpec, corner: CornerSpec, seed: u64| {
+            let mut m = member(&format!("m{k}"), AnalysisSpec::Full, corner);
+            m.workload = workload.clone();
+            m.run.seed = seed;
+            m
+        };
+        let alternating = (0..8)
+            .map(|k| {
+                let workload = [&idle, &storm][k % 2];
+                with(k, workload, CornerSpec::Typical, 3 + (k / 4) as u64)
+            })
+            .collect();
+        cases.push(("alternating recipes".to_string(), alternating));
+        let single = WorkloadSpec::Single(Benchmark::Crafty);
+        let kinds = [
+            &WorkloadSpec::Suite,
+            &single,
+            &idle,
+            &single,
+            &WorkloadSpec::Suite,
+            &idle,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(k, workload)| {
+            let corner = [CornerSpec::Typical, CornerSpec::Worst][k / 3];
+            with(k, workload, corner, 3)
+        })
+        .collect();
+        cases.push(("mixed kinds at one seed".to_string(), kinds));
 
         for (name, members) in &cases {
-            let mut designs: Vec<DesignSpec> = Vec::new();
+            let (_, designs) = distinct_designs(members.iter().map(|m| &m.design));
+            let mut workloads = Interner::with_capacity(1);
             let keys: Vec<(LoopKey, SummaryKey)> = members
                 .iter()
-                .map(|m| {
-                    let d = designs
-                        .iter()
-                        .position(|s| *s == m.design)
-                        .unwrap_or_else(|| {
-                            designs.push(m.design);
-                            designs.len() - 1
-                        });
-                    (LoopKey::of(m, d), SummaryKey::of(m, d))
+                .zip(designs)
+                .map(|(m, d)| {
+                    let w = workloads.id(&m.workload);
+                    let key = LoopKey::of(m, d, w);
+                    (key, key.summary_key())
                 })
                 .collect();
-            let loops = || keys.iter().map(|(l, _)| l);
-            let sums = || keys.iter().map(|(_, s)| s);
+            // The old keys' Debug renderings: whole workload specs, no
+            // interned ids.
+            let spelled: Vec<(String, String)> = members
+                .iter()
+                .zip(&keys)
+                .map(|(m, (l, _))| {
+                    (
+                        format!(
+                            "{:?}",
+                            (
+                                l.design_idx,
+                                l.corner,
+                                &m.workload,
+                                l.controller,
+                                l.cycles,
+                                l.seed
+                            )
+                        ),
+                        format!("{:?}", (l.design_idx, &m.workload, l.cycles, l.seed)),
+                    )
+                })
+                .collect();
+            let loop_groups = partition(spelled.iter().map(|(l, _)| l));
             assert_eq!(
-                partition(loops()),
-                partition(loops().map(|k| format!("{k:?}"))),
+                partition(keys.iter().map(|(l, _)| l)),
+                loop_groups,
                 "loop keys of {name}"
             );
             assert_eq!(
-                partition(sums()),
-                partition(sums().map(|k| format!("{k:?}"))),
+                partition(keys.iter().map(|(_, s)| s)),
+                partition(spelled.iter().map(|(_, s)| s)),
                 "summary keys of {name}"
             );
+            // The executor's plan numbers loop jobs by first appearance,
+            // so every member's job is its group index.
+            let plan = Plan::new(members, None);
+            let wanted = |mi: &usize| {
+                let a = members[*mi].analysis;
+                a.wants_loop() || a.wants_aggregate()
+            };
+            let groups = partition((0..members.len()).filter(wanted).map(|mi| &spelled[mi].0));
+            let jobs: Vec<usize> = plan.member_loop.iter().flatten().copied().collect();
+            assert_eq!(jobs, groups, "plan of {name}");
         }
 
         // Members 0/1 run at -0.0 °C, 2/3 at 0.0 °C, 6/7 again at
         // -0.0 °C (two governors per corner).
-        let groups = partition(cases.last().unwrap().1.iter().map(|m| LoopKey::of(m, 0)));
+        let corners = &cases[cases.len() - 3].1;
+        let groups = partition(corners.iter().map(|m| LoopKey::of(m, 0, 0)));
         assert_ne!(groups[0], groups[2], "-0.0 and 0.0 must key apart");
         assert_eq!(groups[0], groups[6]);
     }
@@ -1984,7 +2130,7 @@ mod tests {
                 loop_jobs.push(LoopKey {
                     design_idx: 0,
                     corner: PvtCorner::TYPICAL,
-                    workload: WorkloadSpec::Single(razorbus_traces::Benchmark::Crafty),
+                    workload: 0,
                     controller: ControllerSpec {
                         governor,
                         sampling,

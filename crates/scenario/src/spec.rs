@@ -174,7 +174,7 @@ impl TrafficRecipe {
                 )))
             }
             Self::Mixed(p) => {
-                if p.dma_words + p.idle_words + p.storm_words == 0 {
+                if [p.dma_words, p.idle_words, p.storm_words] == [0; 3] {
                     return Err("mixed recipe rotates zero words".to_string());
                 }
                 if p.dma.mean_burst == 0 || p.dma.mean_idle == 0 {
@@ -465,7 +465,8 @@ pub struct VoltageSweep {
 }
 
 impl VoltageSweep {
-    fn points(&self) -> Result<Vec<Millivolts>, String> {
+    /// How many supplies the range holds, or why it holds none.
+    fn count(&self) -> Result<usize, String> {
         if self.step.mv() <= 0 {
             return Err("voltage sweep step must be positive".to_string());
         }
@@ -475,13 +476,60 @@ impl VoltageSweep {
                 self.from, self.to
             ));
         }
-        let mut points = Vec::new();
-        let mut v = self.from;
-        while v <= self.to {
-            points.push(v);
-            v = v + self.step;
+        let span = i64::from(self.to.mv()) - i64::from(self.from.mv());
+        Ok(usize::try_from(span / i64::from(self.step.mv()) + 1).unwrap_or(usize::MAX))
+    }
+
+    /// Supply `k` of a range holding more than `k`, computed in `i64`
+    /// so no step can overflow.
+    fn point(&self, k: usize) -> Millivolts {
+        let k = i64::try_from(k).expect("a range holds fewer than 2^32 points");
+        let mv = i64::from(self.from.mv()) + k * i64::from(self.step.mv());
+        Millivolts::new(i32::try_from(mv).expect("point within the range"))
+    }
+}
+
+impl SweepAxis {
+    /// How many values the axis holds, or why `scenario` cannot sweep it.
+    fn count(&self, scenario: &str) -> Result<usize, String> {
+        let (n, what) = match self {
+            Self::Corners(corners) => (corners.len(), "corners"),
+            Self::Governors(governors) => (governors.len(), "governors"),
+            Self::Voltages(range) => return range.count(),
+            Self::Seeds(seeds) => (seeds.len(), "seeds"),
+            Self::Cycles(budgets) => (budgets.len(), "budgets"),
+        };
+        if n == 0 {
+            return Err(format!("scenario `{scenario}` sweeps zero {what}"));
         }
-        Ok(points)
+        if matches!(self, Self::Cycles(budgets) if budgets.contains(&0)) {
+            return Err(format!("scenario `{scenario}` sweeps a zero cycle budget"));
+        }
+        Ok(n)
+    }
+
+    /// Sets value `k` of the axis on `member`.
+    fn set(&self, k: usize, member: &mut ScenarioSpec) {
+        match self {
+            Self::Corners(corners) => member.run.corner = corners[k],
+            Self::Governors(governors) => member.controller.governor = governors[k],
+            Self::Voltages(range) => {
+                member.controller.governor = GovernorSpec::Fixed(range.point(k))
+            }
+            Self::Seeds(seeds) => member.run.seed = seeds[k],
+            Self::Cycles(budgets) => member.run.cycles_per_benchmark = budgets[k],
+        }
+    }
+
+    /// The suffix value `k` of the axis appends to a member's name.
+    fn suffix(&self, k: usize) -> String {
+        match self {
+            Self::Corners(corners) => format!("@{}", corners[k].label()),
+            Self::Governors(governors) => format!("+{}", governors[k].label()),
+            Self::Voltages(range) => format!("@{}mV", range.point(k).mv()),
+            Self::Seeds(seeds) => format!("#seed{}", seeds[k]),
+            Self::Cycles(budgets) => format!("^{}c", budgets[k]),
+        }
     }
 }
 
@@ -532,22 +580,96 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns a description for empty axes or malformed voltage ranges.
+    /// Returns a description for empty axes, zero budgets, malformed
+    /// voltage ranges, or more members than fit in memory.
     pub fn expand(&self) -> Result<Vec<ScenarioSpec>, String> {
         if self.run.cycles_per_benchmark == 0 {
             return Err(format!("scenario `{}` has a zero cycle budget", self.name));
         }
+        let counts = self
+            .sweep
+            .iter()
+            .map(|axis| axis.count(&self.name))
+            .collect::<Result<Vec<_>, _>>()?;
+        let too_many = || {
+            format!(
+                "scenario `{}` expands to more members than fit in memory",
+                self.name
+            )
+        };
+        let total = counts
+            .iter()
+            .try_fold(1usize, |n, &c| n.checked_mul(c))
+            .ok_or_else(too_many)?;
+        let mut members = Vec::new();
+        members.try_reserve_exact(total).map_err(|_| too_many())?;
+
+        // A mixed-radix count over the axes, first axis outermost: the
+        // order of a nested loop over them, with each suffix formatted
+        // once per axis value rather than once per member.
+        let suffixes: Vec<Vec<String>> = self
+            .sweep
+            .iter()
+            .zip(&counts)
+            .map(|(axis, &n)| (0..n).map(|k| axis.suffix(k)).collect())
+            .collect();
+        let name_len = self.name.len()
+            + suffixes
+                .iter()
+                .filter_map(|axis| axis.iter().map(String::len).max())
+                .sum::<usize>();
+        let base = ScenarioSpec {
+            name: String::new(),
+            workload: self.workload.clone(),
+            sweep: Vec::new(),
+            ..*self
+        };
+        let mut digits = vec![0usize; counts.len()];
+        for _ in 0..total {
+            let mut member = base.clone();
+            member.name.reserve_exact(name_len);
+            member.name.push_str(&self.name);
+            for ((axis, suffixes), &k) in self.sweep.iter().zip(&suffixes).zip(&digits) {
+                axis.set(k, &mut member);
+                member.name.push_str(&suffixes[k]);
+            }
+            members.push(member);
+            for (k, &n) in digits.iter_mut().zip(&counts).rev() {
+                *k += 1;
+                if *k < n {
+                    break;
+                }
+                *k = 0;
+            }
+        }
+        Ok(members)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The nested-loop expansion [`ScenarioSpec::expand`] replaced: every
+    /// member is cloned at every axis level and renamed there. The
+    /// oracle the mixed-radix expansion must match, names and errors
+    /// included.
+    fn expand_reference(spec: &ScenarioSpec) -> Result<Vec<ScenarioSpec>, String> {
+        if spec.run.cycles_per_benchmark == 0 {
+            return Err(format!("scenario `{}` has a zero cycle budget", spec.name));
+        }
         let mut members = vec![ScenarioSpec {
             sweep: vec![],
-            ..self.clone()
+            ..spec.clone()
         }];
-        for axis in &self.sweep {
+        for axis in &spec.sweep {
             let mut next = Vec::new();
             for member in &members {
                 match axis {
                     SweepAxis::Corners(corners) => {
                         if corners.is_empty() {
-                            return Err(format!("scenario `{}` sweeps zero corners", self.name));
+                            return Err(format!("scenario `{}` sweeps zero corners", spec.name));
                         }
                         for corner in corners {
                             let mut m = member.clone();
@@ -558,7 +680,7 @@ impl ScenarioSpec {
                     }
                     SweepAxis::Governors(governors) => {
                         if governors.is_empty() {
-                            return Err(format!("scenario `{}` sweeps zero governors", self.name));
+                            return Err(format!("scenario `{}` sweeps zero governors", spec.name));
                         }
                         for governor in governors {
                             let mut m = member.clone();
@@ -568,7 +690,14 @@ impl ScenarioSpec {
                         }
                     }
                     SweepAxis::Voltages(range) => {
-                        for v in range.points()? {
+                        range.count()?;
+                        // Steps until the next supply would pass `to`
+                        // or leave the `i32` range.
+                        let points = std::iter::successors(Some(range.from), |v| {
+                            let next = v.mv().checked_add(range.step.mv())?;
+                            (next <= range.to.mv()).then_some(Millivolts::new(next))
+                        });
+                        for v in points {
                             let mut m = member.clone();
                             m.controller.governor = GovernorSpec::Fixed(v);
                             m.name = format!("{}@{}mV", member.name, v.mv());
@@ -577,7 +706,7 @@ impl ScenarioSpec {
                     }
                     SweepAxis::Seeds(seeds) => {
                         if seeds.is_empty() {
-                            return Err(format!("scenario `{}` sweeps zero seeds", self.name));
+                            return Err(format!("scenario `{}` sweeps zero seeds", spec.name));
                         }
                         for seed in seeds {
                             let mut m = member.clone();
@@ -588,13 +717,13 @@ impl ScenarioSpec {
                     }
                     SweepAxis::Cycles(budgets) => {
                         if budgets.is_empty() {
-                            return Err(format!("scenario `{}` sweeps zero budgets", self.name));
+                            return Err(format!("scenario `{}` sweeps zero budgets", spec.name));
                         }
                         for budget in budgets {
                             if *budget == 0 {
                                 return Err(format!(
                                     "scenario `{}` sweeps a zero cycle budget",
-                                    self.name
+                                    spec.name
                                 ));
                             }
                             let mut m = member.clone();
@@ -609,11 +738,198 @@ impl ScenarioSpec {
         }
         Ok(members)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// The set expansion `ScenarioSet::expand` replaced: members expand
+    /// in order, and each resolved name is checked against the owned
+    /// names before it, so an earlier duplicate outranks a later
+    /// member's expansion error.
+    fn expand_set_reference(set: &crate::ScenarioSet) -> Result<Vec<ScenarioSpec>, String> {
+        let mut out: Vec<ScenarioSpec> = Vec::new();
+        let mut names = std::collections::HashSet::new();
+        for member in &set.members {
+            for resolved in expand_reference(member)? {
+                if !names.insert(resolved.name.clone()) {
+                    return Err(format!(
+                        "scenario set `{}` expands to duplicate member `{}`",
+                        set.name, resolved.name
+                    ));
+                }
+                out.push(resolved);
+            }
+        }
+        if out.is_empty() {
+            return Err(format!("scenario set `{}` has no members", set.name));
+        }
+        Ok(out)
+    }
+
+    /// A deterministic draw stream for building axes from one seed.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            // splitmix64
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[(self.next() % from.len() as u64) as usize]
+        }
+    }
+
+    /// An axis of kind `kind % 5` with `n` values (0–4), drawn from
+    /// `entropy`: repeated values, zero budgets, and inverted, zero-step
+    /// or `i32`-edge voltage ranges all occur.
+    fn arbitrary_axis(kind: u8, n: usize, entropy: u64) -> SweepAxis {
+        let mut d = Draws(entropy);
+        let corners = [
+            CornerSpec::Typical,
+            CornerSpec::Worst,
+            CornerSpec::Pvt(PvtCorner::FIG5[0]),
+            CornerSpec::Pvt(PvtCorner::FIG5[3]),
+        ];
+        let governors = [
+            GovernorSpec::Threshold,
+            GovernorSpec::Proportional,
+            GovernorSpec::Fixed(Millivolts::new(900)),
+            GovernorSpec::Fixed(Millivolts::new(-20)),
+        ];
+        match kind % 5 {
+            0 => SweepAxis::Corners((0..n).map(|_| d.pick(&corners)).collect()),
+            1 => SweepAxis::Governors((0..n).map(|_| d.pick(&governors)).collect()),
+            2 => {
+                let from = d.pick(&[-1_000i64, 0, 900, i64::from(i32::MAX) - 50]);
+                let step = d.pick(&[-20i64, 0, 1, 20, 45]);
+                // `n` points, or an inverted range when `n` is zero; the
+                // end clamps to `i32::MAX`, so edge ranges hold fewer.
+                let slack = (d.next() % step.unsigned_abs().max(1)) as i64;
+                let to = if n == 0 {
+                    from - 1 - slack
+                } else {
+                    from + step.max(0) * (n as i64 - 1) + slack
+                };
+                let mv = |v: i64| Millivolts::new(v.clamp(i32::MIN.into(), i32::MAX.into()) as i32);
+                SweepAxis::Voltages(VoltageSweep {
+                    from: mv(from),
+                    to: mv(to),
+                    step: mv(step),
+                })
+            }
+            3 => SweepAxis::Seeds((0..n).map(|_| d.pick(&[0, 1, 7, d.0])).collect()),
+            _ => SweepAxis::Cycles((0..n).map(|_| d.pick(&[0, 1, 2_000, u64::MAX])).collect()),
+        }
+    }
+
+    fn arbitrary_spec(name: u8, zero_budget: bool, axes: &[(u8, usize, u64)]) -> ScenarioSpec {
+        let mut spec = base();
+        spec.name = ["m", "m@typical", "n", ""][usize::from(name % 4)].to_string();
+        if zero_budget {
+            spec.run.cycles_per_benchmark = 0;
+        }
+        spec.sweep = axes
+            .iter()
+            .map(|&(kind, n, entropy)| arbitrary_axis(kind, n, entropy))
+            .collect();
+        spec
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The mixed-radix expansion emits the nested loop's members —
+        /// every field, names included, in the same order — or its
+        /// error, word for word.
+        #[test]
+        fn expansion_matches_the_nested_loop_oracle(
+            name in 0u8..4,
+            zero_budget in 0u8..8,
+            axes in proptest::collection::vec((0u8..5, 0usize..5, any::<u64>()), 0..5),
+        ) {
+            let spec = arbitrary_spec(name, zero_budget == 0, &axes);
+            prop_assert_eq!(spec.expand(), expand_reference(&spec));
+        }
+
+        /// Set expansion keeps the reference's members and its error
+        /// precedence: duplicates across and within members, against
+        /// expansion errors of later members.
+        #[test]
+        fn set_expansion_matches_the_reference(
+            picks in proptest::collection::vec((0u8..4, 0u8..16, any::<u64>()), 0..4),
+        ) {
+            let members = picks
+                .iter()
+                .map(|&(name, shape, entropy)| {
+                    // Small axes so names often collide across members.
+                    let axes = [(shape % 5, usize::from(shape / 5 % 3), entropy)];
+                    arbitrary_spec(name, shape == 15, &axes[..usize::from(shape % 2)])
+                })
+                .collect();
+            let set = crate::ScenarioSet { name: "set".to_string(), members };
+            prop_assert_eq!(set.expand(), expand_set_reference(&set));
+        }
+    }
+
+    #[test]
+    fn one_point_voltage_range_at_the_top_of_i32_does_not_wrap() {
+        let mut spec = base();
+        spec.sweep = vec![SweepAxis::Voltages(VoltageSweep {
+            from: Millivolts::new(i32::MAX - 500),
+            to: Millivolts::new(i32::MAX),
+            step: Millivolts::new(1_000),
+        })];
+        let members = spec.expand().unwrap();
+        assert_eq!(members.len(), 1);
+        assert_eq!(
+            members[0].controller.governor,
+            GovernorSpec::Fixed(Millivolts::new(i32::MAX - 500))
+        );
+        assert_eq!(members[0].name, format!("base@{}mV", i32::MAX - 500));
+        assert_eq!(expand_reference(&spec), Ok(members));
+    }
+
+    #[test]
+    fn an_overflowing_member_count_is_an_error_naming_the_scenario() {
+        let mut spec = base();
+        spec.name = "huge".to_string();
+        let seeds: Vec<u64> = (0..1 << 16).collect();
+        spec.sweep = vec![SweepAxis::Seeds(seeds); 4];
+        let err = spec.expand().unwrap_err();
+        assert!(err.contains("scenario `huge`"), "{err}");
+        assert!(err.contains("more members than fit in memory"), "{err}");
+    }
+
+    #[test]
+    fn mixed_word_counts_that_overflow_a_sum_still_rotate() {
+        let profile = MixProfile {
+            dma: DmaProfile {
+                mean_burst: 10,
+                mean_idle: 10,
+                housekeeping_permille: 0,
+            },
+            dma_words: u64::MAX,
+            idle: IdleProfile {
+                nonzero_permille: 0,
+            },
+            idle_words: 1,
+            storm: StormProfile {
+                aggression_permille: 0,
+            },
+            storm_words: 0,
+        };
+        let mut trace = TrafficRecipe::Mixed(profile).build_trace(3).unwrap();
+        assert_eq!(trace.take_words(64).len(), 64);
+        let idle = MixProfile {
+            dma_words: 0,
+            idle_words: 0,
+            ..profile
+        };
+        let err = TrafficRecipe::Mixed(idle).build_trace(3).err().unwrap();
+        assert!(err.contains("rotates zero words"), "{err}");
+    }
 
     fn base() -> ScenarioSpec {
         ScenarioSpec {
