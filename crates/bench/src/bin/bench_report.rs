@@ -24,9 +24,8 @@
 //! * environment echoes (`cycles_per_benchmark`, `threads` — the
 //!   resolved pool worker count — `component_threads`, the resolved
 //!   thread count behind each runner-bound component, and
-//!   `component_fanin`, the resolved group width behind each fused
-//!   replay leg) so numbers from different runners can be compared
-//!   honestly.
+//!   `component_fanin`, the group width behind each fused replay leg)
+//!   so numbers from different runners can be compared honestly.
 //!
 //! The JSON is produced by [`razorbus_bench::report::BenchReport`]
 //! through the `razorbus-artifact` writer. See README.md ("Benchmarks in
@@ -72,7 +71,6 @@ fn main() {
         std::process::exit(2);
     };
     let cycles = cycles_from_env(50_000).unwrap_or_else(|e| knob_error(e));
-    let fanin_cap = razorbus_scenario::replay_fanin().unwrap_or_else(|e| knob_error(e));
     let max_workers = razorbus_scenario::worker_count(None).unwrap_or_else(|e| knob_error(e));
     razorbus_core::compile_chunk_knob().unwrap_or_else(|e| knob_error(e));
     eprintln!("# bench_report: {cycles} cycles/benchmark -> {out_path}");
@@ -242,19 +240,10 @@ fn main() {
     // trace judges F open-loop members (alternating corners, distinct
     // supplies — the Monte-Carlo campaign shape). Throughput counts
     // member-cycles (cycles × fan-in) per wall second, so the numbers
-    // grow with fan-in as the shared stream amortizes. The resolved
-    // fan-in (requested width capped by `RAZORBUS_REPLAY_FANIN`) is
+    // grow with fan-in as the shared stream amortizes. The fan-in is
     // recorded in `component_fanin` so `--check` never gates a leg
     // across different group widths.
-    let resolved_fanin = |requested: usize| {
-        if fanin_cap == 0 {
-            requested
-        } else {
-            requested.min(fanin_cap)
-        }
-    };
-    let fused_at = |requested: usize| {
-        let fanin = resolved_fanin(requested);
+    let fused_at = |fanin: usize| {
         let ops: Vec<FusedOp> = (0..fanin)
             .map(|k| FusedOp {
                 pvt: if k % 2 == 0 {
@@ -336,9 +325,9 @@ fn main() {
             ("sweep_aggregate_wmax", resolved_threads(max_workers)),
         ],
         component_fanin: vec![
-            ("fused_replay_f1", resolved_fanin(1)),
-            ("fused_replay_f4", resolved_fanin(4)),
-            ("fused_replay_f16", resolved_fanin(16)),
+            ("fused_replay_f1", 1),
+            ("fused_replay_f4", 4),
+            ("fused_replay_f16", 16),
         ],
     };
     let json = report.to_json().expect("render bench report");

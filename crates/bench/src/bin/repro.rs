@@ -66,12 +66,7 @@
 //! exact/approximate contract). `--no-compiled`
 //! (with `scenario` or `all`) disables compiled-trace sharing inside
 //! the executor — the live-path baseline CI diffs the shared path
-//! against. `--no-fused` (same subcommands) keeps trace sharing but
-//! disables the fused multi-member replay, so every open-loop member
-//! replays solo — the one-pass-per-member baseline CI diffs the fused
-//! path against (sets `RAZORBUS_NO_FUSED`; `RAZORBUS_REPLAY_FANIN=N`
-//! instead caps fused group width without disabling fusion).
-//! `--threads=N` pins the executor's work-stealing pool to
+//! against. `--threads=N` pins the executor's work-stealing pool to
 //! `N` workers for the whole run, overriding `RAZORBUS_THREADS`
 //! (default: available parallelism); `N` must be at least 1, and any
 //! worker count produces bit-identical results — the flag only trades
@@ -98,7 +93,6 @@ fn main() {
             "save-digest",
             "digest-csv",
             "no-compiled",
-            "no-fused",
             "manifest",
             "record",
             "dir",
@@ -152,10 +146,6 @@ fn main() {
     if no_compiled && !matches!(what, "scenario" | "all" | "record" | "replay") {
         usage_error("--no-compiled is only valid with `scenario`, `all`, `record` or `replay`");
     }
-    let no_fused = args.has("no-fused");
-    if no_fused && !matches!(what, "scenario" | "all" | "record" | "replay") {
-        usage_error("--no-fused is only valid with `scenario`, `all`, `record` or `replay`");
-    }
     if manifest.is_some() && what != "record" {
         usage_error("--manifest is only valid with `record`");
     }
@@ -176,12 +166,6 @@ fn main() {
                 "--threads needs a positive integer worker count, got '{value}'"
             )),
         }
-    }
-    // `--no-fused` reaches the executor the same way: open-loop replay
-    // groups collapse back to one solo replay per member (bit-identical
-    // by construction — the flag only exists so CI can diff the paths).
-    if no_fused {
-        std::env::set_var("RAZORBUS_NO_FUSED", "1");
     }
 
     // Knobs fail loudly, before any work: an unparsable or zero value
@@ -618,7 +602,7 @@ fn usage_error(msg: &str) -> ! {
          digest-merge <digest...>|all] \
          [--save-result[=PATH] | --load-result[=PATH]] \
          [--save-digest[=PATH]] [--digest-csv[=PATH]] [--no-compiled] \
-         [--no-fused] [--manifest[=PATH]] [--record] [--dir[=PATH]] \
+         [--manifest[=PATH]] [--record] [--dir[=PATH]] \
          [--threads=N] [--out[=PATH]]"
     );
     std::process::exit(2);

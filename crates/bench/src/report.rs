@@ -32,8 +32,7 @@ pub struct BenchReport {
     /// skipped with a loud note instead of gating on noise.
     /// Thread-independent components carry no entry and always gate.
     pub component_threads: Vec<(&'static str, usize)>,
-    /// Resolved fan-in per *fused replay* component (requested group
-    /// width clamped by `RAZORBUS_REPLAY_FANIN`). Throughput scales
+    /// Fan-in (group width) per *fused replay* component. Throughput scales
     /// with how many members one pass judges, so [`check_components`]
     /// only gates a fused leg across reports whose resolved fan-ins
     /// match — mirroring the thread-count rule above. Non-fused

@@ -3,8 +3,7 @@
 //! and DVS analyses, and compare against the original bus.
 
 use crate::design::DvsBusDesign;
-use crate::experiments::{combined_summary, fig5, fig8};
-use razorbus_process::PvtCorner;
+use crate::experiments::{fig5, fig8};
 
 /// The modified-vs-original comparison.
 #[derive(Debug, Clone)]
@@ -23,31 +22,9 @@ pub struct Fig10Data {
     pub shadow_skew_ps: (f64, f64),
 }
 
-/// Runs the §6 comparison.
-#[must_use]
-pub fn run(
-    base: &DvsBusDesign,
-    modified: &DvsBusDesign,
-    cycles_per_benchmark: u64,
-    seed: u64,
-) -> Fig10Data {
-    let base_summary = combined_summary(base, cycles_per_benchmark, seed);
-    let mod_summary = combined_summary(modified, cycles_per_benchmark, seed);
-    let base_dvs = fig8::run(base, PvtCorner::WORST, cycles_per_benchmark, seed);
-    let mod_dvs = fig8::run(modified, PvtCorner::WORST, cycles_per_benchmark, seed);
-    from_parts(
-        base,
-        modified,
-        &base_summary,
-        &mod_summary,
-        &base_dvs,
-        &mod_dvs,
-    )
-}
-
-/// Builds the comparison from pre-collected inputs — the base-bus
-/// summary and worst-corner DVS run are shared with Fig. 4/5 and Table 1
-/// by `repro all`.
+/// Builds the §6 comparison from each bus's combined all-benchmarks
+/// summary and worst-corner consecutive DVS run — the base-bus inputs
+/// are shared with Fig. 4/5 and Table 1 by `repro all`.
 #[must_use]
 pub fn from_parts(
     base: &DvsBusDesign,
@@ -109,12 +86,21 @@ impl Fig10Data {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::combined_summary;
+    use razorbus_process::PvtCorner;
 
     #[test]
     fn modified_bus_improves_error_limited_gains() {
         let base = DvsBusDesign::paper_default();
         let modified = DvsBusDesign::modified_paper_bus();
-        let data = run(&base, &modified, 20_000, 4);
+        let data = from_parts(
+            &base,
+            &modified,
+            &combined_summary(&base, 20_000, 4),
+            &combined_summary(&modified, 20_000, 4),
+            &fig8::run(&base, PvtCorner::WORST, 20_000, 4),
+            &fig8::run(&modified, PvtCorner::WORST, 20_000, 4),
+        );
 
         // §6: the paper reports "slightly higher" 2%/5% gains (about one
         // 20 mV grid step at most corners). In our continuum coupling

@@ -2,7 +2,6 @@
 //! voltage, for one PVT corner, all ten benchmarks combined.
 
 use crate::design::DvsBusDesign;
-use crate::experiments::combined_summary;
 use razorbus_process::PvtCorner;
 use razorbus_units::Millivolts;
 
@@ -30,22 +29,10 @@ pub struct Fig4Data {
     pub points: Vec<Fig4Point>,
 }
 
-/// Runs the Fig. 4 sweep at `corner` with all ten benchmarks for
-/// `cycles_per_benchmark` cycles each.
-#[must_use]
-pub fn run(
-    design: &DvsBusDesign,
-    corner: PvtCorner,
-    cycles_per_benchmark: u64,
-    seed: u64,
-) -> Fig4Data {
-    let summary = combined_summary(design, cycles_per_benchmark, seed);
-    from_summary(design, corner, &summary)
-}
-
-/// Computes the panel from an already-collected combined summary — the
-/// histogram is corner-independent, so both Fig. 4 panels (and Fig. 5,
-/// Table 1, …) can share one collection.
+/// Computes the panel at `corner` from a combined all-benchmarks
+/// summary ([`crate::experiments::combined_summary`]) — the histogram
+/// is corner-independent, so both Fig. 4 panels (and Fig. 5, Table 1,
+/// …) share one collection.
 #[must_use]
 pub fn from_summary(
     design: &DvsBusDesign,
@@ -103,6 +90,11 @@ impl Fig4Data {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::combined_summary;
+
+    fn run(d: &DvsBusDesign, corner: PvtCorner, cycles: u64, seed: u64) -> Fig4Data {
+        from_summary(d, corner, &combined_summary(d, cycles, seed))
+    }
 
     #[test]
     fn fig4_shapes_match_paper() {

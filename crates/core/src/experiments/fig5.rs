@@ -2,7 +2,6 @@
 //! across the PVT-corner delay spread.
 
 use crate::design::DvsBusDesign;
-use crate::experiments::combined_summary;
 use crate::summary::TraceSummary;
 use razorbus_process::PvtCorner;
 use razorbus_units::{Millivolts, Picoseconds};
@@ -30,14 +29,8 @@ pub struct Fig5Data {
     pub rows: Vec<Fig5Row>,
 }
 
-/// Computes the figure from a combined-benchmark summary.
-#[must_use]
-pub fn run(design: &DvsBusDesign, cycles_per_benchmark: u64, seed: u64) -> Fig5Data {
-    let summary = combined_summary(design, cycles_per_benchmark, seed);
-    from_summary(design, &summary)
-}
-
-/// Computes the figure from an already-collected combined summary.
+/// Computes the figure from a combined all-benchmarks summary
+/// ([`crate::experiments::combined_summary`]).
 #[must_use]
 pub fn from_summary(design: &DvsBusDesign, summary: &TraceSummary) -> Fig5Data {
     Fig5Data {
@@ -96,6 +89,11 @@ impl Fig5Data {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::combined_summary;
+
+    fn run(d: &DvsBusDesign, cycles: u64, seed: u64) -> Fig5Data {
+        from_summary(d, &combined_summary(d, cycles, seed))
+    }
 
     #[test]
     fn gains_grow_toward_faster_corners() {

@@ -40,43 +40,17 @@ pub fn run(
     cycles_per_benchmark: u64,
     seed: u64,
 ) -> Fig8Data {
-    run_inner(design, corner, cycles_per_benchmark, seed, false).0
-}
-
-/// Same consecutive run, additionally returning each benchmark's
-/// sweep-engine summary, collected as a by-product of the closed loop
-/// (same trace words, one pass). The summaries are bit-identical to
-/// [`crate::TraceSummary::collect`] over the same `(benchmark, seed,
-/// cycles)` and are corner-independent — `repro all` and Table 1 use
-/// this to avoid a second 10-benchmark pass.
-#[must_use]
-pub fn run_with_summaries(
-    design: &DvsBusDesign,
-    corner: PvtCorner,
-    cycles_per_benchmark: u64,
-    seed: u64,
-) -> (Fig8Data, Vec<(Benchmark, crate::TraceSummary)>) {
-    let (data, summaries) = run_inner(design, corner, cycles_per_benchmark, seed, true);
-    (data, summaries)
-}
-
-fn run_inner(
-    design: &DvsBusDesign,
-    corner: PvtCorner,
-    cycles_per_benchmark: u64,
-    seed: u64,
-    with_summaries: bool,
-) -> (Fig8Data, Vec<(Benchmark, crate::TraceSummary)>) {
     let controller = ThresholdController::new(design.controller_config(corner.process));
-    run_protocol(
+    let (data, _) = run_protocol(
         design,
         corner,
         cycles_per_benchmark,
         seed,
         controller,
         Some(10_000),
-        with_summaries,
-    )
+        false,
+    );
+    data
 }
 
 /// The Fig. 8 *protocol* over an arbitrary governor: the ten benchmarks

@@ -1,17 +1,20 @@
-//! One driver per table/figure of the paper's evaluation.
+//! One module per table/figure of the paper's evaluation.
 //!
 //! | Paper artifact | Function | Output |
 //! |---|---|---|
-//! | Fig. 4a/4b | [`fig4::run`] | energy & error rate vs. VDD |
-//! | Fig. 5 | [`fig5::run`] | energy gain vs. delay@1.2 V per corner/target |
+//! | Fig. 4a/4b | [`fig4::from_summary`] | energy & error rate vs. VDD |
+//! | Fig. 5 | [`fig5::from_summary`] | energy gain vs. delay@1.2 V per corner/target |
 //! | Fig. 6 | [`fig6::run`] | oracle voltage residency per program |
 //! | Fig. 8 | [`fig8::run`] | closed-loop VDD / error-rate trajectory |
-//! | Table 1 | [`table1::run`] | fixed-VS vs. proposed-DVS gains per program |
-//! | Fig. 10 + §6 | [`fig10::run`] | modified-bus gains |
+//! | Table 1 | [`table1::from_parts`] | fixed-VS vs. proposed-DVS gains per program |
+//! | Fig. 10 + §6 | [`fig10::from_parts`] | modified-bus gains |
 //! | §6 scaling | [`scaling::run`] | technology-node trends |
 //!
-//! Every driver returns a printable data structure; the `razorbus-bench`
-//! crate exposes them as Criterion benches and the `repro` binary.
+//! Figs. 4, 5 and 10 and Table 1 are built from heavy inputs collected
+//! elsewhere — a [`SummaryBank`] or [`combined_summary`] and Fig. 8
+//! closed loops — which the scenario executor shares across figures.
+//! Every function returns a printable data structure; the
+//! `razorbus-bench` crate's `repro` binary prints them.
 
 pub mod fig10;
 pub mod fig4;
@@ -107,8 +110,9 @@ impl SummaryBank {
     }
 
     /// Builds a bank from already-collected per-benchmark summaries —
-    /// e.g. the by-product of [`fig8::run_with_summaries`], which shares
-    /// one trace pass between the closed loop and the sweep engine.
+    /// e.g. the by-product of [`fig8::run_protocol`] with histograms on,
+    /// which shares one trace pass between the closed loop and the sweep
+    /// engine.
     ///
     /// # Panics
     ///

@@ -27,18 +27,23 @@
 //! [`razorbus_traces::Benchmark::ALL`] order), so a small campaign's
 //! parallelism is no longer capped at its member count. A compile
 //! streams in one pass when the pool has one worker or its stream fits
-//! in one chunk, and otherwise splits into chunk jobs. Every job
+//! in one chunk, and otherwise splits into chunk jobs. Open-loop
+//! fixed-supply members replaying one compiled stream at one sampling
+//! window are judged together in a single fused pass. Every job
 //! writes into a pre-assigned result slot, so scheduling order never
-//! touches the output — results are bit-identical at any worker count
-//! (pinned by a test below).
+//! touches the output.
 //!
 //! Members in [`AnalysisSpec::Aggregate`] mode never materialize
 //! products: as their loops complete, the executor extracts
 //! [`MemberMetrics`] and folds them into one streaming
 //! [`CampaignDigest`] through a rank-ordered reorder buffer
-//! ([`DigestBuilder`]), keeping memory constant at Monte-Carlo scale
-//! while preserving the same bit-identical-at-any-worker-count
-//! contract.
+//! ([`DigestBuilder`]), keeping memory constant at Monte-Carlo scale.
+//!
+//! None of this sharing may show in the output: under any worker
+//! count, compile chunk size and compile budget, a campaign equals
+//! [`ScenarioSet::run_reference`] — every member run alone, serially
+//! and live — bit for bit. One property test in [`crate::reference`]
+//! pins that over generated sets.
 //!
 //! [`AnalysisSpec::Aggregate`]: crate::AnalysisSpec::Aggregate
 
@@ -72,8 +77,8 @@ pub struct ScenarioSet {
 /// built designs the render-side adapters query.
 #[derive(Debug)]
 pub struct ScenarioSetRun {
-    design_specs: Vec<DesignSpec>,
-    designs: Vec<DvsBusDesign>,
+    pub(crate) design_specs: Vec<DesignSpec>,
+    pub(crate) designs: Vec<DvsBusDesign>,
     /// The persistable products.
     pub result: ScenarioSetResult,
 }
@@ -225,7 +230,7 @@ struct ChunkJob {
 }
 
 /// One schedulable unit of a campaign, indexing into the plan's job
-/// vectors. [`initial_feed`] builds the pool's starting list; `Replay`s
+/// vectors. [`Plan::initial_feed`] builds the pool's starting list; `Replay`s
 /// are continuations a finished compile spawns for each waiting loop index,
 /// and `CompileChunk`s are continuations a compile's serial drain
 /// spawns for each cycle chunk — both interleave with every other job
@@ -255,88 +260,6 @@ enum Job {
     /// over their shared compiled stream
     /// ([`CompiledTrace::replay_fused`]).
     FusedReplay(Vec<usize>, Arc<CompiledTrace>),
-}
-
-/// How one finished compile's waiting loop jobs replay: solo
-/// continuations, or fused groups judged in a single pass over the
-/// stream. Fixed before the pool starts, so grouping is independent of
-/// worker count and completion order.
-#[derive(Debug, Clone, PartialEq)]
-enum ReplayPlan {
-    /// One [`Job::Replay`] continuation — closed-loop governors (their
-    /// voltage trajectories are feedback-driven, so their chunk
-    /// boundaries diverge per member) and histogram riders (the
-    /// by-product's array increments must land in per-member collection
-    /// order).
-    Solo(usize),
-    /// One [`Job::FusedReplay`] over these loop indices — open-loop
-    /// fixed-supply members sharing the stream *and* the sampling
-    /// window (shared chunk boundaries are what make the fused fold
-    /// bit-identical to each solo replay).
-    Fused(Vec<usize>),
-}
-
-/// Partitions one compile's waiting loop indices into replay groups.
-///
-/// A loop job is fusable when fusing is enabled, the workload is a
-/// single stream (suite replays thread one governor across benchmarks),
-/// its governor is [`GovernorSpec::Fixed`] and it carries no histogram
-/// rider. Fusable jobs group by sampling window in replayer order;
-/// `fanin > 0` caps the group width (first-fit, so a capped group
-/// splits deterministically). Everything else replays solo, and a
-/// fusable singleton still takes the fused path — one code path to
-/// trust, whatever the group width.
-fn plan_replay_groups(
-    replayers: &[usize],
-    loop_jobs: &[LoopKey],
-    loop_hist: &[bool],
-    stream: bool,
-    fuse: bool,
-    fanin: usize,
-) -> Vec<ReplayPlan> {
-    let mut plans = Vec::new();
-    let mut groups: Vec<(Option<u64>, Vec<usize>)> = Vec::new();
-    for &i in replayers {
-        let job = &loop_jobs[i];
-        let open_loop = matches!(job.controller.governor, GovernorSpec::Fixed(_));
-        if !(fuse && stream && open_loop && !loop_hist[i]) {
-            plans.push(ReplayPlan::Solo(i));
-            continue;
-        }
-        let sampling = job.controller.sampling;
-        match groups
-            .iter_mut()
-            .find(|(s, g)| *s == sampling && (fanin == 0 || g.len() < fanin))
-        {
-            Some((_, group)) => group.push(i),
-            None => groups.push((sampling, vec![i])),
-        }
-    }
-    plans.extend(groups.into_iter().map(|(_, g)| ReplayPlan::Fused(g)));
-    plans
-}
-
-/// Group-width cap for fused replays (`RAZORBUS_REPLAY_FANIN`): `0` (or
-/// unset) leaves groups unbounded — the whole sweep sharing a stream is
-/// judged in one pass. CI pins a small value to exercise group
-/// splitting; `bench_report` reads it to label its fused components
-/// honestly.
-///
-/// # Errors
-///
-/// Names the variable and its value when it is set but not an unsigned
-/// integer.
-pub fn replay_fanin() -> Result<usize, String> {
-    const VAR: &str = "RAZORBUS_REPLAY_FANIN";
-    Ok(parse_knob(VAR, std::env::var_os(VAR))?.unwrap_or(0))
-}
-
-/// Whether fused replays are enabled (`RAZORBUS_NO_FUSED` unset, empty
-/// or `0`). `repro --no-fused` sets the variable, forcing every member
-/// onto its solo replay — the comparison baseline CI `cmp`s against the
-/// fused default.
-pub(crate) fn fused_replays_enabled() -> bool {
-    !matches!(std::env::var("RAZORBUS_NO_FUSED"), Ok(v) if !v.is_empty() && v != "0")
 }
 
 /// Slot-ordered assembly of a suite's per-benchmark products: each
@@ -392,12 +315,12 @@ type SuiteSlots<T> = Option<Mutex<BenchSlots<T>>>;
 /// traces; above it the executor falls back to direct (live) runs so a
 /// paper-scale 10 M-cycle campaign cannot exhaust memory. Override with
 /// `RAZORBUS_COMPILE_BUDGET_MB`.
-const DEFAULT_COMPILE_BUDGET: u64 = 768 * 1024 * 1024;
+pub(crate) const DEFAULT_COMPILE_BUDGET: u64 = 768 * 1024 * 1024;
 
 /// Per-cycle resident bytes of one compiled stream (u8 toggle, u16 bin,
 /// f64 switched capacitance) — kept in sync with
 /// [`CompiledTrace::memory_bytes`] by a test.
-const COMPILED_BYTES_PER_CYCLE: u64 = 11;
+pub(crate) const COMPILED_BYTES_PER_CYCLE: u64 = 11;
 
 /// The compiled-trace budget in bytes.
 ///
@@ -427,7 +350,7 @@ fn compiled_footprint(key: &SummaryKey, workloads: &[WorkloadSpec]) -> u64 {
 
 /// Each spec's index among the distinct specs, and those specs in
 /// first-appearance order.
-fn distinct_designs<'a>(
+pub(crate) fn distinct_designs<'a>(
     specs: impl Iterator<Item = &'a DesignSpec>,
 ) -> (Vec<DesignSpec>, Vec<usize>) {
     let mut distinct: Vec<DesignSpec> = Vec::new();
@@ -643,16 +566,19 @@ impl ScenarioSet {
     /// Executes the set: builds each unique design once, deduplicates
     /// loop runs and summary passes across members, drains the
     /// remaining jobs on the work-stealing pool, and assembles
-    /// per-member results in expansion order.
+    /// per-member results in expansion order. The result is
+    /// bit-identical to [`ScenarioSet::run_reference`], the naive
+    /// member-by-member run.
     ///
     /// # Errors
     ///
     /// Propagates expansion, design-build, governor-build and trace
-    /// construction errors. A malformed (but decodable) spec artifact
-    /// surfaces here as an `Err`, never a panic, and so does an
-    /// unparsable `RAZORBUS_REPLAY_FANIN` or
-    /// `RAZORBUS_COMPILE_BUDGET_MB`, or a `RAZORBUS_THREADS` or
-    /// `RAZORBUS_COMPILE_CHUNK` that is not a positive integer.
+    /// construction errors, and names any member whose corner the
+    /// design tables do not tabulate. A malformed (but decodable) spec
+    /// artifact surfaces here as an `Err`, never a panic, and so does
+    /// an unparsable `RAZORBUS_COMPILE_BUDGET_MB`, or a
+    /// `RAZORBUS_THREADS` or `RAZORBUS_COMPILE_CHUNK` that is not a
+    /// positive integer.
     pub fn run(&self) -> Result<ScenarioSetRun, String> {
         self.run_with_workers(Vec::new(), true, None)
     }
@@ -663,14 +589,11 @@ impl ScenarioSet {
     ///   [`DesignSpec`]s, so a caller that already holds a design skips
     ///   its `BusTables::build`; specs without an entry build as usual.
     /// * `share_compiled = false` disables compiled-trace sharing,
-    ///   forcing every loop job onto the live `analyze_cycle` path —
-    ///   the comparison baseline CI uses to pin the shared path
-    ///   bit-identical (`repro scenario <name> --no-compiled`).
+    ///   forcing every loop job onto the live `analyze_cycle` path
+    ///   (`repro scenario <name> --no-compiled`).
     /// * `workers = Some(n)` pins the pool to `n` workers, bypassing
     ///   `RAZORBUS_THREADS` and the hardware default — how
-    ///   `bench_report` measures 1/2/N-worker scaling in one process,
-    ///   and how the tests pin results bit-identical across worker
-    ///   counts.
+    ///   `bench_report` measures 1/2/N-worker scaling in one process.
     ///
     /// # Errors
     ///
@@ -681,45 +604,38 @@ impl ScenarioSet {
         share_compiled: bool,
         workers: Option<usize>,
     ) -> Result<ScenarioSetRun, String> {
+        let budget = compile_budget()?;
         self.run_full(
             prebuilt,
-            share_compiled,
+            share_compiled.then_some(budget),
             workers,
             compile_chunk_knob()?,
-            None,
-            None,
         )
     }
 
-    /// [`ScenarioSet::run_with_workers`] with an explicit compile chunk
-    /// size (the `RAZORBUS_COMPILE_CHUNK` default otherwise) and
-    /// explicit fused-replay controls (`fuse` overrides
-    /// `RAZORBUS_NO_FUSED`, `fanin` overrides `RAZORBUS_REPLAY_FANIN`)
-    /// — lets the chunk-size and fused/solo differential tests run
-    /// without mutating process globals.
+    /// [`ScenarioSet::run_with_workers`] with every executor option
+    /// explicit, so the reference differential can drive them without
+    /// touching process globals: `budget` caps the resident bytes of
+    /// shared compiled traces (`None` shares nothing, every loop runs
+    /// live), and `chunk_cycles` is the compile chunk size.
     ///
     /// Each shared compile takes one of two routes, by one rule: it
     /// streams through [`CompiledTrace::compile`] when the pool has one
     /// worker or the stream fits in one chunk (`cycles <=
     /// chunk_cycles`), and otherwise drains its words and spawns one
     /// [`Job::CompileChunk`] per chunk. Both routes give the same bytes.
-    fn run_full(
+    pub(crate) fn run_full(
         &self,
         prebuilt: Vec<(DesignSpec, DvsBusDesign)>,
-        share_compiled: bool,
+        budget: Option<u64>,
         workers: Option<usize>,
         chunk_cycles: usize,
-        fuse: Option<bool>,
-        fanin: Option<usize>,
     ) -> Result<ScenarioSetRun, String> {
-        let budget = compile_budget()?;
         let n_workers = pool::worker_count(workers)?;
-        let fanin = match fanin {
-            Some(fanin) => fanin,
-            None => replay_fanin()?,
-        };
         let members = self.expand()?;
-        let plan = Plan::new(&members, share_compiled.then_some(budget));
+        // A run at an untabulated corner would panic inside a job.
+        members.iter().try_for_each(ScenarioSpec::check_corner)?;
+        let plan = Plan::new(&members, budget);
         let Plan {
             designs: design_specs,
             workloads,
@@ -800,19 +716,6 @@ impl ScenarioSet {
                 replayers[c].push(i);
             }
         }
-        // ... and how each compile's waiters replay: open-loop
-        // fixed-supply members fuse into single-pass groups, everything
-        // else keeps its solo continuation. Planned up front, so
-        // grouping never depends on scheduling.
-        let fuse = fuse.unwrap_or_else(fused_replays_enabled);
-        let replay_plans: Vec<Vec<ReplayPlan>> = compile_jobs
-            .iter()
-            .enumerate()
-            .map(|(c, key)| {
-                let stream = !matches!(workloads[key.workload], WorkloadSpec::Suite);
-                plan_replay_groups(&replayers[c], loop_jobs, loop_hist, stream, fuse, fanin)
-            })
-            .collect();
         // Drain the plan on the work-stealing pool, fed in
         // `initial_feed` order; a finished compile spawns one `Replay`
         // continuation per waiting loop (the compiled stream
@@ -897,15 +800,30 @@ impl ScenarioSet {
                     }
                 }
                 None => {
-                    for plan in &replay_plans[c] {
-                        match plan {
-                            ReplayPlan::Solo(i) => spawner.spawn(Job::Replay(
-                                *i,
-                                CompiledWorkload::Stream(Arc::clone(&compiled)),
-                            )),
-                            ReplayPlan::Fused(group) => spawner
-                                .spawn(Job::FusedReplay(group.clone(), Arc::clone(&compiled))),
+                    // Open-loop fixed-supply members without a rider fuse
+                    // into one pass per sampling window: sharing the
+                    // stream and the window, they share chunk boundaries,
+                    // which makes the fused fold bit-identical to each
+                    // solo replay. Closed-loop governors steer their own
+                    // chunk boundaries, and a rider's histogram needs
+                    // per-member collection order, so those replay solo.
+                    let mut groups: Vec<(Option<u64>, Vec<usize>)> = Vec::new();
+                    for &i in &replayers[c] {
+                        let controller = loop_jobs[i].controller;
+                        let sampling = controller.sampling;
+                        if loop_hist[i] || !matches!(controller.governor, GovernorSpec::Fixed(_)) {
+                            let stream = CompiledWorkload::Stream(Arc::clone(&compiled));
+                            spawner.spawn(Job::Replay(i, stream));
+                        } else if let Some((_, group)) =
+                            groups.iter_mut().find(|(s, _)| *s == sampling)
+                        {
+                            group.push(i);
+                        } else {
+                            groups.push((sampling, vec![i]));
                         }
+                    }
+                    for (_, group) in groups {
+                        spawner.spawn(Job::FusedReplay(group, Arc::clone(&compiled)));
                     }
                 }
             };
@@ -1130,8 +1048,8 @@ fn open_trace(
 
 /// Replays one loop job against a shared compiled workload (phase B) —
 /// bit-identical to [`run_loop_job`] over the live trace, pinned by the
-/// replay differential tests in `razorbus-core` and the executor tests
-/// below.
+/// replay differential tests in `razorbus-core` and the reference
+/// differential in [`crate::reference`].
 fn run_replay_job(
     design: &DvsBusDesign,
     job: &LoopKey,
@@ -1545,114 +1463,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_compiled_run_is_bit_identical_to_live_run() {
-        // A governor sweep (the canonical >=2-jobs-per-trace shape) must
-        // produce the exact same member results whether the executor
-        // compiles the workload once and replays it, or runs every
-        // member against the live trace.
-        let mut spec = member("duel", AnalysisSpec::Full, CornerSpec::Typical);
-        spec.run.cycles_per_benchmark = 3_000;
-        spec.sweep = vec![SweepAxis::Governors(vec![
-            GovernorSpec::Threshold,
-            GovernorSpec::Proportional,
-            GovernorSpec::Fixed(razorbus_units::Millivolts::new(1_100)),
-        ])];
-        let set = ScenarioSet::single(spec);
-        let shared = set.run_with_workers(Vec::new(), true, None).unwrap();
-        let live = set.run_with_workers(Vec::new(), false, None).unwrap();
-        assert_eq!(shared.result, live.result);
-    }
-
-    #[test]
-    fn results_are_bit_identical_across_worker_counts() {
-        // The full job mix — a compile feeding three replays plus a
-        // sweep-only summary pass — must assemble the exact same result
-        // on 1 worker (pure FIFO), 2 workers (stealing active) and the
-        // hardware default. Worker count is pinned via the explicit
-        // parameter, so the test is immune to `RAZORBUS_THREADS`.
-        let mut spec = member("pooled", AnalysisSpec::Full, CornerSpec::Typical);
-        spec.run.cycles_per_benchmark = 2_000;
-        spec.sweep = vec![SweepAxis::Governors(vec![
-            GovernorSpec::Threshold,
-            GovernorSpec::Proportional,
-            GovernorSpec::Fixed(razorbus_units::Millivolts::new(1_100)),
-        ])];
-        let set = ScenarioSet {
-            name: "pooled".to_string(),
-            members: vec![
-                spec,
-                member("sweep-only", AnalysisSpec::StaticSweep, CornerSpec::Worst),
-            ],
-        };
-        let one = set.run_with_workers(Vec::new(), true, Some(1)).unwrap();
-        let two = set.run_with_workers(Vec::new(), true, Some(2)).unwrap();
-        let many = set.run_with_workers(Vec::new(), true, None).unwrap();
-        assert_eq!(one.result, two.result);
-        assert_eq!(one.result, many.result);
-    }
-
-    #[test]
-    fn results_are_bit_identical_across_compile_chunk_sizes() {
-        // The compile route must be invisible in campaign results, on
-        // both sides of the stream-or-chunk rule: chunks smaller than
-        // the trace (many CompileChunk continuations interleaving with
-        // replays), an awkward prime, and chunks that cover a whole
-        // stream (it streams) — serial and pooled. Inputs: a suite, and
-        // a single-stream mixed-traffic recipe at one length below and
-        // one above the 2 000-cycle chunk, whose members mix fused
-        // fixed-supply replays with a closed-loop solo replay. Every
-        // run must equal the live path bitwise.
-        use crate::spec::{DmaProfile, IdleProfile, MixProfile, StormProfile, TrafficRecipe};
-        use razorbus_units::Millivolts;
-        let mut suite = member("suite", AnalysisSpec::Full, CornerSpec::Typical);
-        suite.run.cycles_per_benchmark = 2_000;
-        suite.sweep = vec![SweepAxis::Governors(vec![
-            GovernorSpec::Threshold,
-            GovernorSpec::Proportional,
-        ])];
-        let mut recipe = member("recipe", AnalysisSpec::ClosedLoop, CornerSpec::Typical);
-        recipe.workload = WorkloadSpec::Recipe(TrafficRecipe::Mixed(MixProfile {
-            dma: DmaProfile {
-                mean_burst: 200,
-                mean_idle: 400,
-                housekeeping_permille: 10,
-            },
-            dma_words: 300,
-            idle: IdleProfile {
-                nonzero_permille: 50,
-            },
-            idle_words: 300,
-            storm: StormProfile {
-                aggression_permille: 120,
-            },
-            storm_words: 200,
-        }));
-        recipe.sweep = vec![
-            SweepAxis::Cycles(vec![1_500, 2_500]),
-            SweepAxis::Governors(vec![
-                GovernorSpec::Threshold,
-                GovernorSpec::Fixed(Millivolts::new(1_000)),
-                GovernorSpec::Fixed(Millivolts::new(960)),
-            ]),
-        ];
-        let set = ScenarioSet {
-            name: "chunked".to_string(),
-            members: vec![suite, recipe],
-        };
-        let live = set
-            .run_full(Vec::new(), false, Some(1), 65_536, None, None)
-            .unwrap();
-        for chunk in [127usize, 500, 2_000, 65_536] {
-            for workers in [Some(1), Some(2), None] {
-                let run = set
-                    .run_full(Vec::new(), true, workers, chunk, None, None)
-                    .unwrap();
-                assert_eq!(live.result, run.result, "chunk {chunk}, {workers:?}");
-            }
-        }
-    }
-
-    #[test]
     fn seed_axis_members_share_their_seed_compile() {
         // Two governors x two seeds: each seed compiles once and serves
         // both of its governors; results equal the live path exactly.
@@ -1692,9 +1502,7 @@ mod tests {
         assert_eq!(plan.compile_jobs, vec![first]);
         assert_eq!(plan.loop_compile, vec![Some(0), Some(0), None]);
         // A zero budget compiles nothing — the executor falls back to
-        // the live path (which `run_with_workers(.., false, ..)` pins
-        // bit-identical to the shared one above) — and so does no
-        // budget at all.
+        // the live path — and so does no budget at all.
         assert!(Plan::new(&members, Some(0)).compile_jobs.is_empty());
         assert!(Plan::new(&members, None).compile_jobs.is_empty());
         // The budget is cumulative: once the suite's footprint is
@@ -1959,7 +1767,7 @@ mod tests {
 
     #[test]
     fn unparsable_knobs_name_the_variable_and_value() {
-        let var = "RAZORBUS_REPLAY_FANIN";
+        let var = "RAZORBUS_COMPILE_BUDGET_MB";
         assert_eq!(parse_knob::<usize>(var, None), Ok(None));
         assert_eq!(parse_knob::<usize>(var, Some("4".into())), Ok(Some(4)));
         for bad in ["abc", "", "-1", "2.5"] {
@@ -2056,153 +1864,40 @@ mod tests {
     }
 
     #[test]
-    fn fused_replays_are_bit_identical_to_solo_replays() {
-        // The tentpole differential: a voltage sweep crossed with two
-        // corners over one compiled stream — six open-loop members
-        // sharing one trace — must produce the exact same bytes whether
-        // the executor judges them one fused pass, capped fused groups,
-        // or solo replays, at every worker count. Closed-loop members
-        // ride along to prove mixing fused and solo paths is safe.
-        let mut spec = member("fused", AnalysisSpec::ClosedLoop, CornerSpec::Typical);
-        spec.workload = WorkloadSpec::Single(razorbus_traces::Benchmark::Crafty);
-        spec.run.cycles_per_benchmark = 3_000;
-        spec.sweep = vec![
-            SweepAxis::Corners(vec![CornerSpec::Typical, CornerSpec::Worst]),
-            SweepAxis::Voltages(crate::spec::VoltageSweep {
-                from: razorbus_units::Millivolts::new(960),
-                to: razorbus_units::Millivolts::new(1_040),
-                step: razorbus_units::Millivolts::new(40),
-            }),
+    fn untabulated_corners_are_refused_before_any_job() {
+        // The design tables hold 25 °C and 100 °C only; any other
+        // temperature (or none) must be an `Err` naming the member and
+        // the condition, in every analysis mode and from both runners —
+        // never a panic inside a pool worker.
+        let analyses = [
+            AnalysisSpec::ClosedLoop,
+            AnalysisSpec::StaticSweep,
+            AnalysisSpec::Full,
+            AnalysisSpec::Aggregate,
         ];
-        let mut closed = member("closed", AnalysisSpec::ClosedLoop, CornerSpec::Typical);
-        closed.workload = WorkloadSpec::Single(razorbus_traces::Benchmark::Crafty);
-        closed.run.cycles_per_benchmark = 3_000;
-        let set = ScenarioSet {
-            name: "fused-vs-solo".to_string(),
-            members: vec![spec, closed],
-        };
-        let chunk = compile_chunk_knob().unwrap();
-        let solo = set
-            .run_full(Vec::new(), true, Some(1), chunk, Some(false), None)
-            .unwrap();
-        for fanin in [0usize, 1, 2] {
-            for workers in [Some(1), Some(2), None] {
-                let fused = set
-                    .run_full(Vec::new(), true, workers, chunk, Some(true), Some(fanin))
-                    .unwrap();
-                assert_eq!(
-                    solo.result, fused.result,
-                    "fan-in {fanin}, workers {workers:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn replay_plans_partition_members_into_valid_groups() {
-        // Property test over randomized member sets: the planner must
-        // emit every replayer exactly once, keep closed-loop and
-        // histogram-carrying members solo, group only same-sampling
-        // open-loop members, and respect the fan-in cap.
-        struct Rng(u64);
-        impl Rng {
-            fn next(&mut self) -> u64 {
-                self.0 ^= self.0 << 13;
-                self.0 ^= self.0 >> 7;
-                self.0 ^= self.0 << 17;
-                self.0
-            }
-        }
-        let mut rng = Rng(0x9e37_79b9);
-        let samplings = [None, Some(500u64), Some(10_000)];
-        for _case in 0..200 {
-            let n = (rng.next() % 12) as usize + 1;
-            let mut loop_jobs = Vec::new();
-            let mut loop_hist = Vec::new();
-            for _ in 0..n {
-                let open = rng.next().is_multiple_of(2);
-                let governor = if open {
-                    GovernorSpec::Fixed(razorbus_units::Millivolts::new(1_000))
-                } else {
-                    GovernorSpec::Threshold
-                };
-                let sampling = samplings[(rng.next() % 3) as usize];
-                loop_jobs.push(LoopKey {
-                    design_idx: 0,
-                    corner: PvtCorner::TYPICAL,
-                    workload: 0,
-                    controller: ControllerSpec {
-                        governor,
-                        sampling,
-                        ..ControllerSpec::paper()
-                    },
-                    cycles: 1_000,
-                    seed: 3,
-                });
-                loop_hist.push(rng.next().is_multiple_of(4));
-            }
-            let replayers: Vec<usize> = (0..n).collect();
-            for fanin in [0usize, 1, 3] {
-                let plans =
-                    plan_replay_groups(&replayers, &loop_jobs, &loop_hist, true, true, fanin);
-                let mut seen = vec![0usize; n];
-                for plan in &plans {
-                    match plan {
-                        ReplayPlan::Solo(i) => seen[*i] += 1,
-                        ReplayPlan::Fused(group) => {
-                            assert!(!group.is_empty());
-                            if fanin > 0 {
-                                assert!(group.len() <= fanin, "fan-in cap violated");
-                            }
-                            let sampling = loop_jobs[group[0]].controller.sampling;
-                            for &i in group {
-                                seen[i] += 1;
-                                assert!(
-                                    matches!(
-                                        loop_jobs[i].controller.governor,
-                                        GovernorSpec::Fixed(_)
-                                    ),
-                                    "closed-loop member fused"
-                                );
-                                assert!(!loop_hist[i], "histogram member fused");
-                                assert_eq!(loop_jobs[i].controller.sampling, sampling);
-                            }
-                        }
-                    }
-                }
-                assert!(seen.iter().all(|&c| c == 1), "not a partition: {seen:?}");
-                // Solo-only modes collapse everything to solo plans.
-                for no_fuse in [
-                    plan_replay_groups(&replayers, &loop_jobs, &loop_hist, true, false, fanin),
-                    plan_replay_groups(&replayers, &loop_jobs, &loop_hist, false, true, fanin),
+        for celsius in [50.0, f64::NAN] {
+            let corner = CornerSpec::Pvt(PvtCorner::new(
+                ProcessCorner::Slow,
+                razorbus_units::Celsius::new(celsius),
+                IrDrop::None,
+            ));
+            for analysis in analyses {
+                let mut off = member("off-table", analysis, CornerSpec::Typical);
+                off.sweep = vec![SweepAxis::Corners(vec![CornerSpec::Typical, corner])];
+                let set = ScenarioSet::single(off);
+                for (runner, result) in [
+                    (
+                        "executor",
+                        set.run_full(Vec::new(), Some(u64::MAX), Some(2), 64),
+                    ),
+                    ("reference", set.run_reference()),
                 ] {
-                    assert_eq!(no_fuse.len(), n);
-                    assert!(no_fuse.iter().all(|p| matches!(p, ReplayPlan::Solo(_))));
+                    let err = result.unwrap_err();
+                    assert!(err.contains("`off-table@slow`"), "{runner}: {err}");
+                    assert!(err.contains("Slow process"), "{runner}: {err}");
+                    assert!(err.contains("not tabulated"), "{runner}: {err}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn monte_carlo_digest_is_identical_with_and_without_fusing() {
-        // The 1k Monte-Carlo campaign is the fused path's production
-        // shape: every member is an open-loop supply point sharing its
-        // seed's compiled trace. Its digest (the only output an
-        // Aggregate campaign keeps) must not move when fusing is
-        // disabled or the fan-in is pinned small.
-        let set = crate::catalog::by_name("monte-carlo-dvs-1k", 1_500, 7).unwrap();
-        let chunk = compile_chunk_knob().unwrap();
-        let fused = set
-            .run_full(Vec::new(), true, Some(2), chunk, Some(true), Some(0))
-            .unwrap();
-        let capped = set
-            .run_full(Vec::new(), true, Some(2), chunk, Some(true), Some(2))
-            .unwrap();
-        let solo = set
-            .run_full(Vec::new(), true, Some(2), chunk, Some(false), None)
-            .unwrap();
-        assert!(fused.result.digest.is_some());
-        assert_eq!(fused.result, solo.result);
-        assert_eq!(fused.result, capped.result);
     }
 }

@@ -35,8 +35,10 @@
 //!   bit-identically or reports the first diverging member and
 //!   component.
 //! * [`paper`] — the paper's figures as named sets plus adapters that
-//!   reproduce `razorbus_core::experiments` data **bit-identically**
-//!   (differential tests pin this).
+//!   render them into `razorbus_core::experiments` data structures.
+//! * [`ScenarioSet::run_reference`] — the oracle: the same campaign run
+//!   naively, member by member, which [`ScenarioSet::run`] must equal
+//!   bit for bit at any worker count, chunk size and compile budget.
 //! * [`catalog`] — named scenarios: the five paper figures, the
 //!   combined `paper-all` pipeline, and four non-paper workloads
 //!   (bursty DMA, idle-dominated, adversarial crosstalk, a governor
@@ -67,11 +69,12 @@ mod exec;
 pub mod paper;
 mod pool;
 pub mod record;
+mod reference;
 mod result;
 mod spec;
 
 pub use aggregate::{CampaignDigest, DigestBuilder, MemberMetrics, QuantileSketch, ScalarAgg};
-pub use exec::{replay_fanin, ScenarioSet, ScenarioSetRun};
+pub use exec::{ScenarioSet, ScenarioSetRun};
 pub use pool::worker_count;
 pub use record::{CampaignRecording, Divergence, MemberRecord, ReplayReport};
 pub use result::{LoopData, MemberResult, ScenarioSetResult, StreamRun, SweepData};

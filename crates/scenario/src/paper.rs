@@ -2,11 +2,11 @@
 //! adapters that turn executor products back into the exact figure data
 //! structures of `razorbus_core::experiments`.
 //!
-//! Each adapter calls the same `from_summary`/`from_parts` kernels the
-//! legacy experiment functions use over the same (shared, deduplicated)
-//! heavy inputs, so the scenario-driven figures are **bit-identical**
-//! to `experiments::fig4::run` & friends — pinned by the differential
-//! tests in `tests/differential.rs`.
+//! Each adapter feeds a member's heavy inputs (summary bank, suite
+//! closed loop) to the `from_summary`/`from_parts` kernels, so a figure
+//! rendered from the shared, deduplicated campaign is **bit-identical**
+//! to the same figure rendered from [`ScenarioSet::run_reference`] —
+//! pinned by the differential tests in `tests/differential.rs`.
 
 use crate::exec::{ScenarioSet, ScenarioSetRun};
 use crate::result::{LoopData, MemberResult, SweepData};

@@ -16,8 +16,9 @@
 //!   instead of serializing on the worker that produced them.
 //!
 //! Scheduling order is *not* part of any result contract — every job
-//! writes to its own pre-assigned slot, and the executor's worker-count
-//! differential test pins results bit-identical at 1, 2 and N workers.
+//! writes to its own pre-assigned slot, and the reference differential
+//! pins campaign results bit-identical to a serial member-by-member run
+//! at 1 to 4 workers.
 //!
 //! Built on `std` only (scoped threads, `Mutex`, `Condvar`): the
 //! sleep/wake protocol keeps a single pending-jobs counter under the

@@ -11,6 +11,7 @@
 use razorbus_core::DvsBusDesign;
 use razorbus_ctrl::{BoxedGovernor, GovernorSpec};
 use razorbus_process::{PvtCorner, TechnologyNode};
+use razorbus_tables::EnvCondition;
 use razorbus_traces::{AdversarialCrosstalk, Benchmark, BurstyDma, TraceSource, ZeroBurstWords};
 use razorbus_units::{Gigahertz, Millivolts, VoltageGrid};
 use razorbus_wire::BusPhysical;
@@ -325,7 +326,8 @@ impl ControllerSpec {
     ///
     /// # Errors
     ///
-    /// Returns a description for inconsistent overrides.
+    /// Returns a description for inconsistent overrides, and for a
+    /// fixed supply or controller start voltage off the design's grid.
     pub fn build(&self, design: &DvsBusDesign, corner: PvtCorner) -> Result<BoxedGovernor, String> {
         if self.window == Some(0) {
             return Err("controller window must be positive".to_string());
@@ -341,10 +343,22 @@ impl ControllerSpec {
             config.regulator =
                 razorbus_ctrl::RegulatorModel::new(f64::from(ns), Gigahertz::PAPER_CLOCK);
         }
-        if let GovernorSpec::Fixed(v) = self.governor {
-            if design.grid().index_of(v).is_none() {
+        match self.governor {
+            GovernorSpec::Fixed(v) if design.grid().index_of(v).is_none() => {
                 return Err(format!("fixed supply {v} is not on the design grid"));
             }
+            // The paper controllers start at 1.2 V, which a design with
+            // a lower nominal supply does not hold.
+            GovernorSpec::Threshold | GovernorSpec::Proportional
+                if design.grid().index_of(config.start).is_none() =>
+            {
+                return Err(format!(
+                    "{} governor starts at {}, which is not on the design grid",
+                    self.governor.label(),
+                    config.start
+                ));
+            }
+            _ => {}
         }
         Ok(self.governor.build(config))
     }
@@ -575,6 +589,20 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
+    /// Errors unless the member's corner is one the design tables
+    /// tabulate: their six (process, temperature) conditions at either
+    /// IR drop. The error names the member and its condition.
+    pub(crate) fn check_corner(&self) -> Result<(), String> {
+        let condition = EnvCondition::from_pvt(self.run.corner.resolve());
+        match condition.paper_index() {
+            Some(_) => Ok(()),
+            None => Err(format!(
+                "member `{}` runs at condition {condition}, which is not tabulated",
+                self.name
+            )),
+        }
+    }
+
     /// Expands the sweep axes into concrete members (`sweep` emptied,
     /// names suffixed per axis value).
     ///
@@ -1068,5 +1096,18 @@ mod tests {
             Ok(_) => panic!("off-grid fixed supply was accepted"),
         };
         assert!(err.contains("not on the design grid"));
+        // A 1.1 V node cannot start a paper controller at 1.2 V.
+        let node = DvsBusDesign::for_technology(TechnologyNode::L90).unwrap();
+        for governor in [GovernorSpec::Threshold, GovernorSpec::Proportional] {
+            let spec = ControllerSpec {
+                governor,
+                ..ControllerSpec::paper()
+            };
+            let err = match spec.build(&node, PvtCorner::TYPICAL) {
+                Err(e) => e,
+                Ok(_) => panic!("{governor} started off the grid"),
+            };
+            assert!(err.contains("starts at 1200 mV"), "{err}");
+        }
     }
 }

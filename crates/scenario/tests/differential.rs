@@ -1,14 +1,13 @@
-//! Differential pins: every paper figure produced through the scenario
-//! executor must be **bit-identical** to the legacy experiment
-//! functions it refactors (`experiments::fig4::run` & friends), which
-//! stay in place as thin wrappers around the shared kernels.
+//! Differential pins on the paper figures: every figure `repro all`
+//! renders from the shared, deduplicated `paper-all` campaign must be
+//! **bit-identical** to the same figure rendered from the naive
+//! member-by-member reference run, to the figure's standalone set, and
+//! to a saved-and-reloaded result.
 //!
 //! Identity is asserted on the full `Debug` rendering — every voltage,
 //! energy ratio and error count, not a summary statistic.
 
 use razorbus_artifact::{decode, encode, Artifact, Encoding};
-use razorbus_core::{experiments, DvsBusDesign};
-use razorbus_process::PvtCorner;
 use razorbus_scenario::{paper, ScenarioSetResult, ScenarioSetRun};
 
 const CYCLES: u64 = 10_000;
@@ -19,57 +18,11 @@ fn debug<T: std::fmt::Debug>(value: &T) -> String {
 }
 
 #[test]
-fn fig4_both_panels_match_legacy() {
-    let design = DvsBusDesign::paper_default();
-    let run = paper::fig4_set(CYCLES, SEED).run().unwrap();
-    for (member, corner) in [
-        ("fig4@worst", PvtCorner::WORST),
-        ("fig4@typical", PvtCorner::TYPICAL),
-    ] {
-        let scenario = paper::fig4_panel(&run, member).unwrap();
-        let legacy = experiments::fig4::run(&design, corner, CYCLES, SEED);
-        assert_eq!(debug(&scenario), debug(&legacy), "{member}");
-    }
-}
-
-#[test]
-fn fig5_matches_legacy() {
-    let design = DvsBusDesign::paper_default();
-    let run = paper::fig5_set(CYCLES, SEED).run().unwrap();
-    let scenario = paper::fig5_data(&run).unwrap();
-    let legacy = experiments::fig5::run(&design, CYCLES, SEED);
-    assert_eq!(debug(&scenario), debug(&legacy));
-}
-
-#[test]
-fn fig8_matches_legacy() {
-    let design = DvsBusDesign::paper_default();
-    let run = paper::fig8_set(CYCLES, SEED).run().unwrap();
-    let scenario = paper::fig8_data(&run).unwrap();
-    let legacy = experiments::fig8::run(&design, PvtCorner::TYPICAL, CYCLES, SEED);
-    // Fig8Data derives PartialEq: assert true bit-identity, then the
-    // rendering too (what `repro` prints).
-    assert_eq!(*scenario, legacy);
-    assert_eq!(debug(scenario), debug(&legacy));
-}
-
-#[test]
-fn table1_matches_legacy() {
-    let design = DvsBusDesign::paper_default();
-    let run = paper::table1_set(CYCLES, SEED).run().unwrap();
-    let scenario = paper::table1_data(&run).unwrap();
-    let legacy = experiments::table1::run(&design, CYCLES, SEED);
-    assert_eq!(debug(&scenario), debug(&legacy));
-}
-
-#[test]
-fn fig10_matches_legacy() {
-    let design = DvsBusDesign::paper_default();
-    let modified = DvsBusDesign::modified_paper_bus();
-    let run = paper::fig10_set(CYCLES, SEED).run().unwrap();
-    let scenario = paper::fig10_data(&run).unwrap();
-    let legacy = experiments::fig10::run(&design, &modified, CYCLES, SEED);
-    assert_eq!(debug(&scenario), debug(&legacy));
+fn paper_all_figures_match_reference() {
+    let set = paper::paper_all_set(CYCLES, SEED);
+    let executor = set.run().unwrap();
+    let reference = set.run_reference().unwrap();
+    assert_eq!(paper_all_figures(&executor), paper_all_figures(&reference));
 }
 
 #[test]

@@ -7,6 +7,7 @@
 //! ```
 
 use razorbus::core::{experiments, parse_count_knob, DvsBusDesign};
+use razorbus::process::PvtCorner;
 
 fn main() {
     let cycles = match parse_count_knob("RAZORBUS_CYCLES", std::env::var_os("RAZORBUS_CYCLES")) {
@@ -33,7 +34,14 @@ fn main() {
         modified.bus().min_path_delay(),
     );
 
-    let fig10 = experiments::fig10::run(&base, &modified, cycles, 13);
+    let fig10 = experiments::fig10::from_parts(
+        &base,
+        &modified,
+        &experiments::combined_summary(&base, cycles, 13),
+        &experiments::combined_summary(&modified, cycles, 13),
+        &experiments::fig8::run(&base, PvtCorner::WORST, cycles, 13),
+        &experiments::fig8::run(&modified, PvtCorner::WORST, cycles, 13),
+    );
     fig10.print();
 
     println!();

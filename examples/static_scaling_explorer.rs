@@ -18,10 +18,13 @@ fn main() {
         }
     };
     let design = DvsBusDesign::paper_default();
+    // One all-benchmarks histogram serves every corner below: it is
+    // corner-independent.
+    let summary = experiments::combined_summary(&design, cycles, 11);
 
     // Fig. 4: the two corners the paper plots.
     for corner in [PvtCorner::WORST, PvtCorner::TYPICAL] {
-        let data = experiments::fig4::run(&design, corner, cycles, 11);
+        let data = experiments::fig4::from_summary(&design, corner, &summary);
         data.print();
         match data.first_failure_voltage() {
             Some(v) => println!("  first failures appear at {v}\n"),
@@ -30,7 +33,7 @@ fn main() {
     }
 
     // Fig. 5: all five corners, three target error rates.
-    let fig5 = experiments::fig5::run(&design, cycles, 11);
+    let fig5 = experiments::fig5::from_summary(&design, &summary);
     fig5.print();
 
     // The §4 observation that 0% and 2% targets often coincide on the

@@ -159,8 +159,9 @@ fn modified_bus_beats_original_at_worst_corner() {
 #[test]
 fn fig4_combined_curves_have_paper_shape() {
     let design = DvsBusDesign::paper_default();
+    let summary = experiments::combined_summary(&design, 50_000, 7);
     for (corner, early_fail) in [(PvtCorner::WORST, true), (PvtCorner::TYPICAL, false)] {
-        let data = experiments::fig4::run(&design, corner, 50_000, 7);
+        let data = experiments::fig4::from_summary(&design, corner, &summary);
         let first_fail = data.first_failure_voltage().unwrap();
         if early_fail {
             assert!(
