@@ -262,6 +262,48 @@ enum Job {
     FusedReplay(Vec<usize>, Arc<CompiledTrace>),
 }
 
+/// How one finished stream compile's waiting loop jobs replay: solo
+/// continuations, or fused groups judged in a single pass over the
+/// stream. A pure function of the plan, so grouping is independent of
+/// worker count and completion order.
+#[derive(Debug, Clone, PartialEq)]
+enum ReplayPlan {
+    /// One [`Job::Replay`] continuation — closed-loop governors steer
+    /// their own chunk boundaries, and a histogram rider's increments
+    /// must land in per-member collection order.
+    Solo(usize),
+    /// One [`Job::FusedReplay`] over these loop indices — open-loop
+    /// fixed-supply members sharing the stream *and* the sampling
+    /// window, whose shared chunk boundaries make the fused fold
+    /// bit-identical to each solo replay.
+    Fused(Vec<usize>),
+}
+
+/// Partitions one stream compile's waiting loop indices into replay
+/// plans: solo plans in replayer order, then one unbounded fused group
+/// per sampling window, in first-seen order.
+fn plan_replay_groups(
+    replayers: &[usize],
+    loop_jobs: &[LoopKey],
+    loop_hist: &[bool],
+) -> Vec<ReplayPlan> {
+    let mut plans = Vec::new();
+    let mut groups: Vec<(Option<u64>, Vec<usize>)> = Vec::new();
+    for &i in replayers {
+        let controller = loop_jobs[i].controller;
+        let sampling = controller.sampling;
+        if loop_hist[i] || !matches!(controller.governor, GovernorSpec::Fixed(_)) {
+            plans.push(ReplayPlan::Solo(i));
+        } else if let Some((_, group)) = groups.iter_mut().find(|(s, _)| *s == sampling) {
+            group.push(i);
+        } else {
+            groups.push((sampling, vec![i]));
+        }
+    }
+    plans.extend(groups.into_iter().map(|(_, g)| ReplayPlan::Fused(g)));
+    plans
+}
+
 /// Slot-ordered assembly of a suite's per-benchmark products: each
 /// finishing bench job fills its pre-assigned slot, and the **last**
 /// finisher takes the completed list — always in
@@ -800,30 +842,15 @@ impl ScenarioSet {
                     }
                 }
                 None => {
-                    // Open-loop fixed-supply members without a rider fuse
-                    // into one pass per sampling window: sharing the
-                    // stream and the window, they share chunk boundaries,
-                    // which makes the fused fold bit-identical to each
-                    // solo replay. Closed-loop governors steer their own
-                    // chunk boundaries, and a rider's histogram needs
-                    // per-member collection order, so those replay solo.
-                    let mut groups: Vec<(Option<u64>, Vec<usize>)> = Vec::new();
-                    for &i in &replayers[c] {
-                        let controller = loop_jobs[i].controller;
-                        let sampling = controller.sampling;
-                        if loop_hist[i] || !matches!(controller.governor, GovernorSpec::Fixed(_)) {
-                            let stream = CompiledWorkload::Stream(Arc::clone(&compiled));
-                            spawner.spawn(Job::Replay(i, stream));
-                        } else if let Some((_, group)) =
-                            groups.iter_mut().find(|(s, _)| *s == sampling)
-                        {
-                            group.push(i);
-                        } else {
-                            groups.push((sampling, vec![i]));
-                        }
-                    }
-                    for (_, group) in groups {
-                        spawner.spawn(Job::FusedReplay(group, Arc::clone(&compiled)));
+                    for plan in plan_replay_groups(&replayers[c], loop_jobs, loop_hist) {
+                        spawner.spawn(match plan {
+                            ReplayPlan::Solo(i) => {
+                                Job::Replay(i, CompiledWorkload::Stream(Arc::clone(&compiled)))
+                            }
+                            ReplayPlan::Fused(group) => {
+                                Job::FusedReplay(group, Arc::clone(&compiled))
+                            }
+                        });
                     }
                 }
             };
@@ -1463,6 +1490,112 @@ mod tests {
     }
 
     #[test]
+    fn shared_compiled_run_is_bit_identical_to_live_run() {
+        // A governor sweep (the canonical >=2-jobs-per-trace shape) must
+        // produce the exact same member results whether the executor
+        // compiles the workload once and replays it, or runs every
+        // member against the live trace.
+        let mut spec = member("duel", AnalysisSpec::Full, CornerSpec::Typical);
+        spec.run.cycles_per_benchmark = 3_000;
+        spec.sweep = vec![SweepAxis::Governors(vec![
+            GovernorSpec::Threshold,
+            GovernorSpec::Proportional,
+            GovernorSpec::Fixed(razorbus_units::Millivolts::new(1_100)),
+        ])];
+        let set = ScenarioSet::single(spec);
+        let shared = set.run_with_workers(Vec::new(), true, None).unwrap();
+        let live = set.run_with_workers(Vec::new(), false, None).unwrap();
+        assert_eq!(shared.result, live.result);
+    }
+
+    #[test]
+    fn results_are_bit_identical_across_worker_counts() {
+        // The full job mix — a compile feeding three replays plus a
+        // sweep-only summary pass — must assemble the exact same result
+        // on 1 worker (pure FIFO), 2 workers (stealing active) and the
+        // hardware default. Worker count is pinned via the explicit
+        // parameter, so the test is immune to `RAZORBUS_THREADS`.
+        let mut spec = member("pooled", AnalysisSpec::Full, CornerSpec::Typical);
+        spec.run.cycles_per_benchmark = 2_000;
+        spec.sweep = vec![SweepAxis::Governors(vec![
+            GovernorSpec::Threshold,
+            GovernorSpec::Proportional,
+            GovernorSpec::Fixed(razorbus_units::Millivolts::new(1_100)),
+        ])];
+        let set = ScenarioSet {
+            name: "pooled".to_string(),
+            members: vec![
+                spec,
+                member("sweep-only", AnalysisSpec::StaticSweep, CornerSpec::Worst),
+            ],
+        };
+        let one = set.run_with_workers(Vec::new(), true, Some(1)).unwrap();
+        let two = set.run_with_workers(Vec::new(), true, Some(2)).unwrap();
+        let many = set.run_with_workers(Vec::new(), true, None).unwrap();
+        assert_eq!(one.result, two.result);
+        assert_eq!(one.result, many.result);
+    }
+
+    #[test]
+    fn results_are_bit_identical_across_compile_chunk_sizes() {
+        // The compile route must be invisible in campaign results, on
+        // both sides of the stream-or-chunk rule: chunks smaller than
+        // the trace (many CompileChunk continuations interleaving with
+        // replays), an awkward prime, and chunks that cover a whole
+        // stream (it streams) — serial and pooled. Inputs: a suite, and
+        // a single-stream mixed-traffic recipe at one length below and
+        // one above the 2 000-cycle chunk, whose members mix fused
+        // fixed-supply replays with a closed-loop solo replay. Every
+        // run must equal the live path bitwise.
+        use crate::spec::{DmaProfile, IdleProfile, MixProfile, StormProfile, TrafficRecipe};
+        use razorbus_units::Millivolts;
+        let mut suite = member("suite", AnalysisSpec::Full, CornerSpec::Typical);
+        suite.run.cycles_per_benchmark = 2_000;
+        suite.sweep = vec![SweepAxis::Governors(vec![
+            GovernorSpec::Threshold,
+            GovernorSpec::Proportional,
+        ])];
+        let mut recipe = member("recipe", AnalysisSpec::ClosedLoop, CornerSpec::Typical);
+        recipe.workload = WorkloadSpec::Recipe(TrafficRecipe::Mixed(MixProfile {
+            dma: DmaProfile {
+                mean_burst: 200,
+                mean_idle: 400,
+                housekeeping_permille: 10,
+            },
+            dma_words: 300,
+            idle: IdleProfile {
+                nonzero_permille: 50,
+            },
+            idle_words: 300,
+            storm: StormProfile {
+                aggression_permille: 120,
+            },
+            storm_words: 200,
+        }));
+        recipe.sweep = vec![
+            SweepAxis::Cycles(vec![1_500, 2_500]),
+            SweepAxis::Governors(vec![
+                GovernorSpec::Threshold,
+                GovernorSpec::Fixed(Millivolts::new(1_000)),
+                GovernorSpec::Fixed(Millivolts::new(960)),
+            ]),
+        ];
+        let set = ScenarioSet {
+            name: "chunked".to_string(),
+            members: vec![suite, recipe],
+        };
+        let live = set.run_full(Vec::new(), None, Some(1), 65_536).unwrap();
+        for chunk in [127usize, 500, 2_000, 65_536] {
+            for workers in [Some(1), Some(2), None] {
+                let run = set
+                    .run_full(Vec::new(), Some(DEFAULT_COMPILE_BUDGET), workers, chunk)
+                    .unwrap();
+                assert_eq!(live.result, run.result, "chunk {chunk}, {workers:?}");
+            }
+        }
+    }
+
+    #[test]
     fn seed_axis_members_share_their_seed_compile() {
         // Two governors x two seeds: each seed compiles once and serves
         // both of its governors; results equal the live path exactly.
@@ -1899,5 +2032,138 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fused_replays_are_bit_identical_to_solo_replays() {
+        // A voltage sweep crossed with two corners over one compiled
+        // stream — six open-loop members sharing one trace, judged in
+        // one fused pass — must produce the exact same bytes as each
+        // member run solo against the live trace, at every worker count
+        // and on both compile routes. A closed-loop member rides along
+        // to prove mixing fused and solo replays is safe.
+        let mut spec = member("fused", AnalysisSpec::ClosedLoop, CornerSpec::Typical);
+        spec.workload = WorkloadSpec::Single(razorbus_traces::Benchmark::Crafty);
+        spec.run.cycles_per_benchmark = 3_000;
+        spec.sweep = vec![
+            SweepAxis::Corners(vec![CornerSpec::Typical, CornerSpec::Worst]),
+            SweepAxis::Voltages(crate::spec::VoltageSweep {
+                from: razorbus_units::Millivolts::new(960),
+                to: razorbus_units::Millivolts::new(1_040),
+                step: razorbus_units::Millivolts::new(40),
+            }),
+        ];
+        let mut closed = member("closed", AnalysisSpec::ClosedLoop, CornerSpec::Typical);
+        closed.workload = WorkloadSpec::Single(razorbus_traces::Benchmark::Crafty);
+        closed.run.cycles_per_benchmark = 3_000;
+        let set = ScenarioSet {
+            name: "fused-vs-solo".to_string(),
+            members: vec![spec, closed],
+        };
+        let (members, plan) = plan_of(&set, true);
+        assert_eq!(members.len(), 7);
+        assert_eq!(plan.compile_jobs.len(), 1, "one shared compiled stream");
+        let solo = set.run_reference().unwrap();
+        for chunk in [1_000usize, 65_536] {
+            for workers in [Some(1), Some(2), None] {
+                let fused = set
+                    .run_full(Vec::new(), Some(DEFAULT_COMPILE_BUDGET), workers, chunk)
+                    .unwrap();
+                assert_eq!(solo.result, fused.result, "chunk {chunk}, {workers:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn replay_plans_partition_members_into_valid_groups() {
+        // Property test over randomized member sets: the planner must
+        // emit every replayer exactly once, keep closed-loop and
+        // histogram-carrying members solo, group only same-sampling
+        // open-loop members, and give each sampling window one group.
+        struct Rng(u64);
+        impl Rng {
+            fn next(&mut self) -> u64 {
+                self.0 ^= self.0 << 13;
+                self.0 ^= self.0 >> 7;
+                self.0 ^= self.0 << 17;
+                self.0
+            }
+        }
+        let mut rng = Rng(0x9e37_79b9);
+        let samplings = [None, Some(500u64), Some(10_000)];
+        for _case in 0..200 {
+            let n = (rng.next() % 12) as usize + 1;
+            let mut loop_jobs = Vec::new();
+            let mut loop_hist = Vec::new();
+            for _ in 0..n {
+                let open = rng.next().is_multiple_of(2);
+                let governor = if open {
+                    GovernorSpec::Fixed(razorbus_units::Millivolts::new(1_000))
+                } else {
+                    GovernorSpec::Threshold
+                };
+                let sampling = samplings[(rng.next() % 3) as usize];
+                loop_jobs.push(LoopKey {
+                    design_idx: 0,
+                    corner: PvtCorner::TYPICAL,
+                    workload: 0,
+                    controller: ControllerSpec {
+                        governor,
+                        sampling,
+                        ..ControllerSpec::paper()
+                    },
+                    cycles: 1_000,
+                    seed: 3,
+                });
+                loop_hist.push(rng.next().is_multiple_of(4));
+            }
+            let replayers: Vec<usize> = (0..n).collect();
+            let plans = plan_replay_groups(&replayers, &loop_jobs, &loop_hist);
+            let mut seen = vec![0usize; n];
+            let mut windows = HashSet::new();
+            for plan in &plans {
+                match plan {
+                    ReplayPlan::Solo(i) => {
+                        seen[*i] += 1;
+                        let open =
+                            matches!(loop_jobs[*i].controller.governor, GovernorSpec::Fixed(_));
+                        assert!(!open || loop_hist[*i], "fusable member replayed solo");
+                    }
+                    ReplayPlan::Fused(group) => {
+                        assert!(!group.is_empty());
+                        let sampling = loop_jobs[group[0]].controller.sampling;
+                        assert!(windows.insert(sampling), "sampling window split");
+                        for &i in group {
+                            seen[i] += 1;
+                            assert!(
+                                matches!(loop_jobs[i].controller.governor, GovernorSpec::Fixed(_)),
+                                "closed-loop member fused"
+                            );
+                            assert!(!loop_hist[i], "histogram member fused");
+                            assert_eq!(loop_jobs[i].controller.sampling, sampling);
+                        }
+                    }
+                }
+            }
+            assert!(seen.iter().all(|&c| c == 1), "not a partition: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn monte_carlo_digest_is_identical_with_and_without_fusing() {
+        // The 1k Monte-Carlo campaign is the fused path's production
+        // shape: every member is an open-loop supply point sharing its
+        // seed's compiled trace. Its digest (the only output an
+        // Aggregate campaign keeps) must not move when nothing is
+        // compiled — every member then runs unfused against the live
+        // trace.
+        let set = crate::catalog::by_name("monte-carlo-dvs-1k", 1_500, 7).unwrap();
+        let chunk = compile_chunk_knob().unwrap();
+        let fused = set
+            .run_full(Vec::new(), Some(DEFAULT_COMPILE_BUDGET), Some(2), chunk)
+            .unwrap();
+        let unfused = set.run_full(Vec::new(), None, Some(2), chunk).unwrap();
+        assert!(fused.result.digest.is_some());
+        assert_eq!(fused.result, unfused.result);
     }
 }

@@ -1,10 +1,8 @@
 //! Contract tests for streaming campaign aggregation: the
-//! order-independence property (any member completion order, one
-//! bit-identical digest), the differential guarantee that streaming
-//! equals materialize-then-aggregate, and the universal corruption
-//! contract of the `campaign-digest` artifact kind. The executor's own
-//! fold, at any worker count, is pinned against the reference run in
-//! the crate's `reference` module.
+//! order-independence property (any member completion order, any worker
+//! count, one bit-identical digest), the differential guarantee that
+//! streaming equals materialize-then-aggregate, and the universal
+//! corruption contract of the `campaign-digest` artifact kind.
 
 use proptest::prelude::*;
 use razorbus_artifact::{decode, encode, Artifact, Encoding};
@@ -211,6 +209,25 @@ fn aggregate_set(analysis: AnalysisSpec) -> ScenarioSet {
         name: "agg-exec".to_string(),
         members: vec![spec],
     }
+}
+
+fn executor_digest_bytes(workers: Option<usize>, share_compiled: bool) -> Vec<u8> {
+    let run = aggregate_set(AnalysisSpec::Aggregate)
+        .run_with_workers(Vec::new(), share_compiled, workers)
+        .expect("valid spec");
+    let digest = run.result.digest.expect("aggregate campaign digests");
+    encode(CampaignDigest::KIND, Encoding::Binary, &digest).expect("digest encodes")
+}
+
+/// The executor-level order-independence guarantee: 1 worker (strictly
+/// serial), 2 workers and the machine's full pool — and both the
+/// shared-compiled and live paths — produce byte-identical digests.
+#[test]
+fn executor_digest_is_bit_identical_across_worker_counts_and_paths() {
+    let serial = executor_digest_bytes(Some(1), true);
+    assert_eq!(executor_digest_bytes(Some(2), true), serial, "2 workers");
+    assert_eq!(executor_digest_bytes(None, true), serial, "full pool");
+    assert_eq!(executor_digest_bytes(Some(2), false), serial, "live path");
 }
 
 /// The differential guarantee: the streaming fold (constant memory, no

@@ -1,13 +1,19 @@
-//! Differential pins on the paper figures: every figure `repro all`
-//! renders from the shared, deduplicated `paper-all` campaign must be
-//! **bit-identical** to the same figure rendered from the naive
-//! member-by-member reference run, to the figure's standalone set, and
-//! to a saved-and-reloaded result.
+//! Differential pins on the paper figures: every figure produced
+//! through the scenario executor must be **bit-identical** to the
+//! legacy hand-wired composition of the `experiments` kernels (one
+//! summary collection and one `fig8::run` per input, no sharing), and
+//! every figure `repro all` renders from the shared, deduplicated
+//! `paper-all` campaign must equal the same figure rendered from the
+//! naive member-by-member reference run, from the figure's standalone
+//! set, and from a saved-and-reloaded result.
 //!
 //! Identity is asserted on the full `Debug` rendering — every voltage,
 //! energy ratio and error count, not a summary statistic.
 
 use razorbus_artifact::{decode, encode, Artifact, Encoding};
+use razorbus_core::experiments::{combined_summary, fig10, fig4, fig5, fig8, table1, SummaryBank};
+use razorbus_core::DvsBusDesign;
+use razorbus_process::PvtCorner;
 use razorbus_scenario::{paper, ScenarioSetResult, ScenarioSetRun};
 
 const CYCLES: u64 = 10_000;
@@ -15,6 +21,73 @@ const SEED: u64 = 2005;
 
 fn debug<T: std::fmt::Debug>(value: &T) -> String {
     format!("{value:?}")
+}
+
+#[test]
+fn fig4_both_panels_match_legacy() {
+    let design = DvsBusDesign::paper_default();
+    let run = paper::fig4_set(CYCLES, SEED).run().unwrap();
+    let summary = combined_summary(&design, CYCLES, SEED);
+    for (member, corner) in [
+        ("fig4@worst", PvtCorner::WORST),
+        ("fig4@typical", PvtCorner::TYPICAL),
+    ] {
+        let scenario = paper::fig4_panel(&run, member).unwrap();
+        let legacy = fig4::from_summary(&design, corner, &summary);
+        assert_eq!(debug(&scenario), debug(&legacy), "{member}");
+    }
+}
+
+#[test]
+fn fig5_matches_legacy() {
+    let design = DvsBusDesign::paper_default();
+    let run = paper::fig5_set(CYCLES, SEED).run().unwrap();
+    let scenario = paper::fig5_data(&run).unwrap();
+    let legacy = fig5::from_summary(&design, &combined_summary(&design, CYCLES, SEED));
+    assert_eq!(debug(&scenario), debug(&legacy));
+}
+
+#[test]
+fn fig8_matches_legacy() {
+    let design = DvsBusDesign::paper_default();
+    let run = paper::fig8_set(CYCLES, SEED).run().unwrap();
+    let scenario = paper::fig8_data(&run).unwrap();
+    let legacy = fig8::run(&design, PvtCorner::TYPICAL, CYCLES, SEED);
+    // Fig8Data derives PartialEq: assert true bit-identity, then the
+    // rendering too (what `repro` prints).
+    assert_eq!(*scenario, legacy);
+    assert_eq!(debug(scenario), debug(&legacy));
+}
+
+#[test]
+fn table1_matches_legacy() {
+    let design = DvsBusDesign::paper_default();
+    let run = paper::table1_set(CYCLES, SEED).run().unwrap();
+    let scenario = paper::table1_data(&run).unwrap();
+    let legacy = table1::from_parts(
+        &design,
+        &SummaryBank::collect(&design, CYCLES, SEED),
+        &fig8::run(&design, PvtCorner::WORST, CYCLES, SEED),
+        &fig8::run(&design, PvtCorner::TYPICAL, CYCLES, SEED),
+    );
+    assert_eq!(debug(&scenario), debug(&legacy));
+}
+
+#[test]
+fn fig10_matches_legacy() {
+    let design = DvsBusDesign::paper_default();
+    let modified = DvsBusDesign::modified_paper_bus();
+    let run = paper::fig10_set(CYCLES, SEED).run().unwrap();
+    let scenario = paper::fig10_data(&run).unwrap();
+    let legacy = fig10::from_parts(
+        &design,
+        &modified,
+        &combined_summary(&design, CYCLES, SEED),
+        &combined_summary(&modified, CYCLES, SEED),
+        &fig8::run(&design, PvtCorner::WORST, CYCLES, SEED),
+        &fig8::run(&modified, PvtCorner::WORST, CYCLES, SEED),
+    );
+    assert_eq!(debug(&scenario), debug(&legacy));
 }
 
 #[test]
