@@ -11,8 +11,10 @@
 //! the executor's deduplication gives the old hand-rolled sharing for
 //! free — the paper-default configuration appears in studies 1–4 under
 //! different labels but is *measured once*, and the coupling study's
-//! default-bus summary rides the paper-default closed loop as a
-//! histogram by-product instead of a second trace pass.
+//! default-bus summary comes from the pass that already reads the
+//! paper-default workload — its shared compile, or the first
+//! paper-default loop when the compile is over budget — instead of a
+//! second trace pass.
 
 use razorbus_core::experiments::fig5;
 use razorbus_scenario::{
@@ -146,7 +148,8 @@ fn ablation_set(cycles: u64, studies: Studies) -> ScenarioSet {
     if studies.coupling {
         // Static Fig. 5 analysis on the two coupling models. The
         // default-coupling design *is* the paper design, so its bank
-        // rides the paper-default loop when studies 1–4 run alongside.
+        // comes from the paper-default workload's compile (or first
+        // loop) when studies 1–4 run alongside.
         let mut m = loop_member("coupling-default", cycles);
         m.analysis = AnalysisSpec::StaticSweep;
         members.push(m);
@@ -287,7 +290,7 @@ pub fn coupling_model(cycles: u64) -> Vec<AblationRow> {
 /// Computes every ablation without printing, as **one** scenario set:
 /// the executor measures the shared paper-default row a single time
 /// across studies 1–4 and feeds study 5's default-coupling bank off the
-/// same run's histogram. Returns `(title, rows)` pairs; the benchmark
+/// same workload's compile or loop. Returns `(title, rows)` pairs; the benchmark
 /// harness times this so `BENCH_*.json` tracks the same pipeline the
 /// `repro` binary runs.
 #[must_use]

@@ -10,20 +10,22 @@
 //!   reference across every member that names it.
 //! * **Heavy inputs** — members wanting the same closed loop (same
 //!   design, corner, workload, controller, cycles, seed) share one run,
-//!   and a member that only needs the sweep histogram rides along as a
-//!   `with_histogram` by-product of *any* loop over the same
-//!   (design, workload, cycles, seed) — the histogram is corner- and
-//!   governor-independent, and bit-identical to a dedicated
-//!   `TraceSummary::collect` pass (pinned in `razorbus-core`).
+//!   and members wanting the same sweep histogram share one product per
+//!   (design, workload, cycles, seed), since the histogram is corner-
+//!   and governor-independent. The pass that already reads those words
+//!   fills it: the key's shared compile ([`CompiledTrace::summary`]),
+//!   else the key's first live loop (a `with_histogram` by-product),
+//!   else a dedicated `TraceSummary::collect` pass. All three are
+//!   bit-identical (pinned in `razorbus-core`).
 //!
 //! The planned jobs then drain on a bounded work-stealing pool
 //! ([`crate::pool`]) instead of one OS thread per job: the worker count
 //! comes from `--threads` / `RAZORBUS_THREADS` / available parallelism,
 //! live loops are fed ahead of compile and summary jobs, and each
 //! finished compile spawns its replay continuations onto the finishing
-//! worker's own deque, where idle workers steal them. Suite compiles
-//! and suite summary passes split into one job per benchmark with a
-//! slot-ordered merge (the last finisher assembles in
+//! worker's own deque, where idle workers steal them. A suite is ten
+//! streams, one per benchmark: compiles and summary passes run one job
+//! per stream with a slot-ordered merge (the last finisher assembles in
 //! [`razorbus_traces::Benchmark::ALL`] order), so a small campaign's
 //! parallelism is no longer capped at its member count. A compile
 //! streams in one pass when the pool has one worker or its stream fits
@@ -194,11 +196,6 @@ impl<T: Hash + Eq + Clone> Interner<T> {
     }
 }
 
-struct LoopProduct {
-    data: LoopData,
-    sweep: Option<SweepData>,
-}
-
 /// A workload compiled against its design: the governor-independent
 /// per-cycle classification, shared by reference across every loop job
 /// over the same (design, workload, cycles, seed).
@@ -211,17 +208,17 @@ enum CompiledWorkload {
 }
 
 /// A chunked compile in flight: the serially drained word buffer plus
-/// the slot-ordered chunk assembly. `Compile`/`CompileBench` handlers
-/// build one of these when a stream spans more than one chunk on a
-/// pool of more than one worker, spawn a [`Job::CompileChunk`] per
-/// chunk, and the last chunk to finish assembles the trace and
-/// completes the compile exactly as the streaming route would.
+/// the slot-ordered chunk assembly. The [`Job::Compile`] handler builds
+/// one of these when a stream spans more than one chunk on a pool of
+/// more than one worker, spawns a [`Job::CompileChunk`] per chunk, and
+/// the last chunk to finish assembles the stream and completes it
+/// exactly as the streaming route would.
 struct ChunkJob {
     /// Index into the plan's `compile_jobs`.
     c: usize,
-    /// Suite benchmark slot for [`Job::CompileBench`] parents, `None`
-    /// for single-stream compiles.
-    bench: Option<usize>,
+    /// The workload stream being compiled (a suite's benchmark slot, or
+    /// 0 for a single stream).
+    stream: usize,
     /// `cycles + 1` words: cycle `k` reads `(words[k], words[k + 1])`.
     words: Vec<u32>,
     /// Per-chunk assembly slots, filled in any order, taken whole by
@@ -234,33 +231,33 @@ struct ChunkJob {
 /// are continuations a finished compile spawns for each waiting loop index,
 /// and `CompileChunk`s are continuations a compile's serial drain
 /// spawns for each cycle chunk — both interleave with every other job
-/// on the pool.
+/// on the pool. A suite's compiles and summaries are ten jobs, one per
+/// benchmark stream; any other workload's are one job on stream 0.
 enum Job {
-    /// Compile `compile_jobs[i]`'s single-stream workload: stream it,
-    /// or drain it and spawn its analysis chunks.
-    Compile(usize),
-    /// Compile benchmark `b` of suite compile job `c` the same way;
-    /// the last bench to finish assembles the suite and spawns its
-    /// replays.
-    CompileBench(usize, usize),
+    /// Compile stream `b` of `compile_jobs[c]`: stream it, or drain it
+    /// and spawn its analysis chunks. The last stream to finish
+    /// assembles the workload and spawns its replays.
+    Compile(usize, usize),
     /// Analyze chunk `k` of an in-flight chunked compile; the last
-    /// chunk to finish assembles the trace and completes the compile.
+    /// chunk to finish assembles the stream and completes it.
     CompileChunk(Arc<ChunkJob>, usize),
     /// Run `loop_jobs[i]` against the live trace.
     Loop(usize),
-    /// Run single-stream `summary_jobs[i]` (a histogram-only pass no
-    /// loop provides).
-    Summary(usize),
-    /// Summarize benchmark `b` of suite summary job `s`; the last
-    /// bench to finish merges the bank in `Benchmark::ALL` order.
-    SummaryBench(usize, usize),
+    /// Summarize stream `b` of `sweeps[s]`'s workload (a sweep no
+    /// compile or live loop reads); the last stream to finish
+    /// assembles the sweep product.
+    Summary(usize, usize),
     /// Replay `loop_jobs[i]` against its shared compiled workload.
     Replay(usize, CompiledWorkload),
-    /// Judge a whole group of open-loop loop jobs in one fused pass
-    /// over their shared compiled stream
-    /// ([`CompiledTrace::replay_fused`]).
-    FusedReplay(Vec<usize>, Arc<CompiledTrace>),
+    /// Judge a whole group of open-loop loop jobs, each with its fixed
+    /// operating point, in one fused pass over their shared compiled
+    /// stream ([`CompiledTrace::replay_fused`]).
+    FusedReplay(FusedGroup, Arc<CompiledTrace>),
 }
+
+/// Loop indices judged in one fused pass, each with the fixed operating
+/// point the planner read off its loop key.
+type FusedGroup = Vec<(usize, FusedOp)>;
 
 /// How one finished stream compile's waiting loop jobs replay: solo
 /// continuations, or fused groups judged in a single pass over the
@@ -269,46 +266,43 @@ enum Job {
 #[derive(Debug, Clone, PartialEq)]
 enum ReplayPlan {
     /// One [`Job::Replay`] continuation — closed-loop governors steer
-    /// their own chunk boundaries, and a histogram rider's increments
-    /// must land in per-member collection order.
+    /// their own chunk boundaries.
     Solo(usize),
-    /// One [`Job::FusedReplay`] over these loop indices — open-loop
-    /// fixed-supply members sharing the stream *and* the sampling
-    /// window, whose shared chunk boundaries make the fused fold
-    /// bit-identical to each solo replay.
-    Fused(Vec<usize>),
+    /// One [`Job::FusedReplay`] over these loop indices and their
+    /// operating points — open-loop fixed-supply members sharing the
+    /// stream *and* the sampling window, whose shared chunk boundaries
+    /// make the fused fold bit-identical to each solo replay.
+    Fused(FusedGroup),
 }
 
 /// Partitions one stream compile's waiting loop indices into replay
-/// plans: solo plans in replayer order, then one unbounded fused group
-/// per sampling window, in first-seen order.
-fn plan_replay_groups(
-    replayers: &[usize],
-    loop_jobs: &[LoopKey],
-    loop_hist: &[bool],
-) -> Vec<ReplayPlan> {
+/// plans: closed-loop members solo, in replayer order, then one
+/// unbounded fused group per sampling window, in first-seen order.
+fn plan_replay_groups(replayers: &[usize], loop_jobs: &[LoopKey]) -> Vec<ReplayPlan> {
     let mut plans = Vec::new();
-    let mut groups: Vec<(Option<u64>, Vec<usize>)> = Vec::new();
+    let mut groups: Vec<(Option<u64>, FusedGroup)> = Vec::new();
     for &i in replayers {
-        let controller = loop_jobs[i].controller;
-        let sampling = controller.sampling;
-        if loop_hist[i] || !matches!(controller.governor, GovernorSpec::Fixed(_)) {
+        let (pvt, sampling) = (loop_jobs[i].corner, loop_jobs[i].controller.sampling);
+        let GovernorSpec::Fixed(supply) = loop_jobs[i].controller.governor else {
             plans.push(ReplayPlan::Solo(i));
-        } else if let Some((_, group)) = groups.iter_mut().find(|(s, _)| *s == sampling) {
-            group.push(i);
-        } else {
-            groups.push((sampling, vec![i]));
+            continue;
+        };
+        let op = (i, FusedOp { pvt, supply });
+        match groups.iter_mut().find(|(s, _)| *s == sampling) {
+            Some((_, group)) => group.push(op),
+            None => groups.push((sampling, vec![op])),
         }
     }
     plans.extend(groups.into_iter().map(|(_, g)| ReplayPlan::Fused(g)));
     plans
 }
 
-/// Slot-ordered assembly of a suite's per-benchmark products: each
-/// finishing bench job fills its pre-assigned slot, and the **last**
-/// finisher takes the completed list — always in
-/// [`Benchmark::ALL`] order, so the merged value is bit-identical to
-/// the old serial pass regardless of completion order.
+/// Slot-ordered assembly of a workload's per-stream products (or a
+/// stream's per-chunk ones): each finishing job fills its pre-assigned
+/// slot, and the **last** finisher takes the completed list — always in
+/// slot order ([`Benchmark::ALL`] order for a suite), so the merged
+/// value is bit-identical to a serial pass regardless of completion
+/// order.
 struct BenchSlots<T> {
     slots: Vec<Option<T>>,
     remaining: usize,
@@ -323,35 +317,25 @@ impl<T> BenchSlots<T> {
     }
 
     /// Fills slot `b`, returning the full slot-ordered list when this
-    /// was the last empty slot.
+    /// was the last empty slot. The list reuses the slots' own buffer,
+    /// allocated where the slots were built, so the finishing worker
+    /// allocates nothing that outlives its job in its own heap.
     fn fill(&mut self, b: usize, value: T) -> Option<Vec<T>> {
         assert!(self.slots[b].is_none(), "bench slot {b} filled twice");
         self.slots[b] = Some(value);
         self.remaining -= 1;
         (self.remaining == 0).then(|| {
-            self.slots
-                .iter_mut()
-                .map(|s| s.take().expect("all slots filled"))
+            std::mem::take(&mut self.slots)
+                .into_iter()
+                .map(|s| s.expect("all slots filled"))
                 .collect()
         })
     }
 }
 
-/// How a sweep-wanting member's product is sourced: riding a loop
-/// job's histogram by-product, or a dedicated summary job.
-#[derive(Clone, Copy)]
-enum SweepSource {
-    Loop(usize),
-    Job(usize),
-}
-
 /// One loop job's result slot: `None` until the job finishes; the
-/// product itself is kept only for members that materialize it.
-type LoopSlot = Option<Result<Option<LoopProduct>, String>>;
-
-/// Per-benchmark assembly slots for one suite job (`None` for stream
-/// jobs, which produce their single result in one piece).
-type SuiteSlots<T> = Option<Mutex<BenchSlots<T>>>;
+/// data itself is kept only for members that materialize it.
+type LoopSlot = Option<Result<Option<LoopData>, String>>;
 
 /// Default ceiling (bytes) on the resident size of shared compiled
 /// traces; above it the executor falls back to direct (live) runs so a
@@ -380,13 +364,30 @@ pub(crate) fn compile_budget() -> Result<u64, String> {
     }
 }
 
+/// The streams a workload compiles and summarizes as: one per benchmark
+/// for a suite, one for anything else.
+fn stream_count(workload: &WorkloadSpec) -> usize {
+    match workload {
+        WorkloadSpec::Suite => Benchmark::ALL.len(),
+        WorkloadSpec::Single(_) | WorkloadSpec::Recipe(_) => 1,
+    }
+}
+
+/// A workload's per-stream summaries, in stream order and tagged
+/// `Benchmark::ALL[stream]`, as its sweep product: a suite's ten merge
+/// into a bank, and a single stream's one is the summary itself (its
+/// tag unused).
+fn sweep_of(per: Vec<(Benchmark, TraceSummary)>) -> SweepData {
+    match <[(Benchmark, TraceSummary); 1]>::try_from(per) {
+        Ok([(_, summary)]) => SweepData::Summary(summary),
+        Err(per) => SweepData::Bank(SummaryBank::from_per_benchmark(per)),
+    }
+}
+
 /// Estimated resident bytes of compiling `key`'s workload, saturating
 /// for budgets no memory holds.
 fn compiled_footprint(key: &SummaryKey, workloads: &[WorkloadSpec]) -> u64 {
-    let streams = match &workloads[key.workload] {
-        WorkloadSpec::Suite => razorbus_traces::Benchmark::ALL.len() as u64,
-        WorkloadSpec::Single(_) | WorkloadSpec::Recipe(_) => 1,
-    };
+    let streams = stream_count(&workloads[key.workload]) as u64;
     (streams * COMPILED_BYTES_PER_CYCLE).saturating_mul(key.cycles)
 }
 
@@ -419,37 +420,45 @@ struct Plan {
     loop_jobs: Vec<LoopKey>,
     /// Each member's loop job (`None` if it needs none).
     member_loop: Vec<Option<usize>>,
-    /// Each member's sweep source (`None` if it wants no sweep).
-    member_sweep: Vec<Option<SweepSource>>,
-    /// Which loop jobs carry a histogram rider.
-    loop_hist: Vec<bool>,
-    /// Histogram-only passes no loop provides.
-    summary_jobs: Vec<SummaryKey>,
+    /// The distinct sweep products, first-appearance order.
+    sweeps: Vec<SummaryKey>,
+    /// Each member's sweep (`None` if it wants no sweep).
+    member_sweep: Vec<Option<usize>>,
     /// Shared compiles, first-appearance order.
     compile_jobs: Vec<SummaryKey>,
     /// Each loop job's compile (`None` runs live).
     loop_compile: Vec<Option<usize>>,
+    /// The sweep each compile summarizes, stream by stream.
+    compile_sweep: Vec<Option<usize>>,
+    /// The sweep each live loop collects as a histogram by-product.
+    loop_sweep: Vec<Option<usize>>,
+    /// Sweeps no compile or live loop reads: one summary pass each.
+    own_sweeps: Vec<usize>,
 }
 
 impl Plan {
-    /// Plans `members`: deduplicated loop runs, histogram attachment,
-    /// summary-only passes for banks no loop can provide, and — when
-    /// `compile_budget` is given — the compile plan. Loop jobs are
-    /// planned over *all* members first so histogram attachment is
-    /// member-order-independent: a sweep-only member rides a loop
-    /// planned later in the set rather than spawning a redundant trace
-    /// pass. Every step is linear in the member count.
+    /// Plans `members`: deduplicated loop runs, the compile plan when
+    /// `compile_budget` is given, and one source per sweep product —
+    /// its key's compile, else the key's first live loop, else a
+    /// dedicated summary pass. Loop jobs are planned over *all* members
+    /// first, so a sweep's source is member-order-independent: a
+    /// sweep-only member rides a loop planned later in the set rather
+    /// than spawning a redundant trace pass. Every step is linear in
+    /// the member count.
     fn new(members: &[ScenarioSpec], compile_budget: Option<u64>) -> Self {
         let (designs, member_design) = distinct_designs(members.iter().map(|m| &m.design));
         let mut workloads = Interner::with_capacity(1);
         let member_workload: Vec<usize> =
             members.iter().map(|m| workloads.id(&m.workload)).collect();
         let workloads: Vec<WorkloadSpec> = workloads.values.into_iter().cloned().collect();
+        let member_ids = || {
+            members
+                .iter()
+                .zip(member_design.iter().zip(&member_workload))
+        };
 
         let mut loops = Interner::with_capacity(members.len());
-        let member_loop: Vec<Option<usize>> = members
-            .iter()
-            .zip(member_design.iter().zip(&member_workload))
+        let member_loop: Vec<Option<usize>> = member_ids()
             .map(|(m, (&d, &w))| {
                 (m.analysis.wants_loop() || m.analysis.wants_aggregate())
                     .then(|| loops.id(LoopKey::of(m, d, w)))
@@ -470,26 +479,6 @@ impl Plan {
                 first_loop.push(i);
             }
         }
-
-        let mut loop_hist = vec![false; loop_jobs.len()];
-        let mut summaries = Interner::with_capacity(0);
-        let member_sweep = members
-            .iter()
-            .zip(member_design.iter().zip(&member_workload))
-            .map(|(m, (&d, &w))| {
-                if !m.analysis.wants_sweep() {
-                    return None;
-                }
-                let skey = LoopKey::of(m, d, w).summary_key();
-                Some(match skeys.ids.get(&skey) {
-                    Some(&s) => {
-                        loop_hist[first_loop[s]] = true;
-                        SweepSource::Loop(first_loop[s])
-                    }
-                    None => SweepSource::Job(summaries.id(skey)),
-                })
-            })
-            .collect();
 
         // A (design, workload, cycles, seed) analyzed by two or more
         // loop jobs (a governor shootout, a corner sweep, `repro all`'s
@@ -517,39 +506,71 @@ impl Plan {
             }
         }
 
+        // One slot per sweep product, filled by the pass that already
+        // reads its words.
+        let mut sweeps = Interner::with_capacity(0);
+        let member_sweep: Vec<Option<usize>> = member_ids()
+            .map(|(m, (&d, &w))| {
+                m.analysis
+                    .wants_sweep()
+                    .then(|| sweeps.id(LoopKey::of(m, d, w).summary_key()))
+            })
+            .collect();
+        let mut compile_sweep = vec![None; compile_jobs.len()];
+        let mut loop_sweep = vec![None; loop_jobs.len()];
+        let mut own_sweeps = Vec::new();
+        for (s, key) in sweeps.values.iter().enumerate() {
+            match skeys.ids.get(key).map(|&k| (k, skey_compile[k])) {
+                Some((_, Some(c))) => compile_sweep[c] = Some(s),
+                Some((k, None)) => loop_sweep[first_loop[k]] = Some(s),
+                None => own_sweeps.push(s),
+            }
+        }
+
         Self {
             designs,
             workloads,
             loop_compile: loop_skey.iter().map(|&s| skey_compile[s]).collect(),
             loop_jobs,
             member_loop,
+            sweeps: sweeps.values,
             member_sweep,
-            loop_hist,
-            summary_jobs: summaries.values,
             compile_jobs,
+            compile_sweep,
+            loop_sweep,
+            own_sweeps,
         }
     }
 
+    /// The loop jobs replaying each compile, in loop order.
+    fn replayers(&self) -> Vec<Vec<usize>> {
+        let mut replayers = vec![Vec::new(); self.compile_jobs.len()];
+        for (i, c) in self.loop_compile.iter().enumerate() {
+            if let Some(c) = *c {
+                replayers[c].push(i);
+            }
+        }
+        replayers
+    }
+
     /// The initial pool feed, each block in plan order: live
-    /// (uncompiled) loops, then compiles, then summary passes, suites
-    /// split per benchmark. A live loop cannot split below a whole
+    /// (uncompiled) loops, then compiles, then summary passes, one job
+    /// per workload stream. A live loop cannot split below a whole
     /// workload — a suite loop threads one governor through every
     /// benchmark — so it starts first, and the compiles' stealable
     /// chunk jobs fill the pool around it.
     fn initial_feed(&self) -> Vec<Job> {
-        let split =
-            |keys: &[SummaryKey], whole: fn(usize) -> Job, bench: fn(usize, usize) -> Job| {
-                let per_key = |(i, key): (usize, &SummaryKey)| match self.workloads[key.workload] {
-                    WorkloadSpec::Suite => (0..Benchmark::ALL.len()).map(|b| bench(i, b)).collect(),
-                    _ => vec![whole(i)],
-                };
-                Vec::from_iter(keys.iter().enumerate().flat_map(per_key))
-            };
+        let streams = |key: &SummaryKey| 0..stream_count(&self.workloads[key.workload]);
+        let compiles = self.compile_jobs.iter().enumerate();
         (0..self.loop_jobs.len())
             .filter(|&i| self.loop_compile[i].is_none())
             .map(Job::Loop)
-            .chain(split(&self.compile_jobs, Job::Compile, Job::CompileBench))
-            .chain(split(&self.summary_jobs, Job::Summary, Job::SummaryBench))
+            .chain(compiles.flat_map(|(c, key)| streams(key).map(move |b| Job::Compile(c, b))))
+            .chain(
+                self.own_sweeps
+                    .iter()
+                    .flat_map(|&s| streams(&self.sweeps[s]).map(move |b| Job::Summary(s, b))),
+            )
             .collect()
     }
 }
@@ -683,11 +704,13 @@ impl ScenarioSet {
             workloads,
             loop_jobs,
             member_loop,
+            sweeps,
             member_sweep,
-            loop_hist,
-            summary_jobs,
             compile_jobs,
-            loop_compile,
+            compile_sweep,
+            loop_sweep,
+            own_sweeps,
+            ..
         } = &plan;
 
         let mut prebuilt: Vec<(DesignSpec, Option<DvsBusDesign>)> = prebuilt
@@ -718,10 +741,9 @@ impl ScenarioSet {
                 agg_count += 1;
             }
         }
-        // Aggregate-only loop products are dropped at the fold; a job
-        // is materialized only if a member keeps its data or its
-        // histogram rider feeds a sweep product.
-        let mut materialize = loop_hist.clone();
+        // Aggregate-only loop data is dropped at the fold; a job is
+        // materialized only if a member keeps its data.
+        let mut materialize = vec![false; loop_jobs.len()];
         for (mi, m) in members.iter().enumerate() {
             if m.analysis.wants_loop() {
                 materialize[member_loop[mi].expect("loop wanted")] = true;
@@ -746,27 +768,20 @@ impl ScenarioSet {
             governors.push(Some(job.controller.build(design, job.corner)?));
             validate(job.workload, job.seed)?;
         }
-        for job in summary_jobs {
-            validate(job.workload, job.seed)?;
+        for &s in own_sweeps {
+            validate(sweeps[s].workload, sweeps[s].seed)?;
         }
 
-        // Which loop indices replay each compiled workload — fixed
-        // before the pool starts, drained when the compile finishes.
-        let mut replayers: Vec<Vec<usize>> = vec![Vec::new(); compile_jobs.len()];
-        for (i, c) in loop_compile.iter().enumerate() {
-            if let Some(c) = *c {
-                replayers[c].push(i);
-            }
-        }
         // Drain the plan on the work-stealing pool, fed in
         // `initial_feed` order; a finished compile spawns one `Replay`
         // continuation per waiting loop (the compiled stream
-        // `Arc`-shared, one clone per job). Suite compiles and
-        // summaries split into per-benchmark jobs whose last finisher
-        // assembles the slot-ordered whole. Every job
-        // writes its pre-assigned slot — and aggregate metrics fold
-        // through the rank-ordered `DigestBuilder` — so worker count
-        // and steal order never affect the assembled result.
+        // `Arc`-shared, one clone per job). Compiles and summaries run
+        // one job per workload stream, and the last stream to finish
+        // assembles the slot-ordered whole. Every job writes its
+        // pre-assigned slot — and aggregate metrics fold through the
+        // rank-ordered `DigestBuilder` — so worker count and steal
+        // order never affect the assembled result.
+        let replayers = plan.replayers();
         let governors: Vec<Mutex<Option<BoxedGovernor>>> =
             governors.into_iter().map(Mutex::new).collect();
         let take_governor = |i: usize| {
@@ -777,93 +792,100 @@ impl ScenarioSet {
                 .expect("governor built above, taken once")
         };
         let loops: Mutex<Vec<LoopSlot>> = Mutex::new((0..loop_jobs.len()).map(|_| None).collect());
-        let summaries: Mutex<Vec<Option<Result<SweepData, String>>>> =
-            Mutex::new((0..summary_jobs.len()).map(|_| None).collect());
+        let swept: Mutex<Vec<Option<Result<SweepData, String>>>> =
+            Mutex::new((0..sweeps.len()).map(|_| None).collect());
         let folder: Option<Mutex<DigestBuilder>> =
             (agg_count > 0).then(|| Mutex::new(DigestBuilder::new(&self.name)));
-        let suite_compiles: Vec<SuiteSlots<Arc<CompiledTrace>>> = compile_jobs
+        let streams = |key: &SummaryKey| stream_count(&workloads[key.workload]);
+        let compiled_streams: Vec<Mutex<BenchSlots<Arc<CompiledTrace>>>> = compile_jobs
             .iter()
-            .map(|k| {
-                matches!(workloads[k.workload], WorkloadSpec::Suite)
-                    .then(|| Mutex::new(BenchSlots::new(Benchmark::ALL.len())))
-            })
+            .map(|key| Mutex::new(BenchSlots::new(streams(key))))
             .collect();
-        let suite_summaries: Vec<SuiteSlots<(Benchmark, TraceSummary)>> = summary_jobs
+        let summary_streams: Vec<Mutex<BenchSlots<(Benchmark, TraceSummary)>>> = sweeps
             .iter()
-            .map(|k| {
-                matches!(workloads[k.workload], WorkloadSpec::Suite)
-                    .then(|| Mutex::new(BenchSlots::new(Benchmark::ALL.len())))
-            })
+            .map(|key| Mutex::new(BenchSlots::new(streams(key))))
             .collect();
 
         // A finished loop (live or replayed): fold its metrics into the
-        // digest for every rank it carries, then keep or drop the
-        // product as planned.
-        let finish_loop = |i: usize, product: Result<LoopProduct, String>| {
-            let slot = match product {
-                Ok(product) => {
-                    if !job_agg[i].is_empty() {
-                        let metrics = MemberMetrics::of(&product.data);
-                        let mut folder = folder
-                            .as_ref()
-                            .expect("aggregate ranks imply a folder")
-                            .lock()
-                            .expect("digest folder");
-                        for &rank in &job_agg[i] {
-                            folder.submit(rank, metrics.clone());
-                        }
+        // digest for every rank it carries, then keep or drop the data
+        // as planned.
+        let finish_loop = |i: usize, data: Result<LoopData, String>| {
+            let slot = data.map(|data| {
+                if !job_agg[i].is_empty() {
+                    let metrics = MemberMetrics::of(&data);
+                    let mut folder = folder
+                        .as_ref()
+                        .expect("aggregate ranks imply a folder")
+                        .lock()
+                        .expect("digest folder");
+                    for &rank in &job_agg[i] {
+                        folder.submit(rank, metrics.clone());
                     }
-                    Ok(materialize[i].then_some(product))
                 }
-                Err(e) => Err(e),
-            };
+                materialize[i].then_some(data)
+            });
             loops.lock().expect("loop results")[i] = Some(slot);
         };
+        let set_sweep = |s: usize, sweep: Result<SweepData, String>| {
+            swept.lock().expect("sweep results")[s] = Some(sweep);
+        };
+        // One stream's summary, from a compile or a dedicated pass; the
+        // last stream of a sweep assembles it.
+        let fill_sweep = |s: usize, stream: usize, summary: TraceSummary| {
+            let done = summary_streams[s]
+                .lock()
+                .expect("sweep stream slots")
+                .fill(stream, (Benchmark::ALL[stream], summary));
+            if let Some(per) = done {
+                set_sweep(s, Ok(sweep_of(per)));
+            }
+        };
 
-        // A materialized compiled stream: hand it to the suite assembly
-        // (bench compiles) or directly to the waiting replays.
-        let finish_compile =
-            |c: usize,
-             bench: Option<usize>,
-             compiled: Arc<CompiledTrace>,
-             spawner: &pool::Spawner<'_, Job>| match bench {
-                Some(b) => {
-                    let done = suite_compiles[c]
-                        .as_ref()
-                        .expect("suite compile assembly")
-                        .lock()
-                        .expect("suite compile slots")
-                        .fill(b, compiled);
-                    if let Some(per) = done {
-                        let workload = CompiledWorkload::Suite(per);
-                        for &i in &replayers[c] {
-                            spawner.spawn(Job::Replay(i, workload.clone()));
-                        }
-                    }
-                }
-                None => {
-                    for plan in plan_replay_groups(&replayers[c], loop_jobs, loop_hist) {
+        // A materialized compiled stream: summarize it if the compile
+        // sources a sweep, and once the workload's last stream lands,
+        // spawn its replays — solo for a suite, planned into fused
+        // groups for a single stream.
+        let finish_compile = |c: usize,
+                              stream: usize,
+                              compiled: Arc<CompiledTrace>,
+                              spawner: &pool::Spawner<'_, Job>| {
+            let done = compiled_streams[c]
+                .lock()
+                .expect("compile stream slots")
+                .fill(stream, Arc::clone(&compiled));
+            if let Some(s) = compile_sweep[c] {
+                fill_sweep(s, stream, compiled.summary());
+            }
+            let Some(per) = done else { return };
+            match <[Arc<CompiledTrace>; 1]>::try_from(per) {
+                Ok([trace]) => {
+                    for plan in plan_replay_groups(&replayers[c], loop_jobs) {
                         spawner.spawn(match plan {
                             ReplayPlan::Solo(i) => {
-                                Job::Replay(i, CompiledWorkload::Stream(Arc::clone(&compiled)))
+                                Job::Replay(i, CompiledWorkload::Stream(Arc::clone(&trace)))
                             }
-                            ReplayPlan::Fused(group) => {
-                                Job::FusedReplay(group, Arc::clone(&compiled))
-                            }
+                            ReplayPlan::Fused(group) => Job::FusedReplay(group, Arc::clone(&trace)),
                         });
                     }
                 }
-            };
+                Err(per) => {
+                    let workload = CompiledWorkload::Suite(per);
+                    for &i in &replayers[c] {
+                        spawner.spawn(Job::Replay(i, workload.clone()));
+                    }
+                }
+            }
+        };
 
-        // Starts compile `c` (benchmark `bench` of a suite compile):
-        // stream it in one pass when nothing can run beside it or one
-        // chunk covers it, otherwise drain its words and spawn one
-        // `CompileChunk` continuation per chunk — stolen by idle
-        // workers like any other job.
-        let start_compile = |c: usize, bench: Option<usize>, spawner: &pool::Spawner<'_, Job>| {
+        // Starts stream `stream` of compile `c`: stream it in one pass
+        // when nothing can run beside it or one chunk covers it,
+        // otherwise drain its words and spawn one `CompileChunk`
+        // continuation per chunk — stolen by idle workers like any
+        // other job.
+        let start_compile = |c: usize, stream: usize, spawner: &pool::Spawner<'_, Job>| {
             let key = &compile_jobs[c];
             let design = &designs[key.design_idx];
-            let mut trace = match open_trace(&workloads[key.workload], key.seed, bench) {
+            let mut trace = match open_trace(&workloads[key.workload], key.seed, stream) {
                 Ok(trace) => trace,
                 Err(e) => {
                     let mut slots = loops.lock().expect("loop results");
@@ -875,14 +897,14 @@ impl ScenarioSet {
             };
             if n_workers == 1 || key.cycles <= chunk_cycles as u64 {
                 let compiled = CompiledTrace::compile(design, &mut trace, key.cycles);
-                finish_compile(c, bench, Arc::new(compiled), spawner);
+                finish_compile(c, stream, Arc::new(compiled), spawner);
                 return;
             }
             let words = CompiledTrace::drain_words(&mut trace, key.cycles);
             let n_chunks = (words.len() - 1).div_ceil(chunk_cycles);
             let job = Arc::new(ChunkJob {
                 c,
-                bench,
+                stream,
                 words,
                 slots: Mutex::new(BenchSlots::new(n_chunks)),
             });
@@ -893,8 +915,7 @@ impl ScenarioSet {
 
         let initial = plan.initial_feed();
         pool::run(n_workers, initial, |job, spawner| match job {
-            Job::Compile(c) => start_compile(c, None, spawner),
-            Job::CompileBench(c, b) => start_compile(c, Some(b), spawner),
+            Job::Compile(c, stream) => start_compile(c, stream, spawner),
             Job::CompileChunk(job, k) => {
                 let key = &compile_jobs[job.c];
                 let design = &designs[key.design_idx];
@@ -908,7 +929,7 @@ impl ScenarioSet {
                     .fill(k, chunk);
                 if let Some(chunks) = done {
                     let compiled = Arc::new(CompiledTrace::from_chunks(design, key.cycles, chunks));
-                    finish_compile(job.c, job.bench, compiled, spawner);
+                    finish_compile(job.c, job.stream, compiled, spawner);
                 }
             }
             Job::Loop(i) => {
@@ -918,96 +939,68 @@ impl ScenarioSet {
                     job,
                     &workloads[job.workload],
                     take_governor(i),
-                    loop_hist[i],
+                    loop_sweep[i].is_some(),
                 );
-                finish_loop(i, product);
+                match product {
+                    Ok((data, sweep)) => {
+                        if let (Some(s), Some(sweep)) = (loop_sweep[i], sweep) {
+                            set_sweep(s, Ok(sweep));
+                        }
+                        finish_loop(i, Ok(data));
+                    }
+                    Err(e) => finish_loop(i, Err(e)),
+                }
             }
             Job::Replay(i, workload) => {
                 let job = &loop_jobs[i];
-                let product = run_replay_job(
-                    &designs[job.design_idx],
-                    job,
-                    take_governor(i),
-                    loop_hist[i],
-                    &workload,
-                );
-                finish_loop(i, product);
+                let data =
+                    run_replay_job(&designs[job.design_idx], job, take_governor(i), &workload);
+                finish_loop(i, Ok(data));
             }
             Job::FusedReplay(group, trace) => {
                 // Every member in a fused group shares the sampling
                 // window and design (same compile job), differing
-                // only in corner and pinned supply; the fused kernel
-                // judges them all in one pass over the trace.
-                let lead = &loop_jobs[group[0]];
-                let design = &designs[lead.design_idx];
-                let ops: Vec<FusedOp> = group
-                    .iter()
-                    .map(|&i| {
-                        let job = &loop_jobs[i];
-                        match job.controller.governor {
-                            GovernorSpec::Fixed(supply) => FusedOp {
-                                pvt: job.corner,
-                                supply,
-                            },
-                            _ => unreachable!("fused groups hold only fixed-supply members"),
-                        }
-                    })
-                    .collect();
-                let reports = trace.replay_fused(design, &ops, lead.controller.sampling);
-                for (&i, report) in group.iter().zip(reports) {
-                    finish_loop(
-                        i,
-                        Ok(LoopProduct {
-                            data: LoopData::Stream(StreamRun {
-                                corner: loop_jobs[i].corner,
-                                report,
-                            }),
-                            sweep: None,
-                        }),
-                    );
+                // only in its planned corner and pinned supply; the
+                // fused kernel judges them all in one pass over the
+                // trace.
+                let lead = &loop_jobs[group[0].0];
+                let ops: Vec<FusedOp> = group.iter().map(|&(_, op)| op).collect();
+                let reports =
+                    trace.replay_fused(&designs[lead.design_idx], &ops, lead.controller.sampling);
+                for (&(i, op), report) in group.iter().zip(reports) {
+                    let run = StreamRun {
+                        corner: op.pvt,
+                        report,
+                    };
+                    finish_loop(i, Ok(LoopData::Stream(run)));
                 }
             }
-            Job::Summary(s) => {
-                let job = &summary_jobs[s];
-                let sweep =
-                    open_trace(&workloads[job.workload], job.seed, None).map(|mut trace| {
-                        let design = &designs[job.design_idx];
-                        SweepData::Summary(TraceSummary::collect(design, &mut trace, job.cycles))
-                    });
-                summaries.lock().expect("summary results")[s] = Some(sweep);
-            }
-            Job::SummaryBench(s, b) => {
-                let key = &summary_jobs[s];
-                let benchmark = Benchmark::ALL[b];
-                let summary = TraceSummary::collect(
-                    &designs[key.design_idx],
-                    &mut benchmark.trace(key.seed),
-                    key.cycles,
-                );
-                let done = suite_summaries[s]
-                    .as_ref()
-                    .expect("suite summary assembly")
-                    .lock()
-                    .expect("suite summary slots")
-                    .fill(b, (benchmark, summary));
-                if let Some(per) = done {
-                    summaries.lock().expect("summary results")[s] =
-                        Some(Ok(SweepData::Bank(SummaryBank::from_per_benchmark(per))));
+            Job::Summary(s, stream) => {
+                let key = &sweeps[s];
+                match open_trace(&workloads[key.workload], key.seed, stream) {
+                    Ok(mut trace) => {
+                        let design = &designs[key.design_idx];
+                        let summary = TraceSummary::collect(design, &mut trace, key.cycles);
+                        fill_sweep(s, stream, summary);
+                    }
+                    Err(e) => set_sweep(s, Err(e)),
                 }
             }
         });
 
-        let loop_products = loops
+        let loop_data = loops
             .into_inner()
             .expect("loop results")
             .into_iter()
             .map(|p| p.expect("every loop job produced or errored"))
             .collect::<Result<Vec<_>, String>>()?;
-        let summary_products = summaries
+        // A compile's or live loop's sweep fails only with that job's
+        // loops, whose errors return above.
+        let sweep_products = swept
             .into_inner()
-            .expect("summary results")
+            .expect("sweep results")
             .into_iter()
-            .map(|p| p.expect("every summary job produced"))
+            .map(|p| p.expect("every sweep produced or errored"))
             .collect::<Result<Vec<_>, String>>()?;
         let digest: Option<CampaignDigest> =
             folder.map(|f| f.into_inner().expect("digest folder").finish());
@@ -1019,29 +1012,17 @@ impl ScenarioSet {
         for (mi, m) in members.into_iter().enumerate() {
             let closed_loop = if m.analysis.wants_loop() {
                 let i = member_loop[mi].expect("loop job planned above");
-                let product = loop_products[i]
+                let data = loop_data[i]
                     .as_ref()
                     .expect("loop-wanting members materialize their job");
-                Some(product.data.clone())
+                Some(data.clone())
             } else {
                 None
-            };
-            let sweep = match member_sweep[mi] {
-                Some(SweepSource::Loop(i)) => Some(
-                    loop_products[i]
-                        .as_ref()
-                        .expect("histogram riders materialize their job")
-                        .sweep
-                        .clone()
-                        .expect("histogram requested on this job"),
-                ),
-                Some(SweepSource::Job(s)) => Some(summary_products[s].clone()),
-                None => None,
             };
             results.push(MemberResult {
                 spec: m,
                 closed_loop,
-                sweep,
+                sweep: member_sweep[mi].map(|s| sweep_products[s].clone()),
             });
         }
 
@@ -1057,19 +1038,18 @@ impl ScenarioSet {
     }
 }
 
-/// Opens the trace of one compile or summary key's workload at `seed`:
-/// benchmark `bench` of a suite, or the single stream. Recipe errors
-/// surface here as an `Err`.
+/// Opens stream `stream` of a workload's trace at `seed`: benchmark
+/// `stream` of a suite, or a single workload's only stream. Recipe
+/// errors surface here as an `Err`.
 fn open_trace(
     workload: &WorkloadSpec,
     seed: u64,
-    bench: Option<usize>,
+    stream: usize,
 ) -> Result<Box<dyn TraceSource + Send>, String> {
-    match (workload, bench) {
-        (WorkloadSpec::Suite, Some(b)) => Ok(Box::new(Benchmark::ALL[b].trace(seed))),
-        (WorkloadSpec::Single(benchmark), None) => Ok(Box::new(benchmark.trace(seed))),
-        (WorkloadSpec::Recipe(recipe), None) => recipe.build_trace(seed),
-        _ => unreachable!("suite keys split into per-benchmark jobs, and only they"),
+    match workload {
+        WorkloadSpec::Suite => Ok(Box::new(Benchmark::ALL[stream].trace(seed))),
+        WorkloadSpec::Single(benchmark) => Ok(Box::new(benchmark.trace(seed))),
+        WorkloadSpec::Recipe(recipe) => recipe.build_trace(seed),
     }
 }
 
@@ -1081,53 +1061,30 @@ fn run_replay_job(
     design: &DvsBusDesign,
     job: &LoopKey,
     governor: BoxedGovernor,
-    with_hist: bool,
     workload: &CompiledWorkload,
-) -> Result<LoopProduct, String> {
+) -> LoopData {
+    let (corner, sampling) = (job.corner, job.controller.sampling);
     match workload {
         CompiledWorkload::Suite(per) => {
-            let (data, per_summaries) = fig8::replay_protocol(
-                design,
-                job.corner,
-                per,
-                governor,
-                job.controller.sampling,
-                with_hist,
-            );
-            let sweep =
-                with_hist.then(|| SweepData::Bank(SummaryBank::from_per_benchmark(per_summaries)));
-            Ok(LoopProduct {
-                data: LoopData::Suite(data),
-                sweep,
-            })
+            let (data, _) = fig8::replay_protocol(design, corner, per, governor, sampling, false);
+            LoopData::Suite(data)
         }
         CompiledWorkload::Stream(trace) => {
-            let (mut report, _governor) = trace.replay(
-                design,
-                job.corner,
-                governor,
-                job.controller.sampling,
-                with_hist,
-            );
-            let sweep = report.summary.take().map(SweepData::Summary);
-            Ok(LoopProduct {
-                data: LoopData::Stream(StreamRun {
-                    corner: job.corner,
-                    report,
-                }),
-                sweep,
-            })
+            let (report, _governor) = trace.replay(design, corner, governor, sampling, false);
+            LoopData::Stream(StreamRun { corner, report })
         }
     }
 }
 
+/// Runs one loop job against the live trace; `with_hist` also collects
+/// the workload's sweep product in the same pass.
 fn run_loop_job(
     design: &DvsBusDesign,
     job: &LoopKey,
     workload: &WorkloadSpec,
     governor: BoxedGovernor,
     with_hist: bool,
-) -> Result<LoopProduct, String> {
+) -> Result<(LoopData, Option<SweepData>), String> {
     match workload {
         WorkloadSpec::Suite => {
             let (data, per) = fig8::run_protocol(
@@ -1140,10 +1097,7 @@ fn run_loop_job(
                 with_hist,
             );
             let sweep = with_hist.then(|| SweepData::Bank(SummaryBank::from_per_benchmark(per)));
-            Ok(LoopProduct {
-                data: LoopData::Suite(data),
-                sweep,
-            })
+            Ok((LoopData::Suite(data), sweep))
         }
         WorkloadSpec::Single(benchmark) => Ok(run_stream_job(
             design,
@@ -1168,7 +1122,7 @@ fn run_stream_job<S: TraceSource>(
     trace: S,
     governor: BoxedGovernor,
     with_hist: bool,
-) -> LoopProduct {
+) -> (LoopData, Option<SweepData>) {
     let mut sim = BusSimulator::new(design, job.corner, trace, governor);
     if let Some(window) = job.controller.sampling {
         sim = sim.with_sampling(window);
@@ -1178,13 +1132,11 @@ fn run_stream_job<S: TraceSource>(
     }
     let mut report = sim.run(job.cycles);
     let sweep = report.summary.take().map(SweepData::Summary);
-    LoopProduct {
-        data: LoopData::Stream(StreamRun {
-            corner: job.corner,
-            report,
-        }),
-        sweep,
-    }
+    let run = StreamRun {
+        corner: job.corner,
+        report,
+    };
+    (LoopData::Stream(run), sweep)
 }
 
 impl ScenarioSetRun {
@@ -1662,20 +1614,16 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum Fed {
         Loop(usize),
-        Compile(usize),
-        CompileBench(usize, usize),
-        Summary(usize),
-        SummaryBench(usize, usize),
+        Compile(usize, usize),
+        Summary(usize, usize),
     }
 
     fn fed(feed: Vec<Job>) -> Vec<Fed> {
         feed.into_iter()
             .map(|job| match job {
                 Job::Loop(i) => Fed::Loop(i),
-                Job::Compile(c) => Fed::Compile(c),
-                Job::CompileBench(c, b) => Fed::CompileBench(c, b),
-                Job::Summary(s) => Fed::Summary(s),
-                Job::SummaryBench(s, b) => Fed::SummaryBench(s, b),
+                Job::Compile(c, b) => Fed::Compile(c, b),
+                Job::Summary(s, b) => Fed::Summary(s, b),
                 Job::CompileChunk(..) | Job::Replay(..) | Job::FusedReplay(..) => {
                     panic!("continuations are spawned, never fed")
                 }
@@ -1684,12 +1632,12 @@ mod tests {
     }
 
     /// `set`'s expanded members and their plan, as `run_full` plans
-    /// them; asserts that every sweep rides a loop, so the plan has no
-    /// summary job.
+    /// them; asserts that a compile or live loop reads every sweep, so
+    /// the plan has no summary pass.
     fn plan_of(set: &ScenarioSet, share_compiled: bool) -> (Vec<ScenarioSpec>, Plan) {
         let members = set.expand().unwrap();
         let plan = Plan::new(&members, share_compiled.then_some(DEFAULT_COMPILE_BUDGET));
-        assert!(plan.summary_jobs.is_empty());
+        assert!(plan.own_sweeps.is_empty());
         (members, plan)
     }
 
@@ -1697,7 +1645,8 @@ mod tests {
     fn live_loops_are_fed_before_compiles_and_summaries() {
         // paper-all: the modified bus's single-user suite loop runs
         // live and is fed first, ahead of the paper bus's suite compile
-        // (shared by its typical and worst loops), split per benchmark.
+        // (shared by its typical and worst loops), one job per
+        // benchmark stream.
         let (members, mut plan) = plan_of(&paper_all_set(1_000, 7), true);
         let modified = members.iter().find(|m| m.name == "fig10-modified").unwrap();
         let suite = plan
@@ -1712,19 +1661,35 @@ mod tests {
             .unwrap();
         assert_eq!(plan.compile_jobs.len(), 1);
         let mut expected = vec![Fed::Loop(live)];
-        expected.extend((0..Benchmark::ALL.len()).map(|b| Fed::CompileBench(0, b)));
+        expected.extend((0..Benchmark::ALL.len()).map(|b| Fed::Compile(0, b)));
         assert_eq!(fed(plan.initial_feed()), expected);
 
-        // Summary passes come last, in plan order: a suite pass split
-        // per benchmark, a single-stream pass whole.
+        // Each bank has one source: the paper bus's comes from its
+        // suite compile, the modified bus's from its live loop, and no
+        // sweep needs a pass of its own.
+        let sweep_of = |name: &str| {
+            let mi = members.iter().position(|m| m.name == name).unwrap();
+            plan.member_sweep[mi].unwrap()
+        };
+        let paper = sweep_of("fig5");
+        let modified_bank = sweep_of("fig10-modified");
+        assert_eq!(plan.sweeps[paper], plan.compile_jobs[0]);
+        assert_eq!(plan.compile_sweep, vec![Some(paper)]);
+        let mut loop_sweep = vec![None; plan.loop_jobs.len()];
+        loop_sweep[live] = Some(modified_bank);
+        assert_eq!(plan.loop_sweep, loop_sweep);
+        assert!(plan.own_sweeps.is_empty());
+
+        // Summary passes come last, in plan order: a suite pass one job
+        // per benchmark, a single-stream pass one job.
         plan.workloads.push(WorkloadSpec::Single(Benchmark::ALL[0]));
-        let single = SummaryKey {
+        plan.sweeps.push(SummaryKey {
             workload: plan.workloads.len() - 1,
             ..plan.compile_jobs[0]
-        };
-        plan.summary_jobs = vec![plan.loop_jobs[live].summary_key(), single];
-        expected.extend((0..Benchmark::ALL.len()).map(|b| Fed::SummaryBench(0, b)));
-        expected.push(Fed::Summary(1));
+        });
+        plan.own_sweeps = vec![modified_bank, plan.sweeps.len() - 1];
+        expected.extend((0..Benchmark::ALL.len()).map(|b| Fed::Summary(modified_bank, b)));
+        expected.push(Fed::Summary(plan.sweeps.len() - 1, 0));
         assert_eq!(fed(plan.initial_feed()), expected);
 
         // Without sharing, the three suite loops all run live, in plan
@@ -1744,7 +1709,7 @@ mod tests {
         assert_eq!(
             fed(plan.initial_feed()),
             (0..plan.compile_jobs.len())
-                .map(Fed::Compile)
+                .map(|c| Fed::Compile(c, 0))
                 .collect::<Vec<_>>()
         );
     }
@@ -2041,35 +2006,50 @@ mod tests {
         // one fused pass — must produce the exact same bytes as each
         // member run solo against the live trace, at every worker count
         // and on both compile routes. A closed-loop member rides along
-        // to prove mixing fused and solo replays is safe.
-        let mut spec = member("fused", AnalysisSpec::ClosedLoop, CornerSpec::Typical);
-        spec.workload = WorkloadSpec::Single(razorbus_traces::Benchmark::Crafty);
-        spec.run.cycles_per_benchmark = 3_000;
-        spec.sweep = vec![
-            SweepAxis::Corners(vec![CornerSpec::Typical, CornerSpec::Worst]),
-            SweepAxis::Voltages(crate::spec::VoltageSweep {
-                from: razorbus_units::Millivolts::new(960),
-                to: razorbus_units::Millivolts::new(1_040),
-                step: razorbus_units::Millivolts::new(40),
-            }),
-        ];
-        let mut closed = member("closed", AnalysisSpec::ClosedLoop, CornerSpec::Typical);
-        closed.workload = WorkloadSpec::Single(razorbus_traces::Benchmark::Crafty);
-        closed.run.cycles_per_benchmark = 3_000;
-        let set = ScenarioSet {
-            name: "fused-vs-solo".to_string(),
-            members: vec![spec, closed],
-        };
-        let (members, plan) = plan_of(&set, true);
-        assert_eq!(members.len(), 7);
-        assert_eq!(plan.compile_jobs.len(), 1, "one shared compiled stream");
-        let solo = set.run_reference().unwrap();
-        for chunk in [1_000usize, 65_536] {
-            for workers in [Some(1), Some(2), None] {
-                let fused = set
-                    .run_full(Vec::new(), Some(DEFAULT_COMPILE_BUDGET), workers, chunk)
-                    .unwrap();
-                assert_eq!(solo.result, fused.result, "chunk {chunk}, {workers:?}");
+        // to prove mixing fused and solo replays is safe. With the
+        // swept members in `Full` mode the compile also summarizes the
+        // sweep, and every fixed-supply member still fuses.
+        for analysis in [AnalysisSpec::ClosedLoop, AnalysisSpec::Full] {
+            let mut spec = member("fused", analysis, CornerSpec::Typical);
+            spec.workload = WorkloadSpec::Single(razorbus_traces::Benchmark::Crafty);
+            spec.run.cycles_per_benchmark = 3_000;
+            spec.sweep = vec![
+                SweepAxis::Corners(vec![CornerSpec::Typical, CornerSpec::Worst]),
+                SweepAxis::Voltages(crate::spec::VoltageSweep {
+                    from: razorbus_units::Millivolts::new(960),
+                    to: razorbus_units::Millivolts::new(1_040),
+                    step: razorbus_units::Millivolts::new(40),
+                }),
+            ];
+            let mut closed = member("closed", AnalysisSpec::ClosedLoop, CornerSpec::Typical);
+            closed.workload = WorkloadSpec::Single(razorbus_traces::Benchmark::Crafty);
+            closed.run.cycles_per_benchmark = 3_000;
+            let set = ScenarioSet {
+                name: "fused-vs-solo".to_string(),
+                members: vec![spec, closed],
+            };
+            let (members, plan) = plan_of(&set, true);
+            assert_eq!(members.len(), 7);
+            assert_eq!(plan.compile_jobs.len(), 1, "one shared compiled stream");
+            let swept = analysis.wants_sweep();
+            assert_eq!(plan.compile_sweep, vec![swept.then_some(0)], "{analysis:?}");
+            assert!(plan.loop_sweep.iter().all(Option::is_none), "{analysis:?}");
+            let groups = plan_replay_groups(&plan.replayers()[0], &plan.loop_jobs);
+            assert!(
+                matches!(&groups[..], [ReplayPlan::Solo(_), ReplayPlan::Fused(six)] if six.len() == 6),
+                "{analysis:?}: {groups:?}"
+            );
+            let solo = set.run_reference().unwrap();
+            for chunk in [1_000usize, 65_536] {
+                for workers in [Some(1), Some(2), None] {
+                    let fused = set
+                        .run_full(Vec::new(), Some(DEFAULT_COMPILE_BUDGET), workers, chunk)
+                        .unwrap();
+                    assert_eq!(
+                        solo.result, fused.result,
+                        "{analysis:?}, chunk {chunk}, {workers:?}"
+                    );
+                }
             }
         }
     }
@@ -2077,9 +2057,11 @@ mod tests {
     #[test]
     fn replay_plans_partition_members_into_valid_groups() {
         // Property test over randomized member sets: the planner must
-        // emit every replayer exactly once, keep closed-loop and
-        // histogram-carrying members solo, group only same-sampling
-        // open-loop members, and give each sampling window one group.
+        // emit every replayer exactly once, keep closed-loop members
+        // solo and never plan a fixed-supply member solo, group only
+        // same-sampling open-loop members, give each sampling window one
+        // group, and fix each fused member's operating point to its
+        // loop key's corner and supply.
         struct Rng(u64);
         impl Rng {
             fn next(&mut self) -> u64 {
@@ -2091,21 +2073,22 @@ mod tests {
         }
         let mut rng = Rng(0x9e37_79b9);
         let samplings = [None, Some(500u64), Some(10_000)];
+        let corners = [PvtCorner::TYPICAL, PvtCorner::WORST];
         for _case in 0..200 {
             let n = (rng.next() % 12) as usize + 1;
             let mut loop_jobs = Vec::new();
-            let mut loop_hist = Vec::new();
             for _ in 0..n {
                 let open = rng.next().is_multiple_of(2);
                 let governor = if open {
-                    GovernorSpec::Fixed(razorbus_units::Millivolts::new(1_000))
+                    let mv = 960 + 40 * (rng.next() % 3) as i32;
+                    GovernorSpec::Fixed(razorbus_units::Millivolts::new(mv))
                 } else {
                     GovernorSpec::Threshold
                 };
                 let sampling = samplings[(rng.next() % 3) as usize];
                 loop_jobs.push(LoopKey {
                     design_idx: 0,
-                    corner: PvtCorner::TYPICAL,
+                    corner: corners[(rng.next() % 2) as usize],
                     workload: 0,
                     controller: ControllerSpec {
                         governor,
@@ -2115,10 +2098,9 @@ mod tests {
                     cycles: 1_000,
                     seed: 3,
                 });
-                loop_hist.push(rng.next().is_multiple_of(4));
             }
             let replayers: Vec<usize> = (0..n).collect();
-            let plans = plan_replay_groups(&replayers, &loop_jobs, &loop_hist);
+            let plans = plan_replay_groups(&replayers, &loop_jobs);
             let mut seen = vec![0usize; n];
             let mut windows = HashSet::new();
             for plan in &plans {
@@ -2127,20 +2109,22 @@ mod tests {
                         seen[*i] += 1;
                         let open =
                             matches!(loop_jobs[*i].controller.governor, GovernorSpec::Fixed(_));
-                        assert!(!open || loop_hist[*i], "fusable member replayed solo");
+                        assert!(!open, "fixed-supply member replayed solo");
                     }
                     ReplayPlan::Fused(group) => {
                         assert!(!group.is_empty());
-                        let sampling = loop_jobs[group[0]].controller.sampling;
+                        let sampling = loop_jobs[group[0].0].controller.sampling;
                         assert!(windows.insert(sampling), "sampling window split");
-                        for &i in group {
+                        for &(i, op) in group {
                             seen[i] += 1;
-                            assert!(
-                                matches!(loop_jobs[i].controller.governor, GovernorSpec::Fixed(_)),
-                                "closed-loop member fused"
+                            let job = &loop_jobs[i];
+                            assert_eq!(
+                                job.controller.governor,
+                                GovernorSpec::Fixed(op.supply),
+                                "fused op off its member's supply"
                             );
-                            assert!(!loop_hist[i], "histogram member fused");
-                            assert_eq!(loop_jobs[i].controller.sampling, sampling);
+                            assert_eq!(op.pvt, job.corner, "fused op off its member's corner");
+                            assert_eq!(job.controller.sampling, sampling);
                         }
                     }
                 }

@@ -122,10 +122,12 @@ pub fn fig10_set(cycles: u64, seed: u64) -> ScenarioSet {
     }
 }
 
-/// The whole `repro all` figure pipeline as one set. Member order puts
-/// the typical-corner loop first so the shared bank rides it — the
-/// executor then plans exactly three heavy loop jobs: paper/typical
-/// (+histogram), paper/worst, modified/worst (+histogram).
+/// The whole `repro all` figure pipeline as one set. The executor plans
+/// exactly three heavy loop jobs: paper/typical and paper/worst replay
+/// one shared suite compile, which also summarizes the paper bank, and
+/// modified/worst runs live, collecting the modified bank as its
+/// histogram by-product. Without compile sharing the paper bank rides
+/// the first paper loop, the typical one (`fig8`).
 #[must_use]
 pub fn paper_all_set(cycles: u64, seed: u64) -> ScenarioSet {
     let mut members = vec![paper_member(
