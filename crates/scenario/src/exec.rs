@@ -1,6 +1,16 @@
 //! The scenario executor: sweep expansion → deduplicated job plan →
 //! work-stealing pool → per-member results.
 //!
+//! A run is two steps. Planning is total: it expands the set and
+//! refuses every bad spec — an untabulated corner, a design that does
+//! not build, a malformed recipe, a governor off the design grid —
+//! naming the first member that needs it, before any job exists. The
+//! plan also fixes everything the run needs: built designs, checked
+//! recipes and governor configurations, each member's jobs, aggregate
+//! ranks, the compile plan and each compile's replay groups. Executing
+//! the plan then cannot fail on a spec; worker count and compile chunk
+//! size change only the route a compile takes, never the plan.
+//!
 //! Two levels of sharing keep a [`ScenarioSet`] as cheap as the
 //! hand-wired pipelines it replaces (`repro all` used to do all of this
 //! manually):
@@ -18,22 +28,20 @@
 //!   else a dedicated `TraceSummary::collect` pass. All three are
 //!   bit-identical (pinned in `razorbus-core`).
 //!
-//! The planned jobs then drain on a bounded work-stealing pool
-//! ([`crate::pool`]) instead of one OS thread per job: the worker count
-//! comes from `--threads` / `RAZORBUS_THREADS` / available parallelism,
-//! live loops are fed ahead of compile and summary jobs, and each
-//! finished compile spawns its replay continuations onto the finishing
-//! worker's own deque, where idle workers steal them. A suite is ten
-//! streams, one per benchmark: compiles and summary passes run one job
-//! per stream with a slot-ordered merge (the last finisher assembles in
-//! [`razorbus_traces::Benchmark::ALL`] order), so a small campaign's
-//! parallelism is no longer capped at its member count. A compile
+//! The planned jobs drain on a bounded work-stealing pool
+//! ([`crate::pool`]; workers from `--threads` / `RAZORBUS_THREADS` /
+//! available parallelism): live loops are fed ahead of compile and
+//! summary jobs, and each finished compile spawns its replays onto the
+//! finishing worker's own deque, where idle workers steal them. A suite
+//! is ten streams, one per benchmark: compiles and summary passes run
+//! one job per stream with a slot-ordered merge (the last finisher
+//! assembles in [`razorbus_traces::Benchmark::ALL`] order). A compile
 //! streams in one pass when the pool has one worker or its stream fits
 //! in one chunk, and otherwise splits into chunk jobs. Open-loop
 //! fixed-supply members replaying one compiled stream at one sampling
-//! window are judged together in a single fused pass. Every job
-//! writes into a pre-assigned result slot, so scheduling order never
-//! touches the output.
+//! window are judged together in a single fused pass. Every job writes
+//! into a pre-assigned result slot, so scheduling order never touches
+//! the output.
 //!
 //! Members in [`AnalysisSpec::Aggregate`] mode never materialize
 //! products: as their loops complete, the executor extracts
@@ -48,22 +56,24 @@
 //! pins that over generated sets.
 //!
 //! [`AnalysisSpec::Aggregate`]: crate::AnalysisSpec::Aggregate
+//! [`CampaignDigest`]: crate::CampaignDigest
 
-use crate::aggregate::{CampaignDigest, DigestBuilder, MemberMetrics};
+use crate::aggregate::{DigestBuilder, MemberMetrics};
 use crate::pool;
 use crate::result::{LoopData, MemberResult, ScenarioSetResult, StreamRun, SweepData};
-use crate::spec::{ControllerSpec, DesignSpec, ScenarioSpec, WorkloadSpec};
+use crate::spec::{CheckedRecipe, ControllerSpec, DesignSpec, ScenarioSpec, WorkloadSpec};
 use razorbus_core::experiments::{fig8, SummaryBank};
 use razorbus_core::{
     compile_chunk_knob, parse_knob, BusSimulator, CompiledChunk, CompiledTrace, DvsBusDesign,
     FusedOp, TraceSummary,
 };
-use razorbus_ctrl::{BoxedGovernor, GovernorSpec};
+use razorbus_ctrl::{BoxedGovernor, ControllerConfig, GovernorSpec};
 use razorbus_process::{IrDrop, ProcessCorner, PvtCorner};
 use razorbus_traces::{Benchmark, TraceSource};
+use razorbus_units::Celsius;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A named list of scenarios executed as one deduplicated, parallel
 /// campaign.
@@ -85,12 +95,11 @@ pub struct ScenarioSetRun {
     pub result: ScenarioSetResult,
 }
 
-/// Everything that identifies one closed-loop simulation. Compares and
-/// hashes through [`LoopKey::identity`].
-#[derive(Debug, Clone, Copy)]
+/// Everything that identifies one closed-loop simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct LoopKey {
     design_idx: usize,
-    corner: PvtCorner,
+    corner: CornerId,
     /// Index into the plan's interned workloads.
     workload: usize,
     controller: ControllerSpec,
@@ -109,36 +118,33 @@ struct SummaryKey {
     seed: u64,
 }
 
-/// A [`PvtCorner`] as a hashable value: the temperature goes by its
-/// bit pattern.
-type CornerId = (ProcessCorner, u64, IrDrop);
+/// A [`PvtCorner`] as a hashable value: the f64 temperature goes by
+/// its bit pattern. For every non-NaN value that groups exactly as its
+/// shortest-round-trip `Debug` rendering would, and it keeps `-0.0`
+/// apart from `0.0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct CornerId(ProcessCorner, u64, IrDrop);
+
+impl CornerId {
+    fn of(c: PvtCorner) -> Self {
+        Self(c.process, c.temperature.celsius().to_bits(), c.ir)
+    }
+
+    fn pvt(self) -> PvtCorner {
+        PvtCorner::new(self.0, Celsius::new(f64::from_bits(self.1)), self.2)
+    }
+}
 
 impl LoopKey {
     fn of(m: &ScenarioSpec, design_idx: usize, workload: usize) -> Self {
         Self {
             design_idx,
-            corner: m.run.corner.resolve(),
+            corner: CornerId::of(m.run.corner.resolve()),
             workload,
             controller: m.controller,
             cycles: m.run.cycles_per_benchmark,
             seed: m.run.seed,
         }
-    }
-
-    /// The fields a loop key compares and hashes by. The corner's f64
-    /// temperature is keyed by `to_bits`: for every non-NaN value that
-    /// groups exactly as its shortest-round-trip `Debug` rendering
-    /// would, and it keeps `-0.0` apart from `0.0`.
-    fn identity(&self) -> (usize, CornerId, usize, ControllerSpec, u64, u64) {
-        let c = self.corner;
-        (
-            self.design_idx,
-            (c.process, c.temperature.celsius().to_bits(), c.ir),
-            self.workload,
-            self.controller,
-            self.cycles,
-            self.seed,
-        )
     }
 
     fn summary_key(&self) -> SummaryKey {
@@ -148,20 +154,6 @@ impl LoopKey {
             cycles: self.cycles,
             seed: self.seed,
         }
-    }
-}
-
-impl PartialEq for LoopKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.identity() == other.identity()
-    }
-}
-
-impl Eq for LoopKey {}
-
-impl Hash for LoopKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.identity().hash(state);
     }
 }
 
@@ -196,15 +188,42 @@ impl<T: Hash + Eq + Clone> Interner<T> {
     }
 }
 
-/// A workload compiled against its design: the governor-independent
-/// per-cycle classification, shared by reference across every loop job
-/// over the same (design, workload, cycles, seed).
-#[derive(Clone)]
-enum CompiledWorkload {
-    /// One compiled trace per benchmark, [`razorbus_traces::Benchmark::ALL`] order.
-    Suite(Vec<Arc<CompiledTrace>>),
-    /// A single compiled stream (one benchmark or a synthetic recipe).
-    Stream(Arc<CompiledTrace>),
+/// A workload whose streams open at any seed without error: the plan
+/// checks a recipe's parameters once, when it first meets the recipe.
+#[derive(Debug, Clone, PartialEq)]
+enum Workload {
+    Suite,
+    Single(Benchmark),
+    Recipe(CheckedRecipe),
+}
+
+impl Workload {
+    fn check(spec: &WorkloadSpec) -> Result<Self, String> {
+        Ok(match spec {
+            WorkloadSpec::Suite => Self::Suite,
+            WorkloadSpec::Single(benchmark) => Self::Single(*benchmark),
+            WorkloadSpec::Recipe(recipe) => Self::Recipe(recipe.check()?),
+        })
+    }
+
+    /// The streams the workload compiles and summarizes as: one per
+    /// benchmark for a suite, one for anything else.
+    fn streams(&self) -> usize {
+        match self {
+            Self::Suite => Benchmark::ALL.len(),
+            Self::Single(_) | Self::Recipe(_) => 1,
+        }
+    }
+
+    /// Stream `stream` at `seed`: benchmark `stream` of a suite, or a
+    /// single workload's only stream.
+    fn open(&self, seed: u64, stream: usize) -> Box<dyn TraceSource + Send> {
+        match self {
+            Self::Suite => Box::new(Benchmark::ALL[stream].trace(seed)),
+            Self::Single(benchmark) => Box::new(benchmark.trace(seed)),
+            Self::Recipe(recipe) => recipe.open(seed),
+        }
+    }
 }
 
 /// A chunked compile in flight: the serially drained word buffer plus
@@ -214,16 +233,15 @@ enum CompiledWorkload {
 /// the last chunk to finish assembles the stream and completes it
 /// exactly as the streaming route would.
 struct ChunkJob {
-    /// Index into the plan's `compile_jobs`.
+    /// The compile (index into the plan's `compile_jobs`) and its
+    /// stream (a suite's benchmark slot, or 0 for a single stream).
     c: usize,
-    /// The workload stream being compiled (a suite's benchmark slot, or
-    /// 0 for a single stream).
     stream: usize,
     /// `cycles + 1` words: cycle `k` reads `(words[k], words[k + 1])`.
     words: Vec<u32>,
     /// Per-chunk assembly slots, filled in any order, taken whole by
     /// the last finisher in chunk (= cycle) order.
-    slots: Mutex<BenchSlots<CompiledChunk>>,
+    slots: BenchSlots<CompiledChunk>,
 }
 
 /// One schedulable unit of a campaign, indexing into the plan's job
@@ -233,7 +251,7 @@ struct ChunkJob {
 /// spawns for each cycle chunk — both interleave with every other job
 /// on the pool. A suite's compiles and summaries are ten jobs, one per
 /// benchmark stream; any other workload's are one job on stream 0.
-enum Job {
+enum Job<'p> {
     /// Compile stream `b` of `compile_jobs[c]`: stream it, or drain it
     /// and spawn its analysis chunks. The last stream to finish
     /// assembles the workload and spawns its replays.
@@ -247,12 +265,15 @@ enum Job {
     /// compile or live loop reads); the last stream to finish
     /// assembles the sweep product.
     Summary(usize, usize),
-    /// Replay `loop_jobs[i]` against its shared compiled workload.
-    Replay(usize, CompiledWorkload),
+    /// Replay `loop_jobs[i]` against its shared compiled stream.
+    Replay(usize, Arc<CompiledTrace>),
+    /// Replay suite loop `loop_jobs[i]` against its shared compiled
+    /// suite, one trace per benchmark in [`Benchmark::ALL`] order.
+    SuiteReplay(usize, Arc<Vec<Arc<CompiledTrace>>>),
     /// Judge a whole group of open-loop loop jobs, each with its fixed
     /// operating point, in one fused pass over their shared compiled
     /// stream ([`CompiledTrace::replay_fused`]).
-    FusedReplay(FusedGroup, Arc<CompiledTrace>),
+    FusedReplay(&'p FusedGroup, Arc<CompiledTrace>),
 }
 
 /// Loop indices judged in one fused pass, each with the fixed operating
@@ -282,7 +303,7 @@ fn plan_replay_groups(replayers: &[usize], loop_jobs: &[LoopKey]) -> Vec<ReplayP
     let mut plans = Vec::new();
     let mut groups: Vec<(Option<u64>, FusedGroup)> = Vec::new();
     for &i in replayers {
-        let (pvt, sampling) = (loop_jobs[i].corner, loop_jobs[i].controller.sampling);
+        let (pvt, sampling) = (loop_jobs[i].corner.pvt(), loop_jobs[i].controller.sampling);
         let GovernorSpec::Fixed(supply) = loop_jobs[i].controller.governor else {
             plans.push(ReplayPlan::Solo(i));
             continue;
@@ -303,39 +324,55 @@ fn plan_replay_groups(replayers: &[usize], loop_jobs: &[LoopKey]) -> Vec<ReplayP
 /// slot order ([`Benchmark::ALL`] order for a suite), so the merged
 /// value is bit-identical to a serial pass regardless of completion
 /// order.
-struct BenchSlots<T> {
-    slots: Vec<Option<T>>,
-    remaining: usize,
-}
+struct BenchSlots<T>(Mutex<(Vec<Option<T>>, usize)>);
 
 impl<T> BenchSlots<T> {
     fn new(n: usize) -> Self {
-        Self {
-            slots: (0..n).map(|_| None).collect(),
-            remaining: n,
-        }
+        Self(Mutex::new(((0..n).map(|_| None).collect(), n)))
     }
 
     /// Fills slot `b`, returning the full slot-ordered list when this
-    /// was the last empty slot. The list reuses the slots' own buffer,
-    /// allocated where the slots were built, so the finishing worker
-    /// allocates nothing that outlives its job in its own heap.
-    fn fill(&mut self, b: usize, value: T) -> Option<Vec<T>> {
-        assert!(self.slots[b].is_none(), "bench slot {b} filled twice");
-        self.slots[b] = Some(value);
-        self.remaining -= 1;
-        (self.remaining == 0).then(|| {
-            std::mem::take(&mut self.slots)
-                .into_iter()
-                .map(|s| s.expect("all slots filled"))
-                .collect()
+    /// was the last empty slot. The list reuses the slots' own buffer
+    /// (a `map` collects in place, a `flatten` would not), allocated
+    /// where the slots were built, so the finishing worker allocates
+    /// nothing that outlives its job in its own heap.
+    fn fill(&self, b: usize, value: T) -> Option<Vec<T>> {
+        let (slots, remaining) = &mut *self.0.lock().expect("bench slots");
+        assert!(slots[b].is_none(), "bench slot {b} filled twice");
+        slots[b] = Some(value);
+        *remaining -= 1;
+        (*remaining == 0).then(|| {
+            let slots = std::mem::take(slots).into_iter();
+            slots.map(|s| s.expect("all slots filled")).collect()
         })
     }
 }
 
-/// One loop job's result slot: `None` until the job finishes; the
-/// data itself is kept only for members that materialize it.
-type LoopSlot = Option<Result<Option<LoopData>, String>>;
+/// A result table the pool fills slot by slot from any worker: the last
+/// fill parks the slot-ordered list, which [`Table::into_vec`] hands
+/// back once the pool has drained.
+struct Table<T> {
+    slots: BenchSlots<T>,
+    done: OnceLock<Vec<T>>,
+}
+
+impl<T> Table<T> {
+    fn new(n: usize) -> Self {
+        let (slots, done) = (BenchSlots::new(n), OnceLock::new());
+        Self { slots, done }
+    }
+
+    fn fill(&self, k: usize, value: T) {
+        if let Some(all) = self.slots.fill(k, value) {
+            // Only the last fill completes the slots: the one `set`.
+            let _ = self.done.set(all);
+        }
+    }
+
+    fn into_vec(self) -> Vec<T> {
+        self.done.into_inner().unwrap_or_default()
+    }
+}
 
 /// Default ceiling (bytes) on the resident size of shared compiled
 /// traces; above it the executor falls back to direct (live) runs so a
@@ -348,6 +385,9 @@ pub(crate) const DEFAULT_COMPILE_BUDGET: u64 = 768 * 1024 * 1024;
 /// [`CompiledTrace::memory_bytes`] by a test.
 pub(crate) const COMPILED_BYTES_PER_CYCLE: u64 = 11;
 
+/// The environment variable behind [`compile_budget`].
+const BUDGET_VAR: &str = "RAZORBUS_COMPILE_BUDGET_MB";
+
 /// The compiled-trace budget in bytes.
 ///
 /// # Errors
@@ -355,39 +395,18 @@ pub(crate) const COMPILED_BYTES_PER_CYCLE: u64 = 11;
 /// Names the variable and its value when it is set but not an unsigned
 /// integer, or too large for a byte count.
 pub(crate) fn compile_budget() -> Result<u64, String> {
-    const VAR: &str = "RAZORBUS_COMPILE_BUDGET_MB";
-    match parse_knob::<u64>(VAR, std::env::var_os(VAR))? {
+    match parse_knob::<u64>(BUDGET_VAR, std::env::var_os(BUDGET_VAR))? {
         None => Ok(DEFAULT_COMPILE_BUDGET),
         Some(mb) => mb
             .checked_mul(1024 * 1024)
-            .ok_or_else(|| format!("{VAR}={mb} overflows a byte count")),
-    }
-}
-
-/// The streams a workload compiles and summarizes as: one per benchmark
-/// for a suite, one for anything else.
-fn stream_count(workload: &WorkloadSpec) -> usize {
-    match workload {
-        WorkloadSpec::Suite => Benchmark::ALL.len(),
-        WorkloadSpec::Single(_) | WorkloadSpec::Recipe(_) => 1,
-    }
-}
-
-/// A workload's per-stream summaries, in stream order and tagged
-/// `Benchmark::ALL[stream]`, as its sweep product: a suite's ten merge
-/// into a bank, and a single stream's one is the summary itself (its
-/// tag unused).
-fn sweep_of(per: Vec<(Benchmark, TraceSummary)>) -> SweepData {
-    match <[(Benchmark, TraceSummary); 1]>::try_from(per) {
-        Ok([(_, summary)]) => SweepData::Summary(summary),
-        Err(per) => SweepData::Bank(SummaryBank::from_per_benchmark(per)),
+            .ok_or_else(|| format!("{BUDGET_VAR}={mb} overflows a byte count")),
     }
 }
 
 /// Estimated resident bytes of compiling `key`'s workload, saturating
 /// for budgets no memory holds.
-fn compiled_footprint(key: &SummaryKey, workloads: &[WorkloadSpec]) -> u64 {
-    let streams = stream_count(&workloads[key.workload]) as u64;
+fn compiled_footprint(key: &SummaryKey, workloads: &[Workload]) -> u64 {
+    let streams = workloads[key.workload].streams() as u64;
     (streams * COMPILED_BYTES_PER_CYCLE).saturating_mul(key.cycles)
 }
 
@@ -408,171 +427,99 @@ pub(crate) fn distinct_designs<'a>(
     (distinct, ids)
 }
 
-/// How a campaign's members map onto jobs, fixed before the pool
-/// starts. Keys name workloads by their index in `workloads`, so every
-/// map below hashes a few integers per member, never a recipe.
-struct Plan {
-    /// The members' distinct designs, first-appearance order.
-    designs: Vec<DesignSpec>,
-    /// The members' distinct workloads, first-appearance order.
-    workloads: Vec<WorkloadSpec>,
-    /// Deduplicated loop jobs, first-appearance order.
-    loop_jobs: Vec<LoopKey>,
-    /// Each member's loop job (`None` if it needs none).
-    member_loop: Vec<Option<usize>>,
-    /// The distinct sweep products, first-appearance order.
-    sweeps: Vec<SummaryKey>,
-    /// Each member's sweep (`None` if it wants no sweep).
-    member_sweep: Vec<Option<usize>>,
-    /// Shared compiles, first-appearance order.
-    compile_jobs: Vec<SummaryKey>,
-    /// Each loop job's compile (`None` runs live).
-    loop_compile: Vec<Option<usize>>,
-    /// The sweep each compile summarizes, stream by stream.
-    compile_sweep: Vec<Option<usize>>,
-    /// The sweep each live loop collects as a histogram by-product.
-    loop_sweep: Vec<Option<usize>>,
-    /// Sweeps no compile or live loop reads: one summary pass each.
-    own_sweeps: Vec<usize>,
+/// Each member's loop job, for members that run one, and the distinct
+/// loop keys numbered by first appearance.
+fn number_loops(
+    members: &[ScenarioSpec],
+    member_design: &[usize],
+    member_workload: &[usize],
+) -> (Vec<LoopKey>, Vec<Option<usize>>) {
+    let mut loops = Interner::with_capacity(members.len());
+    let member_loop = members
+        .iter()
+        .zip(member_design.iter().zip(member_workload))
+        .map(|(m, (&d, &w))| {
+            (m.analysis.wants_loop() || m.analysis.wants_aggregate())
+                .then(|| loops.id(LoopKey::of(m, d, w)))
+        })
+        .collect();
+    (loops.values, member_loop)
 }
 
-impl Plan {
-    /// Plans `members`: deduplicated loop runs, the compile plan when
-    /// `compile_budget` is given, and one source per sweep product —
-    /// its key's compile, else the key's first live loop, else a
-    /// dedicated summary pass. Loop jobs are planned over *all* members
-    /// first, so a sweep's source is member-order-independent: a
-    /// sweep-only member rides a loop planned later in the set rather
-    /// than spawning a redundant trace pass. Every step is linear in
-    /// the member count.
-    fn new(members: &[ScenarioSpec], compile_budget: Option<u64>) -> Self {
-        let (designs, member_design) = distinct_designs(members.iter().map(|m| &m.design));
-        let mut workloads = Interner::with_capacity(1);
-        let member_workload: Vec<usize> =
-            members.iter().map(|m| workloads.id(&m.workload)).collect();
-        let workloads: Vec<WorkloadSpec> = workloads.values.into_iter().cloned().collect();
-        let member_ids = || {
-            members
-                .iter()
-                .zip(member_design.iter().zip(&member_workload))
-        };
+/// One member's place in the plan.
+struct MemberPlan {
+    /// The kept-loop slot holding its closed loop, if it wants one.
+    closed_loop: Option<usize>,
+    /// Its sweep, if it wants one.
+    sweep: Option<usize>,
+}
 
-        let mut loops = Interner::with_capacity(members.len());
-        let member_loop: Vec<Option<usize>> = member_ids()
-            .map(|(m, (&d, &w))| {
-                (m.analysis.wants_loop() || m.analysis.wants_aggregate())
-                    .then(|| loops.id(LoopKey::of(m, d, w)))
-            })
-            .collect();
-        let loop_jobs = loops.values;
+/// One deduplicated closed loop and everything its job needs.
+struct LoopJob {
+    key: LoopKey,
+    /// The governor's checked configuration.
+    config: ControllerConfig,
+    /// Its shared compile; `None` runs live.
+    compile: Option<usize>,
+    /// The sweep it collects as a histogram by-product (a live loop).
+    sweep: Option<usize>,
+    /// The kept-loop slot its data fills, if a member keeps it.
+    keep: Option<usize>,
+    /// The digest ranks its metrics fold at, ascending.
+    ranks: Vec<usize>,
+}
 
-        // Each loop job's summary key as a dense id; ids count up in
-        // loop order, so a key's first loop is where its id first shows.
-        let mut skeys = Interner::with_capacity(loop_jobs.len());
-        let loop_skey: Vec<usize> = loop_jobs
-            .iter()
-            .map(|job| skeys.id(job.summary_key()))
-            .collect();
-        let mut first_loop: Vec<usize> = Vec::with_capacity(skeys.values.len());
-        for (i, &s) in loop_skey.iter().enumerate() {
-            if s == first_loop.len() {
-                first_loop.push(i);
-            }
-        }
-
-        // A (design, workload, cycles, seed) analyzed by two or more
-        // loop jobs (a governor shootout, a corner sweep, `repro all`'s
-        // typical+worst pair, ...) is compiled once and replayed per
-        // job, so the `analyze_cycle` cost is paid once instead of N
-        // times. Single-user keys stay on the live path — compiling
-        // would only add work — as does anything that would blow the
-        // compiled-memory budget (bytes).
-        let mut users = vec![0usize; skeys.values.len()];
-        for &s in &loop_skey {
-            users[s] += 1;
-        }
-        let mut skey_compile: Vec<Option<usize>> = vec![None; skeys.values.len()];
-        let mut compile_jobs = Vec::new();
-        if let Some(budget) = compile_budget {
-            let mut footprint = 0u64;
-            for (s, key) in skeys.values.iter().enumerate() {
-                let bytes = compiled_footprint(key, &workloads);
-                if users[s] < 2 || bytes > budget - footprint {
-                    continue;
-                }
-                footprint += bytes;
-                skey_compile[s] = Some(compile_jobs.len());
-                compile_jobs.push(*key);
-            }
-        }
-
-        // One slot per sweep product, filled by the pass that already
-        // reads its words.
-        let mut sweeps = Interner::with_capacity(0);
-        let member_sweep: Vec<Option<usize>> = member_ids()
-            .map(|(m, (&d, &w))| {
-                m.analysis
-                    .wants_sweep()
-                    .then(|| sweeps.id(LoopKey::of(m, d, w).summary_key()))
-            })
-            .collect();
-        let mut compile_sweep = vec![None; compile_jobs.len()];
-        let mut loop_sweep = vec![None; loop_jobs.len()];
-        let mut own_sweeps = Vec::new();
-        for (s, key) in sweeps.values.iter().enumerate() {
-            match skeys.ids.get(key).map(|&k| (k, skey_compile[k])) {
-                Some((_, Some(c))) => compile_sweep[c] = Some(s),
-                Some((k, None)) => loop_sweep[first_loop[k]] = Some(s),
-                None => own_sweeps.push(s),
-            }
-        }
-
-        Self {
-            designs,
-            workloads,
-            loop_compile: loop_skey.iter().map(|&s| skey_compile[s]).collect(),
-            loop_jobs,
-            member_loop,
-            sweeps: sweeps.values,
-            member_sweep,
-            compile_jobs,
-            compile_sweep,
-            loop_sweep,
-            own_sweeps,
-        }
+impl LoopJob {
+    fn governor(&self) -> BoxedGovernor {
+        self.key.controller.governor.build(self.config)
     }
+}
 
-    /// The loop jobs replaying each compile, in loop order.
-    fn replayers(&self) -> Vec<Vec<usize>> {
-        let mut replayers = vec![Vec::new(); self.compile_jobs.len()];
-        for (i, c) in self.loop_compile.iter().enumerate() {
-            if let Some(c) = *c {
-                replayers[c].push(i);
-            }
-        }
-        replayers
-    }
+/// One shared compile and what its finished workload feeds.
+struct CompileJob {
+    key: SummaryKey,
+    /// The sweep it summarizes, stream by stream.
+    sweep: Option<usize>,
+    replays: Replays,
+}
 
-    /// The initial pool feed, each block in plan order: live
-    /// (uncompiled) loops, then compiles, then summary passes, one job
-    /// per workload stream. A live loop cannot split below a whole
-    /// workload — a suite loop threads one governor through every
-    /// benchmark — so it starts first, and the compiles' stealable
-    /// chunk jobs fill the pool around it.
-    fn initial_feed(&self) -> Vec<Job> {
-        let streams = |key: &SummaryKey| 0..stream_count(&self.workloads[key.workload]);
-        let compiles = self.compile_jobs.iter().enumerate();
-        (0..self.loop_jobs.len())
-            .filter(|&i| self.loop_compile[i].is_none())
-            .map(Job::Loop)
-            .chain(compiles.flat_map(|(c, key)| streams(key).map(move |b| Job::Compile(c, b))))
-            .chain(
-                self.own_sweeps
-                    .iter()
-                    .flat_map(|&s| streams(&self.sweeps[s]).map(move |b| Job::Summary(s, b))),
-            )
-            .collect()
-    }
+/// The loop jobs a finished compile spawns, by workload shape.
+enum Replays {
+    /// A suite's loops, each replaying the assembled ten streams solo —
+    /// a suite loop threads one governor through every benchmark.
+    Suite(Vec<usize>),
+    /// A single stream's replay plans.
+    Stream(Vec<ReplayPlan>),
+}
+
+/// A campaign fixed before the pool starts: every design built, every
+/// recipe and governor checked, and every member mapped onto the jobs
+/// that produce its products. Keys name workloads by their index in
+/// `workloads`, so planning hashes a few integers per member, never a
+/// recipe.
+struct Plan {
+    name: String,
+    /// The expanded members, expansion order, and their places.
+    specs: Vec<ScenarioSpec>,
+    members: Vec<MemberPlan>,
+    /// The members' distinct designs, first-appearance order.
+    design_specs: Vec<DesignSpec>,
+    designs: Vec<DvsBusDesign>,
+    /// The members' distinct workloads, first-appearance order.
+    workloads: Vec<Workload>,
+    /// Deduplicated loop jobs, first-appearance order.
+    loop_jobs: Vec<LoopJob>,
+    /// Shared compiles, first-appearance order.
+    compile_jobs: Vec<CompileJob>,
+    /// The distinct sweep products, first-appearance order.
+    sweeps: Vec<SummaryKey>,
+    /// Sweeps no compile or live loop reads: one summary pass each.
+    own_sweeps: Vec<usize>,
+    /// How many loop jobs keep their data.
+    kept: usize,
+    /// Keys two or more loops share that the compile budget left on the
+    /// live path, with the bytes compiling each would have taken.
+    live_fallbacks: Vec<(SummaryKey, u64)>,
 }
 
 impl ScenarioSet {
@@ -635,9 +582,10 @@ impl ScenarioSet {
     ///
     /// # Errors
     ///
-    /// Propagates expansion, design-build, governor-build and trace
-    /// construction errors, and names any member whose corner the
-    /// design tables do not tabulate. A malformed (but decodable) spec
+    /// Every spec error is raised before the first job runs, naming the
+    /// member that needs the bad part: expansion errors, an untabulated
+    /// corner, a design that does not build, a malformed recipe, a
+    /// governor off the design grid. A malformed (but decodable) spec
     /// artifact surfaces here as an `Err`, never a panic, and so does
     /// an unparsable `RAZORBUS_COMPILE_BUDGET_MB`, or a
     /// `RAZORBUS_THREADS` or `RAZORBUS_COMPILE_CHUNK` that is not a
@@ -680,13 +628,8 @@ impl ScenarioSet {
     /// explicit, so the reference differential can drive them without
     /// touching process globals: `budget` caps the resident bytes of
     /// shared compiled traces (`None` shares nothing, every loop runs
-    /// live), and `chunk_cycles` is the compile chunk size.
-    ///
-    /// Each shared compile takes one of two routes, by one rule: it
-    /// streams through [`CompiledTrace::compile`] when the pool has one
-    /// worker or the stream fits in one chunk (`cycles <=
-    /// chunk_cycles`), and otherwise drains its words and spawns one
-    /// [`Job::CompileChunk`] per chunk. Both routes give the same bytes.
+    /// live), and `chunk_cycles` is the compile chunk size. A budget
+    /// that leaves a shared workload live says so on stderr.
     pub(crate) fn run_full(
         &self,
         prebuilt: Vec<(DesignSpec, DvsBusDesign)>,
@@ -694,268 +637,310 @@ impl ScenarioSet {
         workers: Option<usize>,
         chunk_cycles: usize,
     ) -> Result<ScenarioSetRun, String> {
-        let n_workers = pool::worker_count(workers)?;
+        let workers = pool::worker_count(workers)?;
+        let plan = self.plan(prebuilt, budget)?;
+        if let (Some(budget), false) = (budget, plan.live_fallbacks.is_empty()) {
+            let needed = plan
+                .live_fallbacks
+                .iter()
+                .fold(0, |n: u64, f| n.saturating_add(f.1));
+            eprintln!(
+                "warning: {BUDGET_VAR} budget of {budget} bytes runs {} shared workload(s) live \
+                 (slower, same results): compiling them needs {needed} bytes",
+                plan.live_fallbacks.len()
+            );
+        }
+        Ok(plan.execute(workers, chunk_cycles))
+    }
+
+    /// Expands the set and plans it, refusing every bad spec (module
+    /// docs); `prebuilt` designs skip their builds. Loop runs are
+    /// deduplicated, shared keys compiled within `compile_budget`, and
+    /// each sweep product gets one source — its key's compile, else the
+    /// key's first live loop, else a dedicated summary pass. Loop jobs
+    /// are numbered over *all* members first, so a sweep-only member
+    /// rides a loop planned later in the set rather than spawning a
+    /// redundant trace pass. Every step is linear in the member count.
+    fn plan(
+        &self,
+        mut prebuilt: Vec<(DesignSpec, DvsBusDesign)>,
+        compile_budget: Option<u64>,
+    ) -> Result<Plan, String> {
         let members = self.expand()?;
         // A run at an untabulated corner would panic inside a job.
         members.iter().try_for_each(ScenarioSpec::check_corner)?;
-        let plan = Plan::new(&members, budget);
-        let Plan {
-            designs: design_specs,
+        let (design_specs, member_design) = distinct_designs(members.iter().map(|m| &m.design));
+        let mut interned = Interner::with_capacity(1);
+        let member_workload: Vec<usize> =
+            members.iter().map(|m| interned.id(&m.workload)).collect();
+        let (keys, member_loop) = number_loops(&members, &member_design, &member_workload);
+
+        // Build and check what each member names, at the first member
+        // that needs it, and map it onto its products. An aggregate
+        // member folds into the digest at its rank among the aggregate
+        // members: rank order, not completion order, fixes the fold. A
+        // loop keeps its data only if a member wants it.
+        let (mut designs, mut workloads) = (Vec::new(), Vec::new());
+        let mut loop_jobs = Vec::with_capacity(keys.len());
+        let mut sweeps = Interner::with_capacity(0);
+        let (mut kept, mut aggregates) = (0, 0);
+        let mut member_plans = Vec::with_capacity(members.len());
+        for (mi, m) in members.iter().enumerate() {
+            let named = |e: String| format!("member `{}`: {e}", m.name);
+            let (d, w) = (member_design[mi], member_workload[mi]);
+            if d == designs.len() {
+                let spec = &design_specs[d];
+                designs.push(match prebuilt.iter().position(|(s, _)| s == spec) {
+                    Some(k) => prebuilt.swap_remove(k).1,
+                    None => spec.build().map_err(named)?,
+                });
+            }
+            if w == workloads.len() {
+                workloads.push(Workload::check(&m.workload).map_err(named)?);
+            }
+            let mut closed_loop = None;
+            if let Some(i) = member_loop[mi] {
+                if i == loop_jobs.len() {
+                    let key = keys[i];
+                    let config = key.controller.configure(&designs[d], key.corner.pvt());
+                    loop_jobs.push(LoopJob {
+                        key,
+                        config: config.map_err(named)?,
+                        compile: None,
+                        sweep: None,
+                        keep: None,
+                        ranks: Vec::new(),
+                    });
+                }
+                let job = &mut loop_jobs[i];
+                if m.analysis.wants_aggregate() {
+                    job.ranks.push(aggregates);
+                    aggregates += 1;
+                } else {
+                    closed_loop = Some(*job.keep.get_or_insert_with(|| {
+                        kept += 1;
+                        kept - 1
+                    }));
+                }
+            }
+            let swept = m.analysis.wants_sweep();
+            let sweep = swept.then(|| sweeps.id(LoopKey::of(m, d, w).summary_key()));
+            member_plans.push(MemberPlan { closed_loop, sweep });
+        }
+
+        // Each loop job's summary key as a dense id, with each key's first
+        // loop (ids count up in loop order) and its number of loops.
+        let mut skeys = Interner::with_capacity(keys.len());
+        let (mut first_loop, mut users) = (Vec::new(), Vec::new());
+        let loop_skey: Vec<usize> = (keys.iter().enumerate())
+            .map(|(i, key)| {
+                let s = skeys.id(key.summary_key());
+                if s == users.len() {
+                    first_loop.push(i);
+                    users.push(0);
+                }
+                users[s] += 1;
+                s
+            })
+            .collect();
+
+        // A (design, workload, cycles, seed) analyzed by two or more
+        // loop jobs (a governor shootout, a corner sweep, `repro all`'s
+        // typical+worst pair, ...) is compiled once and replayed per
+        // job, so the `analyze_cycle` cost is paid once instead of N
+        // times. Single-user keys stay on the live path — compiling
+        // would only add work — as does anything that would blow the
+        // compiled-memory budget (bytes), which is recorded.
+        let mut skey_compile: Vec<Option<usize>> = vec![None; skeys.values.len()];
+        let mut compile_keys = Vec::new();
+        let mut live_fallbacks = Vec::new();
+        if let Some(budget) = compile_budget {
+            let mut footprint = 0u64;
+            for (s, key) in skeys.values.iter().enumerate() {
+                if users[s] < 2 {
+                    continue;
+                }
+                let bytes = compiled_footprint(key, &workloads);
+                if bytes > budget - footprint {
+                    live_fallbacks.push((*key, bytes));
+                    continue;
+                }
+                footprint += bytes;
+                skey_compile[s] = Some(compile_keys.len());
+                compile_keys.push(*key);
+            }
+        }
+        let mut replayers = vec![Vec::new(); compile_keys.len()];
+        for (i, &s) in loop_skey.iter().enumerate() {
+            loop_jobs[i].compile = skey_compile[s];
+            if let Some(c) = skey_compile[s] {
+                replayers[c].push(i);
+            }
+        }
+
+        // Each sweep's source: the pass that already reads its words.
+        let mut compile_sweep = vec![None; compile_keys.len()];
+        let mut own_sweeps = Vec::new();
+        for (s, key) in sweeps.values.iter().enumerate() {
+            match skeys.ids.get(key).map(|&k| (k, skey_compile[k])) {
+                Some((_, Some(c))) => compile_sweep[c] = Some(s),
+                Some((k, None)) => loop_jobs[first_loop[k]].sweep = Some(s),
+                None => own_sweeps.push(s),
+            }
+        }
+
+        let compile_jobs = compile_keys
+            .into_iter()
+            .zip(compile_sweep)
+            .zip(replayers)
+            .map(|((key, sweep), loops)| CompileJob {
+                replays: match workloads[key.workload] {
+                    Workload::Suite => Replays::Suite(loops),
+                    _ => Replays::Stream(plan_replay_groups(&loops, &keys)),
+                },
+                key,
+                sweep,
+            })
+            .collect();
+
+        Ok(Plan {
+            name: self.name.clone(),
+            specs: members,
+            members: member_plans,
+            design_specs,
+            designs,
             workloads,
             loop_jobs,
-            member_loop,
-            sweeps,
-            member_sweep,
             compile_jobs,
-            compile_sweep,
-            loop_sweep,
+            sweeps: sweeps.values,
             own_sweeps,
-            ..
-        } = &plan;
+            kept,
+            live_fallbacks,
+        })
+    }
+}
 
-        let mut prebuilt: Vec<(DesignSpec, Option<DvsBusDesign>)> = prebuilt
-            .into_iter()
-            .map(|(spec, design)| (spec, Some(design)))
+impl Plan {
+    /// The initial pool feed, each block in plan order: live
+    /// (uncompiled) loops, then compiles, then summary passes, one job
+    /// per workload stream. A live loop cannot split below a whole
+    /// workload — a suite loop threads one governor through every
+    /// benchmark — so it starts first, and the compiles' stealable
+    /// chunk jobs fill the pool around it.
+    fn initial_feed(&self) -> Vec<Job<'_>> {
+        let streams = |key: &SummaryKey| 0..self.workloads[key.workload].streams();
+        let live = (self.loop_jobs.iter().enumerate()).filter(|(_, job)| job.compile.is_none());
+        let compiles = self.compile_jobs.iter().enumerate();
+        let compiles =
+            compiles.flat_map(|(c, job)| streams(&job.key).map(move |b| Job::Compile(c, b)));
+        let summaries = (self.own_sweeps.iter())
+            .flat_map(|&s| streams(&self.sweeps[s]).map(move |b| Job::Summary(s, b)));
+        live.map(|(i, _)| Job::Loop(i))
+            .chain(compiles)
+            .chain(summaries)
+            .collect()
+    }
+
+    /// Drains the plan on a pool of `workers`, fed in
+    /// [`Plan::initial_feed`] order, and moves it into per-member
+    /// results in expansion order; the plan refused every bad spec, so
+    /// nothing here fails. A shared compile streams through
+    /// [`CompiledTrace::compile`] when the pool has one worker or the
+    /// stream fits in `chunk_cycles`, and otherwise splits into
+    /// [`Job::CompileChunk`]s; both routes give the same bytes.
+    fn execute(self, workers: usize, chunk_cycles: usize) -> ScenarioSetRun {
+        let streams = |key: &SummaryKey| self.workloads[key.workload].streams();
+        let run = Run {
+            plan: &self,
+            workers,
+            chunk_cycles,
+            kept: Table::new(self.kept),
+            sweeps: Table::new(self.sweeps.len()),
+            folder: Mutex::new(DigestBuilder::new(&self.name)),
+            compiled: (self.compile_jobs.iter())
+                .map(|job| BenchSlots::new(streams(&job.key)))
+                .collect(),
+            summaries: (self.sweeps.iter())
+                .map(|key| BenchSlots::new(streams(key)))
+                .collect(),
+        };
+        pool::run(workers, self.initial_feed(), |job, spawner| {
+            run.job(job, spawner)
+        });
+
+        let (kept, sweeps) = (run.kept.into_vec(), run.sweeps.into_vec());
+        let folder = run.folder.into_inner().expect("digest folder");
+        let digest =
+            (self.loop_jobs.iter().any(|job| !job.ranks.is_empty())).then(|| folder.finish());
+        // The jobs are done: free them before the results grow, and
+        // move each spec into its result.
+        drop((self.loop_jobs, self.compile_jobs, self.workloads));
+        let members = (self.specs.into_iter().zip(self.members))
+            .map(|(spec, m)| MemberResult {
+                spec,
+                closed_loop: m.closed_loop.map(|k| kept[k].clone()),
+                sweep: m.sweep.map(|s| sweeps[s].clone()),
+            })
             .collect();
-        let designs = design_specs
-            .iter()
-            .map(
-                |spec| match prebuilt.iter_mut().find(|(s, d)| s == spec && d.is_some()) {
-                    Some((_, slot)) => Ok(slot.take().expect("checked is_some")),
-                    None => spec.build(),
-                },
-            )
-            .collect::<Result<Vec<_>, _>>()?;
-
-        // Aggregate ranks: each aggregate-mode member folds into the
-        // campaign digest at its position among the set's aggregate
-        // members (expansion order). A shared loop job may carry
-        // several ranks; the rank order — not the completion order —
-        // fixes the fold order.
-        let mut job_agg: Vec<Vec<usize>> = vec![Vec::new(); loop_jobs.len()];
-        let mut agg_count = 0usize;
-        for (mi, m) in members.iter().enumerate() {
-            if m.analysis.wants_aggregate() {
-                let i = member_loop[mi].expect("aggregate members plan a loop job");
-                job_agg[i].push(agg_count);
-                agg_count += 1;
-            }
+        let result = ScenarioSetResult {
+            name: self.name,
+            members,
+            digest,
+        };
+        ScenarioSetRun {
+            design_specs: self.design_specs,
+            designs: self.designs,
+            result,
         }
-        // Aggregate-only loop data is dropped at the fold; a job is
-        // materialized only if a member keeps its data.
-        let mut materialize = vec![false; loop_jobs.len()];
-        for (mi, m) in members.iter().enumerate() {
-            if m.analysis.wants_loop() {
-                materialize[member_loop[mi].expect("loop wanted")] = true;
-            }
-        }
+    }
+}
 
-        // Build governors (and validate recipes) before spawning, so
-        // every spec-level error surfaces as a clean Err. A recipe's
-        // errors do not depend on the seed, so each distinct workload
-        // is validated once, at its first job.
-        let mut validated = vec![false; workloads.len()];
-        let mut validate = |w: usize, seed: u64| {
-            if let (WorkloadSpec::Recipe(recipe), false) = (&workloads[w], validated[w]) {
-                recipe.build_trace(seed)?;
-            }
-            validated[w] = true;
-            Ok::<(), String>(())
-        };
-        let mut governors: Vec<Option<BoxedGovernor>> = Vec::with_capacity(loop_jobs.len());
-        for job in loop_jobs {
-            let design = &designs[job.design_idx];
-            governors.push(Some(job.controller.build(design, job.corner)?));
-            validate(job.workload, job.seed)?;
-        }
-        for &s in own_sweeps {
-            validate(sweeps[s].workload, sweeps[s].seed)?;
-        }
+/// One execution of a [`Plan`]: the result tables its jobs fill.
+struct Run<'p> {
+    plan: &'p Plan,
+    workers: usize,
+    chunk_cycles: usize,
+    /// Kept loops' data by kept slot, and sweep products.
+    kept: Table<LoopData>,
+    sweeps: Table<SweepData>,
+    folder: Mutex<DigestBuilder>,
+    /// Each compile's per-stream traces (a suite's assembly).
+    compiled: Vec<BenchSlots<Arc<CompiledTrace>>>,
+    /// Each sweep's per-stream summaries.
+    summaries: Vec<BenchSlots<(Benchmark, TraceSummary)>>,
+}
 
-        // Drain the plan on the work-stealing pool, fed in
-        // `initial_feed` order; a finished compile spawns one `Replay`
-        // continuation per waiting loop (the compiled stream
-        // `Arc`-shared, one clone per job). Compiles and summaries run
-        // one job per workload stream, and the last stream to finish
-        // assembles the slot-ordered whole. Every job writes its
-        // pre-assigned slot — and aggregate metrics fold through the
-        // rank-ordered `DigestBuilder` — so worker count and steal
-        // order never affect the assembled result.
-        let replayers = plan.replayers();
-        let governors: Vec<Mutex<Option<BoxedGovernor>>> =
-            governors.into_iter().map(Mutex::new).collect();
-        let take_governor = |i: usize| {
-            governors[i]
-                .lock()
-                .expect("governor slot")
-                .take()
-                .expect("governor built above, taken once")
-        };
-        let loops: Mutex<Vec<LoopSlot>> = Mutex::new((0..loop_jobs.len()).map(|_| None).collect());
-        let swept: Mutex<Vec<Option<Result<SweepData, String>>>> =
-            Mutex::new((0..sweeps.len()).map(|_| None).collect());
-        let folder: Option<Mutex<DigestBuilder>> =
-            (agg_count > 0).then(|| Mutex::new(DigestBuilder::new(&self.name)));
-        let streams = |key: &SummaryKey| stream_count(&workloads[key.workload]);
-        let compiled_streams: Vec<Mutex<BenchSlots<Arc<CompiledTrace>>>> = compile_jobs
-            .iter()
-            .map(|key| Mutex::new(BenchSlots::new(streams(key))))
-            .collect();
-        let summary_streams: Vec<Mutex<BenchSlots<(Benchmark, TraceSummary)>>> = sweeps
-            .iter()
-            .map(|key| Mutex::new(BenchSlots::new(streams(key))))
-            .collect();
-
-        // A finished loop (live or replayed): fold its metrics into the
-        // digest for every rank it carries, then keep or drop the data
-        // as planned.
-        let finish_loop = |i: usize, data: Result<LoopData, String>| {
-            let slot = data.map(|data| {
-                if !job_agg[i].is_empty() {
-                    let metrics = MemberMetrics::of(&data);
-                    let mut folder = folder
-                        .as_ref()
-                        .expect("aggregate ranks imply a folder")
-                        .lock()
-                        .expect("digest folder");
-                    for &rank in &job_agg[i] {
-                        folder.submit(rank, metrics.clone());
-                    }
-                }
-                materialize[i].then_some(data)
-            });
-            loops.lock().expect("loop results")[i] = Some(slot);
-        };
-        let set_sweep = |s: usize, sweep: Result<SweepData, String>| {
-            swept.lock().expect("sweep results")[s] = Some(sweep);
-        };
-        // One stream's summary, from a compile or a dedicated pass; the
-        // last stream of a sweep assembles it.
-        let fill_sweep = |s: usize, stream: usize, summary: TraceSummary| {
-            let done = summary_streams[s]
-                .lock()
-                .expect("sweep stream slots")
-                .fill(stream, (Benchmark::ALL[stream], summary));
-            if let Some(per) = done {
-                set_sweep(s, Ok(sweep_of(per)));
-            }
-        };
-
-        // A materialized compiled stream: summarize it if the compile
-        // sources a sweep, and once the workload's last stream lands,
-        // spawn its replays — solo for a suite, planned into fused
-        // groups for a single stream.
-        let finish_compile = |c: usize,
-                              stream: usize,
-                              compiled: Arc<CompiledTrace>,
-                              spawner: &pool::Spawner<'_, Job>| {
-            let done = compiled_streams[c]
-                .lock()
-                .expect("compile stream slots")
-                .fill(stream, Arc::clone(&compiled));
-            if let Some(s) = compile_sweep[c] {
-                fill_sweep(s, stream, compiled.summary());
-            }
-            let Some(per) = done else { return };
-            match <[Arc<CompiledTrace>; 1]>::try_from(per) {
-                Ok([trace]) => {
-                    for plan in plan_replay_groups(&replayers[c], loop_jobs) {
-                        spawner.spawn(match plan {
-                            ReplayPlan::Solo(i) => {
-                                Job::Replay(i, CompiledWorkload::Stream(Arc::clone(&trace)))
-                            }
-                            ReplayPlan::Fused(group) => Job::FusedReplay(group, Arc::clone(&trace)),
-                        });
-                    }
-                }
-                Err(per) => {
-                    let workload = CompiledWorkload::Suite(per);
-                    for &i in &replayers[c] {
-                        spawner.spawn(Job::Replay(i, workload.clone()));
-                    }
-                }
-            }
-        };
-
-        // Starts stream `stream` of compile `c`: stream it in one pass
-        // when nothing can run beside it or one chunk covers it,
-        // otherwise drain its words and spawn one `CompileChunk`
-        // continuation per chunk — stolen by idle workers like any
-        // other job.
-        let start_compile = |c: usize, stream: usize, spawner: &pool::Spawner<'_, Job>| {
-            let key = &compile_jobs[c];
-            let design = &designs[key.design_idx];
-            let mut trace = match open_trace(&workloads[key.workload], key.seed, stream) {
-                Ok(trace) => trace,
-                Err(e) => {
-                    let mut slots = loops.lock().expect("loop results");
-                    for &i in &replayers[c] {
-                        slots[i] = Some(Err(e.clone()));
-                    }
-                    return;
-                }
-            };
-            if n_workers == 1 || key.cycles <= chunk_cycles as u64 {
-                let compiled = CompiledTrace::compile(design, &mut trace, key.cycles);
-                finish_compile(c, stream, Arc::new(compiled), spawner);
-                return;
-            }
-            let words = CompiledTrace::drain_words(&mut trace, key.cycles);
-            let n_chunks = (words.len() - 1).div_ceil(chunk_cycles);
-            let job = Arc::new(ChunkJob {
-                c,
-                stream,
-                words,
-                slots: Mutex::new(BenchSlots::new(n_chunks)),
-            });
-            for k in 0..n_chunks {
-                spawner.spawn(Job::CompileChunk(Arc::clone(&job), k));
-            }
-        };
-
-        let initial = plan.initial_feed();
-        pool::run(n_workers, initial, |job, spawner| match job {
-            Job::Compile(c, stream) => start_compile(c, stream, spawner),
+impl<'p> Run<'p> {
+    fn job(&self, job: Job<'p>, spawner: &pool::Spawner<'_, Job<'p>>) {
+        let plan = self.plan;
+        match job {
+            Job::Compile(c, stream) => self.start_compile(c, stream, spawner),
             Job::CompileChunk(job, k) => {
-                let key = &compile_jobs[job.c];
-                let design = &designs[key.design_idx];
-                let start = k * chunk_cycles;
-                let len = chunk_cycles.min(job.words.len() - 1 - start);
+                let key = &plan.compile_jobs[job.c].key;
+                let design = &plan.designs[key.design_idx];
+                let start = k * self.chunk_cycles;
+                let len = self.chunk_cycles.min(job.words.len() - 1 - start);
                 let chunk = CompiledTrace::analyze_chunk(design, &job.words, start, len);
-                let done = job
-                    .slots
-                    .lock()
-                    .expect("chunk assembly slots")
-                    .fill(k, chunk);
-                if let Some(chunks) = done {
+                if let Some(chunks) = job.slots.fill(k, chunk) {
                     let compiled = Arc::new(CompiledTrace::from_chunks(design, key.cycles, chunks));
-                    finish_compile(job.c, job.stream, compiled, spawner);
+                    self.finish_compile(job.c, job.stream, compiled, spawner);
                 }
             }
-            Job::Loop(i) => {
-                let job = &loop_jobs[i];
-                let product = run_loop_job(
-                    &designs[job.design_idx],
-                    job,
-                    &workloads[job.workload],
-                    take_governor(i),
-                    loop_sweep[i].is_some(),
-                );
-                match product {
-                    Ok((data, sweep)) => {
-                        if let (Some(s), Some(sweep)) = (loop_sweep[i], sweep) {
-                            set_sweep(s, Ok(sweep));
-                        }
-                        finish_loop(i, Ok(data));
-                    }
-                    Err(e) => finish_loop(i, Err(e)),
-                }
+            Job::Loop(i) => self.finish_loop(&plan.loop_jobs[i], self.run_live(i)),
+            // Replays are bit-identical to the live run, pinned by the
+            // replay differential tests in `razorbus-core` and the
+            // reference differential in [`crate::reference`].
+            Job::Replay(i, trace) => {
+                let (job, design, corner, sampling) = self.loop_job(i);
+                let (report, _) = trace.replay(design, corner, job.governor(), sampling, false);
+                self.finish_loop(job, LoopData::Stream(StreamRun { corner, report }));
             }
-            Job::Replay(i, workload) => {
-                let job = &loop_jobs[i];
-                let data =
-                    run_replay_job(&designs[job.design_idx], job, take_governor(i), &workload);
-                finish_loop(i, Ok(data));
+            Job::SuiteReplay(i, per) => {
+                let (job, design, corner, sampling) = self.loop_job(i);
+                let governor = job.governor();
+                let (data, _) =
+                    fig8::replay_protocol(design, corner, &per, governor, sampling, false);
+                self.finish_loop(job, LoopData::Suite(data));
             }
             Job::FusedReplay(group, trace) => {
                 // Every member in a fused group shares the sampling
@@ -963,180 +948,158 @@ impl ScenarioSet {
                 // only in its planned corner and pinned supply; the
                 // fused kernel judges them all in one pass over the
                 // trace.
-                let lead = &loop_jobs[group[0].0];
+                let lead = &plan.loop_jobs[group[0].0].key;
                 let ops: Vec<FusedOp> = group.iter().map(|&(_, op)| op).collect();
-                let reports =
-                    trace.replay_fused(&designs[lead.design_idx], &ops, lead.controller.sampling);
+                let design = &plan.designs[lead.design_idx];
+                let reports = trace.replay_fused(design, &ops, lead.controller.sampling);
                 for (&(i, op), report) in group.iter().zip(reports) {
                     let run = StreamRun {
                         corner: op.pvt,
                         report,
                     };
-                    finish_loop(i, Ok(LoopData::Stream(run)));
+                    self.finish_loop(&plan.loop_jobs[i], LoopData::Stream(run));
                 }
             }
             Job::Summary(s, stream) => {
-                let key = &sweeps[s];
-                match open_trace(&workloads[key.workload], key.seed, stream) {
-                    Ok(mut trace) => {
-                        let design = &designs[key.design_idx];
-                        let summary = TraceSummary::collect(design, &mut trace, key.cycles);
-                        fill_sweep(s, stream, summary);
-                    }
-                    Err(e) => set_sweep(s, Err(e)),
-                }
+                let key = &plan.sweeps[s];
+                let mut trace = plan.workloads[key.workload].open(key.seed, stream);
+                let design = &plan.designs[key.design_idx];
+                let summary = TraceSummary::collect(design, &mut trace, key.cycles);
+                self.fill_sweep(s, stream, summary);
             }
-        });
-
-        let loop_data = loops
-            .into_inner()
-            .expect("loop results")
-            .into_iter()
-            .map(|p| p.expect("every loop job produced or errored"))
-            .collect::<Result<Vec<_>, String>>()?;
-        // A compile's or live loop's sweep fails only with that job's
-        // loops, whose errors return above.
-        let sweep_products = swept
-            .into_inner()
-            .expect("sweep results")
-            .into_iter()
-            .map(|p| p.expect("every sweep produced or errored"))
-            .collect::<Result<Vec<_>, String>>()?;
-        let digest: Option<CampaignDigest> =
-            folder.map(|f| f.into_inner().expect("digest folder").finish());
-
-        // Assemble member results in expansion order, through the
-        // member→job maps fixed at planning time; each spec moves into
-        // its result.
-        let mut results = Vec::with_capacity(members.len());
-        for (mi, m) in members.into_iter().enumerate() {
-            let closed_loop = if m.analysis.wants_loop() {
-                let i = member_loop[mi].expect("loop job planned above");
-                let data = loop_data[i]
-                    .as_ref()
-                    .expect("loop-wanting members materialize their job");
-                Some(data.clone())
-            } else {
-                None
-            };
-            results.push(MemberResult {
-                spec: m,
-                closed_loop,
-                sweep: member_sweep[mi].map(|s| sweep_products[s].clone()),
-            });
-        }
-
-        Ok(ScenarioSetRun {
-            design_specs: design_specs.clone(),
-            designs,
-            result: ScenarioSetResult {
-                name: self.name.clone(),
-                members: results,
-                digest,
-            },
-        })
-    }
-}
-
-/// Opens stream `stream` of a workload's trace at `seed`: benchmark
-/// `stream` of a suite, or a single workload's only stream. Recipe
-/// errors surface here as an `Err`.
-fn open_trace(
-    workload: &WorkloadSpec,
-    seed: u64,
-    stream: usize,
-) -> Result<Box<dyn TraceSource + Send>, String> {
-    match workload {
-        WorkloadSpec::Suite => Ok(Box::new(Benchmark::ALL[stream].trace(seed))),
-        WorkloadSpec::Single(benchmark) => Ok(Box::new(benchmark.trace(seed))),
-        WorkloadSpec::Recipe(recipe) => recipe.build_trace(seed),
-    }
-}
-
-/// Replays one loop job against a shared compiled workload (phase B) —
-/// bit-identical to [`run_loop_job`] over the live trace, pinned by the
-/// replay differential tests in `razorbus-core` and the reference
-/// differential in [`crate::reference`].
-fn run_replay_job(
-    design: &DvsBusDesign,
-    job: &LoopKey,
-    governor: BoxedGovernor,
-    workload: &CompiledWorkload,
-) -> LoopData {
-    let (corner, sampling) = (job.corner, job.controller.sampling);
-    match workload {
-        CompiledWorkload::Suite(per) => {
-            let (data, _) = fig8::replay_protocol(design, corner, per, governor, sampling, false);
-            LoopData::Suite(data)
-        }
-        CompiledWorkload::Stream(trace) => {
-            let (report, _governor) = trace.replay(design, corner, governor, sampling, false);
-            LoopData::Stream(StreamRun { corner, report })
         }
     }
-}
 
-/// Runs one loop job against the live trace; `with_hist` also collects
-/// the workload's sweep product in the same pass.
-fn run_loop_job(
-    design: &DvsBusDesign,
-    job: &LoopKey,
-    workload: &WorkloadSpec,
-    governor: BoxedGovernor,
-    with_hist: bool,
-) -> Result<(LoopData, Option<SweepData>), String> {
-    match workload {
-        WorkloadSpec::Suite => {
+    /// Loop job `i` with its design, corner and sampling window.
+    fn loop_job(&self, i: usize) -> (&'p LoopJob, &'p DvsBusDesign, PvtCorner, Option<u64>) {
+        let job = &self.plan.loop_jobs[i];
+        let key = &job.key;
+        let design = &self.plan.designs[key.design_idx];
+        (job, design, key.corner.pvt(), key.controller.sampling)
+    }
+
+    /// Runs loop job `i` against the live trace; a loop that sources a
+    /// sweep also collects it in the same pass.
+    fn run_live(&self, i: usize) -> LoopData {
+        let (job, design, corner, sampling) = self.loop_job(i);
+        let (key, with_hist) = (&job.key, job.sweep.is_some());
+        let workload = &self.plan.workloads[key.workload];
+        let (data, sweep) = if let Workload::Suite = workload {
+            let governor = job.governor();
             let (data, per) = fig8::run_protocol(
-                design,
-                job.corner,
-                job.cycles,
-                job.seed,
-                governor,
-                job.controller.sampling,
-                with_hist,
+                design, corner, key.cycles, key.seed, governor, sampling, with_hist,
             );
             let sweep = with_hist.then(|| SweepData::Bank(SummaryBank::from_per_benchmark(per)));
-            Ok((LoopData::Suite(data), sweep))
+            (LoopData::Suite(data), sweep)
+        } else {
+            let trace = workload.open(key.seed, 0);
+            let mut sim = BusSimulator::new(design, corner, trace, job.governor());
+            if let Some(window) = sampling {
+                sim = sim.with_sampling(window);
+            }
+            if with_hist {
+                sim = sim.with_histogram();
+            }
+            let mut report = sim.run(key.cycles);
+            let sweep = report.summary.take().map(SweepData::Summary);
+            (LoopData::Stream(StreamRun { corner, report }), sweep)
+        };
+        if let (Some(s), Some(sweep)) = (job.sweep, sweep) {
+            self.sweeps.fill(s, sweep);
         }
-        WorkloadSpec::Single(benchmark) => Ok(run_stream_job(
-            design,
-            job,
-            benchmark.trace(job.seed),
-            governor,
-            with_hist,
-        )),
-        WorkloadSpec::Recipe(recipe) => Ok(run_stream_job(
-            design,
-            job,
-            recipe.build_trace(job.seed)?,
-            governor,
-            with_hist,
-        )),
+        data
     }
-}
 
-fn run_stream_job<S: TraceSource>(
-    design: &DvsBusDesign,
-    job: &LoopKey,
-    trace: S,
-    governor: BoxedGovernor,
-    with_hist: bool,
-) -> (LoopData, Option<SweepData>) {
-    let mut sim = BusSimulator::new(design, job.corner, trace, governor);
-    if let Some(window) = job.controller.sampling {
-        sim = sim.with_sampling(window);
+    /// A finished loop (live or replayed): fold its metrics into the
+    /// digest for every rank it carries, then keep its data if planned.
+    fn finish_loop(&self, job: &LoopJob, data: LoopData) {
+        if !job.ranks.is_empty() {
+            let metrics = MemberMetrics::of(&data);
+            let mut folder = self.folder.lock().expect("digest folder");
+            for &rank in &job.ranks {
+                folder.submit(rank, metrics.clone());
+            }
+        }
+        if let Some(k) = job.keep {
+            self.kept.fill(k, data);
+        }
     }
-    if with_hist {
-        sim = sim.with_histogram();
+
+    /// One stream's summary, from a compile or a dedicated pass; the
+    /// last stream of a sweep assembles it, tagged `Benchmark::ALL[stream]`:
+    /// a suite's ten merge into a bank, and a single stream's one is the
+    /// summary itself (its tag unused).
+    fn fill_sweep(&self, s: usize, stream: usize, summary: TraceSummary) {
+        if let Some(per) = self.summaries[s].fill(stream, (Benchmark::ALL[stream], summary)) {
+            let sweep = match <[_; 1]>::try_from(per) {
+                Ok([(_, summary)]) => SweepData::Summary(summary),
+                Err(per) => SweepData::Bank(SummaryBank::from_per_benchmark(per)),
+            };
+            self.sweeps.fill(s, sweep);
+        }
     }
-    let mut report = sim.run(job.cycles);
-    let sweep = report.summary.take().map(SweepData::Summary);
-    let run = StreamRun {
-        corner: job.corner,
-        report,
-    };
-    (LoopData::Stream(run), sweep)
+
+    /// Starts stream `stream` of compile `c`: stream it in one pass
+    /// when nothing can run beside it or one chunk covers it,
+    /// otherwise drain its words and spawn one `CompileChunk`
+    /// continuation per chunk — stolen by idle workers like any
+    /// other job.
+    fn start_compile(&self, c: usize, stream: usize, spawner: &pool::Spawner<'_, Job<'p>>) {
+        let key = &self.plan.compile_jobs[c].key;
+        let design = &self.plan.designs[key.design_idx];
+        let mut trace = self.plan.workloads[key.workload].open(key.seed, stream);
+        if self.workers == 1 || key.cycles <= self.chunk_cycles as u64 {
+            let compiled = CompiledTrace::compile(design, &mut trace, key.cycles);
+            self.finish_compile(c, stream, Arc::new(compiled), spawner);
+            return;
+        }
+        let words = CompiledTrace::drain_words(&mut trace, key.cycles);
+        let n_chunks = (words.len() - 1).div_ceil(self.chunk_cycles);
+        let job = Arc::new(ChunkJob {
+            c,
+            stream,
+            words,
+            slots: BenchSlots::new(n_chunks),
+        });
+        for k in 0..n_chunks {
+            spawner.spawn(Job::CompileChunk(Arc::clone(&job), k));
+        }
+    }
+
+    /// A materialized compiled stream: summarize it if the compile
+    /// sources a sweep, and spawn its replays — planned into fused
+    /// groups for a single stream, and solo once a suite's last stream
+    /// lands.
+    fn finish_compile(
+        &self,
+        c: usize,
+        stream: usize,
+        compiled: Arc<CompiledTrace>,
+        spawner: &pool::Spawner<'_, Job<'p>>,
+    ) {
+        let job = &self.plan.compile_jobs[c];
+        if let Some(s) = job.sweep {
+            self.fill_sweep(s, stream, compiled.summary());
+        }
+        match &job.replays {
+            Replays::Stream(plans) => {
+                for plan in plans {
+                    spawner.spawn(match plan {
+                        ReplayPlan::Solo(i) => Job::Replay(*i, Arc::clone(&compiled)),
+                        ReplayPlan::Fused(group) => Job::FusedReplay(group, Arc::clone(&compiled)),
+                    });
+                }
+            }
+            Replays::Suite(loops) => {
+                if let Some(per) = self.compiled[c].fill(stream, compiled) {
+                    let per = Arc::new(per);
+                    for &i in loops {
+                        spawner.spawn(Job::SuiteReplay(i, Arc::clone(&per)));
+                    }
+                }
+            }
+        }
+    }
 }
 
 impl ScenarioSetRun {
@@ -1568,43 +1531,70 @@ mod tests {
         assert_ne!(a.closed_loop, b.closed_loop);
     }
 
+    /// The plan of a set of `members` (distinctly named).
+    fn plan_members(members: &[ScenarioSpec], budget: Option<u64>) -> Plan {
+        let set = ScenarioSet {
+            name: "planned".to_string(),
+            members: members.to_vec(),
+        };
+        set.plan(Vec::new(), budget).unwrap()
+    }
+
+    fn compile_keys(plan: &Plan) -> Vec<SummaryKey> {
+        plan.compile_jobs.iter().map(|job| job.key).collect()
+    }
+
     #[test]
     fn compile_plan_shares_only_multi_user_keys_within_budget() {
         let job = |corner: CornerSpec, cycles: u64| {
-            let mut m = member("m", AnalysisSpec::ClosedLoop, corner);
+            let name = format!("m-{}-{cycles}", corner.label());
+            let mut m = member(&name, AnalysisSpec::ClosedLoop, corner);
             m.run.cycles_per_benchmark = cycles;
             m
         };
         // Two corners over one suite: one compile key. The single-user
-        // 7 k-cycle job stays live.
+        // 7 k-cycle job stays live, and is no budget fallback.
         let members = vec![
             job(CornerSpec::Typical, 5_000),
             job(CornerSpec::Worst, 5_000),
             job(CornerSpec::Typical, 7_000),
         ];
-        let plan = Plan::new(&members, Some(DEFAULT_COMPILE_BUDGET));
-        let first = plan.loop_jobs[0].summary_key();
-        assert_eq!(plan.compile_jobs, vec![first]);
-        assert_eq!(plan.loop_compile, vec![Some(0), Some(0), None]);
+        let plan = plan_members(&members, Some(DEFAULT_COMPILE_BUDGET));
+        let first = plan.loop_jobs[0].key.summary_key();
+        assert_eq!(compile_keys(&plan), vec![first]);
+        let loop_compile: Vec<_> = plan.loop_jobs.iter().map(|job| job.compile).collect();
+        assert_eq!(loop_compile, vec![Some(0), Some(0), None]);
+        assert!(plan.live_fallbacks.is_empty());
         // A zero budget compiles nothing — the executor falls back to
-        // the live path — and so does no budget at all.
-        assert!(Plan::new(&members, Some(0)).compile_jobs.is_empty());
-        assert!(Plan::new(&members, None).compile_jobs.is_empty());
+        // the live path, and records the shared key — and so does no
+        // budget at all, which records nothing.
+        let footprint = compiled_footprint(&first, &plan.workloads);
+        let zero = plan_members(&members, Some(0));
+        assert!(zero.compile_jobs.is_empty());
+        assert_eq!(zero.live_fallbacks, vec![(first, footprint)]);
+        let none = plan_members(&members, None);
+        assert!(none.compile_jobs.is_empty());
+        assert!(none.live_fallbacks.is_empty());
         // The budget is cumulative: once the suite's footprint is
-        // spent, a second shareable key is left on the live path.
+        // spent, a second shareable key is left on the live path, and
+        // recorded with the bytes it needed.
         let mut more = members.clone();
         more.push(job(CornerSpec::Worst, 7_000));
-        let footprint = compiled_footprint(&first, &plan.workloads);
-        assert_eq!(Plan::new(&more, Some(footprint)).compile_jobs, vec![first]);
+        let exhausted = plan_members(&more, Some(footprint));
+        assert_eq!(compile_keys(&exhausted), vec![first]);
+        let second = exhausted.loop_jobs[2].key.summary_key();
+        let needed = compiled_footprint(&second, &exhausted.workloads);
+        assert_eq!(exhausted.live_fallbacks, vec![(second, needed)]);
+        assert!(plan_members(&more, None).live_fallbacks.is_empty());
         // A budget no memory holds saturates the footprint instead of
         // wrapping it into a small one.
         let huge = vec![
             job(CornerSpec::Typical, u64::MAX),
             job(CornerSpec::Worst, u64::MAX),
         ];
-        let plan = Plan::new(&huge, Some(DEFAULT_COMPILE_BUDGET));
+        let plan = plan_members(&huge, Some(DEFAULT_COMPILE_BUDGET));
         assert_eq!(
-            compiled_footprint(&plan.loop_jobs[0].summary_key(), &plan.workloads),
+            compiled_footprint(&plan.loop_jobs[0].key.summary_key(), &plan.workloads),
             u64::MAX
         );
         assert!(plan.compile_jobs.is_empty());
@@ -1618,13 +1608,16 @@ mod tests {
         Summary(usize, usize),
     }
 
-    fn fed(feed: Vec<Job>) -> Vec<Fed> {
+    fn fed(feed: Vec<Job<'_>>) -> Vec<Fed> {
         feed.into_iter()
             .map(|job| match job {
                 Job::Loop(i) => Fed::Loop(i),
                 Job::Compile(c, b) => Fed::Compile(c, b),
                 Job::Summary(s, b) => Fed::Summary(s, b),
-                Job::CompileChunk(..) | Job::Replay(..) | Job::FusedReplay(..) => {
+                Job::CompileChunk(..)
+                | Job::Replay(..)
+                | Job::SuiteReplay(..)
+                | Job::FusedReplay(..) => {
                     panic!("continuations are spawned, never fed")
                 }
             })
@@ -1636,9 +1629,20 @@ mod tests {
     /// the plan has no summary pass.
     fn plan_of(set: &ScenarioSet, share_compiled: bool) -> (Vec<ScenarioSpec>, Plan) {
         let members = set.expand().unwrap();
-        let plan = Plan::new(&members, share_compiled.then_some(DEFAULT_COMPILE_BUDGET));
+        let budget = share_compiled.then_some(DEFAULT_COMPILE_BUDGET);
+        let plan = set.plan(Vec::new(), budget).unwrap();
         assert!(plan.own_sweeps.is_empty());
         (members, plan)
+    }
+
+    /// The sweep each compile summarizes.
+    fn compile_sweep(plan: &Plan) -> Vec<Option<usize>> {
+        plan.compile_jobs.iter().map(|job| job.sweep).collect()
+    }
+
+    /// The sweep each live loop collects as a by-product.
+    fn loop_sweep(plan: &Plan) -> Vec<Option<usize>> {
+        plan.loop_jobs.iter().map(|job| job.sweep).collect()
     }
 
     #[test]
@@ -1649,15 +1653,16 @@ mod tests {
         // benchmark stream.
         let (members, mut plan) = plan_of(&paper_all_set(1_000, 7), true);
         let modified = members.iter().find(|m| m.name == "fig10-modified").unwrap();
+        let suite_workload = Workload::check(&modified.workload).unwrap();
         let suite = plan
             .workloads
             .iter()
-            .position(|w| *w == modified.workload)
+            .position(|w| *w == suite_workload)
             .unwrap();
         let live = plan
             .loop_jobs
             .iter()
-            .position(|job| *job == LoopKey::of(modified, 1, suite)) // second design
+            .position(|job| job.key == LoopKey::of(modified, 1, suite)) // second design
             .unwrap();
         assert_eq!(plan.compile_jobs.len(), 1);
         let mut expected = vec![Fed::Loop(live)];
@@ -1669,23 +1674,23 @@ mod tests {
         // sweep needs a pass of its own.
         let sweep_of = |name: &str| {
             let mi = members.iter().position(|m| m.name == name).unwrap();
-            plan.member_sweep[mi].unwrap()
+            plan.members[mi].sweep.unwrap()
         };
         let paper = sweep_of("fig5");
         let modified_bank = sweep_of("fig10-modified");
-        assert_eq!(plan.sweeps[paper], plan.compile_jobs[0]);
-        assert_eq!(plan.compile_sweep, vec![Some(paper)]);
-        let mut loop_sweep = vec![None; plan.loop_jobs.len()];
-        loop_sweep[live] = Some(modified_bank);
-        assert_eq!(plan.loop_sweep, loop_sweep);
+        assert_eq!(plan.sweeps[paper], plan.compile_jobs[0].key);
+        assert_eq!(compile_sweep(&plan), vec![Some(paper)]);
+        let mut loop_sweeps = vec![None; plan.loop_jobs.len()];
+        loop_sweeps[live] = Some(modified_bank);
+        assert_eq!(loop_sweep(&plan), loop_sweeps);
         assert!(plan.own_sweeps.is_empty());
 
         // Summary passes come last, in plan order: a suite pass one job
         // per benchmark, a single-stream pass one job.
-        plan.workloads.push(WorkloadSpec::Single(Benchmark::ALL[0]));
+        plan.workloads.push(Workload::Single(Benchmark::ALL[0]));
         plan.sweeps.push(SummaryKey {
             workload: plan.workloads.len() - 1,
-            ..plan.compile_jobs[0]
+            ..plan.compile_jobs[0].key
         });
         plan.own_sweeps = vec![modified_bank, plan.sweeps.len() - 1];
         expected.extend((0..Benchmark::ALL.len()).map(|b| Fed::Summary(modified_bank, b)));
@@ -1821,7 +1826,7 @@ mod tests {
                             "{:?}",
                             (
                                 l.design_idx,
-                                l.corner,
+                                l.corner.pvt(),
                                 &m.workload,
                                 l.controller,
                                 l.cycles,
@@ -1845,13 +1850,15 @@ mod tests {
             );
             // The executor's plan numbers loop jobs by first appearance,
             // so every member's job is its group index.
-            let plan = Plan::new(members, None);
+            let member_workload: Vec<usize> = keys.iter().map(|(l, _)| l.workload).collect();
+            let member_design: Vec<usize> = keys.iter().map(|(l, _)| l.design_idx).collect();
+            let (_, member_loop) = number_loops(members, &member_design, &member_workload);
             let wanted = |mi: &usize| {
                 let a = members[*mi].analysis;
                 a.wants_loop() || a.wants_aggregate()
             };
             let groups = partition((0..members.len()).filter(wanted).map(|mi| &spelled[mi].0));
-            let jobs: Vec<usize> = plan.member_loop.iter().flatten().copied().collect();
+            let jobs: Vec<usize> = member_loop.iter().flatten().copied().collect();
             assert_eq!(jobs, groups, "plan of {name}");
         }
 
@@ -1890,7 +1897,7 @@ mod tests {
 
     #[test]
     fn bench_slots_assemble_in_slot_order_whatever_the_fill_order() {
-        let mut slots = BenchSlots::new(3);
+        let slots = BenchSlots::new(3);
         assert!(slots.fill(2, "c").is_none());
         assert!(slots.fill(0, "a").is_none());
         let done = slots.fill(1, "b").expect("last fill completes");
@@ -1900,7 +1907,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "filled twice")]
     fn bench_slots_reject_a_double_fill() {
-        let mut slots = BenchSlots::new(2);
+        let slots = BenchSlots::new(2);
         slots.fill(0, "a");
         slots.fill(0, "b");
     }
@@ -1947,10 +1954,18 @@ mod tests {
 
     #[test]
     fn spec_errors_surface_cleanly() {
+        // Every refusal is an Err naming the first member that needs
+        // the bad part, raised by the plan before any job runs.
+        let named = |spec: ScenarioSpec, member: &str, what: &str| {
+            let err = ScenarioSet::single(spec).run().unwrap_err();
+            assert!(err.contains(&format!("member `{member}`")), "{err}");
+            assert!(err.contains(what), "{err}");
+        };
         // Fixed governor off the grid: Err, not panic.
         let mut spec = member("bad", AnalysisSpec::ClosedLoop, CornerSpec::Typical);
         spec.controller.governor = GovernorSpec::Fixed(razorbus_units::Millivolts::new(905));
-        assert!(ScenarioSet::single(spec).run().is_err());
+        assert!(ScenarioSet::single(spec.clone()).run().is_err());
+        named(spec, "bad", "not on the design grid");
         // Malformed recipe: Err, not panic.
         let mut spec = member("bad2", AnalysisSpec::ClosedLoop, CornerSpec::Typical);
         spec.workload = WorkloadSpec::Recipe(crate::spec::TrafficRecipe::IdleDominated(
@@ -1958,7 +1973,21 @@ mod tests {
                 nonzero_permille: 9_999,
             },
         ));
-        assert!(ScenarioSet::single(spec).run().is_err());
+        assert!(ScenarioSet::single(spec.clone()).run().is_err());
+        // The same bad recipe under two governors: a shared compile.
+        let mut shared = spec.clone();
+        shared.sweep = vec![SweepAxis::Governors(vec![
+            GovernorSpec::Threshold,
+            GovernorSpec::Proportional,
+        ])];
+        named(shared, "bad2+threshold", "non-zero rate 9999‰");
+        // A sweep-only member over it: its own summary pass.
+        spec.analysis = AnalysisSpec::StaticSweep;
+        named(spec, "bad2", "non-zero rate 9999‰");
+        // A design that does not build: a 0 % skew cap.
+        let mut spec = member("bad3", AnalysisSpec::Full, CornerSpec::Typical);
+        spec.design = DesignSpec::SkewCapPercent(0);
+        named(spec, "bad3", "shadow-skew cap 0%");
     }
 
     #[test]
@@ -2032,9 +2061,18 @@ mod tests {
             assert_eq!(members.len(), 7);
             assert_eq!(plan.compile_jobs.len(), 1, "one shared compiled stream");
             let swept = analysis.wants_sweep();
-            assert_eq!(plan.compile_sweep, vec![swept.then_some(0)], "{analysis:?}");
-            assert!(plan.loop_sweep.iter().all(Option::is_none), "{analysis:?}");
-            let groups = plan_replay_groups(&plan.replayers()[0], &plan.loop_jobs);
+            assert_eq!(
+                compile_sweep(&plan),
+                vec![swept.then_some(0)],
+                "{analysis:?}"
+            );
+            assert!(
+                loop_sweep(&plan).iter().all(Option::is_none),
+                "{analysis:?}"
+            );
+            let Replays::Stream(groups) = &plan.compile_jobs[0].replays else {
+                panic!("{analysis:?}: a single stream replays by plan");
+            };
             assert!(
                 matches!(&groups[..], [ReplayPlan::Solo(_), ReplayPlan::Fused(six)] if six.len() == 6),
                 "{analysis:?}: {groups:?}"
@@ -2088,7 +2126,7 @@ mod tests {
                 let sampling = samplings[(rng.next() % 3) as usize];
                 loop_jobs.push(LoopKey {
                     design_idx: 0,
-                    corner: corners[(rng.next() % 2) as usize],
+                    corner: CornerId::of(corners[(rng.next() % 2) as usize]),
                     workload: 0,
                     controller: ControllerSpec {
                         governor,
@@ -2123,7 +2161,11 @@ mod tests {
                                 GovernorSpec::Fixed(op.supply),
                                 "fused op off its member's supply"
                             );
-                            assert_eq!(op.pvt, job.corner, "fused op off its member's corner");
+                            assert_eq!(
+                                op.pvt,
+                                job.corner.pvt(),
+                                "fused op off its member's corner"
+                            );
                             assert_eq!(job.controller.sampling, sampling);
                         }
                     }

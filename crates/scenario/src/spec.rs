@@ -9,7 +9,7 @@
 //! panic the executor.
 
 use razorbus_core::DvsBusDesign;
-use razorbus_ctrl::{BoxedGovernor, GovernorSpec};
+use razorbus_ctrl::{BoxedGovernor, ControllerConfig, GovernorSpec};
 use razorbus_process::{PvtCorner, TechnologyNode};
 use razorbus_tables::EnvCondition;
 use razorbus_traces::{AdversarialCrosstalk, Benchmark, BurstyDma, TraceSource, ZeroBurstWords};
@@ -144,64 +144,42 @@ impl TrafficRecipe {
     /// Returns a description for out-of-range parameters (a decoded
     /// spec must never panic the executor).
     pub fn build_trace(&self, seed: u64) -> Result<Box<dyn TraceSource + Send>, String> {
-        fn fraction(permille: u32, what: &str) -> Result<f64, String> {
+        Ok(self.check()?.open(seed))
+    }
+
+    /// Checks the recipe's parameters once, for every seed: the
+    /// returned [`CheckedRecipe`] opens its stream without error.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description for out-of-range parameters.
+    pub(crate) fn check(&self) -> Result<CheckedRecipe, String> {
+        fn fraction(permille: u32, what: &str) -> Result<(), String> {
             if permille > 1_000 {
                 return Err(format!("{what} {permille}‰ above 1000‰"));
             }
-            Ok(f64::from(permille) / 1_000.0)
+            Ok(())
+        }
+        fn dma(p: &DmaProfile) -> Result<(), String> {
+            if p.mean_burst == 0 || p.mean_idle == 0 {
+                return Err("DMA burst/idle lengths must be positive".to_string());
+            }
+            fraction(p.housekeeping_permille, "housekeeping rate")
         }
         match self {
-            Self::BurstyDma(p) => {
-                if p.mean_burst == 0 || p.mean_idle == 0 {
-                    return Err("DMA burst/idle lengths must be positive".to_string());
-                }
-                let housekeeping = fraction(p.housekeeping_permille, "housekeeping rate")?;
-                Ok(Box::new(BurstyDma::new(
-                    seed ^ 0xD3A_0001,
-                    p.mean_burst,
-                    p.mean_idle,
-                    housekeeping,
-                )))
-            }
-            Self::IdleDominated(p) => {
-                let nonzero = fraction(p.nonzero_permille, "non-zero rate")?;
-                Ok(Box::new(ZeroBurstWords::new(seed ^ 0xD3A_0002, nonzero)))
-            }
-            Self::CrosstalkStorm(p) => {
-                let aggression = fraction(p.aggression_permille, "aggression")?;
-                Ok(Box::new(AdversarialCrosstalk::new(
-                    seed ^ 0xD3A_0003,
-                    aggression,
-                )))
-            }
+            Self::BurstyDma(p) => dma(p)?,
+            Self::IdleDominated(p) => fraction(p.nonzero_permille, "non-zero rate")?,
+            Self::CrosstalkStorm(p) => fraction(p.aggression_permille, "aggression")?,
             Self::Mixed(p) => {
                 if [p.dma_words, p.idle_words, p.storm_words] == [0; 3] {
                     return Err("mixed recipe rotates zero words".to_string());
                 }
-                if p.dma.mean_burst == 0 || p.dma.mean_idle == 0 {
-                    return Err("DMA burst/idle lengths must be positive".to_string());
-                }
-                let housekeeping = fraction(p.dma.housekeeping_permille, "housekeeping rate")?;
-                let nonzero = fraction(p.idle.nonzero_permille, "non-zero rate")?;
-                let aggression = fraction(p.storm.aggression_permille, "aggression")?;
-                // An extra fold keeps the mixed phases off the streams
-                // the pure recipes would emit at the same scenario seed.
-                let seed = seed ^ 0xD3A_0004;
-                Ok(Box::new(MixedTraffic {
-                    dma: BurstyDma::new(
-                        seed ^ 0xD3A_0001,
-                        p.dma.mean_burst,
-                        p.dma.mean_idle,
-                        housekeeping,
-                    ),
-                    idle: ZeroBurstWords::new(seed ^ 0xD3A_0002, nonzero),
-                    storm: AdversarialCrosstalk::new(seed ^ 0xD3A_0003, aggression),
-                    lens: [p.dma_words, p.idle_words, p.storm_words],
-                    phase: 2,
-                    remaining: 0,
-                }))
+                dma(&p.dma)?;
+                fraction(p.idle.nonzero_permille, "non-zero rate")?;
+                fraction(p.storm.aggression_permille, "aggression")?;
             }
         }
+        Ok(CheckedRecipe(*self))
     }
 
     /// Short label for member names and renders.
@@ -212,6 +190,47 @@ impl TrafficRecipe {
             Self::IdleDominated(_) => "idle".to_string(),
             Self::CrosstalkStorm(p) => format!("crosstalk{}", p.aggression_permille),
             Self::Mixed(_) => "mixed".to_string(),
+        }
+    }
+}
+
+/// A [`TrafficRecipe`] whose parameters [`TrafficRecipe::check`]
+/// accepted: every rate is a fraction and every length positive, so
+/// opening its stream at any seed cannot fail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CheckedRecipe(TrafficRecipe);
+
+impl CheckedRecipe {
+    /// The recipe's stream at `seed` (see [`TrafficRecipe::build_trace`]).
+    pub(crate) fn open(&self, seed: u64) -> Box<dyn TraceSource + Send> {
+        let rate = |permille: u32| f64::from(permille) / 1_000.0;
+        let dma = |seed, p: &DmaProfile| {
+            let housekeeping = rate(p.housekeeping_permille);
+            BurstyDma::new(seed ^ 0xD3A_0001, p.mean_burst, p.mean_idle, housekeeping)
+        };
+        let idle = |seed, p: &IdleProfile| {
+            ZeroBurstWords::new(seed ^ 0xD3A_0002, rate(p.nonzero_permille))
+        };
+        let storm = |seed, p: &StormProfile| {
+            AdversarialCrosstalk::new(seed ^ 0xD3A_0003, rate(p.aggression_permille))
+        };
+        match &self.0 {
+            TrafficRecipe::BurstyDma(p) => Box::new(dma(seed, p)),
+            TrafficRecipe::IdleDominated(p) => Box::new(idle(seed, p)),
+            TrafficRecipe::CrosstalkStorm(p) => Box::new(storm(seed, p)),
+            TrafficRecipe::Mixed(p) => {
+                // An extra fold keeps the mixed phases off the streams
+                // the pure recipes would emit at the same scenario seed.
+                let seed = seed ^ 0xD3A_0004;
+                Box::new(MixedTraffic {
+                    dma: dma(seed, &p.dma),
+                    idle: idle(seed, &p.idle),
+                    storm: storm(seed, &p.storm),
+                    lens: [p.dma_words, p.idle_words, p.storm_words],
+                    phase: 2,
+                    remaining: 0,
+                })
+            }
         }
     }
 }
@@ -329,6 +348,21 @@ impl ControllerSpec {
     /// Returns a description for inconsistent overrides, and for a
     /// fixed supply or controller start voltage off the design's grid.
     pub fn build(&self, design: &DvsBusDesign, corner: PvtCorner) -> Result<BoxedGovernor, String> {
+        Ok(self.governor.build(self.configure(design, corner)?))
+    }
+
+    /// The controller configuration [`ControllerSpec::build`] hands its
+    /// governor: checked once, so building the governor from it cannot
+    /// fail.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`ControllerSpec::build`].
+    pub(crate) fn configure(
+        &self,
+        design: &DvsBusDesign,
+        corner: PvtCorner,
+    ) -> Result<ControllerConfig, String> {
         if self.window == Some(0) {
             return Err("controller window must be positive".to_string());
         }
@@ -360,7 +394,7 @@ impl ControllerSpec {
             }
             _ => {}
         }
-        Ok(self.governor.build(config))
+        Ok(config)
     }
 }
 
