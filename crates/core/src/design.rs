@@ -1,11 +1,17 @@
 //! The assembled DVS bus design.
 
+use crate::sim::{build_replay_points, ReplayPoint};
 use razorbus_ctrl::ControllerConfig;
 use razorbus_ff::{FlopEnergyModel, ShadowSkewAnalysis};
-use razorbus_process::{ProcessCorner, PvtCorner, TechnologyNode};
+use razorbus_process::{IrDrop, ProcessCorner, PvtCorner, TechnologyNode};
 use razorbus_tables::{BusTables, EnvCondition};
 use razorbus_units::{Femtofarads, Millivolts, Picoseconds, VoltageGrid};
 use razorbus_wire::{BusPhysical, SizingError};
+use std::sync::OnceLock;
+
+/// Tabulated corners: every [`EnvCondition::PAPER_SET`] condition at
+/// each IR drop.
+const TABULATED_CORNERS: usize = EnvCondition::PAPER_SET.len() * IrDrop::ALL.len();
 
 /// A complete DVS-capable bus design: physical bus, hold-analyzed shadow
 /// skew, look-up tables and flop energy model.
@@ -14,12 +20,19 @@ use razorbus_wire::{BusPhysical, SizingError};
 /// at the worst corner, derive the shadow-latch skew from the short-path
 /// (hold) analysis capped at 33 % of the cycle, then tabulate
 /// delay/energy across (corner, temperature, IR, VDD).
+///
+/// A design also keeps the replay tables every simulation at a
+/// tabulated corner reads, built the first time a run needs them.
 #[derive(Debug, Clone)]
 pub struct DvsBusDesign {
     bus: BusPhysical,
     tables: BusTables,
     skew: ShadowSkewAnalysis,
     flop_energy: FlopEnergyModel,
+    /// Replay tables per tabulated corner, slot `condition * 2 + IR`
+    /// ([`DvsBusDesign::replay_points`]). Lazy, so a design that never
+    /// runs at a corner never builds its tables.
+    replay: [OnceLock<Box<[ReplayPoint]>>; TABULATED_CORNERS],
 }
 
 impl DvsBusDesign {
@@ -33,6 +46,7 @@ impl DvsBusDesign {
             tables,
             skew,
             flop_energy: FlopEnergyModel::l130_default(),
+            replay: Default::default(),
         }
     }
 
@@ -58,6 +72,7 @@ impl DvsBusDesign {
             tables,
             skew,
             flop_energy: FlopEnergyModel::l130_default(),
+            replay: Default::default(),
         }
     }
 
@@ -187,6 +202,25 @@ impl DvsBusDesign {
     #[must_use]
     pub fn worst_ceff(&self) -> Femtofarads {
         self.tables.worst_ceff()
+    }
+
+    /// The replay tables at `pvt`'s corner, one point per grid point:
+    /// built on the first call for the corner (by whichever thread gets
+    /// there first), then borrowed by every later call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pvt`'s condition is not tabulated.
+    pub(crate) fn replay_points(&self, pvt: PvtCorner) -> &[ReplayPoint] {
+        let condition = EnvCondition::from_pvt(pvt);
+        let c = condition
+            .paper_index()
+            .unwrap_or_else(|| panic!("condition {condition} is not tabulated"));
+        let ir = match pvt.ir {
+            IrDrop::None => 0,
+            IrDrop::TenPercent => 1,
+        };
+        self.replay[c * IrDrop::ALL.len() + ir].get_or_init(|| build_replay_points(self, pvt))
     }
 }
 

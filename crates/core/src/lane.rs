@@ -62,6 +62,7 @@ const FIELD_TOP: u64 = 0x8000_8000_8000_8000;
 /// limits; the shadow decision additionally requires the error decision
 /// (the scalar loop short-circuits on `error`), which the caller
 /// preserves by AND-ing the two masks.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LaneThresholds {
     err_bin: [u16; MAX_TOGGLES + 1],
     shadow_bin: [u16; MAX_TOGGLES + 1],
@@ -218,7 +219,7 @@ pub(crate) fn process_fused(
     toggles: &[u8],
     bins: &[u16],
     switched: &[f64],
-    thrs: &[LaneThresholds],
+    thrs: &[&LaneThresholds],
     counts: &mut [FusedCounts],
 ) -> (u64, f64) {
     debug_assert_eq!(toggles.len(), bins.len());
@@ -533,9 +534,10 @@ mod tests {
                             LaneThresholds::from_limits(&pass, &shadow)
                         })
                         .collect();
+                    let refs: Vec<&LaneThresholds> = thrs.iter().collect();
                     let mut counts = vec![FusedCounts::default(); fan_in];
                     let (toggle_sum, wire_cap) =
-                        process_fused(&toggles, &bins, &switched, &thrs, &mut counts);
+                        process_fused(&toggles, &bins, &switched, &refs, &mut counts);
                     for (m, (thr, cnt)) in thrs.iter().zip(&counts).enumerate() {
                         let solo = process(&toggles, &bins, &switched, thr);
                         let ctx = format!("member {m}/{fan_in}, n={n} quiet={quiet_permille}");

@@ -7,7 +7,9 @@
 //! 1. **Per-voltage precomputation.** Everything the loop looks up by
 //!    supply grid index — pass limits per activity bucket, shadow
 //!    limits, `V²`, leakage, recovery energy — is hoisted into one
-//!    [`VoltageRow`] per grid point, built once per run.
+//!    [`VoltageRow`] per grid point, next to the lane kernel's
+//!    requantized thresholds. A design builds these replay tables once
+//!    per tabulated corner, on first use, and every run borrows them.
 //! 2. **Window batching.** Governors advertise how long the supply is
 //!    guaranteed steady ([`razorbus_ctrl::VoltageGovernor::steady_cycles`]);
 //!    the simulator evaluates that whole chunk in a tight inner loop with
@@ -204,9 +206,10 @@ impl<'d, S: TraceSource, G: VoltageGovernor> BusSimulator<'d, S, G> {
     /// Runs `cycles` cycles and reports.
     ///
     /// This is the batched fast path: per-voltage rows are precomputed
-    /// once, and the governor's steady-state guarantee lets whole chunks
-    /// run in a tight inner loop with per-chunk (not per-cycle) grid
-    /// lookups, energy scaling and governor bookkeeping. It is pinned to
+    /// once per design and corner, and the governor's steady-state
+    /// guarantee lets whole chunks run in a tight inner loop with
+    /// per-chunk (not per-cycle) grid lookups, energy scaling and
+    /// governor bookkeeping. It is pinned to
     /// [`BusSimulator::run_reference`] by differential tests: identical
     /// error/violation counts cycle-for-cycle, energies equal to ≤1e-9
     /// relative (the accumulation order differs). The loop body
@@ -354,11 +357,37 @@ impl<'d, S: TraceSource, G: VoltageGovernor> BusSimulator<'d, S, G> {
     }
 }
 
+/// Everything a replay reads at one supply grid point: the hot row the
+/// energy fold and the scalar body use, and the lane kernel's
+/// requantization of its limits.
+#[derive(Debug, Clone)]
+pub(crate) struct ReplayPoint {
+    row: VoltageRow,
+    thr: LaneThresholds,
+}
+
+/// Builds a design's replay tables at `pvt`'s corner: one
+/// [`ReplayPoint`] per grid point. [`DvsBusDesign::replay_points`]
+/// calls it once per tabulated corner and keeps the result.
+pub(crate) fn build_replay_points(design: &DvsBusDesign, pvt: PvtCorner) -> Box<[ReplayPoint]> {
+    voltage_rows(design, pvt)
+        .into_iter()
+        .map(|row| ReplayPoint {
+            row,
+            thr: LaneThresholds::from_limits(&row.pass, &row.shadow),
+        })
+        .collect()
+}
+
 /// Builds the per-voltage hot rows: one [`VoltageRow`] per grid point,
 /// so the steady-state inner loop never touches the matrices or energy
-/// tables. Shared by the live and compiled-replay paths.
-fn voltage_rows(design: &DvsBusDesign, pvt: PvtCorner, recovery_cap: f64) -> Vec<VoltageRow> {
+/// tables.
+fn voltage_rows(design: &DvsBusDesign, pvt: PvtCorner) -> Vec<VoltageRow> {
     let tables = design.tables();
+    let fe = design.flop_energy();
+    // Recovery ~ one extra bank clock + one restored bit (paper: the
+    // extra clocking dominates).
+    let recovery_cap = fe.clock_capacitance(tables.n_bits()).ff() + fe.data_capacitance().ff();
     let cond = EnvCondition::from_pvt(pvt);
     let matrix = tables.threshold_matrix(cond, pvt.ir);
     let shadow_matrix = tables.shadow_threshold_matrix(cond, pvt.ir);
@@ -432,7 +461,7 @@ impl CycleStream for CompiledStream<'_> {
 }
 
 /// The chunk-granular input of the batched loop: advance `chunk` cycles
-/// at supply grid point `vi` (whose precomputed row is `row`), return
+/// at one supply grid point (whose replay tables are `point`), return
 /// the chunk's accumulators, and feed `hist` when the histogram
 /// by-product is enabled. [`run_stream`] owns everything around the
 /// chunk (energy folds, sampling, governor batching); implementations
@@ -442,8 +471,7 @@ trait ChunkStream {
     fn run_chunk(
         &mut self,
         chunk: u64,
-        vi: usize,
-        row: &VoltageRow,
+        point: &ReplayPoint,
         hist: Option<&mut HistogramAccum>,
     ) -> LaneAccum;
 }
@@ -489,36 +517,33 @@ impl<C: CycleStream> ChunkStream for ScalarChunks<C> {
     fn run_chunk(
         &mut self,
         chunk: u64,
-        _vi: usize,
-        row: &VoltageRow,
+        point: &ReplayPoint,
         hist: Option<&mut HistogramAccum>,
     ) -> LaneAccum {
-        scalar_chunk(&mut self.0, chunk, row, hist)
+        scalar_chunk(&mut self.0, chunk, &point.row, hist)
     }
 }
 
 /// Lane-vectorized chunking over the compiled struct-of-arrays stream:
-/// per-supply integer thresholds built lazily (once per grid point the
-/// governor actually visits), then eight cycles per step through the
-/// u64 kernel in `lane.rs`. Histogram chunks fall back to the scalar
-/// body — identical numbers, collection-order array increments.
+/// the grid point's integer thresholds from the design's replay tables,
+/// eight cycles per step through the u64 kernel in `lane.rs`. Histogram
+/// chunks fall back to the scalar body — identical numbers,
+/// collection-order array increments.
 struct LaneChunks<'a> {
     toggles: &'a [u8],
     bins: &'a [u16],
     switched: &'a [f64],
     cursor: usize,
-    thresholds: Vec<Option<LaneThresholds>>,
 }
 
 impl<'a> LaneChunks<'a> {
-    fn new(trace: &'a CompiledTrace, grid_len: usize) -> Self {
+    fn new(trace: &'a CompiledTrace) -> Self {
         let (toggles, bins, switched) = trace.arrays();
         Self {
             toggles,
             bins,
             switched,
             cursor: 0,
-            thresholds: (0..grid_len).map(|_| None).collect(),
         }
     }
 }
@@ -540,22 +565,19 @@ impl ChunkStream for LaneChunks<'_> {
     fn run_chunk(
         &mut self,
         chunk: u64,
-        vi: usize,
-        row: &VoltageRow,
+        point: &ReplayPoint,
         hist: Option<&mut HistogramAccum>,
     ) -> LaneAccum {
         if hist.is_some() {
-            return scalar_chunk(self, chunk, row, hist);
+            return scalar_chunk(self, chunk, &point.row, hist);
         }
         let start = self.cursor;
         let end = start + usize::try_from(chunk).expect("chunk fits in memory");
-        let thr = self.thresholds[vi]
-            .get_or_insert_with(|| LaneThresholds::from_limits(&row.pass, &row.shadow));
         let acc = lane::process(
             &self.toggles[start..end],
             &self.bins[start..end],
             &self.switched[start..end],
-            thr,
+            &point.thr,
         );
         self.cursor = end;
         acc
@@ -563,10 +585,10 @@ impl ChunkStream for LaneChunks<'_> {
 }
 
 /// The batched closed-loop body shared by [`BusSimulator::run`] and
-/// [`CompiledTrace::replay`]: per-voltage rows precomputed once,
-/// governor-guaranteed-steady chunks evaluated by the stream's chunk
-/// body (scalar or lane-vectorized). See [`BusSimulator::run`] for the
-/// contract.
+/// [`CompiledTrace::replay`]: per-voltage rows borrowed from the
+/// design's replay tables, governor-guaranteed-steady chunks evaluated
+/// by the stream's chunk body (scalar or lane-vectorized). See
+/// [`BusSimulator::run`] for the contract.
 fn run_stream<C: ChunkStream, G: VoltageGovernor>(
     design: &DvsBusDesign,
     pvt: PvtCorner,
@@ -585,14 +607,11 @@ fn run_stream<C: ChunkStream, G: VoltageGovernor>(
     let rep_cap = tables.repeater_cap_per_toggle().ff();
     let clock_cap = fe.clock_capacitance(n_flops).ff();
     let data_cap = fe.data_capacitance().ff();
-    // Recovery ~ one extra bank clock + one restored bit (paper: the
-    // extra clocking dominates).
-    let recovery_cap = clock_cap + data_cap;
-    let rows = voltage_rows(design, pvt, recovery_cap);
+    let points = design.replay_points(pvt);
 
     let nominal_idx = grid.index_of(design.nominal()).expect("nominal on grid");
-    let v2_nominal = rows[nominal_idx].v2;
-    let leak_nominal = rows[nominal_idx].leak_fj;
+    let v2_nominal = points[nominal_idx].row.v2;
+    let leak_nominal = points[nominal_idx].row.leak_fj;
 
     let mut errors = 0u64;
     let mut shadow_violations = 0u64;
@@ -618,14 +637,15 @@ fn run_stream<C: ChunkStream, G: VoltageGovernor>(
         let vi = grid
             .index_of(v)
             .unwrap_or_else(|| panic!("governor voltage {v} off grid"));
-        let row = &rows[vi];
+        let point = &points[vi];
+        let row = &point.row;
         let mut chunk = governor.steady_cycles().max(1).min(cycles - cycle);
         if let Some(window) = sample_every {
             chunk = chunk.min(window - window_cycles);
         }
 
         // Fast path: the whole chunk at one supply, no table lookups.
-        let acc = stream.run_chunk(chunk, vi, row, hist.as_mut());
+        let acc = stream.run_chunk(chunk, point, hist.as_mut());
 
         let switched = acc.wire_cap * length_mm
             + acc.toggles as f64 * (rep_cap + data_cap)
@@ -702,13 +722,13 @@ pub struct FusedOp {
     pub supply: Millivolts,
 }
 
-/// Per-member running state of a fused replay: the member's hot row and
-/// nominal constants plus exactly the accumulators [`run_stream`] folds
-/// per chunk.
-struct FusedMember {
+/// Per-member running state of a fused replay: the member's hot row
+/// (borrowed from the design's replay tables) and nominal constants
+/// plus exactly the accumulators [`run_stream`] folds per chunk.
+struct FusedMember<'d> {
     supply: Millivolts,
     v_mv: f64,
-    row: VoltageRow,
+    row: &'d VoltageRow,
     v2_nominal: f64,
     leak_nominal: f64,
     errors: u64,
@@ -751,7 +771,7 @@ impl CompiledTrace {
         with_summary: bool,
     ) -> (SimReport, G) {
         self.check_replay(design, sampling);
-        let stream = LaneChunks::new(self, design.grid().len());
+        let stream = LaneChunks::new(self);
         let report = run_stream(
             design,
             pvt,
@@ -846,36 +866,24 @@ impl CompiledTrace {
         let rep_cap = tables.repeater_cap_per_toggle().ff();
         let clock_cap = fe.clock_capacitance(n_flops).ff();
         let data_cap = fe.data_capacitance().ff();
-        let recovery_cap = clock_cap + data_cap;
         let nominal_idx = grid.index_of(design.nominal()).expect("nominal on grid");
 
-        // Row tables are per corner, not per member: a 2-corner ×
-        // 8-supply group builds two, exactly as two solo replays would.
-        let mut row_cache: Vec<(PvtCorner, Vec<VoltageRow>)> = Vec::new();
-        for op in ops {
-            if !row_cache.iter().any(|(p, _)| *p == op.pvt) {
-                row_cache.push((op.pvt, voltage_rows(design, op.pvt, recovery_cap)));
-            }
-        }
+        // Every member borrows its row and thresholds from the design's
+        // replay tables, exactly as its solo replay would.
         let mut thrs = Vec::with_capacity(ops.len());
-        let mut members: Vec<FusedMember> = Vec::with_capacity(ops.len());
+        let mut members = Vec::with_capacity(ops.len());
         for op in ops {
-            let rows = &row_cache
-                .iter()
-                .find(|(p, _)| *p == op.pvt)
-                .expect("cached above")
-                .1;
+            let points = design.replay_points(op.pvt);
             let vi = grid
                 .index_of(op.supply)
                 .unwrap_or_else(|| panic!("fused member supply {} off the design grid", op.supply));
-            let row = rows[vi];
-            thrs.push(LaneThresholds::from_limits(&row.pass, &row.shadow));
+            thrs.push(&points[vi].thr);
             members.push(FusedMember {
                 supply: op.supply,
                 v_mv: f64::from(op.supply.mv()),
-                row,
-                v2_nominal: rows[nominal_idx].v2,
-                leak_nominal: rows[nominal_idx].leak_fj,
+                row: &points[vi].row,
+                v2_nominal: points[nominal_idx].row.v2,
+                leak_nominal: points[nominal_idx].row.leak_fj,
                 errors: 0,
                 shadow: 0,
                 energy_fj: 0.0,
@@ -1691,7 +1699,7 @@ mod tests {
     #[test]
     fn fused_replay_matches_solo_on_the_modified_design() {
         // The modified bus rebuilds tables and stresses different bins;
-        // the fused row cache must key corners correctly there too.
+        // its replay tables must key corners correctly there too.
         let modified = DvsBusDesign::modified_paper_bus();
         assert_fused_matches_solo(
             &modified,
@@ -1720,6 +1728,68 @@ mod tests {
             supply: Millivolts::new(905),
         }];
         let _ = compiled.replay_fused(&d, &ops, None);
+    }
+
+    /// Every tabulated corner: each paper condition at each IR drop.
+    fn tabulated_corners() -> impl Iterator<Item = PvtCorner> {
+        EnvCondition::PAPER_SET.into_iter().flat_map(|c| {
+            razorbus_process::IrDrop::ALL.map(|ir| PvtCorner::new(c.corner, c.temperature, ir))
+        })
+    }
+
+    fn row_bits(row: &VoltageRow) -> Vec<u64> {
+        (row.pass.iter().chain(&row.shadow))
+            .chain([&row.v2, &row.leak_fj, &row.recovery_fj])
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn cached_replay_tables_equal_a_fresh_build() {
+        // The tables a design keeps are exactly what a run would build
+        // for itself, at every tabulated corner and grid point.
+        let designs = [
+            design(),
+            DvsBusDesign::modified_paper_bus(),
+            DvsBusDesign::with_skew_cap(
+                razorbus_wire::BusPhysical::paper_default(),
+                razorbus_units::VoltageGrid::paper_default(),
+                0.2,
+            ),
+        ];
+        for (k, d) in designs.iter().enumerate() {
+            for pvt in tabulated_corners() {
+                let cached = d.replay_points(pvt);
+                let fresh = voltage_rows(d, pvt);
+                assert_eq!(cached.len(), d.grid().len(), "design {k} @ {pvt}");
+                for (vi, (point, row)) in cached.iter().zip(&fresh).enumerate() {
+                    let ctx = format!("design {k} @ {pvt}, grid point {vi}");
+                    assert_eq!(row_bits(&point.row), row_bits(row), "{ctx}");
+                    let thr = LaneThresholds::from_limits(&row.pass, &row.shadow);
+                    assert_eq!(point.thr, thr, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replay_tables_are_built_once_per_corner() {
+        // Two threads touching a corner first at the same moment get one
+        // table, and every later call returns that same table.
+        let d = design();
+        let addr = |pvt| d.replay_points(pvt).as_ptr() as usize;
+        let barrier = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|s| {
+            let touch = || {
+                barrier.wait();
+                addr(PvtCorner::WORST)
+            };
+            [s.spawn(touch), s.spawn(touch)].map(|h| h.join().expect("first-touch thread"))
+        });
+        assert_eq!(a, b, "a simultaneous first touch built two tables");
+        assert_eq!(addr(PvtCorner::WORST), a, "a second call rebuilt the table");
+        assert_ne!(addr(PvtCorner::SLOW_HOT), a, "IR drop shares a slot");
+        assert_ne!(addr(PvtCorner::TYPICAL), a, "conditions share a slot");
     }
 
     #[test]

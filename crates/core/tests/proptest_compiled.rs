@@ -3,10 +3,14 @@
 //! assembled with `from_chunks`, is bit-identical to the streaming
 //! `CompiledTrace::compile`, with the chunk-boundary `prev`-word seams
 //! (cycle `k*chunk` reading the last word of the previous chunk)
-//! exercised at randomized cycle counts and chunk sizes.
+//! exercised at randomized cycle counts and chunk sizes. A fused replay
+//! of any operating-point set equals each member's solo replay.
 
 use proptest::prelude::*;
-use razorbus_core::{CompiledTrace, DvsBusDesign};
+use razorbus_core::{CompiledTrace, DvsBusDesign, FusedOp};
+use razorbus_ctrl::FixedVoltage;
+use razorbus_process::{IrDrop, PvtCorner};
+use razorbus_tables::EnvCondition;
 use razorbus_traces::{RandomWords, TraceRecording, TraceSource};
 
 use std::sync::OnceLock;
@@ -63,6 +67,46 @@ proptest! {
         let mut replay = recording.replay();
         for (c, &w) in words.iter().enumerate() {
             prop_assert_eq!(w, replay.next_word(), "word {}", c);
+        }
+    }
+
+    /// Any set of open-loop operating points — tabulated corners × grid
+    /// supplies, repeats allowed — fused in one pass reports for each
+    /// member exactly its solo `replay` under `FixedVoltage`, to the
+    /// bit. The designs live across cases, so later cases read replay
+    /// tables an earlier case (or the solo replays) built.
+    #[test]
+    fn fused_replay_equals_solo_replays(
+        which in 0usize..2,
+        seed in any::<u64>(),
+        cycles in 1u64..2_000,
+        picks in proptest::collection::vec((0usize..12, any::<usize>()), 1..=16),
+        window in 0u64..600,
+    ) {
+        let (name, design) = &designs()[which];
+        let supplies: Vec<_> = design.grid().iter().collect();
+        let ops: Vec<FusedOp> = picks
+            .iter()
+            .map(|&(corner, supply)| {
+                let c = EnvCondition::PAPER_SET[corner / IrDrop::ALL.len()];
+                let ir = IrDrop::ALL[corner % IrDrop::ALL.len()];
+                FusedOp {
+                    pvt: PvtCorner::new(c.corner, c.temperature, ir),
+                    supply: supplies[supply % supplies.len()],
+                }
+            })
+            .collect();
+        let sampling = (window > 0).then_some(window);
+        let compiled = CompiledTrace::compile(design, &mut RandomWords::new(seed), cycles);
+        let fused = compiled.replay_fused(design, &ops, sampling);
+        prop_assert_eq!(fused.len(), ops.len());
+        for (op, f) in ops.iter().zip(&fused) {
+            let (s, _) = compiled.replay(design, op.pvt, FixedVoltage::new(op.supply), sampling, false);
+            let ctx = format!("{name} @ {} {}, {cycles} cycles, sampling {sampling:?}", op.pvt, op.supply);
+            prop_assert_eq!(f.energy.fj().to_bits(), s.energy.fj().to_bits(), "{}", ctx);
+            prop_assert_eq!(f.baseline_energy.fj().to_bits(), s.baseline_energy.fj().to_bits(), "{}", ctx);
+            prop_assert_eq!(f.mean_voltage_mv.to_bits(), s.mean_voltage_mv.to_bits(), "{}", ctx);
+            prop_assert_eq!(f, &s, "{}", ctx);
         }
     }
 }

@@ -761,11 +761,18 @@ impl DigestBuilder {
     ///
     /// Panics on a duplicate rank.
     pub fn submit(&mut self, rank: usize, metrics: MemberMetrics) {
-        assert!(
-            rank >= self.next && !self.pending.contains_key(&rank),
-            "duplicate digest rank {rank}"
-        );
-        self.pending.insert(rank, metrics);
+        // `pending` never holds `next` (it drains up to the first gap),
+        // so the awaited rank folds straight in.
+        if rank != self.next {
+            assert!(
+                rank > self.next && !self.pending.contains_key(&rank),
+                "duplicate digest rank {rank}"
+            );
+            self.pending.insert(rank, metrics);
+            return;
+        }
+        self.digest.observe(&metrics);
+        self.next += 1;
         while let Some(metrics) = self.pending.remove(&self.next) {
             self.digest.observe(&metrics);
             self.next += 1;

@@ -72,7 +72,7 @@ use razorbus_process::{IrDrop, ProcessCorner, PvtCorner};
 use razorbus_traces::{Benchmark, TraceSource};
 use razorbus_units::Celsius;
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A named list of scenarios executed as one deduplicated, parallel
@@ -157,10 +157,45 @@ impl LoopKey {
     }
 }
 
+/// The interners' hasher: Fx (rustc's), one rotate, xor and multiply
+/// per word, with no per-map random seed to draw. Plan keys are a few
+/// integers per member; a spec crafted to collide them slows planning
+/// no more than the simulation work any spec can already ask for.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Dense ids in first-appearance order: equal values share an id. A
 /// run of equal values costs one comparison each instead of a hash.
 struct Interner<T> {
-    ids: HashMap<T, usize>,
+    ids: HashMap<T, usize, BuildHasherDefault<FxHasher>>,
     values: Vec<T>,
     last: Option<usize>,
 }
@@ -168,7 +203,7 @@ struct Interner<T> {
 impl<T: Hash + Eq + Clone> Interner<T> {
     fn with_capacity(n: usize) -> Self {
         Self {
-            ids: HashMap::with_capacity(n),
+            ids: HashMap::with_capacity_and_hasher(n, BuildHasherDefault::default()),
             values: Vec::with_capacity(n),
             last: None,
         }
@@ -276,9 +311,14 @@ enum Job<'p> {
     FusedReplay(&'p FusedGroup, Arc<CompiledTrace>),
 }
 
-/// Loop indices judged in one fused pass, each with the fixed operating
-/// point the planner read off its loop key.
-type FusedGroup = Vec<(usize, FusedOp)>;
+/// Loop indices judged in one fused pass, and index for index the fixed
+/// operating point the planner read off each one's loop key — the slice
+/// [`CompiledTrace::replay_fused`] takes.
+#[derive(Debug, Clone, PartialEq)]
+struct FusedGroup {
+    loops: Vec<usize>,
+    ops: Vec<FusedOp>,
+}
 
 /// How one finished stream compile's waiting loop jobs replay: solo
 /// continuations, or fused groups judged in a single pass over the
@@ -308,11 +348,18 @@ fn plan_replay_groups(replayers: &[usize], loop_jobs: &[LoopKey]) -> Vec<ReplayP
             plans.push(ReplayPlan::Solo(i));
             continue;
         };
-        let op = (i, FusedOp { pvt, supply });
-        match groups.iter_mut().find(|(s, _)| *s == sampling) {
-            Some((_, group)) => group.push(op),
-            None => groups.push((sampling, vec![op])),
-        }
+        let k = (groups.iter().position(|(s, _)| *s == sampling)).unwrap_or_else(|| {
+            // Reserved whole: grown by doubling, a 10 000-member plan's
+            // groups leave freed fragments that raised the peak heap of
+            // back-to-back campaigns by ~0.4 MB.
+            let n = replayers.len();
+            let (loops, ops) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            groups.push((sampling, FusedGroup { loops, ops }));
+            groups.len() - 1
+        });
+        let group = &mut groups[k].1;
+        group.loops.push(i);
+        group.ops.push(FusedOp { pvt, supply });
     }
     plans.extend(groups.into_iter().map(|(_, g)| ReplayPlan::Fused(g)));
     plans
@@ -926,21 +973,21 @@ impl<'p> Run<'p> {
                     self.finish_compile(job.c, job.stream, compiled, spawner);
                 }
             }
-            Job::Loop(i) => self.finish_loop(&plan.loop_jobs[i], self.run_live(i)),
+            Job::Loop(i) => self.finish_loops([(&plan.loop_jobs[i], self.run_live(i))]),
             // Replays are bit-identical to the live run, pinned by the
             // replay differential tests in `razorbus-core` and the
             // reference differential in [`crate::reference`].
             Job::Replay(i, trace) => {
                 let (job, design, corner, sampling) = self.loop_job(i);
                 let (report, _) = trace.replay(design, corner, job.governor(), sampling, false);
-                self.finish_loop(job, LoopData::Stream(StreamRun { corner, report }));
+                self.finish_loops([(job, LoopData::Stream(StreamRun { corner, report }))]);
             }
             Job::SuiteReplay(i, per) => {
                 let (job, design, corner, sampling) = self.loop_job(i);
                 let governor = job.governor();
                 let (data, _) =
                     fig8::replay_protocol(design, corner, &per, governor, sampling, false);
-                self.finish_loop(job, LoopData::Suite(data));
+                self.finish_loops([(job, LoopData::Suite(data))]);
             }
             Job::FusedReplay(group, trace) => {
                 // Every member in a fused group shares the sampling
@@ -948,17 +995,18 @@ impl<'p> Run<'p> {
                 // only in its planned corner and pinned supply; the
                 // fused kernel judges them all in one pass over the
                 // trace.
-                let lead = &plan.loop_jobs[group[0].0].key;
-                let ops: Vec<FusedOp> = group.iter().map(|&(_, op)| op).collect();
+                let lead = &plan.loop_jobs[group.loops[0]].key;
                 let design = &plan.designs[lead.design_idx];
-                let reports = trace.replay_fused(design, &ops, lead.controller.sampling);
-                for (&(i, op), report) in group.iter().zip(reports) {
-                    let run = StreamRun {
-                        corner: op.pvt,
-                        report,
-                    };
-                    self.finish_loop(&plan.loop_jobs[i], LoopData::Stream(run));
-                }
+                let reports = trace.replay_fused(design, &group.ops, lead.controller.sampling);
+                let runs =
+                    (group.loops.iter().zip(&group.ops).zip(reports)).map(|((&i, op), report)| {
+                        let run = StreamRun {
+                            corner: op.pvt,
+                            report,
+                        };
+                        (&plan.loop_jobs[i], LoopData::Stream(run))
+                    });
+                self.finish_loops(runs);
             }
             Job::Summary(s, stream) => {
                 let key = &plan.sweeps[s];
@@ -1010,18 +1058,23 @@ impl<'p> Run<'p> {
         data
     }
 
-    /// A finished loop (live or replayed): fold its metrics into the
-    /// digest for every rank it carries, then keep its data if planned.
-    fn finish_loop(&self, job: &LoopJob, data: LoopData) {
-        if !job.ranks.is_empty() {
-            let metrics = MemberMetrics::of(&data);
-            let mut folder = self.folder.lock().expect("digest folder");
-            for &rank in &job.ranks {
-                folder.submit(rank, metrics.clone());
+    /// Finished loops (live or replayed): fold each one's metrics into
+    /// the digest for every rank it carries, taking the digest lock once
+    /// for the whole batch (a fused group), and keep its data if planned.
+    fn finish_loops<'a>(&self, done: impl IntoIterator<Item = (&'a LoopJob, LoopData)>) {
+        let mut folder = None;
+        for (job, data) in done {
+            if !job.ranks.is_empty() {
+                let metrics = MemberMetrics::of(&data);
+                let folder =
+                    folder.get_or_insert_with(|| self.folder.lock().expect("digest folder"));
+                for &rank in &job.ranks {
+                    folder.submit(rank, metrics.clone());
+                }
             }
-        }
-        if let Some(k) = job.keep {
-            self.kept.fill(k, data);
+            if let Some(k) = job.keep {
+                self.kept.fill(k, data);
+            }
         }
     }
 
@@ -2074,7 +2127,7 @@ mod tests {
                 panic!("{analysis:?}: a single stream replays by plan");
             };
             assert!(
-                matches!(&groups[..], [ReplayPlan::Solo(_), ReplayPlan::Fused(six)] if six.len() == 6),
+                matches!(&groups[..], [ReplayPlan::Solo(_), ReplayPlan::Fused(six)] if six.loops.len() == 6),
                 "{analysis:?}: {groups:?}"
             );
             let solo = set.run_reference().unwrap();
@@ -2150,10 +2203,11 @@ mod tests {
                         assert!(!open, "fixed-supply member replayed solo");
                     }
                     ReplayPlan::Fused(group) => {
-                        assert!(!group.is_empty());
-                        let sampling = loop_jobs[group[0].0].controller.sampling;
+                        assert!(!group.loops.is_empty());
+                        assert_eq!(group.loops.len(), group.ops.len());
+                        let sampling = loop_jobs[group.loops[0]].controller.sampling;
                         assert!(windows.insert(sampling), "sampling window split");
-                        for &(i, op) in group {
+                        for (&i, &op) in group.loops.iter().zip(&group.ops) {
                             seen[i] += 1;
                             let job = &loop_jobs[i];
                             assert_eq!(
