@@ -434,26 +434,43 @@ impl CompiledTrace {
 }
 
 /// The per-cycle classification loop behind both compile routes:
-/// `words` yields the priming `prev` word, then one word per cycle, for
-/// `len` cycles. [`CompiledTrace::compile`] feeds it straight from the
+/// `words` yields the priming `prev` word, then one word per cycle; the
+/// loop reads exactly `len` more words, so a streaming source is drawn
+/// no further. [`CompiledTrace::compile`] feeds it straight from the
 /// trace, [`CompiledTrace::analyze_chunk`] from a drained word slice.
+///
+/// The arrays start zero-filled, which is exactly a quiet cycle's tuple
+/// (`CycleAnalysis::default()` classifies to `(0, 0, +0.0)`), so a
+/// cycle whose word repeats costs one compare and nothing else.
+///
+/// # Panics
+///
+/// Panics if `words` ends before `len + 1` words.
 fn classify_words(
     design: &DvsBusDesign,
     len: usize,
     mut words: impl Iterator<Item = u32>,
 ) -> CompiledChunk {
     let mut analyzer = design.bus().analyzer();
-    let mut toggles = Vec::with_capacity(len);
-    let mut bins = Vec::with_capacity(len);
-    let mut switched = Vec::with_capacity(len);
+    let mut toggles = vec![0; len];
+    let mut bins = vec![0; len];
+    let mut switched = vec![0.0; len];
     let mut prev = words.next().expect("a priming word");
-    for cur in words {
-        let (t, b, s) = classify(&analyzer.analyze(prev, cur));
+    let mut arrived = 0;
+    // The range goes first: `zip` polls it first, so it stops after the
+    // last cycle without drawing one more word from the source.
+    for (c, cur) in (0..len).zip(words) {
+        arrived = c + 1;
+        if cur == prev {
+            continue;
+        }
+        (toggles[c], bins[c], switched[c]) = classify(&analyzer.analyze(prev, cur));
         prev = cur;
-        toggles.push(t);
-        bins.push(b);
-        switched.push(s);
     }
+    assert_eq!(
+        arrived, len,
+        "the word source ended after {arrived} of {len} cycles"
+    );
     CompiledChunk {
         toggles,
         bins,
@@ -540,6 +557,102 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A stream that mixes every shape a quiet skip must get right:
+    /// repeated words, runs of zeros, single-bit flips of the previous
+    /// word, and uniform random words, switching shape every few
+    /// cycles so the runs start and end at every offset.
+    fn mixed_words(seed: u64, n: usize) -> Vec<u32> {
+        // Xorshift, as in the lane kernel's tests; `seed` must be non-zero.
+        let mut state = seed;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut words = vec![0u32];
+        let (mut shape, mut left) = (0, 0);
+        while words.len() < n {
+            if left == 0 {
+                let r = next();
+                (shape, left) = (r % 4, 1 + (r >> 8) % 24);
+            }
+            left -= 1;
+            let prev = *words.last().expect("primed");
+            let r = next();
+            words.push(match shape {
+                0 => prev,
+                1 => 0,
+                2 => prev ^ (1 << (r % 32)),
+                _ => r as u32,
+            });
+        }
+        words
+    }
+
+    #[test]
+    fn quiet_skip_matches_the_reference_analysis_at_every_cycle() {
+        // Every cycle the loop classifies — or skips as quiet — holds
+        // exactly the tuple of the cache-free reference analysis, signed
+        // zeros included, through chunks that start and end anywhere.
+        let designs = [
+            DvsBusDesign::paper_default(),
+            DvsBusDesign::modified_paper_bus(),
+            DvsBusDesign::with_skew_cap(
+                razorbus_wire::BusPhysical::paper_default(),
+                razorbus_units::VoltageGrid::paper_default(),
+                0.2,
+            ),
+        ];
+        let words = mixed_words(23, 6_001);
+        let n = words.len() - 1;
+        let quiet = words.windows(2).filter(|w| w[0] == w[1]).count();
+        assert!(quiet > n / 5 && quiet < n * 4 / 5, "{quiet} of {n} quiet");
+        for (k, design) in designs.iter().enumerate() {
+            for chunk in [1, 13, 997, n] {
+                for start in (0..n).step_by(chunk) {
+                    let len = chunk.min(n - start);
+                    let got = CompiledTrace::analyze_chunk(design, &words, start, len);
+                    assert_eq!(got.cycles(), len);
+                    for i in 0..len {
+                        let c = start + i;
+                        let (t, b, s) =
+                            classify(&design.bus().analyze_cycle_reference(words[c], words[c + 1]));
+                        assert_eq!(
+                            (got.toggles[i], got.bins[i], got.switched[i].to_bits()),
+                            (t, b, s.to_bits()),
+                            "design {k}, chunk {chunk}, cycle {c}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the word source ended after 3 of 5 cycles")]
+    fn a_short_word_source_is_refused() {
+        let d = DvsBusDesign::paper_default();
+        let _ = classify_words(&d, 5, [1, 2, 2, 3].into_iter());
+    }
+
+    #[test]
+    fn the_loop_draws_exactly_one_word_per_cycle_past_the_primer() {
+        // An unbounded source is read no further than the cycle count,
+        // so a streaming compile leaves the next word in the RNG.
+        let d = DvsBusDesign::paper_default();
+        let mut drawn = 0u32;
+        let chunk = classify_words(
+            &d,
+            5,
+            std::iter::repeat_with(|| {
+                drawn += 1;
+                drawn / 2
+            }),
+        );
+        assert_eq!((chunk.cycles(), drawn), (5, 6));
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! assembled with `from_chunks`, is bit-identical to the streaming
 //! `CompiledTrace::compile`, with the chunk-boundary `prev`-word seams
 //! (cycle `k*chunk` reading the last word of the previous chunk)
-//! exercised at randomized cycle counts and chunk sizes. A fused replay
-//! of any operating-point set equals each member's solo replay.
+//! exercised at randomized cycle counts and chunk sizes, on random and
+//! on quiet-heavy traffic (so seams also fall inside runs of repeated
+//! words). A fused replay of any operating-point set equals each
+//! member's solo replay.
 
 use proptest::prelude::*;
 use razorbus_core::{CompiledTrace, DvsBusDesign, FusedOp};
 use razorbus_ctrl::FixedVoltage;
 use razorbus_process::{IrDrop, PvtCorner};
 use razorbus_tables::EnvCondition;
-use razorbus_traces::{RandomWords, TraceRecording, TraceSource};
+use razorbus_traces::{BurstyDma, RandomWords, TraceRecording, TraceSource, ZeroBurstWords};
 
 use std::sync::OnceLock;
 
@@ -26,23 +28,35 @@ fn designs() -> &'static Vec<(&'static str, DvsBusDesign)> {
 }
 
 /// A recorded word stream replayable any number of times: the chunked
-/// and streaming compiles must consume identical words.
-fn record(seed: u64, cycles: u64) -> TraceRecording {
-    TraceRecording::capture(
-        &mut RandomWords::new(seed),
-        usize::try_from(cycles).unwrap() + 1,
-    )
+/// and streaming compiles must consume identical words. `family` 0 is
+/// uniform random (essentially never quiet); 1 and 2 are quiet-heavy:
+/// zero runs broken by short non-zero words, and short DMA bursts
+/// between idle gaps that hold the last word.
+fn record(family: usize, seed: u64, cycles: u64) -> TraceRecording {
+    let words = usize::try_from(cycles).unwrap() + 1;
+    match family {
+        0 => TraceRecording::capture(&mut RandomWords::new(seed), words),
+        1 => TraceRecording::capture(&mut ZeroBurstWords::new(seed, 0.1), words),
+        _ => TraceRecording::capture(&mut BurstyDma::new(seed, 6, 30, 0.05), words),
+    }
 }
 
 proptest! {
     /// Chunked ≡ streaming at arbitrary (cycles, chunk) combinations —
     /// including chunk = 1 (every cycle a seam), chunks that divide the
     /// count, chunks that leave a short tail, and chunks beyond the
-    /// whole trace. `PartialEq` covers every array element and stamp,
-    /// so any seam that mis-primes its `prev` word fails here.
+    /// whole trace — over random and quiet-heavy recordings, so seams
+    /// also split runs of repeated words. `PartialEq` covers every
+    /// array element and stamp, so any seam that mis-primes its `prev`
+    /// word fails here.
     #[test]
-    fn chunk_seams_never_show(seed in any::<u64>(), cycles in 1u64..400, chunk in 1usize..512) {
-        let recording = record(seed, cycles);
+    fn chunk_seams_never_show(
+        family in 0usize..3,
+        seed in any::<u64>(),
+        cycles in 1u64..400,
+        chunk in 1usize..512,
+    ) {
+        let recording = record(family, seed, cycles);
         for (name, design) in designs() {
             let serial = CompiledTrace::compile(design, &mut recording.replay(), cycles);
             let words = CompiledTrace::drain_words(&mut recording.replay(), cycles);
@@ -52,7 +66,7 @@ proptest! {
                 .map(|start| CompiledTrace::analyze_chunk(design, &words, start, chunk.min(n - start)))
                 .collect();
             let chunked = CompiledTrace::from_chunks(design, cycles, chunks);
-            prop_assert_eq!(&serial, &chunked, "{}: cycles {}, chunk {}", name, cycles, chunk);
+            prop_assert_eq!(&serial, &chunked, "{}: family {}, cycles {}, chunk {}", name, family, cycles, chunk);
         }
     }
 
@@ -61,7 +75,7 @@ proptest! {
     /// `prev`.
     #[test]
     fn drained_words_match_the_stream(seed in any::<u64>(), cycles in 1u64..400) {
-        let recording = record(seed, cycles);
+        let recording = record(0, seed, cycles);
         let words = CompiledTrace::drain_words(&mut recording.replay(), cycles);
         prop_assert_eq!(words.len() as u64, cycles + 1);
         let mut replay = recording.replay();

@@ -165,6 +165,34 @@ impl QuantileSketch {
                 i += 1;
                 continue;
             }
+            // Values `total_cmp` calls equal are bit-equal, so an
+            // unstable sort orders them exactly as a stable one would.
+            let mut level = std::mem::take(&mut self.levels[i]);
+            level.sort_unstable_by(f64::total_cmp);
+            let leftover = (level.len() % 2 == 1).then(|| level.pop().expect("odd length"));
+            if i + 1 == self.levels.len() {
+                self.levels.push(Vec::new());
+            }
+            self.levels[i + 1].extend(level.iter().copied().step_by(2));
+            level.clear();
+            level.extend(leftover);
+            self.levels[i] = level;
+            i += 1;
+        }
+    }
+
+    /// The compaction before its allocation-free rewrite — stable sort,
+    /// survivors collected into a temporary, a fresh buffer for the
+    /// leftover — kept as the oracle `compact_from` must match bit for
+    /// bit.
+    #[cfg(test)]
+    fn compact_from_reference(&mut self, start: usize) {
+        let mut i = start;
+        while i < self.levels.len() {
+            if self.levels[i].len() < SKETCH_LEVEL_CAPACITY {
+                i += 1;
+                continue;
+            }
             let mut level = std::mem::take(&mut self.levels[i]);
             level.sort_by(f64::total_cmp);
             let leftover = (level.len() % 2 == 1).then(|| level.pop().expect("odd length"));
@@ -800,6 +828,7 @@ impl DigestBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn metrics(i: u64) -> MemberMetrics {
         // Deterministic, irregular values exercising every field.
@@ -849,6 +878,69 @@ mod tests {
         assert!(sketch.is_well_formed());
         // Uniform-ish input over [900, 1200): the median lands inside.
         assert!((900.0..1_200.0).contains(&p50), "{p50}");
+    }
+
+    /// A drawn sketch input: signed zeros, a small pool of repeated
+    /// values (ties across a compaction), or an arbitrary finite value.
+    fn sketch_value((kind, raw): (u8, u64)) -> f64 {
+        const POOL: [f64; 4] = [-1.5, 0.25, 0.25 + f64::EPSILON, 1.0e3];
+        let x = f64::from_bits(raw);
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 | 3 => POOL[(raw % 4) as usize],
+            _ if x.is_finite() => x,
+            _ => raw as f64,
+        }
+    }
+
+    /// `values` folded in order through the reference compaction.
+    fn reference_fold(values: &[f64]) -> QuantileSketch {
+        let mut sketch = QuantileSketch {
+            levels: vec![Vec::new()],
+        };
+        for &v in values {
+            sketch.levels[0].push(v);
+            sketch.compact_from_reference(0);
+        }
+        sketch
+    }
+
+    fn level_bits(sketch: &QuantileSketch) -> Vec<Vec<u64>> {
+        let bits = |l: &Vec<f64>| l.iter().map(|v| v.to_bits()).collect();
+        sketch.levels.iter().map(bits).collect()
+    }
+
+    proptest! {
+        /// The allocation-free compaction stores exactly the reference
+        /// compaction's levels, bit for bit, after an in-order fold and
+        /// after a merge of two folded halves.
+        #[test]
+        fn sketch_compaction_matches_its_reference(
+            draws in proptest::collection::vec((0u8..6, any::<u64>()), 1..3_000),
+            split in any::<usize>(),
+        ) {
+            let values: Vec<f64> = draws.into_iter().map(sketch_value).collect();
+            let mut folded = QuantileSketch::new();
+            for &v in &values {
+                folded.observe(v);
+            }
+            prop_assert_eq!(level_bits(&folded), level_bits(&reference_fold(&values)));
+
+            let (left, right) = values.split_at(split % values.len());
+            let mut merged = reference_fold(left);
+            let mut reference = merged.clone();
+            let other = reference_fold(right);
+            merged.merge(&other);
+            if reference.levels.len() < other.levels.len() {
+                reference.levels.resize(other.levels.len(), Vec::new());
+            }
+            for (level, incoming) in reference.levels.iter_mut().zip(&other.levels) {
+                level.extend_from_slice(incoming);
+            }
+            reference.compact_from_reference(0);
+            prop_assert_eq!(level_bits(&merged), level_bits(&reference));
+        }
     }
 
     #[test]

@@ -807,9 +807,15 @@ impl BusPhysical {
 }
 
 /// Slots in the analyzer's cycle-level cache (direct-mapped, 32 bytes
-/// each — 8 KiB total). Storm and burst generators emit a handful of
-/// distinct word pairs by construction, so a tiny cache catches nearly
-/// every repeat; random traffic whiffs and pays one hash + compare.
+/// each — 8 KiB total). Only toggling cycles reach it: quiet cycles
+/// return before the probe here, and both compile routes skip a
+/// repeated word before calling the analyzer at all. Crosstalk-storm
+/// generators alternate a handful of word pairs, so a tiny cache
+/// catches nearly every repeat there; on the benchmark's traffic it
+/// hits on about 2.5 % of the non-quiet `paper-all` suite cycles and
+/// never on `mc-10k-short`, which pays one hash + compare per toggling
+/// cycle. Whether the cache earns its place is an open question on the
+/// roadmap (the cache-bypass item).
 const CYCLE_SLOTS: usize = 256;
 
 /// One cached whole-cycle classification. `prev == cur` marks an empty
@@ -827,7 +833,8 @@ struct CycleSlot {
 /// [`CycleAnalysis`] results per `(prev, cur)` word pair — the
 /// classification is a pure function of exactly that pair — so
 /// pattern-repeating traffic (crosstalk storms alternate between two
-/// worst-case words) collapses to one probe per cycle. Create one per
+/// worst-case words) collapses to one probe per cycle. Quiet cycles
+/// (no wire toggles) never touch the cache. Create one per
 /// compile/summary loop via [`BusPhysical::analyzer`] and feed it
 /// consecutive cycles; results are bit-identical to the cache-free path
 /// at every cycle, pinned by differential tests.
