@@ -290,11 +290,9 @@ pub fn coupling_model(cycles: u64) -> Vec<AblationRow> {
 /// Computes every ablation without printing, as **one** scenario set:
 /// the executor measures the shared paper-default row a single time
 /// across studies 1–4 and feeds study 5's default-coupling bank off the
-/// same workload's compile or loop. Returns `(title, rows)` pairs; the benchmark
-/// harness times this so `BENCH_*.json` tracks the same pipeline the
-/// `repro` binary runs.
-#[must_use]
-pub fn collect_all(cycles: u64) -> Vec<(&'static str, Vec<AblationRow>)> {
+/// same workload's compile or loop. Returns `(title, rows)` pairs for
+/// [`run_all`] to print.
+fn collect_all(cycles: u64) -> Vec<(&'static str, Vec<AblationRow>)> {
     let run = run_studies(cycles, Studies::ALL);
     vec![
         (
@@ -320,7 +318,8 @@ pub fn collect_all(cycles: u64) -> Vec<(&'static str, Vec<AblationRow>)> {
     ]
 }
 
-/// Runs and prints every ablation (see [`collect_all`]).
+/// Runs and prints every ablation as one scenario set, so the shared
+/// paper-default row is measured once across studies.
 pub fn run_all(cycles: u64) {
     for (title, rows) in collect_all(cycles) {
         print_rows(title, &rows);

@@ -6,10 +6,10 @@
 //! RAZORBUS_CYCLES=50000 cargo run -p razorbus-bench --bin bench_report --release -- BENCH_2.json
 //! ```
 //!
-//! The report has three sections (all wall-clock, single process):
+//! The report measures kernels, not the end-to-end campaign (the
+//! `razorbench` harness owns that). It has two sections (all wall-clock,
+//! single process):
 //!
-//! * `stages_ms` — the `repro all` pipeline stage by stage (the same
-//!   `paper-all` executor run and figure adapters, printing suppressed),
 //! * `components` — steady-state throughputs of the simulator's batched
 //!   loop, its cycle-at-a-time reference loop (their ratio is the
 //!   fast-path speedup), the sweep-engine collector, the wire analyzer
@@ -32,23 +32,15 @@
 //! CI") for the schema.
 
 use razorbus_bench::cli::CliArgs;
-use razorbus_bench::report::{check_components, BenchReport};
-use razorbus_bench::{ablations, cycles_from_env, REPRO_SEED};
-use razorbus_core::{
-    experiments, BusSimulator, CompiledTrace, DvsBusDesign, FusedOp, TraceSummary,
-};
+use razorbus_bench::report::{check_components, BenchReport, CHECK_TOLERANCE};
+use razorbus_bench::{cycles_from_env, REPRO_SEED};
+use razorbus_core::{BusSimulator, CompiledTrace, DvsBusDesign, FusedOp, TraceSummary};
 use razorbus_ctrl::ThresholdController;
 use razorbus_process::{ProcessCorner, PvtCorner};
-use razorbus_scenario::{catalog, paper};
+use razorbus_scenario::catalog;
 use razorbus_traces::{AdversarialCrosstalk, Benchmark, TraceSource};
 use razorbus_units::Millivolts;
 use std::time::Instant;
-
-/// Tolerance of the `--check` regression guard: component throughputs
-/// may deviate ±40 % from the committed baseline before the bench job
-/// fails (generous, because CI runners vary — but loud, so the perf
-/// trajectory cannot drift silently).
-const CHECK_TOLERANCE: f64 = 0.40;
 
 fn main() {
     let args = CliArgs::parse(std::env::args().skip(1), &["check"]).unwrap_or_else(|e| {
@@ -75,105 +67,7 @@ fn main() {
     razorbus_core::compile_chunk_knob().unwrap_or_else(|e| knob_error(e));
     eprintln!("# bench_report: {cycles} cycles/benchmark -> {out_path}");
 
-    let mut stages: Vec<(&'static str, f64)> = Vec::new();
-    let mut time = |name: &'static str, f: &mut dyn FnMut()| {
-        let start = Instant::now();
-        f();
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        eprintln!("  {name:<18} {ms:9.1} ms");
-        stages.push((name, round1(ms)));
-    };
-
-    let total = Instant::now();
-    let mut design = None;
-    time("design_build", &mut || {
-        design = Some(DvsBusDesign::paper_default());
-    });
-    let design = design.expect("design built");
-
-    // The `repro all` heavy work: the same `paper-all` executor run.
-    let mut paper_all = None;
-    time("shared_inputs", &mut || {
-        paper_all = Some(
-            paper::paper_all_set(cycles, REPRO_SEED)
-                .run()
-                .expect("valid spec"),
-        );
-    });
-    let paper_all = paper_all.expect("paper-all run");
-
-    // The figures `repro all` prints, through the same adapters.
-    time("static_sweeps", &mut || {
-        let run = &paper_all;
-        let a = paper::fig4_panel(run, "fig4@worst").expect("paper-all member");
-        let b = paper::fig4_panel(run, "fig4@typical").expect("paper-all member");
-        let f5 = paper::fig5_data(run).expect("paper-all member");
-        let t1 = paper::table1_data(run).expect("paper-all member");
-        let f10 = paper::fig10_data(run).expect("paper-all member");
-        std::hint::black_box((a.points.len(), b.points.len(), f5.rows.len()));
-        std::hint::black_box((t1.corners.len(), f10.modified.len()));
-    });
-    time("fig6_oracle", &mut || {
-        let windows = (cycles / 10_000).max(10) as usize;
-        let data = experiments::fig6::run(&design, windows, 10_000, REPRO_SEED);
-        std::hint::black_box(data.entries.len());
-    });
-    time("scaling", &mut || {
-        let data = experiments::scaling::run(cycles / 4, REPRO_SEED);
-        std::hint::black_box(data.rows.len());
-    });
-    time("ablations", &mut || {
-        // Same shared-paper-row pipeline `repro all` runs, unprinted.
-        let studies = ablations::collect_all(cycles / 4);
-        std::hint::black_box(studies.len());
-    });
-    // Scenario-layer timings: one paper spec and one non-paper workload
-    // through the declarative executor (specs, dedup plan, fan-out).
-    time("scenario_fig8", &mut || {
-        let run = catalog::by_name("fig8", cycles, REPRO_SEED)
-            .expect("catalog name")
-            .run()
-            .expect("valid spec");
-        std::hint::black_box(run.result.members.len());
-    });
-    time("scenario_bursty_dma", &mut || {
-        let run = catalog::by_name("bursty-dma", cycles, REPRO_SEED)
-            .expect("catalog name")
-            .run()
-            .expect("valid spec");
-        std::hint::black_box(run.result.members.len());
-    });
-    // The 1 k-member Monte-Carlo campaign through the streaming
-    // aggregation path: 125 shared compiled traces fanned out across
-    // 1 000 aggregate-mode members folding into one constant-memory
-    // digest — the throughput record for `AnalysisSpec::Aggregate`.
-    time("scenario_monte_carlo_1k", &mut || {
-        let run = catalog::by_name("monte-carlo-dvs-1k", cycles, REPRO_SEED)
-            .expect("catalog name")
-            .run()
-            .expect("valid spec");
-        let digest = run.result.digest.expect("aggregate campaign digests");
-        std::hint::black_box(digest.members);
-    });
-    // The governor shootout both ways: every member on the live
-    // `analyze_cycle` path, then with the workload compiled once and
-    // replayed per governor — the stage ratio is the sweep-sharing
-    // speedup the compile/replay split is accountable for.
-    time("scenario_shootout_cold", &mut || {
-        let run = catalog::by_name("governor-shootout", cycles, REPRO_SEED)
-            .expect("catalog name")
-            .run_with_workers(Vec::new(), false, None)
-            .expect("valid spec");
-        std::hint::black_box(run.result.members.len());
-    });
-    time("scenario_shootout", &mut || {
-        let run = catalog::by_name("governor-shootout", cycles, REPRO_SEED)
-            .expect("catalog name")
-            .run()
-            .expect("valid spec");
-        std::hint::black_box(run.result.members.len());
-    });
-    let total_ms = total.elapsed().as_secs_f64() * 1e3;
+    let design = DvsBusDesign::paper_default();
 
     // Component throughputs (Mcycles/s), warmup + best-of-3 so one
     // scheduler hiccup doesn't pollute the tracked ratio. The
@@ -300,8 +194,6 @@ fn main() {
     let report = BenchReport {
         cycles_per_benchmark: cycles,
         threads: max_workers,
-        stages_ms: stages,
-        total_ms: round1(total_ms),
         components_mcycles_per_s: vec![
             ("closed_loop_batched", round2(batched)),
             ("closed_loop_reference", round2(reference)),
@@ -332,7 +224,7 @@ fn main() {
     };
     let json = report.to_json().expect("render bench report");
     std::fs::write(&out_path, &json).expect("write bench report");
-    eprintln!("# wrote {out_path} (total {total_ms:.0} ms)");
+    eprintln!("# wrote {out_path}");
 }
 
 /// `bench_report --check BASELINE CURRENT`: the bench-job regression
@@ -373,11 +265,6 @@ fn run_check(paths: &[String]) {
 /// what the pool was asked for).
 fn resolved_threads(requested: usize) -> usize {
     requested.min(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
-}
-
-/// Rounds to one decimal (milliseconds keep the old `{:.1}` precision).
-fn round1(v: f64) -> f64 {
-    (v * 10.0).round() / 10.0
 }
 
 /// Rounds to two decimals (throughputs keep the old `{:.2}` precision).

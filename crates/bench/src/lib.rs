@@ -2,9 +2,9 @@
 //! the ablation studies referenced by DESIGN.md §6.
 //!
 //! The `repro` binary (`cargo run -p razorbus-bench --bin repro --release`)
-//! regenerates every table and figure of the paper; the Criterion benches
-//! (`cargo bench`) time reduced-scale versions of the same drivers plus
-//! component micro-benchmarks. The [`golden`] module records and replays
+//! regenerates every table and figure of the paper, and `bench_report`
+//! measures the simulator's kernel throughputs ([`report`] holds its
+//! JSON format and regression guard). The [`golden`] module records and replays
 //! the committed `GOLDEN_TESTS/` corpus of campaign recordings, and
 //! [`defaults`] is the single copy of the harness's artifact paths and
 //! name vocabulary.

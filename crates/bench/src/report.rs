@@ -1,27 +1,31 @@
-//! The `BENCH_<pr>.json` perf report, persisted through the artifact
-//! layer's JSON writer instead of hand-rolled string building.
+//! The `BENCH_<pr>.json` perf report, written with the artifact layer's
+//! JSON writer and read back with its parser.
 //!
 //! The schema (`razorbus-bench/v1`, documented in README.md "Benchmarks
 //! in CI") predates the artifact layer, so the report is written as bare
 //! pretty-printed JSON — no `RZBA` container framing — to stay diffable
 //! against the committed `BENCH_*.json` reference files.
 
+use razorbus_artifact::json::JsonValue;
 use razorbus_artifact::ArtifactError;
 
 /// Schema identifier written into every report.
 pub const SCHEMA: &str = "razorbus-bench/v1";
 
-/// One perf report: per-stage wall clocks plus component throughputs.
+/// Tolerance of the `--check` regression guard: component throughputs
+/// may deviate ±40 % from the committed baseline before the bench job
+/// fails (generous, because CI runners vary — but loud, so the perf
+/// trajectory cannot drift silently).
+pub const CHECK_TOLERANCE: f64 = 0.40;
+
+/// One perf report: component throughputs plus the thread counts and
+/// fan-ins behind them.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     /// Cycles per benchmark in force (`RAZORBUS_CYCLES`).
     pub cycles_per_benchmark: u64,
     /// Available parallelism on the machine that produced the report.
     pub threads: usize,
-    /// `repro all` pipeline stages, milliseconds, in execution order.
-    pub stages_ms: Vec<(&'static str, f64)>,
-    /// End-to-end wall clock of the staged pipeline.
-    pub total_ms: f64,
     /// Steady-state component throughputs (Mcycles/s), best-of-3.
     pub components_mcycles_per_s: Vec<(&'static str, f64)>,
     /// Resolved thread count per *runner-bound* component (requested
@@ -41,7 +45,7 @@ pub struct BenchReport {
 }
 
 /// An ordered list of named measurements serialized as a JSON object —
-/// stage names are `&'static str`, which is exactly what the struct
+/// component names are `&'static str`, which is exactly what the struct
 /// serializer's field keys require.
 struct NamedValues<'a, T>(&'a [(&'static str, T)]);
 
@@ -59,12 +63,10 @@ impl<T: serde::Serialize> serde::Serialize for NamedValues<'_, T> {
 impl serde::Serialize for BenchReport {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct;
-        let mut state = serializer.serialize_struct("BenchReport", 8)?;
+        let mut state = serializer.serialize_struct("BenchReport", 6)?;
         state.serialize_field("schema", SCHEMA)?;
         state.serialize_field("cycles_per_benchmark", &self.cycles_per_benchmark)?;
         state.serialize_field("threads", &self.threads)?;
-        state.serialize_field("stages_ms", &NamedValues(&self.stages_ms))?;
-        state.serialize_field("total_ms", &self.total_ms)?;
         state.serialize_field(
             "components_mcycles_per_s",
             &NamedValues(&self.components_mcycles_per_s),
@@ -87,42 +89,27 @@ impl BenchReport {
 }
 
 /// Extracts the `components_mcycles_per_s` entries from a rendered
-/// `BENCH_*.json` report (the schema this module writes — a flat object
-/// of name → number pairs).
+/// `BENCH_*.json` report.
 ///
 /// # Errors
 ///
-/// Returns a description when the object is missing, unterminated, or
-/// holds a non-numeric throughput (e.g. the writer's `"NaN"` spelling —
-/// a pathological measurement must fail the comparison loudly).
+/// Returns a description when the report is not JSON, has no
+/// components object, or holds a non-numeric throughput (e.g. the
+/// writer's `"NaN"` spelling — a pathological measurement must fail the
+/// comparison loudly, naming the component).
 pub fn parse_components(json: &str) -> Result<Vec<(String, f64)>, String> {
-    let key = "\"components_mcycles_per_s\":";
-    let start = json
-        .find(key)
-        .ok_or("report has no components_mcycles_per_s object")?;
-    let rest = &json[start + key.len()..];
-    let open = rest.find('{').ok_or("malformed components object")?;
-    let close = rest[open..]
-        .find('}')
-        .ok_or("unterminated components object")?
-        + open;
-    let mut out = Vec::new();
-    for entry in rest[open + 1..close].split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let (name, value) = entry
-            .split_once(':')
-            .ok_or_else(|| format!("malformed component entry `{entry}`"))?;
-        let name = name.trim().trim_matches('"').to_string();
-        let value: f64 = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("non-numeric throughput for `{name}`: {}", value.trim()))?;
-        out.push((name, value));
-    }
-    Ok(out)
+    named_values(
+        json,
+        "components_mcycles_per_s",
+        "throughput",
+        |v| match *v {
+            JsonValue::F64(x) => Some(x),
+            JsonValue::I64(x) => Some(x as f64),
+            JsonValue::U64(x) => Some(x as f64),
+            _ => None,
+        },
+    )?
+    .ok_or_else(|| "report has no components_mcycles_per_s object".to_string())
 }
 
 /// Extracts the `component_threads` entries from a rendered report.
@@ -132,10 +119,10 @@ pub fn parse_components(json: &str) -> Result<Vec<(String, f64)>, String> {
 ///
 /// # Errors
 ///
-/// Returns a description when a present object is unterminated or
-/// holds a non-integer thread count.
-pub fn parse_component_threads(json: &str) -> Result<Vec<(String, usize)>, String> {
-    parse_named_usizes(json, "component_threads", "thread count")
+/// Returns a description when the report is not JSON or a present
+/// object holds a non-integer thread count.
+fn parse_component_threads(json: &str) -> Result<Vec<(String, usize)>, String> {
+    Ok(named_values(json, "component_threads", "thread count", as_usize)?.unwrap_or_default())
 }
 
 /// Extracts the `component_fanin` entries from a rendered report.
@@ -145,40 +132,47 @@ pub fn parse_component_threads(json: &str) -> Result<Vec<(String, usize)>, Strin
 ///
 /// # Errors
 ///
-/// Returns a description when a present object is unterminated or
-/// holds a non-integer fan-in.
-pub fn parse_component_fanin(json: &str) -> Result<Vec<(String, usize)>, String> {
-    parse_named_usizes(json, "component_fanin", "fan-in")
+/// Returns a description when the report is not JSON or a present
+/// object holds a non-integer fan-in.
+fn parse_component_fanin(json: &str) -> Result<Vec<(String, usize)>, String> {
+    Ok(named_values(json, "component_fanin", "fan-in", as_usize)?.unwrap_or_default())
 }
 
-fn parse_named_usizes(json: &str, field: &str, what: &str) -> Result<Vec<(String, usize)>, String> {
-    let key = format!("\"{field}\":");
-    let Some(start) = json.find(&key) else {
-        return Ok(Vec::new());
-    };
-    let rest = &json[start + key.len()..];
-    let open = rest.find('{').ok_or(format!("malformed {field} object"))?;
-    let close = rest[open..]
-        .find('}')
-        .ok_or(format!("unterminated {field} object"))?
-        + open;
-    let mut out = Vec::new();
-    for entry in rest[open + 1..close].split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let (name, value) = entry
-            .split_once(':')
-            .ok_or_else(|| format!("malformed {field} entry `{entry}`"))?;
-        let name = name.trim().trim_matches('"').to_string();
-        let value: usize = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("non-integer {what} for `{name}`: {}", value.trim()))?;
-        out.push((name, value));
+fn as_usize(value: &JsonValue) -> Option<usize> {
+    match *value {
+        JsonValue::I64(x) => usize::try_from(x).ok(),
+        JsonValue::U64(x) => usize::try_from(x).ok(),
+        _ => None,
     }
-    Ok(out)
+}
+
+/// The entries of the report's top-level `field` object, each value
+/// converted by `convert`; `None` when the report has no such field.
+fn named_values<T>(
+    json: &str,
+    field: &str,
+    what: &str,
+    convert: impl Fn(&JsonValue) -> Option<T>,
+) -> Result<Option<Vec<(String, T)>>, String> {
+    let report = razorbus_artifact::json::parse(json).map_err(|e| e.to_string())?;
+    let JsonValue::Obj(fields) = report else {
+        return Err("report is not a JSON object".to_string());
+    };
+    let Some((_, value)) = fields.iter().find(|(key, _)| key == field) else {
+        return Ok(None);
+    };
+    let JsonValue::Obj(entries) = value else {
+        return Err(format!("{field} is not an object"));
+    };
+    entries
+        .iter()
+        .map(|(name, value)| {
+            convert(value)
+                .map(|t| (name.clone(), t))
+                .ok_or_else(|| format!("invalid {what} for `{name}`: {value:?}"))
+        })
+        .collect::<Result<_, _>>()
+        .map(Some)
 }
 
 /// The bench-job regression guard: compares the component throughputs
@@ -301,14 +295,12 @@ mod tests {
         let report = BenchReport {
             cycles_per_benchmark: 50_000,
             threads: 8,
-            stages_ms: vec![("design_build", 0.5), ("fig8_typical+bank", 78.4)],
-            total_ms: 78.9,
             components_mcycles_per_s: vec![("closed_loop_batched", 13.7)],
             component_threads: vec![("sweep_aggregate_wmax", 8)],
             component_fanin: vec![("fused_replay_f4", 4)],
         };
         let json = report.to_json().unwrap();
-        let expected = "{\n  \"schema\": \"razorbus-bench/v1\",\n  \"cycles_per_benchmark\": 50000,\n  \"threads\": 8,\n  \"stages_ms\": {\n    \"design_build\": 0.5,\n    \"fig8_typical+bank\": 78.4\n  },\n  \"total_ms\": 78.9,\n  \"components_mcycles_per_s\": {\n    \"closed_loop_batched\": 13.7\n  },\n  \"component_threads\": {\n    \"sweep_aggregate_wmax\": 8\n  },\n  \"component_fanin\": {\n    \"fused_replay_f4\": 4\n  }\n}\n";
+        let expected = "{\n  \"schema\": \"razorbus-bench/v1\",\n  \"cycles_per_benchmark\": 50000,\n  \"threads\": 8,\n  \"components_mcycles_per_s\": {\n    \"closed_loop_batched\": 13.7\n  },\n  \"component_threads\": {\n    \"sweep_aggregate_wmax\": 8\n  },\n  \"component_fanin\": {\n    \"fused_replay_f4\": 4\n  }\n}\n";
         assert_eq!(json, expected);
     }
 
@@ -331,8 +323,6 @@ mod tests {
         BenchReport {
             cycles_per_benchmark: 50_000,
             threads: 1,
-            stages_ms: vec![("ablations", 100.0)],
-            total_ms: 100.0,
             components_mcycles_per_s: components,
             component_threads,
             component_fanin,
@@ -343,16 +333,27 @@ mod tests {
 
     #[test]
     fn parse_components_round_trips_the_writer() {
-        let json = report_with(vec![("analyze_cycle", 10.69), ("batched_speedup", 1.03)]);
+        // A whole-number throughput is written without a fraction
+        // (`2`) and parses as an integer; it still reads as a number.
+        let json = report_with(vec![
+            ("analyze_cycle", 10.69),
+            ("batched_speedup", 1.03),
+            ("whole", 2.0),
+        ]);
         let parsed = parse_components(&json).unwrap();
         assert_eq!(
             parsed,
             vec![
                 ("analyze_cycle".to_string(), 10.69),
-                ("batched_speedup".to_string(), 1.03)
+                ("batched_speedup".to_string(), 1.03),
+                ("whole".to_string(), 2.0)
             ]
         );
         assert!(parse_components("{}").is_err());
+        assert!(parse_components("not json").is_err());
+        // Absent thread and fan-in objects read as empty.
+        assert_eq!(parse_component_threads("{}").unwrap(), vec![]);
+        assert_eq!(parse_component_fanin("{}").unwrap(), vec![]);
         // A NaN throughput (written as a string) must not parse silently.
         let bad = report_with(vec![("broken", f64::NAN)]);
         assert!(parse_components(&bad).unwrap_err().contains("broken"));
@@ -428,9 +429,7 @@ mod tests {
         let report = BenchReport {
             cycles_per_benchmark: 1,
             threads: 1,
-            stages_ms: vec![("bad", f64::NAN)],
-            total_ms: 0.0,
-            components_mcycles_per_s: vec![],
+            components_mcycles_per_s: vec![("bad", f64::NAN)],
             component_threads: vec![],
             component_fanin: vec![],
         };
@@ -473,5 +472,27 @@ mod tests {
             err.contains("fused_replay_f16") && err.contains("FAIL"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn committed_reports_parse_and_pass_against_themselves() {
+        // Every committed baseline, including the legacy shapes: no
+        // thread or fan-in objects (≤ BENCH_9.json), and the retired
+        // `stages_ms`/`total_ms` fields that nothing reads any more.
+        let reports = [
+            ("BENCH_2.json", include_str!("../../../BENCH_2.json")),
+            ("BENCH_5.json", include_str!("../../../BENCH_5.json")),
+            ("BENCH_7.json", include_str!("../../../BENCH_7.json")),
+            ("BENCH_9.json", include_str!("../../../BENCH_9.json")),
+            ("BENCH_10.json", include_str!("../../../BENCH_10.json")),
+            ("BENCH_13.json", include_str!("../../../BENCH_13.json")),
+            ("BENCH_17.json", include_str!("../../../BENCH_17.json")),
+        ];
+        for (name, json) in reports {
+            assert!(!parse_components(json).unwrap().is_empty(), "{name}");
+            if let Err(e) = check_components(json, json, CHECK_TOLERANCE) {
+                panic!("{name}: {e}");
+            }
+        }
     }
 }

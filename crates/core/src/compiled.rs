@@ -404,16 +404,6 @@ impl CompiledTrace {
         crate::TraceSummary::from_parts(hist, total_cap, total_toggles, self.cycles)
     }
 
-    /// Per-cycle tuple access for the scalar replay loop in `sim.rs`.
-    #[inline]
-    pub(crate) fn cycle(&self, c: usize) -> (u32, usize, f64) {
-        (
-            u32::from(self.toggles[c]),
-            usize::from(self.bins[c]),
-            self.switched[c],
-        )
-    }
-
     /// The raw struct-of-arrays view the lane-vectorized replay path
     /// consumes directly (`sim.rs`): per-cycle toggle counts, load bins
     /// and switched capacitances, all exactly [`CompiledTrace::cycles`]

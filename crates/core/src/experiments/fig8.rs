@@ -73,43 +73,21 @@ pub fn run_protocol<G: razorbus_ctrl::VoltageGovernor>(
     sampling: Option<u64>,
     with_summaries: bool,
 ) -> (Fig8Data, Vec<(Benchmark, crate::TraceSummary)>) {
-    let mut controller = governor;
-    let mut segments = Vec::with_capacity(Benchmark::ALL.len());
-    let mut samples = Vec::new();
-    let mut summaries = Vec::new();
-    let mut offset = 0u64;
-    for benchmark in Benchmark::ALL {
-        let trace = benchmark.trace(seed);
-        let mut sim = BusSimulator::new(design, corner, trace, controller);
-        if let Some(window) = sampling {
-            sim = sim.with_sampling(window);
-        }
-        if with_summaries {
-            sim = sim.with_histogram();
-        }
-        let mut report = sim.run(cycles_per_benchmark);
-        controller = sim.into_governor();
-        if let Some(summary) = report.summary.take() {
-            summaries.push((benchmark, summary));
-        }
-        for s in &mut report.samples {
-            s.cycle += offset;
-        }
-        samples.extend(report.samples.iter().copied());
-        segments.push(Fig8Segment {
-            benchmark,
-            start_cycle: offset,
-            report,
-        });
-        offset += cycles_per_benchmark;
-    }
-    (
-        Fig8Data {
-            corner,
-            segments,
-            samples,
+    consecutive(
+        corner,
+        cycles_per_benchmark,
+        governor,
+        |_, benchmark, governor| {
+            let mut sim = BusSimulator::new(design, corner, benchmark.trace(seed), governor);
+            if let Some(window) = sampling {
+                sim = sim.with_sampling(window);
+            }
+            if with_summaries {
+                sim = sim.with_histogram();
+            }
+            let report = sim.run(cycles_per_benchmark);
+            (report, sim.into_governor())
         },
-        summaries,
     )
 }
 
@@ -140,20 +118,36 @@ pub fn replay_protocol<G: razorbus_ctrl::VoltageGovernor>(
         "suite replay needs one compiled trace per benchmark"
     );
     let cycles_per_benchmark = compiled[0].cycles();
-    let mut controller = governor;
-    let mut segments = Vec::with_capacity(Benchmark::ALL.len());
-    let mut samples = Vec::new();
-    let mut summaries = Vec::new();
-    let mut offset = 0u64;
-    for (benchmark, trace) in Benchmark::ALL.into_iter().zip(compiled) {
+    consecutive(corner, cycles_per_benchmark, governor, |i, _, governor| {
+        let trace = &compiled[i];
         assert_eq!(
             trace.cycles(),
             cycles_per_benchmark,
             "compiled suite traces must share one cycle budget"
         );
-        let (mut report, returned) =
-            trace.replay(design, corner, controller, sampling, with_summaries);
-        controller = returned;
+        trace.replay(design, corner, governor, sampling, with_summaries)
+    })
+}
+
+/// The suite stitching behind [`run_protocol`] and [`replay_protocol`]:
+/// `run_program(i, benchmark, governor)` runs program `i` of
+/// [`Benchmark::ALL`] for `cycles_per_benchmark` cycles and hands the
+/// governor back, which carries it into the next program. Each report's
+/// histogram by-product is taken out, its samples are shifted to global
+/// cycle numbers, and it becomes one segment.
+fn consecutive<G>(
+    corner: PvtCorner,
+    cycles_per_benchmark: u64,
+    mut governor: G,
+    mut run_program: impl FnMut(usize, Benchmark, G) -> (SimReport, G),
+) -> (Fig8Data, Vec<(Benchmark, crate::TraceSummary)>) {
+    let mut segments = Vec::with_capacity(Benchmark::ALL.len());
+    let mut samples = Vec::new();
+    let mut summaries = Vec::new();
+    let mut offset = 0u64;
+    for (i, benchmark) in Benchmark::ALL.into_iter().enumerate() {
+        let (mut report, returned) = run_program(i, benchmark, governor);
+        governor = returned;
         if let Some(summary) = report.summary.take() {
             summaries.push((benchmark, summary));
         }
@@ -176,27 +170,6 @@ pub fn replay_protocol<G: razorbus_ctrl::VoltageGovernor>(
         },
         summaries,
     )
-}
-
-/// Compiles the ten-benchmark suite against `design`: one
-/// [`crate::CompiledTrace`] per program in [`Benchmark::ALL`] order,
-/// ready for [`replay_protocol`].
-#[must_use]
-pub fn compile_suite(
-    design: &DvsBusDesign,
-    cycles_per_benchmark: u64,
-    seed: u64,
-) -> Vec<std::sync::Arc<crate::CompiledTrace>> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|benchmark| {
-            std::sync::Arc::new(crate::CompiledTrace::compile(
-                design,
-                &mut benchmark.trace(seed),
-                cycles_per_benchmark,
-            ))
-        })
-        .collect()
 }
 
 impl Fig8Data {
@@ -266,6 +239,25 @@ impl Fig8Data {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One compiled trace per program in [`Benchmark::ALL`] order, ready
+    /// for [`replay_protocol`].
+    fn compile_suite(
+        design: &DvsBusDesign,
+        cycles_per_benchmark: u64,
+        seed: u64,
+    ) -> Vec<std::sync::Arc<crate::CompiledTrace>> {
+        Benchmark::ALL
+            .into_iter()
+            .map(|benchmark| {
+                std::sync::Arc::new(crate::CompiledTrace::compile(
+                    design,
+                    &mut benchmark.trace(seed),
+                    cycles_per_benchmark,
+                ))
+            })
+            .collect()
+    }
 
     #[test]
     fn consecutive_run_adapts_per_program() {

@@ -445,21 +445,6 @@ impl<S: TraceSource> CycleStream for AnalyzeStream<'_, S> {
     }
 }
 
-/// Stored classification: the compiled arrays, read front to back.
-struct CompiledStream<'a> {
-    trace: &'a CompiledTrace,
-    cursor: usize,
-}
-
-impl CycleStream for CompiledStream<'_> {
-    #[inline]
-    fn next_cycle(&mut self) -> (u32, usize, f64) {
-        let t = self.trace.cycle(self.cursor);
-        self.cursor += 1;
-        t
-    }
-}
-
 /// The chunk-granular input of the batched loop: advance `chunk` cycles
 /// at one supply grid point (whose replay tables are `point`), return
 /// the chunk's accumulators, and feed `hist` when the histogram
@@ -528,7 +513,8 @@ impl<C: CycleStream> ChunkStream for ScalarChunks<C> {
 /// the grid point's integer thresholds from the design's replay tables,
 /// eight cycles per step through the u64 kernel in `lane.rs`. Histogram
 /// chunks fall back to the scalar body — identical numbers,
-/// collection-order array increments.
+/// collection-order array increments. Wrapped in [`ScalarChunks`], the
+/// same cursor is the per-cycle reference `replay_scalar` runs.
 struct LaneChunks<'a> {
     toggles: &'a [u8],
     bins: &'a [u16],
@@ -804,10 +790,7 @@ impl CompiledTrace {
         with_summary: bool,
     ) -> (SimReport, G) {
         self.check_replay(design, sampling);
-        let stream = ScalarChunks(CompiledStream {
-            trace: self,
-            cursor: 0,
-        });
+        let stream = ScalarChunks(LaneChunks::new(self));
         let report = run_stream(
             design,
             pvt,
