@@ -1,4 +1,6 @@
-//! Ablation studies for the design choices DESIGN.md §6 calls out.
+//! Ablation studies of the model's own design choices: the shadow-skew
+//! cap, the controller window and kind, the regulator ramp and the
+//! coupling model.
 //!
 //! Each study varies exactly one knob of the paper's system and reports
 //! the energy/error consequences, quantifying claims the paper makes in
@@ -249,7 +251,7 @@ fn run_studies(cycles: u64, studies: Studies) -> ScenarioSetRun {
         .expect("ablation campaign specs are valid")
 }
 
-/// Ablation 1 (DESIGN.md): shadow-skew cap 0.20 / 0.25 / 0.33 of the
+/// Ablation 1: shadow-skew cap 0.20 / 0.25 / 0.33 of the
 /// cycle. A tighter cap raises the regulator floor and clips the deep
 /// scalers.
 #[must_use]
@@ -295,24 +297,12 @@ pub fn coupling_model(cycles: u64) -> Vec<AblationRow> {
 fn collect_all(cycles: u64) -> Vec<(&'static str, Vec<AblationRow>)> {
     let run = run_studies(cycles, Studies::ALL);
     vec![
+        ("Ablation 1 — shadow-skew cap", skew_rows(&run)),
+        ("\nAblation 2 — controller window", window_rows(&run)),
+        ("\nAblation 3 — regulator ramp", ramp_rows(&run)),
+        ("\nAblation 4 — controller kind", kind_rows(&run)),
         (
-            "Ablation 1 — shadow-skew cap (DESIGN.md §6.1)",
-            skew_rows(&run),
-        ),
-        (
-            "\nAblation 2 — controller window (DESIGN.md §6.2)",
-            window_rows(&run),
-        ),
-        (
-            "\nAblation 3 — regulator ramp (DESIGN.md §6.3)",
-            ramp_rows(&run),
-        ),
-        (
-            "\nAblation 4 — controller kind (DESIGN.md §6.4)",
-            kind_rows(&run),
-        ),
-        (
-            "\nAblation 5 — coupling model (DESIGN.md §6.5; gain column = static gain @2%)",
+            "\nAblation 5 — coupling model (gain column = static gain @2%)",
             coupling_rows(&run),
         ),
     ]

@@ -274,7 +274,7 @@ fn main() {
             experiments::scaling::run(cycles / 4, REPRO_SEED).print();
         }
         "ablations" => {
-            banner("Ablations (DESIGN.md §6)");
+            banner("Ablations");
             ablations::run_all(cycles / 4);
         }
         _ => unreachable!("artifact validated above"),
@@ -582,7 +582,7 @@ fn run_all(
     banner("§6 technology scaling");
     experiments::scaling::run(cycles / 4, REPRO_SEED).print();
 
-    banner("Ablations (DESIGN.md §6)");
+    banner("Ablations");
     ablations::run_all(cycles / 4);
 }
 

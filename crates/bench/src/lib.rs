@@ -1,5 +1,5 @@
 //! Shared plumbing for the razorbus benchmark harness: cycle budgets and
-//! the ablation studies referenced by DESIGN.md §6.
+//! the ablation studies of the model's own design choices.
 //!
 //! The `repro` binary (`cargo run -p razorbus-bench --bin repro --release`)
 //! regenerates every table and figure of the paper, and `bench_report`

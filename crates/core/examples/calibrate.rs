@@ -1,5 +1,5 @@
-//! Developer probe: prints the calibration quantities DESIGN.md §4
-//! anchors against (per-benchmark error onset, closed-loop equilibrium,
+//! Developer probe: prints the calibration quantities the device model
+//! is tuned against (per-benchmark error onset, closed-loop equilibrium,
 //! floors and fixed-VS baselines).
 
 use razorbus_core::{parse_count_knob, BusSimulator, DvsBusDesign, TraceSummary};

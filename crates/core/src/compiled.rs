@@ -28,8 +28,9 @@
 //! independent cycle ranges on any thread, and
 //! [`CompiledTrace::from_chunks`] assembles them in cycle order. Both
 //! routes give the same bytes for every chunk size. The scenario
-//! executor streams unless its pool has more than one worker and the
-//! trace spans more than one chunk.
+//! executor streams unless the trace spans more than one chunk and is
+//! among the last compile streams its pool starts, one fewer than its
+//! workers.
 //!
 //! Compiled traces persist through `razorbus-artifact` as the
 //! `compiled-trace` kind; the embedded bus stamps refuse replay against
@@ -38,7 +39,7 @@
 use crate::design::DvsBusDesign;
 use crate::summary::{bin_of, bucket_of, N_BUCKETS, N_CEFF_BINS};
 use razorbus_traces::TraceSource;
-use razorbus_wire::CycleAnalysis;
+use razorbus_wire::{CycleAnalysis, CycleAnalyzer};
 
 /// Default cycles per compile chunk.
 const DEFAULT_COMPILE_CHUNK: usize = 65_536;
@@ -245,10 +246,30 @@ impl CompiledTrace {
     /// Panics if `cycles == 0`.
     #[must_use]
     pub fn compile<S: TraceSource>(design: &DvsBusDesign, trace: &mut S, cycles: u64) -> Self {
+        let [compiled] = Self::compile_each([design], trace, cycles);
+        compiled
+    }
+
+    /// [`CompiledTrace::compile`] for `K` designs whose buses share one
+    /// layout, in one pass over the words: the trace is drained once
+    /// and each cycle is classified for every design by one
+    /// [`razorbus_wire::BusPhysical::analyze_cycles`] call. Design for
+    /// design, the result equals its own `compile` bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles == 0`, `K == 0` or the buses' layouts differ.
+    #[must_use]
+    pub fn compile_each<const K: usize, S: TraceSource>(
+        designs: [&DvsBusDesign; K],
+        trace: &mut S,
+        cycles: u64,
+    ) -> [Self; K] {
         assert!(cycles > 0, "need at least one cycle");
         let n = usize::try_from(cycles).expect("cycle count fits in memory");
         let words = std::iter::repeat_with(|| trace.next_word()).take(n + 1);
-        Self::from_arrays(design, cycles, classify_words(design, n, words))
+        let mut arrays = classify_words(designs, n, words).into_iter();
+        designs.map(|design| Self::from_arrays(design, cycles, arrays.next().expect("K arrays")))
     }
 
     /// Phase one of the chunked compile: drains `cycles + 1` words
@@ -288,7 +309,27 @@ impl CompiledTrace {
         start: usize,
         len: usize,
     ) -> CompiledChunk {
-        classify_words(design, len, words[start..=start + len].iter().copied())
+        let [chunk] = Self::analyze_chunk_each([design], words, start, len);
+        chunk
+    }
+
+    /// [`CompiledTrace::analyze_chunk`] for `K` designs whose buses
+    /// share one layout, in one pass over the chunk's words (see
+    /// [`CompiledTrace::compile_each`]); each design's chunks assemble
+    /// through its own [`CompiledTrace::from_chunks`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start + len + 1 > words.len()`, `K == 0` or the
+    /// buses' layouts differ.
+    #[must_use]
+    pub fn analyze_chunk_each<const K: usize>(
+        designs: [&DvsBusDesign; K],
+        words: &[u32],
+        start: usize,
+        len: usize,
+    ) -> [CompiledChunk; K] {
+        classify_words(designs, len, words[start..=start + len].iter().copied())
     }
 
     /// Final phase of the chunked compile: concatenates slot-ordered
@@ -423,11 +464,12 @@ impl CompiledTrace {
     }
 }
 
-/// The per-cycle classification loop behind both compile routes:
-/// `words` yields the priming `prev` word, then one word per cycle; the
-/// loop reads exactly `len` more words, so a streaming source is drawn
-/// no further. [`CompiledTrace::compile`] feeds it straight from the
-/// trace, [`CompiledTrace::analyze_chunk`] from a drained word slice.
+/// The per-cycle classification loop behind both compile routes, for
+/// `K` designs at once: `words` yields the priming `prev` word, then
+/// one word per cycle; the loop reads exactly `len` more words, so a
+/// streaming source is drawn no further. [`CompiledTrace::compile_each`]
+/// feeds it straight from the trace,
+/// [`CompiledTrace::analyze_chunk_each`] from a drained word slice.
 ///
 /// The arrays start zero-filled, which is exactly a quiet cycle's tuple
 /// (`CycleAnalysis::default()` classifies to `(0, 0, +0.0)`), so a
@@ -435,16 +477,19 @@ impl CompiledTrace {
 ///
 /// # Panics
 ///
-/// Panics if `words` ends before `len + 1` words.
-fn classify_words(
-    design: &DvsBusDesign,
+/// Panics if `words` ends before `len + 1` words, or if the designs'
+/// bus layouts differ.
+fn classify_words<const K: usize>(
+    designs: [&DvsBusDesign; K],
     len: usize,
     mut words: impl Iterator<Item = u32>,
-) -> CompiledChunk {
-    let mut analyzer = design.bus().analyzer();
-    let mut toggles = vec![0; len];
-    let mut bins = vec![0; len];
-    let mut switched = vec![0.0; len];
+) -> [CompiledChunk; K] {
+    let mut analyzer = CycleAnalyzer::new(designs.map(DvsBusDesign::bus));
+    let mut out: [CompiledChunk; K] = std::array::from_fn(|_| CompiledChunk {
+        toggles: vec![0; len],
+        bins: vec![0; len],
+        switched: vec![0.0; len],
+    });
     let mut prev = words.next().expect("a priming word");
     let mut arrived = 0;
     // The range goes first: `zip` polls it first, so it stops after the
@@ -454,18 +499,16 @@ fn classify_words(
         if cur == prev {
             continue;
         }
-        (toggles[c], bins[c], switched[c]) = classify(&analyzer.analyze(prev, cur));
+        for (chunk, a) in out.iter_mut().zip(&analyzer.analyze_each(prev, cur)) {
+            (chunk.toggles[c], chunk.bins[c], chunk.switched[c]) = classify(a);
+        }
         prev = cur;
     }
     assert_eq!(
         arrived, len,
         "the word source ended after {arrived} of {len} cycles"
     );
-    CompiledChunk {
-        toggles,
-        bins,
-        switched,
-    }
+    out
 }
 
 /// One cycle's analysis as the stored tuple. The narrowings are
@@ -625,7 +668,7 @@ mod tests {
     #[should_panic(expected = "the word source ended after 3 of 5 cycles")]
     fn a_short_word_source_is_refused() {
         let d = DvsBusDesign::paper_default();
-        let _ = classify_words(&d, 5, [1, 2, 2, 3].into_iter());
+        let _ = classify_words([&d], 5, [1, 2, 2, 3].into_iter());
     }
 
     #[test]
@@ -634,8 +677,8 @@ mod tests {
         // so a streaming compile leaves the next word in the RNG.
         let d = DvsBusDesign::paper_default();
         let mut drawn = 0u32;
-        let chunk = classify_words(
-            &d,
+        let [chunk] = classify_words(
+            [&d],
             5,
             std::iter::repeat_with(|| {
                 drawn += 1;

@@ -73,11 +73,9 @@ pub fn run_protocol<G: razorbus_ctrl::VoltageGovernor>(
     sampling: Option<u64>,
     with_summaries: bool,
 ) -> (Fig8Data, Vec<(Benchmark, crate::TraceSummary)>) {
-    consecutive(
-        corner,
-        cycles_per_benchmark,
-        governor,
-        |_, benchmark, governor| {
+    let mut cursor = SuiteCursor::new(corner, cycles_per_benchmark, governor);
+    for _ in Benchmark::ALL {
+        cursor = cursor.feed(|benchmark, governor| {
             let mut sim = BusSimulator::new(design, corner, benchmark.trace(seed), governor);
             if let Some(window) = sampling {
                 sim = sim.with_sampling(window);
@@ -87,8 +85,9 @@ pub fn run_protocol<G: razorbus_ctrl::VoltageGovernor>(
             }
             let report = sim.run(cycles_per_benchmark);
             (report, sim.into_governor())
-        },
-    )
+        });
+    }
+    cursor.finish()
 }
 
 /// The Fig. 8 protocol replayed from compiled traces: the same
@@ -118,58 +117,106 @@ pub fn replay_protocol<G: razorbus_ctrl::VoltageGovernor>(
         "suite replay needs one compiled trace per benchmark"
     );
     let cycles_per_benchmark = compiled[0].cycles();
-    consecutive(corner, cycles_per_benchmark, governor, |i, _, governor| {
-        let trace = &compiled[i];
+    let mut cursor = SuiteCursor::new(corner, cycles_per_benchmark, governor);
+    for trace in compiled {
         assert_eq!(
             trace.cycles(),
             cycles_per_benchmark,
             "compiled suite traces must share one cycle budget"
         );
-        trace.replay(design, corner, governor, sampling, with_summaries)
-    })
+        cursor = cursor
+            .feed(|_, governor| trace.replay(design, corner, governor, sampling, with_summaries));
+    }
+    cursor.finish()
 }
 
-/// The suite stitching behind [`run_protocol`] and [`replay_protocol`]:
-/// `run_program(i, benchmark, governor)` runs program `i` of
-/// [`Benchmark::ALL`] for `cycles_per_benchmark` cycles and hands the
-/// governor back, which carries it into the next program. Each report's
-/// histogram by-product is taken out, its samples are shifted to global
-/// cycle numbers, and it becomes one segment.
-fn consecutive<G>(
+/// The suite stitching behind [`run_protocol`] and [`replay_protocol`],
+/// fed one program at a time, so a caller can run each program as soon
+/// as its input is ready: [`SuiteCursor::feed`] runs the next program of
+/// [`Benchmark::ALL`] and carries the governor into the one after it.
+/// Each report's histogram by-product is taken out, its samples are
+/// shifted to global cycle numbers, and it becomes one segment.
+#[derive(Debug)]
+pub struct SuiteCursor<G> {
     corner: PvtCorner,
     cycles_per_benchmark: u64,
-    mut governor: G,
-    mut run_program: impl FnMut(usize, Benchmark, G) -> (SimReport, G),
-) -> (Fig8Data, Vec<(Benchmark, crate::TraceSummary)>) {
-    let mut segments = Vec::with_capacity(Benchmark::ALL.len());
-    let mut samples = Vec::new();
-    let mut summaries = Vec::new();
-    let mut offset = 0u64;
-    for (i, benchmark) in Benchmark::ALL.into_iter().enumerate() {
-        let (mut report, returned) = run_program(i, benchmark, governor);
-        governor = returned;
-        if let Some(summary) = report.summary.take() {
-            summaries.push((benchmark, summary));
+    governor: G,
+    segments: Vec<Fig8Segment>,
+    samples: Vec<VoltageSample>,
+    summaries: Vec<(Benchmark, crate::TraceSummary)>,
+}
+
+impl<G> SuiteCursor<G> {
+    /// A cursor before the first program, holding the governor the
+    /// suite starts with.
+    #[must_use]
+    pub fn new(corner: PvtCorner, cycles_per_benchmark: u64, governor: G) -> Self {
+        Self {
+            corner,
+            cycles_per_benchmark,
+            governor,
+            segments: Vec::with_capacity(Benchmark::ALL.len()),
+            samples: Vec::new(),
+            summaries: Vec::new(),
         }
+    }
+
+    /// The index in [`Benchmark::ALL`] of the program
+    /// [`SuiteCursor::feed`] runs next; `None` once every program ran.
+    #[must_use]
+    pub fn next_program(&self) -> Option<usize> {
+        let i = self.segments.len();
+        (i < Benchmark::ALL.len()).then_some(i)
+    }
+
+    /// Runs the next program: `run_program(benchmark, governor)` runs it
+    /// for `cycles_per_benchmark` cycles and hands the governor back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every program already ran.
+    #[must_use]
+    pub fn feed(mut self, run_program: impl FnOnce(Benchmark, G) -> (SimReport, G)) -> Self {
+        let i = self.next_program().expect("every program of the suite ran");
+        let benchmark = Benchmark::ALL[i];
+        let (mut report, governor) = run_program(benchmark, self.governor);
+        self.governor = governor;
+        if let Some(summary) = report.summary.take() {
+            self.summaries.push((benchmark, summary));
+        }
+        let offset = i as u64 * self.cycles_per_benchmark;
         for s in &mut report.samples {
             s.cycle += offset;
         }
-        samples.extend(report.samples.iter().copied());
-        segments.push(Fig8Segment {
+        self.samples.extend(report.samples.iter().copied());
+        self.segments.push(Fig8Segment {
             benchmark,
             start_cycle: offset,
             report,
         });
-        offset += cycles_per_benchmark;
+        self
     }
-    (
-        Fig8Data {
-            corner,
-            segments,
-            samples,
-        },
-        summaries,
-    )
+
+    /// The finished trajectory and the programs' histogram by-products.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every program ran.
+    #[must_use]
+    pub fn finish(self) -> (Fig8Data, Vec<(Benchmark, crate::TraceSummary)>) {
+        assert!(
+            self.next_program().is_none(),
+            "the suite stopped after {} of {} programs",
+            self.segments.len(),
+            Benchmark::ALL.len()
+        );
+        let data = Fig8Data {
+            corner: self.corner,
+            segments: self.segments,
+            samples: self.samples,
+        };
+        (data, self.summaries)
+    }
 }
 
 impl Fig8Data {

@@ -27,6 +27,12 @@
 //!   else the key's first live loop (a `with_histogram` by-product),
 //!   else a dedicated `TraceSummary::collect` pass. All three are
 //!   bit-identical (pinned in `razorbus-core`).
+//! * **Words** — a key with a single loop (`paper-all`'s §6 modified
+//!   bus) whose words a compile already reads, on a design of the same
+//!   layout, rides that compile as its *co-analysis*: the compile drains
+//!   the words once and classifies each cycle for both designs in one
+//!   [`CompiledTrace::compile_each`] / `analyze_chunk_each` kernel pass,
+//!   instead of a second, live pass over the same words.
 //!
 //! The planned jobs drain on a bounded work-stealing pool
 //! ([`crate::pool`]; workers from `--threads` / `RAZORBUS_THREADS` /
@@ -34,10 +40,14 @@
 //! summary jobs, and each finished compile spawns its replays onto the
 //! finishing worker's own deque, where idle workers steal them. A suite
 //! is ten streams, one per benchmark: compiles and summary passes run
-//! one job per stream with a slot-ordered merge (the last finisher
-//! assembles in [`razorbus_traces::Benchmark::ALL`] order). A compile
-//! streams in one pass when the pool has one worker or its stream fits
-//! in one chunk, and otherwise splits into chunk jobs. Open-loop
+//! one job per stream, summaries with a slot-ordered merge (the last
+//! finisher assembles in [`razorbus_traces::Benchmark::ALL`] order). A
+//! suite loop replays each compiled stream as it lands, through an
+//! in-order window that holds the streams its governor has not reached
+//! yet and drops each one once every loop has replayed it. A compile
+//! stream streams in one pass when its stream fits in one chunk or at
+//! least `workers − 1` compile streams are fed after it (so always on
+//! one worker), and otherwise splits into chunk jobs. Open-loop
 //! fixed-supply members replaying one compiled stream at one sampling
 //! window are judged together in a single fused pass. Every job writes
 //! into a pre-assigned result slot, so scheduling order never touches
@@ -62,7 +72,8 @@ use crate::aggregate::{DigestBuilder, MemberMetrics};
 use crate::pool;
 use crate::result::{LoopData, MemberResult, ScenarioSetResult, StreamRun, SweepData};
 use crate::spec::{CheckedRecipe, ControllerSpec, DesignSpec, ScenarioSpec, WorkloadSpec};
-use razorbus_core::experiments::{fig8, SummaryBank};
+use razorbus_core::experiments::fig8::{self, SuiteCursor};
+use razorbus_core::experiments::SummaryBank;
 use razorbus_core::{
     compile_chunk_knob, parse_knob, BusSimulator, CompiledChunk, CompiledTrace, DvsBusDesign,
     FusedOp, TraceSummary,
@@ -73,6 +84,7 @@ use razorbus_traces::{Benchmark, TraceSource};
 use razorbus_units::Celsius;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A named list of scenarios executed as one deduplicated, parallel
@@ -154,6 +166,14 @@ impl LoopKey {
             cycles: self.cycles,
             seed: self.seed,
         }
+    }
+}
+
+impl SummaryKey {
+    /// The words the key reads, whatever the design: its workload,
+    /// cycles and seed.
+    fn words(&self) -> (usize, u64, u64) {
+        (self.workload, self.cycles, self.seed)
     }
 }
 
@@ -265,8 +285,8 @@ impl Workload {
 /// the slot-ordered chunk assembly. The [`Job::Compile`] handler builds
 /// one of these when a stream spans more than one chunk on a pool of
 /// more than one worker, spawns a [`Job::CompileChunk`] per chunk, and
-/// the last chunk to finish assembles the stream and completes it
-/// exactly as the streaming route would.
+/// the last chunk to finish assembles the stream, once per analysis,
+/// and completes it exactly as the streaming route would.
 struct ChunkJob {
     /// The compile (index into the plan's `compile_jobs`) and its
     /// stream (a suite's benchmark slot, or 0 for a single stream).
@@ -274,14 +294,15 @@ struct ChunkJob {
     stream: usize,
     /// `cycles + 1` words: cycle `k` reads `(words[k], words[k + 1])`.
     words: Vec<u32>,
-    /// Per-chunk assembly slots, filled in any order, taken whole by
-    /// the last finisher in chunk (= cycle) order.
-    slots: BenchSlots<CompiledChunk>,
+    /// Per-chunk assembly slots, one chunk per analysis, filled in any
+    /// order, taken whole by the last finisher in chunk (= cycle) order.
+    slots: BenchSlots<Vec<CompiledChunk>>,
 }
 
 /// One schedulable unit of a campaign, indexing into the plan's job
 /// vectors. [`Plan::initial_feed`] builds the pool's starting list; `Replay`s
-/// are continuations a finished compile spawns for each waiting loop index,
+/// and `Land`s are continuations a finished compile spawns for each
+/// waiting loop index or suite window,
 /// and `CompileChunk`s are continuations a compile's serial drain
 /// spawns for each cycle chunk — both interleave with every other job
 /// on the pool. A suite's compiles and summaries are ten jobs, one per
@@ -302,9 +323,10 @@ enum Job<'p> {
     Summary(usize, usize),
     /// Replay `loop_jobs[i]` against its shared compiled stream.
     Replay(usize, Arc<CompiledTrace>),
-    /// Replay suite loop `loop_jobs[i]` against its shared compiled
-    /// suite, one trace per benchmark in [`Benchmark::ALL`] order.
-    SuiteReplay(usize, Arc<Vec<Arc<CompiledTrace>>>),
+    /// Land compiled stream `b` of a suite in window `w`, replaying
+    /// it and every stream ready after it if the window's loop needs
+    /// it next.
+    Land(usize, usize, Arc<CompiledTrace>),
     /// Judge a whole group of open-loop loop jobs, each with its fixed
     /// operating point, in one fused pass over their shared compiled
     /// stream ([`CompiledTrace::replay_fused`]).
@@ -522,19 +544,32 @@ impl LoopJob {
     }
 }
 
-/// One shared compile and what its finished workload feeds.
+/// One shared compile: the words it drains and the designs it
+/// classifies them for.
 struct CompileJob {
+    /// The primary analysis's key; its workload, cycles and seed are
+    /// the words.
     key: SummaryKey,
+    /// The primary analysis, then the co-analysis, if one rides along.
+    analyses: Vec<Analysis>,
+}
+
+/// One design's analysis of a compile's words and what its finished
+/// streams feed.
+struct Analysis {
+    design_idx: usize,
     /// The sweep it summarizes, stream by stream.
     sweep: Option<usize>,
     replays: Replays,
 }
 
-/// The loop jobs a finished compile spawns, by workload shape.
+/// The loop jobs a finished analysis spawns, by workload shape.
 enum Replays {
-    /// A suite's loops, each replaying the assembled ten streams solo —
-    /// a suite loop threads one governor through every benchmark.
-    Suite(Vec<usize>),
+    /// A suite's loops, by their in-order windows: a suite loop threads
+    /// one governor through every benchmark, so each replays the
+    /// streams in [`Benchmark::ALL`] order as they land, and no
+    /// analysis holds a whole suite.
+    Suite(Range<usize>),
     /// A single stream's replay plans.
     Stream(Vec<ReplayPlan>),
 }
@@ -564,8 +599,11 @@ struct Plan {
     own_sweeps: Vec<usize>,
     /// How many loop jobs keep their data.
     kept: usize,
-    /// Keys two or more loops share that the compile budget left on the
-    /// live path, with the bytes compiling each would have taken.
+    /// The suite loop each in-order window replays, by window.
+    windows: Vec<usize>,
+    /// Keys the compile budget left on the live path — shared by two
+    /// or more loops, or a co-analysis a compile had room for but the
+    /// budget did not — with the bytes compiling each would have taken.
     live_fallbacks: Vec<(SummaryKey, u64)>,
 }
 
@@ -795,58 +833,109 @@ impl ScenarioSet {
         // loop jobs (a governor shootout, a corner sweep, `repro all`'s
         // typical+worst pair, ...) is compiled once and replayed per
         // job, so the `analyze_cycle` cost is paid once instead of N
-        // times. Single-user keys stay on the live path — compiling
+        // times. A single-user key whose words a compile already reads
+        // — same workload, cycles and seed, a design of the same layout
+        // (`paper-all`'s §6 modified bus) — rides that compile as its
+        // co-analysis, at most one per compile: the words are drained
+        // once and classified for both designs in one kernel pass.
+        // Other single-user keys stay on the live path — compiling
         // would only add work — as does anything that would blow the
         // compiled-memory budget (bytes), which is recorded.
-        let mut skey_compile: Vec<Option<usize>> = vec![None; skeys.values.len()];
+        let mut skey_compile: Vec<Option<(usize, usize)>> = vec![None; skeys.values.len()];
         let mut compile_keys = Vec::new();
+        let mut co_skeys = Vec::new();
         let mut live_fallbacks = Vec::new();
         if let Some(budget) = compile_budget {
             let mut footprint = 0u64;
-            for (s, key) in skeys.values.iter().enumerate() {
-                if users[s] < 2 {
-                    continue;
-                }
+            let mut fits = |key: &SummaryKey| {
                 let bytes = compiled_footprint(key, &workloads);
-                if bytes > budget - footprint {
+                let fits = bytes <= budget - footprint;
+                if fits {
+                    footprint += bytes;
+                } else {
                     live_fallbacks.push((*key, bytes));
+                }
+                fits
+            };
+            for (s, key) in skeys.values.iter().enumerate() {
+                if users[s] >= 2 && fits(key) {
+                    skey_compile[s] = Some((compile_keys.len(), 0));
+                    compile_keys.push(*key);
+                    co_skeys.push(None);
+                }
+            }
+            // Compiles without a co-analysis by their words, in
+            // first-appearance order, built only when some key could
+            // ride one.
+            let mut open_by_words: HashMap<_, Vec<usize>, BuildHasherDefault<FxHasher>> =
+                HashMap::default();
+            if !compile_keys.is_empty() && users.contains(&1) {
+                for (c, key) in compile_keys.iter().enumerate() {
+                    open_by_words.entry(key.words()).or_default().push(c);
+                }
+            }
+            for (s, key) in skeys.values.iter().enumerate() {
+                if users[s] != 1 {
                     continue;
                 }
-                footprint += bytes;
-                skey_compile[s] = Some(compile_keys.len());
-                compile_keys.push(*key);
+                let Some(open) = open_by_words.get_mut(&key.words()) else {
+                    continue;
+                };
+                let layout = designs[key.design_idx].bus().layout();
+                let shares =
+                    |c: &usize| designs[compile_keys[*c].design_idx].bus().layout() == layout;
+                if let Some(k) = open.iter().position(shares).filter(|_| fits(key)) {
+                    let c = open.remove(k);
+                    skey_compile[s] = Some((c, 1));
+                    co_skeys[c] = Some(s);
+                }
             }
         }
-        let mut replayers = vec![Vec::new(); compile_keys.len()];
+        let mut replayers = vec![[Vec::new(), Vec::new()]; compile_keys.len()];
         for (i, &s) in loop_skey.iter().enumerate() {
-            loop_jobs[i].compile = skey_compile[s];
-            if let Some(c) = skey_compile[s] {
-                replayers[c].push(i);
+            if let Some((c, t)) = skey_compile[s] {
+                loop_jobs[i].compile = Some(c);
+                replayers[c][t].push(i);
             }
         }
 
         // Each sweep's source: the pass that already reads its words.
-        let mut compile_sweep = vec![None; compile_keys.len()];
+        let mut compile_sweep = vec![[None, None]; compile_keys.len()];
         let mut own_sweeps = Vec::new();
         for (s, key) in sweeps.values.iter().enumerate() {
             match skeys.ids.get(key).map(|&k| (k, skey_compile[k])) {
-                Some((_, Some(c))) => compile_sweep[c] = Some(s),
+                Some((_, Some((c, t)))) => compile_sweep[c][t] = Some(s),
                 Some((k, None)) => loop_jobs[first_loop[k]].sweep = Some(s),
                 None => own_sweeps.push(s),
             }
         }
 
-        let compile_jobs = compile_keys
-            .into_iter()
-            .zip(compile_sweep)
-            .zip(replayers)
-            .map(|((key, sweep), loops)| CompileJob {
-                replays: match workloads[key.workload] {
-                    Workload::Suite => Replays::Suite(loops),
-                    _ => Replays::Stream(plan_replay_groups(&loops, &keys)),
-                },
-                key,
+        // Each analysis's replays, by workload shape; each suite loop
+        // gets an in-order window, numbered here.
+        let mut windows = Vec::new();
+        let mut analysis = |design_idx: usize, key: &SummaryKey, sweep, loops: Vec<usize>| {
+            let replays = match workloads[key.workload] {
+                Workload::Suite => {
+                    windows.extend_from_slice(&loops);
+                    Replays::Suite(windows.len() - loops.len()..windows.len())
+                }
+                _ => Replays::Stream(plan_replay_groups(&loops, &keys)),
+            };
+            Analysis {
+                design_idx,
                 sweep,
+                replays,
+            }
+        };
+        let compile_jobs = (compile_keys.into_iter().zip(co_skeys))
+            .zip(compile_sweep.into_iter().zip(replayers))
+            .map(|((key, co), ([sweep, co_sweep], [loops, co_loops]))| {
+                let mut analyses = vec![analysis(key.design_idx, &key, sweep, loops)];
+                if let Some(s) = co {
+                    let co_key = &skeys.values[s];
+                    analyses.push(analysis(co_key.design_idx, co_key, co_sweep, co_loops));
+                }
+                CompileJob { key, analyses }
             })
             .collect();
 
@@ -862,12 +951,36 @@ impl ScenarioSet {
             sweeps: sweeps.values,
             own_sweeps,
             kept,
+            windows,
             live_fallbacks,
         })
     }
 }
 
 impl Plan {
+    /// The designs compile `c` classifies its words for: the primary
+    /// analysis's, and the co-analysis's if one rides along.
+    fn analyzed_designs(&self, c: usize) -> (&DvsBusDesign, Option<&DvsBusDesign>) {
+        let design = |a: &Analysis| &self.designs[a.design_idx];
+        match &self.compile_jobs[c].analyses[..] {
+            [primary] => (design(primary), None),
+            [primary, co] => (design(primary), Some(design(co))),
+            _ => unreachable!("a compile has one analysis, or two with a co-analysis"),
+        }
+    }
+
+    /// The in-order windows, each holding its suite loop's cursor
+    /// before the first program.
+    fn windows(&self) -> Vec<SuiteWindow> {
+        (self.windows.iter())
+            .map(|&i| {
+                let job = &self.loop_jobs[i];
+                let cursor = SuiteCursor::new(job.key.corner.pvt(), job.key.cycles, job.governor());
+                SuiteWindow::new(cursor)
+            })
+            .collect()
+    }
+
     /// The initial pool feed, each block in plan order: live
     /// (uncompiled) loops, then compiles, then summary passes, one job
     /// per workload stream. A live loop cannot split below a whole
@@ -891,22 +1004,29 @@ impl Plan {
     /// Drains the plan on a pool of `workers`, fed in
     /// [`Plan::initial_feed`] order, and moves it into per-member
     /// results in expansion order; the plan refused every bad spec, so
-    /// nothing here fails. A shared compile streams through
-    /// [`CompiledTrace::compile`] when the pool has one worker or the
-    /// stream fits in `chunk_cycles`, and otherwise splits into
+    /// nothing here fails. A shared compile stream streams through
+    /// [`CompiledTrace::compile`] (or `compile_each`) unless it spans
+    /// more than `chunk_cycles` and is among the feed's last
+    /// `workers − 1` compile streams, which split into
     /// [`Job::CompileChunk`]s; both routes give the same bytes.
     fn execute(self, workers: usize, chunk_cycles: usize) -> ScenarioSetRun {
         let streams = |key: &SummaryKey| self.workloads[key.workload].streams();
+        let mut fed = 0;
+        let first_stream = (self.compile_jobs.iter())
+            .map(|job| {
+                fed += streams(&job.key);
+                fed - streams(&job.key)
+            })
+            .collect();
         let run = Run {
             plan: &self,
-            workers,
+            first_stream,
+            split_from: (fed + 1).saturating_sub(workers),
             chunk_cycles,
             kept: Table::new(self.kept),
             sweeps: Table::new(self.sweeps.len()),
             folder: Mutex::new(DigestBuilder::new(&self.name)),
-            compiled: (self.compile_jobs.iter())
-                .map(|job| BenchSlots::new(streams(&job.key)))
-                .collect(),
+            windows: self.windows(),
             summaries: (self.sweeps.iter())
                 .map(|key| BenchSlots::new(streams(key)))
                 .collect(),
@@ -945,14 +1065,19 @@ impl Plan {
 /// One execution of a [`Plan`]: the result tables its jobs fill.
 struct Run<'p> {
     plan: &'p Plan,
-    workers: usize,
+    /// Each compile's first stream's position among the compile
+    /// streams of the feed, which lists them in plan order.
+    first_stream: Vec<usize>,
+    /// The feed position from which a compile stream longer than one
+    /// chunk splits into chunks: the last `workers − 1` streams.
+    split_from: usize,
     chunk_cycles: usize,
     /// Kept loops' data by kept slot, and sweep products.
     kept: Table<LoopData>,
     sweeps: Table<SweepData>,
     folder: Mutex<DigestBuilder>,
-    /// Each compile's per-stream traces (a suite's assembly).
-    compiled: Vec<BenchSlots<Arc<CompiledTrace>>>,
+    /// The in-order windows of the suite loops compiles feed.
+    windows: Vec<SuiteWindow>,
     /// Each sweep's per-stream summaries.
     summaries: Vec<BenchSlots<(Benchmark, TraceSummary)>>,
 }
@@ -963,14 +1088,19 @@ impl<'p> Run<'p> {
         match job {
             Job::Compile(c, stream) => self.start_compile(c, stream, spawner),
             Job::CompileChunk(job, k) => {
-                let key = &plan.compile_jobs[job.c].key;
-                let design = &plan.designs[key.design_idx];
                 let start = k * self.chunk_cycles;
                 let len = self.chunk_cycles.min(job.words.len() - 1 - start);
-                let chunk = CompiledTrace::analyze_chunk(design, &job.words, start, len);
+                let chunk = match plan.analyzed_designs(job.c) {
+                    (design, None) => {
+                        vec![CompiledTrace::analyze_chunk(design, &job.words, start, len)]
+                    }
+                    (design, Some(co)) => {
+                        CompiledTrace::analyze_chunk_each([design, co], &job.words, start, len)
+                            .into()
+                    }
+                };
                 if let Some(chunks) = job.slots.fill(k, chunk) {
-                    let compiled = Arc::new(CompiledTrace::from_chunks(design, key.cycles, chunks));
-                    self.finish_compile(job.c, job.stream, compiled, spawner);
+                    self.assemble(job.c, job.stream, chunks, spawner);
                 }
             }
             Job::Loop(i) => self.finish_loops([(&plan.loop_jobs[i], self.run_live(i))]),
@@ -982,12 +1112,16 @@ impl<'p> Run<'p> {
                 let (report, _) = trace.replay(design, corner, job.governor(), sampling, false);
                 self.finish_loops([(job, LoopData::Stream(StreamRun { corner, report }))]);
             }
-            Job::SuiteReplay(i, per) => {
-                let (job, design, corner, sampling) = self.loop_job(i);
-                let governor = job.governor();
-                let (data, _) =
-                    fig8::replay_protocol(design, corner, &per, governor, sampling, false);
-                self.finish_loops([(job, LoopData::Suite(data))]);
+            Job::Land(w, stream, trace) => {
+                let (job, design, corner, sampling) = self.loop_job(plan.windows[w]);
+                let done = self.windows[w].land(stream, trace, |cursor, trace| {
+                    cursor
+                        .feed(|_, governor| trace.replay(design, corner, governor, sampling, false))
+                });
+                if let Some(cursor) = done {
+                    let (data, _) = cursor.finish();
+                    self.finish_loops([(job, LoopData::Suite(data))]);
+                }
             }
             Job::FusedReplay(group, trace) => {
                 // Every member in a fused group shares the sampling
@@ -1092,18 +1226,30 @@ impl<'p> Run<'p> {
         }
     }
 
-    /// Starts stream `stream` of compile `c`: stream it in one pass
-    /// when nothing can run beside it or one chunk covers it,
-    /// otherwise drain its words and spawn one `CompileChunk`
-    /// continuation per chunk — stolen by idle workers like any
-    /// other job.
+    /// Starts stream `stream` of compile `c`. It streams in one pass
+    /// when one chunk covers it, or when at least `workers − 1`
+    /// compile streams of the feed come after it: each other worker
+    /// then takes a whole stream of its own from the injector, and
+    /// splitting would only add the word buffer, the chunk arrays and
+    /// the assembly copy. One worker therefore always streams. The
+    /// last `workers − 1` streams drain their words and spawn one
+    /// `CompileChunk` continuation per chunk, stolen by idle workers
+    /// like any other job, so the pool finishes together. Either way
+    /// the words are read once for every analysis.
     fn start_compile(&self, c: usize, stream: usize, spawner: &pool::Spawner<'_, Job<'p>>) {
         let key = &self.plan.compile_jobs[c].key;
-        let design = &self.plan.designs[key.design_idx];
         let mut trace = self.plan.workloads[key.workload].open(key.seed, stream);
-        if self.workers == 1 || key.cycles <= self.chunk_cycles as u64 {
-            let compiled = CompiledTrace::compile(design, &mut trace, key.cycles);
-            self.finish_compile(c, stream, Arc::new(compiled), spawner);
+        let position = self.first_stream[c] + stream;
+        if position < self.split_from || key.cycles <= self.chunk_cycles as u64 {
+            let compiled: Vec<_> = match self.plan.analyzed_designs(c) {
+                (design, None) => vec![CompiledTrace::compile(design, &mut trace, key.cycles)],
+                (design, Some(co)) => {
+                    CompiledTrace::compile_each([design, co], &mut trace, key.cycles).into()
+                }
+            };
+            for (t, compiled) in compiled.into_iter().enumerate() {
+                self.finish_compile(c, t, stream, Arc::new(compiled), spawner);
+            }
             return;
         }
         let words = CompiledTrace::drain_words(&mut trace, key.cycles);
@@ -1119,22 +1265,50 @@ impl<'p> Run<'p> {
         }
     }
 
-    /// A materialized compiled stream: summarize it if the compile
-    /// sources a sweep, and spawn its replays — planned into fused
-    /// groups for a single stream, and solo once a suite's last stream
-    /// lands.
+    /// The last chunk of stream `stream` of compile `c` finished:
+    /// assemble each analysis's chunks in cycle order and complete it,
+    /// the primary first, whose chunks are freed as they are copied,
+    /// before the co-analysis's are.
+    fn assemble(
+        &self,
+        c: usize,
+        stream: usize,
+        chunks: Vec<Vec<CompiledChunk>>,
+        spawner: &pool::Spawner<'_, Job<'p>>,
+    ) {
+        let job = &self.plan.compile_jobs[c];
+        let mut per: Vec<Vec<CompiledChunk>> = (job.analyses.iter())
+            .map(|_| Vec::with_capacity(chunks.len()))
+            .collect();
+        for chunk in chunks {
+            for (t, chunk) in chunk.into_iter().enumerate() {
+                per[t].push(chunk);
+            }
+        }
+        for (t, (a, chunks)) in job.analyses.iter().zip(per).enumerate() {
+            let design = &self.plan.designs[a.design_idx];
+            let compiled = CompiledTrace::from_chunks(design, job.key.cycles, chunks);
+            self.finish_compile(c, t, stream, Arc::new(compiled), spawner);
+        }
+    }
+
+    /// A materialized compiled stream of analysis `t` of compile `c`:
+    /// summarize it if the analysis sources a sweep, and spawn its
+    /// replays — planned into fused groups for a single stream, and
+    /// one landing per suite loop's window for a suite's.
     fn finish_compile(
         &self,
         c: usize,
+        t: usize,
         stream: usize,
         compiled: Arc<CompiledTrace>,
         spawner: &pool::Spawner<'_, Job<'p>>,
     ) {
-        let job = &self.plan.compile_jobs[c];
-        if let Some(s) = job.sweep {
+        let analysis = &self.plan.compile_jobs[c].analyses[t];
+        if let Some(s) = analysis.sweep {
             self.fill_sweep(s, stream, compiled.summary());
         }
-        match &job.replays {
+        match &analysis.replays {
             Replays::Stream(plans) => {
                 for plan in plans {
                     spawner.spawn(match plan {
@@ -1143,14 +1317,75 @@ impl<'p> Run<'p> {
                     });
                 }
             }
-            Replays::Suite(loops) => {
-                if let Some(per) = self.compiled[c].fill(stream, compiled) {
-                    let per = Arc::new(per);
-                    for &i in loops {
-                        spawner.spawn(Job::SuiteReplay(i, Arc::clone(&per)));
-                    }
+            Replays::Suite(windows) => {
+                for w in windows.clone() {
+                    spawner.spawn(Job::Land(w, stream, Arc::clone(&compiled)));
                 }
             }
+        }
+    }
+}
+
+/// The in-order window of a suite loop replayed as its streams land.
+/// The loop threads one governor through the ten programs in
+/// [`Benchmark::ALL`] order, but its streams' compiles finish in any
+/// order. The worker that lands the stream the loop's [`SuiteCursor`]
+/// needs next replays it and every stream ready after it, dropping
+/// each as soon as it is replayed. No job waits: a replaying worker
+/// takes the cursor out of the window, and a stream that lands
+/// meanwhile is left for that worker to find when it puts the cursor
+/// back.
+struct SuiteWindow {
+    state: Mutex<WindowState>,
+}
+
+struct WindowState {
+    /// Landed streams the cursor has not reached, by stream.
+    ready: Vec<Option<Arc<CompiledTrace>>>,
+    /// The loop's cursor; `None` while a worker replays.
+    cursor: Option<SuiteCursor<BoxedGovernor>>,
+}
+
+impl SuiteWindow {
+    fn new(cursor: SuiteCursor<BoxedGovernor>) -> Self {
+        let ready = (0..Benchmark::ALL.len()).map(|_| None).collect();
+        let cursor = Some(cursor);
+        Self {
+            state: Mutex::new(WindowState { ready, cursor }),
+        }
+    }
+
+    /// Lands stream `stream`, then, while the cursor is free and its
+    /// next stream is here, replays that stream through `feed` outside
+    /// the lock and drops it. Returns the cursor once it has run the
+    /// last program.
+    fn land(
+        &self,
+        stream: usize,
+        trace: Arc<CompiledTrace>,
+        feed: impl Fn(SuiteCursor<BoxedGovernor>, &CompiledTrace) -> SuiteCursor<BoxedGovernor>,
+    ) -> Option<SuiteCursor<BoxedGovernor>> {
+        let mut state = self.state.lock().expect("suite window");
+        assert!(
+            state.ready[stream].is_none(),
+            "stream {stream} landed twice"
+        );
+        state.ready[stream] = Some(trace);
+        loop {
+            let cursor = state.cursor.take()?;
+            let next = cursor.next_program().expect("a finished cursor leaves");
+            let Some(trace) = state.ready[next].take() else {
+                state.cursor = Some(cursor);
+                return None;
+            };
+            drop(state);
+            let cursor = feed(cursor, &trace);
+            drop(trace);
+            if cursor.next_program().is_none() {
+                return Some(cursor);
+            }
+            state = self.state.lock().expect("suite window");
+            state.cursor = Some(cursor);
         }
     }
 }
@@ -1476,6 +1711,43 @@ mod tests {
         assert_eq!(shared.result, live.result);
     }
 
+    /// A set that plans two co-analyses, each collecting a bank or
+    /// summary too: the §6 modified bus's single suite loop on the
+    /// paper bus's suite compile (typical and worst), and an
+    /// Elmore-coupling closed loop on a single-program compile that two
+    /// paper-bus governors share.
+    fn co_analyzed_set(cycles: u64) -> ScenarioSet {
+        let mut paper = member("paper", AnalysisSpec::Full, CornerSpec::Worst);
+        paper.sweep = vec![SweepAxis::Corners(vec![
+            CornerSpec::Worst,
+            CornerSpec::Typical,
+        ])];
+        let mut modified = member("modified", AnalysisSpec::Full, CornerSpec::Worst);
+        modified.design = DesignSpec::ModifiedCoupling;
+        let mut vortex = member("vortex", AnalysisSpec::ClosedLoop, CornerSpec::Typical);
+        vortex.workload = WorkloadSpec::Single(Benchmark::Vortex);
+        vortex.sweep = vec![SweepAxis::Governors(vec![
+            GovernorSpec::Threshold,
+            GovernorSpec::Proportional,
+        ])];
+        let mut elmore = member("vortex-elmore", AnalysisSpec::Full, CornerSpec::Typical);
+        elmore.workload = WorkloadSpec::Single(Benchmark::Vortex);
+        elmore.design = DesignSpec::ElmoreCoupling;
+        let mut members = vec![paper, modified, vortex, elmore];
+        for m in &mut members {
+            m.run.cycles_per_benchmark = cycles;
+        }
+        let set = ScenarioSet {
+            name: "co-analyzed".to_string(),
+            members,
+        };
+        let plan = set.plan(Vec::new(), Some(DEFAULT_COMPILE_BUDGET)).unwrap();
+        let co = |job: &CompileJob| job.analyses.len() == 2;
+        assert!(plan.compile_jobs.iter().all(co), "both compiles co-analyze");
+        assert!(plan.loop_jobs.iter().all(|job| job.compile.is_some()));
+        set
+    }
+
     #[test]
     fn results_are_bit_identical_across_worker_counts() {
         // The full job mix — a compile feeding three replays plus a
@@ -1502,6 +1774,16 @@ mod tests {
         let many = set.run_with_workers(Vec::new(), true, None).unwrap();
         assert_eq!(one.result, two.result);
         assert_eq!(one.result, many.result);
+
+        // Co-analyses: the second design's streams come out of the
+        // same kernel pass and its suite loop replays through an
+        // in-order window, whichever worker lands which stream.
+        let set = co_analyzed_set(2_000);
+        let live = set.run_with_workers(Vec::new(), false, Some(1)).unwrap();
+        for workers in [Some(1), Some(2), None] {
+            let run = set.run_with_workers(Vec::new(), true, workers).unwrap();
+            assert_eq!(live.result, run.result, "{workers:?}");
+        }
     }
 
     #[test]
@@ -1510,11 +1792,14 @@ mod tests {
         // both sides of the stream-or-chunk rule: chunks smaller than
         // the trace (many CompileChunk continuations interleaving with
         // replays), an awkward prime, and chunks that cover a whole
-        // stream (it streams) — serial and pooled. Inputs: a suite, and
-        // a single-stream mixed-traffic recipe at one length below and
-        // one above the 2 000-cycle chunk, whose members mix fused
-        // fixed-supply replays with a closed-loop solo replay. Every
-        // run must equal the live path bitwise.
+        // stream (it streams) — serial and pooled, where the feed's
+        // last `workers − 1` compile streams split (4 workers split a
+        // suite's last streams whatever the host's core count). Inputs:
+        // a suite, and a single-stream mixed-traffic recipe at one
+        // length below and one above the 2 000-cycle chunk, whose
+        // members mix fused fixed-supply replays with a closed-loop
+        // solo replay; then both co-analyses of `co_analyzed_set`.
+        // Every run must equal the live path bitwise.
         use crate::spec::{DmaProfile, IdleProfile, MixProfile, StormProfile, TrafficRecipe};
         use razorbus_units::Millivolts;
         let mut suite = member("suite", AnalysisSpec::Full, CornerSpec::Typical);
@@ -1552,13 +1837,20 @@ mod tests {
             name: "chunked".to_string(),
             members: vec![suite, recipe],
         };
-        let live = set.run_full(Vec::new(), None, Some(1), 65_536).unwrap();
-        for chunk in [127usize, 500, 2_000, 65_536] {
-            for workers in [Some(1), Some(2), None] {
-                let run = set
-                    .run_full(Vec::new(), Some(DEFAULT_COMPILE_BUDGET), workers, chunk)
-                    .unwrap();
-                assert_eq!(live.result, run.result, "chunk {chunk}, {workers:?}");
+        let co = co_analyzed_set(2_500);
+        for set in [set, co] {
+            let live = set.run_full(Vec::new(), None, Some(1), 65_536).unwrap();
+            for chunk in [127usize, 500, 1_000, 2_000, 65_536] {
+                for workers in [Some(1), Some(2), Some(4), None] {
+                    let run = set
+                        .run_full(Vec::new(), Some(DEFAULT_COMPILE_BUDGET), workers, chunk)
+                        .unwrap();
+                    let name = &set.name;
+                    assert_eq!(
+                        live.result, run.result,
+                        "{name}: chunk {chunk}, {workers:?}"
+                    );
+                }
             }
         }
     }
@@ -1667,10 +1959,7 @@ mod tests {
                 Job::Loop(i) => Fed::Loop(i),
                 Job::Compile(c, b) => Fed::Compile(c, b),
                 Job::Summary(s, b) => Fed::Summary(s, b),
-                Job::CompileChunk(..)
-                | Job::Replay(..)
-                | Job::SuiteReplay(..)
-                | Job::FusedReplay(..) => {
+                Job::CompileChunk(..) | Job::Replay(..) | Job::Land(..) | Job::FusedReplay(..) => {
                     panic!("continuations are spawned, never fed")
                 }
             })
@@ -1690,7 +1979,10 @@ mod tests {
 
     /// The sweep each compile summarizes.
     fn compile_sweep(plan: &Plan) -> Vec<Option<usize>> {
-        plan.compile_jobs.iter().map(|job| job.sweep).collect()
+        plan.compile_jobs
+            .iter()
+            .map(|job| job.analyses[0].sweep)
+            .collect()
     }
 
     /// The sweep each live loop collects as a by-product.
@@ -1699,42 +1991,105 @@ mod tests {
     }
 
     #[test]
-    fn live_loops_are_fed_before_compiles_and_summaries() {
-        // paper-all: the modified bus's single-user suite loop runs
-        // live and is fed first, ahead of the paper bus's suite compile
-        // (shared by its typical and worst loops), one job per
-        // benchmark stream.
-        let (members, mut plan) = plan_of(&paper_all_set(1_000, 7), true);
+    fn paper_all_co_analyzes_the_modified_bus() {
+        // paper-all: the §6 modified bus's single-user suite loop reads
+        // the words of the paper bus's suite compile (shared by its
+        // typical and worst loops), so it rides that compile as its
+        // co-analysis: no loop runs live, the modified bank comes from
+        // the co-analysis, and the loop replays through a window.
+        let (members, plan) = plan_of(&paper_all_set(1_000, 7), true);
         let modified = members.iter().find(|m| m.name == "fig10-modified").unwrap();
-        let suite_workload = Workload::check(&modified.workload).unwrap();
-        let suite = plan
-            .workloads
-            .iter()
-            .position(|w| *w == suite_workload)
+        let suite = (plan.workloads.iter())
+            .position(|w| *w == Workload::check(&modified.workload).unwrap())
             .unwrap();
-        let live = plan
-            .loop_jobs
-            .iter()
-            .position(|job| job.key == LoopKey::of(modified, 1, suite)) // second design
-            .unwrap();
+        let key = LoopKey::of(modified, 1, suite); // second design
+        let co_loop = plan.loop_jobs.iter().position(|j| j.key == key).unwrap();
         assert_eq!(plan.compile_jobs.len(), 1);
-        let mut expected = vec![Fed::Loop(live)];
-        expected.extend((0..Benchmark::ALL.len()).map(|b| Fed::Compile(0, b)));
+        let expected: Vec<_> = (0..Benchmark::ALL.len())
+            .map(|b| Fed::Compile(0, b))
+            .collect();
         assert_eq!(fed(plan.initial_feed()), expected);
+        assert!(plan.live_fallbacks.is_empty());
 
-        // Each bank has one source: the paper bus's comes from its
-        // suite compile, the modified bus's from its live loop, and no
-        // sweep needs a pass of its own.
+        let job = &plan.compile_jobs[0];
+        let [primary, co] = &job.analyses[..] else {
+            panic!("the paper compile carries one co-analysis");
+        };
+        assert_eq!((primary.design_idx, co.design_idx), (0, key.design_idx));
+        assert!(matches!(primary.replays, Replays::Suite(ref w) if *w == (0..2)));
+        assert!(matches!(co.replays, Replays::Suite(ref w) if *w == (2..3)));
+        assert_eq!(plan.windows[2], co_loop);
+        assert_eq!(plan.loop_jobs[co_loop].compile, Some(0));
         let sweep_of = |name: &str| {
             let mi = members.iter().position(|m| m.name == name).unwrap();
             plan.members[mi].sweep.unwrap()
         };
-        let paper = sweep_of("fig5");
+        assert_eq!(primary.sweep, Some(sweep_of("fig5")));
+        assert_eq!(co.sweep, Some(sweep_of("fig10-modified")));
+        assert_eq!(loop_sweep(&plan), vec![None; plan.loop_jobs.len()]);
+
+        // A budget with room for the paper suite alone leaves the
+        // modified loop live, collecting its bank, and records it.
+        let footprint = compiled_footprint(&job.key, &plan.workloads);
+        let set = ScenarioSet {
+            members: members.clone(),
+            ..paper_all_set(1_000, 7)
+        };
+        let tight = set.plan(Vec::new(), Some(footprint)).unwrap();
+        assert_eq!(tight.compile_jobs[0].analyses.len(), 1);
+        assert_eq!(tight.loop_jobs[co_loop].compile, None);
+        assert_eq!(tight.live_fallbacks, vec![(key.summary_key(), footprint)]);
+        let mut expected = vec![Fed::Loop(co_loop)];
+        expected.extend((0..Benchmark::ALL.len()).map(|b| Fed::Compile(0, b)));
+        assert_eq!(fed(tight.initial_feed()), expected);
+    }
+
+    #[test]
+    fn live_loops_are_fed_before_compiles_and_summaries() {
+        // fig10 at another seed than table1: its two single-user suite
+        // loops read words no compile reads, so both run live and are
+        // fed first, ahead of table1's suite compile (shared by its
+        // typical and worst loops), one job per benchmark stream.
+        let mut members = crate::paper::table1_set(1_000, 7).members;
+        members.extend(crate::paper::fig10_set(1_000, 8).members);
+        let set = ScenarioSet {
+            name: "live-and-compiled".to_string(),
+            members,
+        };
+        let (members, mut plan) = plan_of(&set, true);
+        let live: Vec<_> = ["fig10-original", "fig10-modified"]
+            .map(|name| {
+                let m = members.iter().find(|m| m.name == name).unwrap();
+                let design = plan
+                    .design_specs
+                    .iter()
+                    .position(|d| *d == m.design)
+                    .unwrap();
+                (plan.loop_jobs.iter())
+                    .position(|job| job.key.seed == 8 && job.key.design_idx == design)
+                    .unwrap()
+            })
+            .into();
+        assert_eq!(plan.compile_jobs.len(), 1);
+        assert!(plan.compile_jobs[0].analyses.len() == 1);
+        let mut expected: Vec<_> = live.iter().map(|&i| Fed::Loop(i)).collect();
+        expected.extend((0..Benchmark::ALL.len()).map(|b| Fed::Compile(0, b)));
+        assert_eq!(fed(plan.initial_feed()), expected);
+
+        // Each bank has one source: table1's comes from its suite
+        // compile, fig10's two from their live loops, and no sweep
+        // needs a pass of its own.
+        let sweep_of = |name: &str| {
+            let mi = members.iter().position(|m| m.name == name).unwrap();
+            plan.members[mi].sweep.unwrap()
+        };
+        let paper = sweep_of("table1@worst");
         let modified_bank = sweep_of("fig10-modified");
         assert_eq!(plan.sweeps[paper], plan.compile_jobs[0].key);
         assert_eq!(compile_sweep(&plan), vec![Some(paper)]);
         let mut loop_sweeps = vec![None; plan.loop_jobs.len()];
-        loop_sweeps[live] = Some(modified_bank);
+        loop_sweeps[live[0]] = Some(sweep_of("fig10-original"));
+        loop_sweeps[live[1]] = Some(modified_bank);
         assert_eq!(loop_sweep(&plan), loop_sweeps);
         assert!(plan.own_sweeps.is_empty());
 
@@ -1949,6 +2304,76 @@ mod tests {
     }
 
     #[test]
+    fn suite_windows_replay_any_landing_order_as_the_suite_protocol() {
+        // A suite loop's window lands its ten compiled streams in any
+        // order, from one thread or two at once, and replays them in
+        // suite order: the trajectory equals `replay_protocol`'s bit
+        // for bit, the cursor finishes exactly once, on the last
+        // landing, and no replayed stream is held.
+        let design = DvsBusDesign::modified_paper_bus();
+        let corner = PvtCorner::WORST;
+        let (cycles, sampling) = (3_000, Some(700));
+        let compiled: Vec<Arc<CompiledTrace>> = (Benchmark::ALL.into_iter())
+            .map(|b| Arc::new(CompiledTrace::compile(&design, &mut b.trace(5), cycles)))
+            .collect();
+        let governor = || ControllerSpec::paper().build(&design, corner).unwrap();
+        let (expected, _) =
+            fig8::replay_protocol(&design, corner, &compiled, governor(), sampling, false);
+        let replay = |cursor: SuiteCursor<BoxedGovernor>, trace: &CompiledTrace| {
+            cursor.feed(|_, g| trace.replay(&design, corner, g, sampling, false))
+        };
+        let mut orders: Vec<Vec<usize>> =
+            vec![(0..10).rev().collect(), vec![1, 0, 3, 2, 9, 4, 8, 5, 7, 6]];
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..6 {
+            let mut order: Vec<usize> = (0..10).collect();
+            for i in (1..order.len()).rev() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                order.swap(i, (x % (i as u64 + 1)) as usize);
+            }
+            orders.push(order);
+        }
+        let check = |done: Vec<SuiteCursor<BoxedGovernor>>, what: &str| {
+            let Ok([cursor]) = <[_; 1]>::try_from(done) else {
+                panic!("{what}: the cursor must finish exactly once");
+            };
+            let (data, _) = cursor.finish();
+            assert_eq!(format!("{data:?}"), format!("{expected:?}"), "{what}");
+            assert!(compiled.iter().all(|t| Arc::strong_count(t) == 1), "{what}");
+        };
+        for order in &orders {
+            let window = SuiteWindow::new(SuiteCursor::new(corner, cycles, governor()));
+            let mut done = Vec::new();
+            for (k, &b) in order.iter().enumerate() {
+                let landed = window.land(b, Arc::clone(&compiled[b]), replay);
+                assert_eq!(landed.is_some(), k == order.len() - 1, "{order:?}");
+                done.extend(landed);
+            }
+            check(done, &format!("serial {order:?}"));
+
+            let window = SuiteWindow::new(SuiteCursor::new(corner, cycles, governor()));
+            let done = Mutex::new(Vec::new());
+            std::thread::scope(|scope| {
+                for half in order.chunks(5) {
+                    let (window, done, compiled) = (&window, &done, &compiled);
+                    scope.spawn(move || {
+                        for &b in half {
+                            let landed = window.land(b, Arc::clone(&compiled[b]), replay);
+                            done.lock().unwrap().extend(landed);
+                        }
+                    });
+                }
+            });
+            check(
+                done.into_inner().unwrap(),
+                &format!("two threads {order:?}"),
+            );
+        }
+    }
+
+    #[test]
     fn bench_slots_assemble_in_slot_order_whatever_the_fill_order() {
         let slots = BenchSlots::new(3);
         assert!(slots.fill(2, "c").is_none());
@@ -2123,7 +2548,7 @@ mod tests {
                 loop_sweep(&plan).iter().all(Option::is_none),
                 "{analysis:?}"
             );
-            let Replays::Stream(groups) = &plan.compile_jobs[0].replays else {
+            let Replays::Stream(groups) = &plan.compile_jobs[0].analyses[0].replays else {
                 panic!("{analysis:?}: a single stream replays by plan");
             };
             assert!(

@@ -123,11 +123,13 @@ pub fn fig10_set(cycles: u64, seed: u64) -> ScenarioSet {
 }
 
 /// The whole `repro all` figure pipeline as one set. The executor plans
-/// exactly three heavy loop jobs: paper/typical and paper/worst replay
-/// one shared suite compile, which also summarizes the paper bank, and
-/// modified/worst runs live, collecting the modified bank as its
-/// histogram by-product. Without compile sharing the paper bank rides
-/// the first paper loop, the typical one (`fig8`).
+/// exactly three heavy loop jobs over one pass of the suite's words:
+/// paper/typical and paper/worst replay one shared suite compile, which
+/// also summarizes the paper bank, and the compile co-analyzes the same
+/// words for the modified bus, whose worst-corner loop replays them and
+/// whose bank they summarize. Without compile sharing all three loops
+/// run live, and each bus's bank rides its first loop (`fig8` for the
+/// paper bus).
 #[must_use]
 pub fn paper_all_set(cycles: u64, seed: u64) -> ScenarioSet {
     let mut members = vec![paper_member(

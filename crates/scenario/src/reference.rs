@@ -324,7 +324,8 @@ mod tests {
 
     /// One to three members: a drawn spec plus siblings that change one
     /// or two of its fields — mostly fields that keep the base's trace,
-    /// so loops share compiles and sweeps ride them. Rarely one member
+    /// so loops share compiles and sweeps ride them — or, in a third of
+    /// the sets, a set that plans a co-analysis. Rarely one member
     /// moves to a corner no table holds.
     fn arbitrary_set(e: &mut Entropy) -> ScenarioSet {
         let base = ScenarioSpec {
@@ -368,6 +369,9 @@ mod tests {
             }
             members.push(m);
         }
+        if e.below(3) == 0 {
+            members = co_analyzed(e, base);
+        }
         if e.below(12) == 0 {
             let k = e.below(members.len());
             let celsius = e.pick(&[50.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
@@ -379,6 +383,42 @@ mod tests {
             name: "oracle".to_string(),
             members,
         }
+    }
+
+    /// A set that plans a co-analysis: the base and a twin on its
+    /// words and design at the other headline corner (a key with two
+    /// loops, which compiles), and a member on another design reading
+    /// the same words, whose loop key has no other user. The base may
+    /// sweep governors, which keeps its words.
+    fn co_analyzed(e: &mut Entropy, mut base: ScenarioSpec) -> Vec<ScenarioSpec> {
+        let loops = [
+            AnalysisSpec::ClosedLoop,
+            AnalysisSpec::Full,
+            AnalysisSpec::Aggregate,
+        ];
+        base.analysis = e.pick(&loops);
+        base.sweep = match e.below(2) {
+            0 => vec![],
+            _ => vec![axis(e, 1)],
+        };
+        let mut twin = ScenarioSpec {
+            name: "twin".to_string(),
+            ..base.clone()
+        };
+        twin.run.corner = match base.run.corner {
+            CornerSpec::Typical => CornerSpec::Worst,
+            _ => CornerSpec::Typical,
+        };
+        let mut co = ScenarioSpec {
+            name: "co".to_string(),
+            analysis: e.pick(&loops),
+            sweep: vec![],
+            ..base.clone()
+        };
+        while co.design == base.design {
+            co.design = design(e);
+        }
+        vec![base, twin, co]
     }
 
     proptest! {

@@ -119,8 +119,8 @@ impl Benchmark {
         Self::ALL.iter().position(|b| *b == self).expect("in ALL") + 1
     }
 
-    /// The tuned statistical profile (see module docs and DESIGN.md for
-    /// the calibration targets).
+    /// The tuned statistical profile (see the module docs for the
+    /// calibration targets).
     #[must_use]
     pub fn profile(self) -> BenchmarkProfile {
         // Weights are (repeat, near, value, random, zero) transition

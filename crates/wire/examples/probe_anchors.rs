@@ -1,5 +1,5 @@
 //! Developer probe: prints the calibration anchor numbers for the paper
-//! bus (used while tuning the device model; see DESIGN.md §4).
+//! bus (used while tuning the device model).
 
 use razorbus_process::PvtCorner;
 use razorbus_units::{Picoseconds, Volts};

@@ -254,12 +254,11 @@ impl GroupTables {
         }
     }
 
-    /// The pattern of the group whose lowest wire is bit `base`.
+    /// The pattern index of the group whose lowest wire is bit `base`.
     #[inline]
-    fn pattern(&self, toggled: u32, cur: u32, base: usize) -> &GroupPattern {
+    fn key(&self, toggled: u32, cur: u32, base: usize) -> usize {
         let mask = (1u32 << self.group_size) - 1;
-        let key = (toggled >> base) & mask | ((cur >> base) & mask) << self.group_size;
-        &self.patterns[key as usize]
+        ((toggled >> base) & mask | ((cur >> base) & mask) << self.group_size) as usize
     }
 }
 
@@ -589,76 +588,126 @@ impl BusPhysical {
 
     /// Classifies one bus cycle: per-wire transitions from `prev`/`cur`
     /// words, Miller-weighted worst load, charge-weighted switched
-    /// capacitance and toggle count.
-    ///
-    /// Pass 1 does one shield-group table lookup per group. Each group
-    /// pattern stores its toggling wires' switched capacitance, the max
-    /// exact load of its wires without an opposing aggressor, the
-    /// perfect-alignment bound of the rest, and every wire's slot class.
-    /// The pass sums the first, maxes the second and third, and gathers
-    /// a word mask of the wires with an opposing aggressor plus their
-    /// class codes. Only when the bound beats the exact max does the
-    /// fold phase walk that mask once, in ascending wire order, and run
-    /// the alignment fold of each wire whose class bound still beats
-    /// the running worst; a skipped fold cannot change the max.
-    ///
-    /// Bit-identical to [`BusPhysical::analyze_cycle_reference`] by
-    /// construction: every table entry stores the same slot-ordered f64
-    /// sums, the switched sum is added in ascending wire order (its
-    /// `+0.0` pads are exact no-ops), each fold replays the slot-ordered
-    /// term sequence, and the f64 max over per-wire loads is
-    /// order-independent — pinned by unit and property tests.
+    /// capacitance and toggle count. The one-bus call of
+    /// [`BusPhysical::analyze_cycles`], which documents the kernel.
     #[must_use]
     pub fn analyze_cycle(&self, prev: u32, cur: u32) -> CycleAnalysis {
-        let n = self.layout.n_bits();
+        let [analysis] = Self::analyze_cycles([self], prev, cur);
+        analysis
+    }
+
+    /// Classifies one bus cycle for each of `K` buses that share one
+    /// layout, reading the words once: the result is, bus for bus,
+    /// [`BusPhysical::analyze_cycle`] of that bus. Two designs analyzed
+    /// over the same trace words (the paper bus and its §6 variant)
+    /// share everything that depends only on the words and the layout.
+    ///
+    /// Pass 1 computes each shield group's `(toggled, cur)` pattern key
+    /// once and reads every bus's pattern at it. Each pattern stores its
+    /// toggling wires' switched capacitance, the max exact load of its
+    /// wires without an opposing aggressor, the perfect-alignment bound
+    /// of the rest, and every wire's slot class. Per bus, the pass sums
+    /// the first and maxes the second and third, in independent add
+    /// chains. Once per group it gathers the word mask of the wires
+    /// with an opposing aggressor and their class codes, which depend
+    /// on the layout alone. Only for a bus whose bound beats its exact
+    /// max does the fold phase walk that mask, in ascending wire order,
+    /// and run the alignment fold of each wire whose class bound still
+    /// beats that bus's running worst; a skipped fold cannot change the
+    /// max. Each bus hashes its own alignment draws: they are a pure
+    /// function of the words and the slot, so both buses read the same
+    /// values, and a per-bus fold keeps the one-bus kernel as fast as
+    /// a dedicated one.
+    ///
+    /// Bit-identical to [`BusPhysical::analyze_cycle_reference`] of each
+    /// bus by construction: every table entry stores the same
+    /// slot-ordered f64 sums, the switched sum is added in ascending
+    /// wire order (its `+0.0` pads are exact no-ops), each fold replays
+    /// the slot-ordered term sequence, and the f64 max over per-wire
+    /// loads is order-independent — pinned by unit and property tests.
+    ///
+    /// Always inlined, so [`BusPhysical::analyze_cycle`] is one call, as
+    /// a dedicated one-bus kernel would be.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `K == 0`, or if the buses' widths or shield-group sizes
+    /// differ. Callers must pass buses with equal [`BusLayout`]s (a
+    /// [`CycleAnalyzer`] checks the whole layout once, at construction);
+    /// this per-cycle check is the cheap part of that.
+    #[must_use]
+    #[inline(always)]
+    pub fn analyze_cycles<const K: usize>(
+        buses: [&Self; K],
+        prev: u32,
+        cur: u32,
+    ) -> [CycleAnalysis; K] {
+        let lead = buses[0];
+        let n = lead.layout.n_bits();
+        let g = &lead.groups;
+        for bus in &buses[1..] {
+            assert!(
+                bus.layout.n_bits() == n && bus.groups.group_size == g.group_size,
+                "co-analyzed buses must share one layout"
+            );
+        }
         let toggled = (prev ^ cur) & word_mask(n);
         if toggled == 0 {
-            return CycleAnalysis::default();
+            return [CycleAnalysis::default(); K];
         }
-        let g = &self.groups;
 
-        let mut worst: f64 = 0.0;
-        let mut bound: f64 = 0.0;
-        let mut switched: f64 = 0.0;
+        let mut worst = [0.0f64; K];
+        let mut bound = [0.0f64; K];
+        let mut switched = [0.0f64; K];
         let mut opp = 0u32;
         // Each group writes its four class codes at its base wire. A
         // narrower group's padding is overwritten by the next group, and
         // the last group's lands in the three spare bytes.
         let mut codes = [0u8; 32 + 3];
         for base in (0..n).step_by(g.group_size) {
-            let p = g.pattern(toggled, cur, base);
-            switched += p.switched[0];
-            switched += p.switched[1];
-            switched += p.switched[2];
-            switched += p.switched[3];
-            if p.exact > worst {
-                worst = p.exact;
-            }
-            if p.bound > bound {
-                bound = p.bound;
-            }
+            let key = g.key(toggled, cur, base);
+            let p = &g.patterns[key];
             opp |= u32::from(p.opp) << base;
             codes[base..base + 4].copy_from_slice(&p.class);
-        }
-        if bound > worst {
-            while opp != 0 {
-                let i = opp.trailing_zeros() as usize;
-                opp &= opp - 1;
-                let c = &g.classes[usize::from(codes[i])];
-                if c.ceff > worst {
-                    let ceff = self.exact_load(prev, cur, i, c);
-                    if ceff > worst {
-                        worst = ceff;
-                    }
+            for (k, bus) in buses.iter().enumerate() {
+                let p = &bus.groups.patterns[key];
+                switched[k] += p.switched[0];
+                switched[k] += p.switched[1];
+                switched[k] += p.switched[2];
+                switched[k] += p.switched[3];
+                if p.exact > worst[k] {
+                    worst[k] = p.exact;
+                }
+                if p.bound > bound[k] {
+                    bound[k] = p.bound;
                 }
             }
         }
-
-        CycleAnalysis {
-            worst_ceff_per_mm: worst,
-            switched_cap_per_mm: switched,
-            toggled_wires: toggled.count_ones(),
+        for (k, bus) in buses.iter().enumerate() {
+            let mut w = worst[k];
+            if bound[k] > w {
+                let mut opp = opp;
+                while opp != 0 {
+                    let i = opp.trailing_zeros() as usize;
+                    opp &= opp - 1;
+                    let c = &bus.groups.classes[usize::from(codes[i])];
+                    if c.ceff > w {
+                        let ceff = bus.exact_load(prev, cur, i, c);
+                        if ceff > w {
+                            w = ceff;
+                        }
+                    }
+                }
+            }
+            worst[k] = w;
         }
+
+        let toggled_wires = toggled.count_ones();
+        std::array::from_fn(|k| CycleAnalysis {
+            worst_ceff_per_mm: worst[k],
+            switched_cap_per_mm: switched[k],
+            toggled_wires,
+        })
     }
 
     /// Exact effective load of toggling wire `i` in slot class `c`: the
@@ -689,7 +738,7 @@ impl BusPhysical {
     /// return the previously computed bits verbatim.
     #[must_use]
     pub fn analyzer(&self) -> CycleAnalyzer<'_> {
-        CycleAnalyzer::new(self)
+        CycleAnalyzer::new([self])
     }
 
     /// The reference implementation of [`BusPhysical::analyze_cycle`]:
@@ -806,63 +855,74 @@ impl BusPhysical {
     }
 }
 
-/// Slots in the analyzer's cycle-level cache (direct-mapped, 32 bytes
-/// each — 8 KiB total). Only toggling cycles reach it: quiet cycles
-/// return before the probe here, and both compile routes skip a
-/// repeated word before calling the analyzer at all. Crosstalk-storm
-/// generators alternate a handful of word pairs, so a tiny cache
-/// catches nearly every repeat there; on the benchmark's traffic it
-/// hits on about 2.5 % of the non-quiet `paper-all` suite cycles and
-/// never on `mc-10k-short`, which pays one hash + compare per toggling
-/// cycle. Whether the cache earns its place is an open question on the
-/// roadmap (the cache-bypass item).
+/// Slots in the analyzer's cycle-level cache (direct-mapped, 8 + 24·K
+/// bytes each: 8 KiB for one bus, 14 KiB for two). Only toggling
+/// cycles reach it: quiet cycles return before the probe here, and both
+/// compile routes skip a repeated word before calling the analyzer at
+/// all. Crosstalk-storm generators alternate a handful of word pairs,
+/// so a tiny cache catches nearly every repeat there; on the
+/// benchmark's traffic it hits on about 2.5 % of the non-quiet
+/// `paper-all` suite cycles and never on `mc-10k-short`, which pays one
+/// hash + compare per toggling cycle. Whether the cache earns its place
+/// is an open question on the roadmap (the cache-bypass item).
 const CYCLE_SLOTS: usize = 256;
 
-/// One cached whole-cycle classification. `prev == cur` marks an empty
-/// slot: equal words toggle nothing, and toggle-free cycles return
-/// before the cache is consulted.
+/// One cached whole-cycle classification, one result per bus.
+/// `prev == cur` marks an empty slot: equal words toggle nothing, and
+/// toggle-free cycles return before the cache is consulted.
 #[derive(Clone, Copy)]
-struct CycleSlot {
+struct CycleSlot<const K: usize> {
     prev: u32,
     cur: u32,
-    result: CycleAnalysis,
+    result: [CycleAnalysis; K],
 }
 
-/// A per-thread cycle-analysis context: [`BusPhysical::analyze_cycle`]
-/// behind an exact-keyed whole-cycle cache. It caches
-/// [`CycleAnalysis`] results per `(prev, cur)` word pair — the
-/// classification is a pure function of exactly that pair — so
-/// pattern-repeating traffic (crosstalk storms alternate between two
-/// worst-case words) collapses to one probe per cycle. Quiet cycles
-/// (no wire toggles) never touch the cache. Create one per
-/// compile/summary loop via [`BusPhysical::analyzer`] and feed it
-/// consecutive cycles; results are bit-identical to the cache-free path
-/// at every cycle, pinned by differential tests.
-pub struct CycleAnalyzer<'a> {
-    bus: &'a BusPhysical,
-    cycles: Vec<CycleSlot>,
+/// A per-thread cycle-analysis context over `K` buses that share one
+/// layout (one by default): [`BusPhysical::analyze_cycles`] behind an
+/// exact-keyed whole-cycle cache. It caches the `K` results per
+/// `(prev, cur)` word pair — the classification is a pure function of
+/// exactly that pair — so pattern-repeating traffic (crosstalk storms
+/// alternate between two worst-case words) collapses to one probe per
+/// cycle. Quiet cycles (no wire toggles) never touch the cache. Create
+/// one per compile/summary loop via [`BusPhysical::analyzer`] (one
+/// bus) or [`CycleAnalyzer::new`] and feed it consecutive cycles;
+/// results are bit-identical to the cache-free path at every cycle,
+/// pinned by differential tests.
+pub struct CycleAnalyzer<'a, const K: usize = 1> {
+    buses: [&'a BusPhysical; K],
+    cycles: Vec<CycleSlot<K>>,
 }
 
-impl<'a> CycleAnalyzer<'a> {
-    fn new(bus: &'a BusPhysical) -> Self {
+impl<'a, const K: usize> CycleAnalyzer<'a, K> {
+    /// An analyzer over `buses`, in the order its results come back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `K == 0` or the buses' layouts differ:
+    /// [`BusPhysical::analyze_cycles`] reads one bus's layout for all.
+    #[must_use]
+    pub fn new(buses: [&'a BusPhysical; K]) -> Self {
+        assert!(
+            buses.iter().all(|b| b.layout == buses[0].layout),
+            "co-analyzed buses must share one layout"
+        );
+        let empty = CycleSlot {
+            prev: 0,
+            cur: 0,
+            result: [CycleAnalysis::default(); K],
+        };
         Self {
-            bus,
-            cycles: vec![
-                CycleSlot {
-                    prev: 0,
-                    cur: 0,
-                    result: CycleAnalysis::default(),
-                };
-                CYCLE_SLOTS
-            ],
+            buses,
+            cycles: vec![empty; CYCLE_SLOTS],
         }
     }
 
-    /// Classifies one bus cycle; see [`BusPhysical::analyze_cycle`].
+    /// Classifies one bus cycle for every bus; see
+    /// [`BusPhysical::analyze_cycles`].
     #[must_use]
-    pub fn analyze(&mut self, prev: u32, cur: u32) -> CycleAnalysis {
-        if (prev ^ cur) & word_mask(self.bus.layout.n_bits()) == 0 {
-            return CycleAnalysis::default();
+    pub fn analyze_each(&mut self, prev: u32, cur: u32) -> [CycleAnalysis; K] {
+        if (prev ^ cur) & word_mask(self.buses[0].layout.n_bits()) == 0 {
+            return [CycleAnalysis::default(); K];
         }
         let key = u64::from(prev) << 32 | u64::from(cur);
         let h = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize;
@@ -870,15 +930,26 @@ impl<'a> CycleAnalyzer<'a> {
         if slot.prev == prev && slot.cur == cur {
             return slot.result;
         }
-        let result = self.bus.analyze_cycle(prev, cur);
-        *slot = CycleSlot { prev, cur, result };
-        result
+        *slot = Self::miss(self.buses, prev, cur);
+        slot.result
     }
 
-    /// The bus this analyzer classifies cycles for.
+    /// A cache miss, kept out of line so that a hit runs only the probe
+    /// above: with the kernel inlined, every call paid its register
+    /// saves, and cache-bound storm traffic ran ~20 % slower.
+    #[inline(never)]
+    fn miss(buses: [&'a BusPhysical; K], prev: u32, cur: u32) -> CycleSlot<K> {
+        let result = BusPhysical::analyze_cycles(buses, prev, cur);
+        CycleSlot { prev, cur, result }
+    }
+}
+
+impl CycleAnalyzer<'_> {
+    /// Classifies one bus cycle; see [`BusPhysical::analyze_cycle`].
     #[must_use]
-    pub fn bus(&self) -> &'a BusPhysical {
-        self.bus
+    pub fn analyze(&mut self, prev: u32, cur: u32) -> CycleAnalysis {
+        let [analysis] = self.analyze_each(prev, cur);
+        analysis
     }
 }
 
@@ -1201,6 +1272,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "co-analyzed buses must share one layout")]
+    fn a_co_analyzer_refuses_buses_of_different_layouts() {
+        let paired = rebuilt(CouplingModel::default(), BusLayout::new(32, 2));
+        let _ = CycleAnalyzer::new([&bus(), &paired]);
+    }
+
+    #[test]
+    #[should_panic(expected = "co-analyzed buses must share one layout")]
+    fn the_kernel_refuses_buses_of_different_group_sizes() {
+        let paired = rebuilt(CouplingModel::default(), BusLayout::new(32, 2));
+        let _ = BusPhysical::analyze_cycles([&bus(), &paired], 0, 1);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property tests pinning the group-table `analyze_cycle` hot path
 //! bitwise against the full-slot-loop references
 //! (`analyze_cycle_reference` and `per_wire_effective_caps`) on random
-//! buses and word patterns — dense, sparse and mixed.
+//! buses and word patterns — dense, sparse and mixed — and its
+//! multi-bus form `analyze_cycles` against one reference call per bus.
 
 use proptest::prelude::*;
-use razorbus_wire::{BusLayout, BusPhysical, CouplingModel};
+use razorbus_wire::{BusLayout, BusPhysical, CouplingModel, CycleAnalysis, CycleAnalyzer};
 
 use std::sync::OnceLock;
 
@@ -152,6 +153,126 @@ proptest! {
                 let slow = bus.analyze_cycle_reference(prev, cur);
                 prop_assert_eq!(fast, slow, "{} step {}", name, step);
             }
+            prev = cur;
+        }
+    }
+}
+
+/// Buses that share the paper layout, as the multi-bus kernel
+/// [`BusPhysical::analyze_cycles`] requires: the paper bus (also the
+/// skew-cap designs' bus), its §6 boosted-coupling variant (the
+/// modified design's bus), the Elmore-coupling build, every technology
+/// node's bus (each sized for its own node, all on the paper layout),
+/// and both alignment-atom builds.
+fn co_buses() -> &'static Vec<(String, BusPhysical)> {
+    static BUSES: OnceLock<Vec<(String, BusPhysical)>> = OnceLock::new();
+    BUSES.get_or_init(|| {
+        let paper = BusPhysical::paper_default();
+        let mut buses = vec![
+            ("modified".to_string(), paper.with_boosted_coupling(1.95)),
+            (
+                "elmore".to_string(),
+                rebuild_with_coupling(CouplingModel::elmore_ideal(), BusLayout::paper_default()),
+            ),
+            (
+                "atom-0.3".to_string(),
+                rebuild_with_coupling(
+                    CouplingModel::new(0.3, 1.0, 2.2, 0.10, 0.3),
+                    BusLayout::paper_default(),
+                ),
+            ),
+            (
+                "atom-0".to_string(),
+                rebuild_with_coupling(
+                    CouplingModel::new(0.3, 1.0, 2.2, 0.10, 0.0),
+                    BusLayout::paper_default(),
+                ),
+            ),
+        ];
+        for node in razorbus_process::TechnologyNode::ALL {
+            let (bus, _) = BusPhysical::for_technology(node, 1.10).expect("node sizes");
+            buses.push((format!("{node:?}"), bus));
+        }
+        buses.insert(0, ("paper".to_string(), paper));
+        for (name, bus) in &buses {
+            assert_eq!(bus.layout(), buses[0].1.layout(), "{name}");
+        }
+        buses
+    })
+}
+
+/// Word pairs of the three traffic shapes the kernel meets: random;
+/// quiet-heavy (the word repeats, or one wire or one nibble moves);
+/// and storm-like (every wire toggles against its complement, or the
+/// 0101… / 1010… alternation with a few wires held).
+fn traffic(w: u32, m: u32, mode: u32) -> (u32, u32) {
+    match mode {
+        0 => (w, m),
+        1 | 2 => (w, w),
+        3 => (w, w ^ (1 << (m % 32))),
+        4 => (w, w ^ (m & 0x000F_0000)),
+        5 => (w, !w),
+        _ => {
+            let held = w & m & 0x0101_0101;
+            (0x5555_5555 ^ held, 0xAAAA_AAAA ^ held)
+        }
+    }
+}
+
+/// One bus's result against its reference, bit for bit.
+fn same_bits(got: &CycleAnalysis, want: &CycleAnalysis) -> bool {
+    got.worst_ceff_per_mm.to_bits() == want.worst_ceff_per_mm.to_bits()
+        && got.switched_cap_per_mm.to_bits() == want.switched_cap_per_mm.to_bits()
+        && got.toggled_wires == want.toggled_wires
+}
+
+proptest! {
+    /// The two-bus kernel equals two single-bus reference calls, bit
+    /// for bit, on every ordered pair of layout-sharing buses and every
+    /// traffic shape.
+    #[test]
+    fn analyze_cycles_pair_matches_two_reference_calls(
+        w in any::<u32>(),
+        m in any::<u32>(),
+        mode in 0u32..7,
+    ) {
+        let (prev, cur) = traffic(w, m, mode);
+        let buses = co_buses();
+        let reference: Vec<_> =
+            buses.iter().map(|(_, b)| b.analyze_cycle_reference(prev, cur)).collect();
+        for (i, (a_name, a)) in buses.iter().enumerate() {
+            for (j, (b_name, b)) in buses.iter().enumerate() {
+                let [x, y] = BusPhysical::analyze_cycles([a, b], prev, cur);
+                prop_assert!(
+                    same_bits(&x, &reference[i]) && same_bits(&y, &reference[j]),
+                    "({}, {}) on {:#010x} -> {:#010x}: {:?} {:?} vs {:?} {:?}",
+                    a_name, b_name, prev, cur, x, y, reference[i], reference[j]
+                );
+            }
+        }
+    }
+
+    /// A two-bus analyzer fed a run of mixed traffic (its cycle cache
+    /// hits on the storm's repeats) stays equal to the two buses'
+    /// reference calls at every cycle.
+    #[test]
+    fn co_analyzer_runs_match_reference(seed in any::<u64>(), pair in 0usize..81) {
+        let buses = co_buses();
+        let (a, b) = (&buses[pair / 9 % buses.len()].1, &buses[pair % buses.len()].1);
+        let mut analyzer = CycleAnalyzer::new([a, b]);
+        let mut x = seed;
+        let mut prev = (seed >> 32) as u32;
+        for step in 0..96u32 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let (_, cur) = traffic(prev, (x >> 32) as u32, (x >> 29) as u32 % 7);
+            let [p, q] = analyzer.analyze_each(prev, cur);
+            prop_assert!(
+                same_bits(&p, &a.analyze_cycle_reference(prev, cur))
+                    && same_bits(&q, &b.analyze_cycle_reference(prev, cur)),
+                "pair {} step {} on {:#010x} -> {:#010x}", pair, step, prev, cur
+            );
             prev = cur;
         }
     }

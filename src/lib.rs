@@ -44,8 +44,8 @@
 //! assert_eq!(report.shadow_violations, 0);
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every figure and table.
+//! See `docs/architecture.md` for the layer stack and data flow, and
+//! `PAPER.md` for the source paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
