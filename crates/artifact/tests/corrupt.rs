@@ -3,7 +3,7 @@
 //! payloads whose *values* would break type invariants.
 
 use razorbus_artifact::{binary, decode, encode, json, ArtifactError, Encoding, MAGIC};
-use razorbus_core::TraceSummary;
+use razorbus_core::{TraceSummary, WindowedSummary};
 use razorbus_traces::{Benchmark, TraceRecording};
 use razorbus_units::VoltageGrid;
 
@@ -158,6 +158,31 @@ fn invariant_breaking_values_error_instead_of_panicking() {
          \"total_toggles\": 0, \"cycles\": 0}}"
     ))
     .is_err());
+    // A windowed summary needs a window, a positive window length, and
+    // every window summarizing exactly that many cycles.
+    let window = |cycles: u64| {
+        format!(
+            "{{\"hist\": {empty_hist}, \"total_switched_cap_per_mm\": 0.0, \
+             \"total_toggles\": 0, \"cycles\": {cycles}}}"
+        )
+    };
+    let windowed = |windows: &[String], len: u64| {
+        format!(
+            "{{\"windows\": [{}], \"window_len\": {len}}}",
+            windows.join(", ")
+        )
+    };
+    for (case, text) in [
+        ("no window", windowed(&[], 10)),
+        ("a zero length", windowed(&[window(10)], 0)),
+        ("a short window", windowed(&[window(10), window(9)], 10)),
+    ] {
+        assert!(
+            json::from_str::<WindowedSummary>(&text).is_err(),
+            "accepted windowed summary with {case}"
+        );
+    }
+    assert!(json::from_str::<WindowedSummary>(&windowed(&[window(10), window(10)], 10)).is_ok());
     // Compiled traces must keep arrays aligned with the cycle count and
     // every value in range — a CRC-clean but inconsistent payload errors
     // instead of replaying garbage.

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use razorbus_artifact::{binary, decode, encode, json, Artifact, Encoding};
 use razorbus_core::experiments::SummaryBank;
-use razorbus_core::{CompiledTrace, DvsBusDesign, TraceSummary};
+use razorbus_core::{CompiledTrace, DvsBusDesign, TraceSummary, WindowedSummary};
 use razorbus_process::{IrDrop, PvtCorner};
 use razorbus_tables::{BusTables, EnvCondition};
 use razorbus_traces::{Benchmark, TraceRecording};
@@ -71,6 +71,21 @@ proptest! {
     fn trace_summary_round_trips(benchmark in benchmarks(), seed in 0u64..1_000, cycles in 64u64..512) {
         let summary = TraceSummary::collect(design(), &mut benchmark.trace(seed), cycles);
         assert_round_trip(&summary);
+    }
+
+    /// Windowed summaries round-trip bit-exactly through both codecs.
+    #[test]
+    fn windowed_summary_round_trips(
+        benchmark in benchmarks(),
+        seed in 0u64..1_000,
+        windows in 1usize..4,
+        window_len in 16u64..128,
+    ) {
+        let windowed = WindowedSummary::collect(design(), &mut benchmark.trace(seed), windows, window_len);
+        let bin = binary::to_bytes(&windowed).unwrap();
+        prop_assert_eq!(binary::from_bytes::<WindowedSummary>(&bin).unwrap(), windowed.clone());
+        let text = json::to_string(&windowed).unwrap();
+        prop_assert_eq!(json::from_str::<WindowedSummary>(&text).unwrap(), windowed);
     }
 
     /// Summary banks rebuild their combined merge on load and still

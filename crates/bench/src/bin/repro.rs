@@ -21,7 +21,7 @@
 //! cargo run -p razorbus-bench --bin repro --release -- digest-merge \
 //!     shard-a.rzba shard-b.rzba --out=combined.rzba
 //!
-//! # Run the paper-all campaign once, then re-render it (bit-identical):
+//! # Run the repro-all campaign once, then re-render it (bit-identical):
 //! cargo run -p razorbus-bench --bin repro --release -- all --save-result
 //! cargo run -p razorbus-bench --bin repro --release -- all --load-result
 //!
@@ -47,16 +47,18 @@
 //! that is not a positive integer exits 2 before any work, naming the
 //! variable and its value.
 //!
-//! `all` is one `paper-all` campaign through the scenario executor,
-//! rendered by the same figure adapters as `scenario paper-all`, with
-//! Fig. 6, §6 scaling and the ablations printed between them.
+//! `all` is one `repro-all` campaign through the scenario executor:
+//! every figure, Fig. 6, §6 scaling and the ablations, rendered by the
+//! scenario crate's adapters. `fig6`, `scaling` and `ablations` run
+//! their own members of it through the same builders and adapters.
 //! `--save-result[=PATH]` / `--load-result[=PATH]` (with `scenario` or
 //! `all`) persist/reload the campaign's `scenario-result` so it
 //! re-renders without re-simulating — bit-identically, pinned by CI's
 //! `artifact-cache` job. A reloaded result must carry exactly the
 //! member specs the current run would expand to (same set, same
 //! `RAZORBUS_CYCLES`, same seed); a stale one exits 2. `all` and
-//! `scenario paper-all` share the same result.
+//! `scenario repro-all` share the same result and print the same
+//! bytes.
 //! `--save-digest[=PATH]` / `--digest-csv[=PATH]` (with `scenario`
 //! only) write an aggregate campaign's streaming digest as a framed
 //! `campaign-digest` artifact / a one-row-per-metric CSV; both fail if
@@ -77,10 +79,9 @@ use razorbus_bench::defaults::{
     DIGEST_CSV_PATH, DIGEST_PATH, GOLDEN_CYCLES, GOLDEN_DIR, MANIFEST_PATH, MERGED_DIGEST_PATH,
     REPRO_ARTIFACTS, RESULT_PATH,
 };
-use razorbus_bench::{ablations, cycles_from_env, golden, REPRO_SEED};
-use razorbus_core::{experiments, DvsBusDesign};
+use razorbus_bench::{cycles_from_env, golden, REPRO_SEED};
 use razorbus_scenario::{
-    catalog, paper, CampaignDigest, CampaignRecording, DesignSpec, ScenarioSet, ScenarioSetResult,
+    ablations, catalog, paper, CampaignDigest, CampaignRecording, ScenarioSet, ScenarioSetResult,
     ScenarioSetRun,
 };
 
@@ -236,50 +237,36 @@ fn main() {
             load_result.as_deref(),
             !no_compiled,
         ),
-        "fig4" => {
-            banner("Fig. 4 (energy & error rate vs. static VDD)");
-            let run = run_set(paper::fig4_set(cycles, REPRO_SEED));
-            adapter(paper::fig4_panel(&run, "fig4@worst")).print();
-            println!();
-            adapter(paper::fig4_panel(&run, "fig4@typical")).print();
+        figure => {
+            let seed = REPRO_SEED;
+            let (title, set) = match figure {
+                "fig4" => (TITLES[0], paper::fig4_set(cycles, seed)),
+                "fig5" => (TITLES[1], paper::fig5_set(cycles, seed)),
+                "fig6" => (TITLES[2], paper::fig6_set(cycles, seed)),
+                "fig8" => (TITLES[3], paper::fig8_set(cycles, seed)),
+                "table1" => (TITLES[4], paper::table1_set(cycles, seed)),
+                "fig10" => (TITLES[5], paper::fig10_set(cycles, seed)),
+                "scaling" => (TITLES[6], paper::scaling_set(cycles, seed)),
+                "ablations" => (TITLES[7], ablations::ablations_set(cycles, seed)),
+                _ => unreachable!("artifact validated above"),
+            };
+            banner(title);
+            render(figure, &run_set(set));
         }
-        "fig5" => {
-            banner("Fig. 5 (gains vs. PVT delay spread)");
-            let run = run_set(paper::fig5_set(cycles, REPRO_SEED));
-            adapter(paper::fig5_data(&run)).print();
-        }
-        "fig6" => {
-            banner("Fig. 6 (optimal supply residency)");
-            let design = DvsBusDesign::paper_default();
-            let windows = (cycles / 10_000).max(10) as usize;
-            experiments::fig6::run(&design, windows, 10_000, REPRO_SEED).print();
-        }
-        "fig8" => {
-            banner("Fig. 8 (closed-loop trajectory, typical corner)");
-            let run = run_set(paper::fig8_set(cycles, REPRO_SEED));
-            adapter(paper::fig8_data(&run)).print();
-        }
-        "table1" => {
-            banner("Table 1 (fixed VS vs. proposed DVS)");
-            let run = run_set(paper::table1_set(cycles, REPRO_SEED));
-            adapter(paper::table1_data(&run)).print();
-        }
-        "fig10" => {
-            banner("Fig. 10 / §6 (modified bus)");
-            let run = run_set(paper::fig10_set(cycles, REPRO_SEED));
-            adapter(paper::fig10_data(&run)).print();
-        }
-        "scaling" => {
-            banner("§6 technology scaling");
-            experiments::scaling::run(cycles / 4, REPRO_SEED).print();
-        }
-        "ablations" => {
-            banner("Ablations");
-            ablations::run_all(cycles / 4);
-        }
-        _ => unreachable!("artifact validated above"),
     }
 }
+
+/// The banner over each figure, in `repro all`'s print order.
+const TITLES: [&str; 8] = [
+    "Fig. 4 (energy & error rate vs. static VDD)",
+    "Fig. 5 (gains vs. PVT delay spread)",
+    "Fig. 6 (optimal supply residency)",
+    "Fig. 8 (closed-loop trajectory, typical corner)",
+    "Table 1 (fixed VS vs. proposed DVS)",
+    "Fig. 10 / §6 (modified bus)",
+    "§6 technology scaling",
+    "Ablations",
+];
 
 /// The scenario subcommand's output flags, bundled.
 struct ScenarioOutputs {
@@ -328,27 +315,33 @@ fn run_scenario(name: &str, cycles: u64, outputs: &ScenarioOutputs, share_compil
             .unwrap_or_else(|e| fail(&format!("cannot write digest CSV to {path}: {e}")));
         eprintln!("# wrote campaign digest CSV to {path}");
     }
-    // Paper sets render through the exact figure adapters; everything
-    // else gets the generic member render.
+    render(name, &run);
+}
+
+/// Renders a run of the set `name` names: paper sets and figure
+/// subsets through the exact figure adapters, everything else through
+/// the generic member render.
+fn render(name: &str, run: &ScenarioSetRun) {
     match name {
         "fig4" => {
-            adapter(paper::fig4_panel(&run, "fig4@worst")).print();
+            adapter(paper::fig4_panel(run, "fig4@worst")).print();
             println!();
-            adapter(paper::fig4_panel(&run, "fig4@typical")).print();
+            adapter(paper::fig4_panel(run, "fig4@typical")).print();
         }
-        "fig5" => adapter(paper::fig5_data(&run)).print(),
-        "fig8" => adapter(paper::fig8_data(&run)).print(),
-        "table1" => adapter(paper::table1_data(&run)).print(),
-        "fig10" => adapter(paper::fig10_data(&run)).print(),
+        "fig5" => adapter(paper::fig5_data(run)).print(),
+        "fig6" => adapter(paper::fig6_data(run)).print(),
+        "fig8" => adapter(paper::fig8_data(run)).print(),
+        "table1" => adapter(paper::table1_data(run)).print(),
+        "fig10" => adapter(paper::fig10_data(run)).print(),
+        "scaling" => adapter(paper::scaling_data(run)).print(),
+        "ablations" => ablations::print(&adapter(ablations::studies(run))),
         "paper-all" => {
-            adapter(paper::fig4_panel(&run, "fig4@worst")).print();
-            println!();
-            adapter(paper::fig4_panel(&run, "fig4@typical")).print();
-            adapter(paper::fig5_data(&run)).print();
-            adapter(paper::fig8_data(&run)).print();
-            adapter(paper::table1_data(&run)).print();
-            adapter(paper::fig10_data(&run)).print();
+            render("fig4", run);
+            for figure in ["fig5", "fig8", "table1", "fig10"] {
+                render(figure, run);
+            }
         }
+        "repro-all" => print_all(run),
         _ => run.print(),
     }
 }
@@ -530,12 +523,8 @@ fn run_or_reload(
     run
 }
 
-/// The `all` pipeline: one `paper-all` campaign (run, or reloaded with
-/// `--load-result`) supplies every figure through the same adapters
-/// `repro scenario paper-all` renders with; Fig. 6, §6 scaling and the
-/// ablations run live between them. Every adapter resolves before the
-/// first line prints, so a malformed reloaded result exits 2 with no
-/// partial output.
+/// The `all` pipeline: one `repro-all` campaign (run, or reloaded with
+/// `--load-result`) supplies everything it prints.
 fn run_all(
     cycles: u64,
     save_result: Option<&str>,
@@ -543,47 +532,44 @@ fn run_all(
     share_compiled: bool,
 ) {
     let run = run_or_reload(
-        &paper::paper_all_set(cycles, REPRO_SEED),
+        &paper::repro_all_set(cycles, REPRO_SEED),
         save_result,
         load_result,
         share_compiled,
     );
-    let fig4 = [
-        adapter(paper::fig4_panel(&run, "fig4@worst")),
-        adapter(paper::fig4_panel(&run, "fig4@typical")),
-    ];
-    let fig5 = adapter(paper::fig5_data(&run));
-    let fig8 = adapter(paper::fig8_data(&run));
-    let table1 = adapter(paper::table1_data(&run));
-    let fig10 = adapter(paper::fig10_data(&run));
-    let design = adapter(run.design_for(&DesignSpec::Paper));
+    print_all(&run);
+}
 
-    banner("Fig. 4 (energy & error rate vs. static VDD)");
+/// Prints a `repro-all` run under the figure banners. Every adapter
+/// resolves before the first line prints, so a malformed reloaded
+/// result exits 2 with no partial output.
+fn print_all(run: &ScenarioSetRun) {
+    let fig4 = ["fig4@worst", "fig4@typical"].map(|m| adapter(paper::fig4_panel(run, m)));
+    let fig5 = adapter(paper::fig5_data(run));
+    let fig6 = adapter(paper::fig6_data(run));
+    let fig8 = adapter(paper::fig8_data(run));
+    let table1 = adapter(paper::table1_data(run));
+    let fig10 = adapter(paper::fig10_data(run));
+    let scaling = adapter(paper::scaling_data(run));
+    let studies = adapter(ablations::studies(run));
+    banner(TITLES[0]);
     fig4[0].print();
     println!();
     fig4[1].print();
-
-    banner("Fig. 5 (gains vs. PVT delay spread)");
+    banner(TITLES[1]);
     fig5.print();
-
-    banner("Fig. 6 (optimal supply residency)");
-    let windows = (cycles / 10_000).max(10) as usize;
-    experiments::fig6::run(design, windows, 10_000, REPRO_SEED).print();
-
-    banner("Fig. 8 (closed-loop trajectory, typical corner)");
+    banner(TITLES[2]);
+    fig6.print();
+    banner(TITLES[3]);
     fig8.print();
-
-    banner("Table 1 (fixed VS vs. proposed DVS)");
+    banner(TITLES[4]);
     table1.print();
-
-    banner("Fig. 10 / §6 (modified bus)");
+    banner(TITLES[5]);
     fig10.print();
-
-    banner("§6 technology scaling");
-    experiments::scaling::run(cycles / 4, REPRO_SEED).print();
-
-    banner("Ablations");
-    ablations::run_all(cycles / 4);
+    banner(TITLES[6]);
+    scaling.print();
+    banner(TITLES[7]);
+    ablations::print(&studies);
 }
 
 fn adapter<T>(result: Result<T, String>) -> T {

@@ -1,5 +1,5 @@
-//! Shared plumbing for the razorbus benchmark harness: cycle budgets and
-//! the ablation studies of the model's own design choices.
+//! Shared plumbing for the razorbus benchmark harness: cycle budgets,
+//! artifact defaults and the golden corpus.
 //!
 //! The `repro` binary (`cargo run -p razorbus-bench --bin repro --release`)
 //! regenerates every table and figure of the paper, and `bench_report`
@@ -12,7 +12,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablations;
 pub mod cli;
 pub mod defaults;
 pub mod golden;

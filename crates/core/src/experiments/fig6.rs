@@ -10,6 +10,9 @@ use razorbus_units::Millivolts;
 /// The programs the paper plots.
 pub const PROGRAMS: [Benchmark; 3] = [Benchmark::Crafty, Benchmark::Vortex, Benchmark::Mgrid];
 
+/// The oracle's window: it picks one supply per 10 000 cycles.
+pub const WINDOW_LEN: u64 = 10_000;
+
 /// The two target error rates of the figure's panels.
 pub const TARGETS: [f64; 2] = [0.02, 0.05];
 
@@ -33,21 +36,6 @@ impl Fig6Entry {
             .map(|(v, f)| f64::from(v.mv()) * f)
             .sum()
     }
-
-    /// The modal (most-visited) voltage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the residency is empty (cannot happen for a collected
-    /// entry).
-    #[must_use]
-    pub fn mode_voltage(&self) -> Millivolts {
-        self.residency
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("non-empty residency")
-            .0
-    }
 }
 
 /// The figure's data.
@@ -59,34 +47,25 @@ pub struct Fig6Data {
     pub entries: Vec<Fig6Entry>,
 }
 
-/// Runs the oracle analysis: `windows` windows of `window_len` cycles per
-/// program.
+/// The figure's data at `corner`: each program's windowed summary
+/// (windows of [`WINDOW_LEN`] cycles) read by the oracle at both
+/// [`TARGETS`], one entry per (program, target), program-major.
 #[must_use]
-pub fn run(design: &DvsBusDesign, windows: usize, window_len: u64, seed: u64) -> Fig6Data {
-    let corner = PvtCorner::TYPICAL;
-    let entries = std::thread::scope(|scope| {
-        let handles: Vec<_> = PROGRAMS
-            .iter()
-            .map(|&benchmark| {
-                scope.spawn(move || {
-                    let mut trace = benchmark.trace(seed);
-                    let w = WindowedSummary::collect(design, &mut trace, windows, window_len);
-                    TARGETS
-                        .iter()
-                        .map(|&target| Fig6Entry {
-                            benchmark,
-                            target,
-                            residency: w.oracle_residency(design, corner, target),
-                        })
-                        .collect::<Vec<_>>()
-                })
+pub fn from_windows(
+    design: &DvsBusDesign,
+    corner: PvtCorner,
+    programs: &[(Benchmark, &WindowedSummary)],
+) -> Fig6Data {
+    let entries = programs
+        .iter()
+        .flat_map(|&(benchmark, windows)| {
+            TARGETS.iter().map(move |&target| Fig6Entry {
+                benchmark,
+                target,
+                residency: windows.oracle_residency(design, corner, target),
             })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("fig6 worker"))
-            .collect()
-    });
+        })
+        .collect();
     Fig6Data { corner, entries }
 }
 
@@ -104,48 +83,6 @@ impl Fig6Data {
                     .collect();
                 println!("    {:<8} {}", e.benchmark.name(), cells.join("  "));
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig6_program_separation() {
-        let d = DvsBusDesign::paper_default();
-        let data = run(&d, 12, 5_000, 3);
-        assert_eq!(data.entries.len(), 6);
-        let mean = |b: Benchmark, t: f64| {
-            data.entries
-                .iter()
-                .find(|e| e.benchmark == b && e.target == t)
-                .unwrap()
-                .mean_voltage_mv()
-        };
-        // The paper's separation: crafty runs well below mgrid at 2%.
-        assert!(
-            mean(Benchmark::Crafty, 0.02) + 20.0 < mean(Benchmark::Mgrid, 0.02),
-            "crafty {} vs mgrid {}",
-            mean(Benchmark::Crafty, 0.02),
-            mean(Benchmark::Mgrid, 0.02)
-        );
-        // Looser target never raises the mean voltage.
-        for b in PROGRAMS {
-            assert!(mean(b, 0.05) <= mean(b, 0.02) + 1e-9, "{b}");
-        }
-    }
-
-    #[test]
-    fn residency_fractions_are_distributions() {
-        let d = DvsBusDesign::paper_default();
-        let data = run(&d, 8, 4_000, 9);
-        for e in &data.entries {
-            let total: f64 = e.residency.iter().map(|(_, f)| f).sum();
-            assert!((total - 1.0).abs() < 1e-9, "{e:?}");
-            assert!(!e.residency.is_empty());
-            let _ = e.mode_voltage();
         }
     }
 }

@@ -4,17 +4,19 @@
 //! |---|---|---|
 //! | Fig. 4a/4b | [`fig4::from_summary`] | energy & error rate vs. VDD |
 //! | Fig. 5 | [`fig5::from_summary`] | energy gain vs. delay@1.2 V per corner/target |
-//! | Fig. 6 | [`fig6::run`] | oracle voltage residency per program |
+//! | Fig. 6 | [`fig6::from_windows`] | oracle voltage residency per program |
 //! | Fig. 8 | [`fig8::run`] | closed-loop VDD / error-rate trajectory |
 //! | Table 1 | [`table1::from_parts`] | fixed-VS vs. proposed-DVS gains per program |
 //! | Fig. 10 + §6 | [`fig10::from_parts`] | modified-bus gains |
-//! | §6 scaling | [`scaling::run`] | technology-node trends |
+//! | §6 scaling | [`scaling::row`] | technology-node trends |
 //!
-//! Figs. 4, 5 and 10 and Table 1 are built from heavy inputs collected
-//! elsewhere — a [`SummaryBank`] or [`combined_summary`] and Fig. 8
-//! closed loops — which the scenario executor shares across figures.
-//! Every function returns a printable data structure; the
-//! `razorbus-bench` crate's `repro` binary prints them.
+//! Figs. 4, 5, 6 and 10, Table 1 and the scaling rows are built from
+//! heavy inputs collected elsewhere — a [`SummaryBank`] or
+//! [`combined_summary`], a [`crate::WindowedSummary`] per program, and
+//! Fig. 8 closed loops — which the scenario executor's `repro-all`
+//! campaign collects once and shares across figures. Every function
+//! returns a printable data structure; the `razorbus-bench` crate's
+//! `repro` binary prints them.
 
 pub mod fig10;
 pub mod fig4;
@@ -27,33 +29,6 @@ pub mod table1;
 use crate::design::DvsBusDesign;
 use crate::summary::TraceSummary;
 use razorbus_traces::Benchmark;
-
-/// Collects per-benchmark summaries (all ten programs) in parallel.
-#[must_use]
-pub fn per_benchmark_summaries(
-    design: &DvsBusDesign,
-    cycles_per_benchmark: u64,
-    seed: u64,
-) -> Vec<(Benchmark, TraceSummary)> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = Benchmark::ALL
-            .iter()
-            .map(|&b| {
-                scope.spawn(move || {
-                    let mut trace = b.trace(seed);
-                    (
-                        b,
-                        TraceSummary::collect(design, &mut trace, cycles_per_benchmark),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("summary worker"))
-            .collect()
-    })
-}
 
 /// The per-benchmark histograms plus their all-programs merge, collected
 /// once and then reused across every static sweep.
@@ -102,11 +77,19 @@ impl<'de> serde::Deserialize<'de> for SummaryBank {
 }
 
 impl SummaryBank {
-    /// Collects all ten benchmarks (fanned out with scoped threads) and
-    /// merges them.
+    /// Collects all ten benchmarks, one after another, and merges them
+    /// in [`Benchmark::ALL`] order.
     #[must_use]
     pub fn collect(design: &DvsBusDesign, cycles_per_benchmark: u64, seed: u64) -> Self {
-        Self::from_per_benchmark(per_benchmark_summaries(design, cycles_per_benchmark, seed))
+        let per = Benchmark::ALL
+            .iter()
+            .map(|&b| {
+                let summary =
+                    TraceSummary::collect(design, &mut b.trace(seed), cycles_per_benchmark);
+                (b, summary)
+            })
+            .collect();
+        Self::from_per_benchmark(per)
     }
 
     /// Builds a bank from already-collected per-benchmark summaries —
@@ -140,12 +123,6 @@ impl SummaryBank {
     pub fn combined(&self) -> &TraceSummary {
         &self.combined
     }
-
-    /// Consumes the bank, returning just the merged summary.
-    #[must_use]
-    pub fn into_combined(self) -> TraceSummary {
-        self.combined
-    }
 }
 
 /// Merges all ten benchmarks into one combined summary (the "running all
@@ -156,7 +133,7 @@ pub fn combined_summary(
     cycles_per_benchmark: u64,
     seed: u64,
 ) -> TraceSummary {
-    SummaryBank::collect(design, cycles_per_benchmark, seed).into_combined()
+    SummaryBank::collect(design, cycles_per_benchmark, seed).combined
 }
 
 #[cfg(test)]

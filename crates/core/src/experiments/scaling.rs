@@ -6,7 +6,7 @@
 //! therefore, can be expected to scale well with technology."
 
 use crate::design::DvsBusDesign;
-use crate::experiments::combined_summary;
+use crate::summary::TraceSummary;
 use razorbus_process::{ProcessCorner, PvtCorner, TechnologyNode};
 use razorbus_units::Picoseconds;
 
@@ -36,43 +36,31 @@ pub struct ScalingData {
     pub rows: Vec<ScalingRow>,
 }
 
-/// Runs the study across all four nodes.
-///
-/// # Panics
-///
-/// Panics if a node fails to produce a sizable design (the parameter
-/// sets in `razorbus-process` are chosen so all four succeed).
+/// One node's row, from its design and its all-programs summary at
+/// the typical corner.
 #[must_use]
-pub fn run(cycles_per_benchmark: u64, seed: u64) -> ScalingData {
-    let rows = TechnologyNode::ALL
-        .iter()
-        .map(|&node| {
-            let design = DvsBusDesign::for_technology(node).expect("node design");
-            let bus = design.bus();
-            let summary = combined_summary(&design, cycles_per_benchmark, seed);
-            let corner = PvtCorner::TYPICAL;
-            let v = summary.lowest_voltage_for_error_rate(&design, corner, 0.02);
-            let gain = summary.energy_gain(&design, corner, v);
-            let worst = bus.worst_case_delay_at_design_corner();
-            let best = bus.delay(
-                bus.best_effective_cap_per_mm(),
-                design.nominal().to_volts() * (1.0 - design.bus().design_corner().ir.fraction()),
-                ProcessCorner::Slow,
-                razorbus_units::Celsius::HOT,
-            );
-            let floor = design.static_shadow_floor(corner);
-            ScalingRow {
-                node,
-                pattern_spread_per_mm2: node.pattern_delay_spread_per_mm2(),
-                pattern_delay_ratio: worst.ps() / best.ps(),
-                target_delay: bus.max_path_delay(),
-                typical_gain_2pct: gain,
-                relative_scaling_range: f64::from((design.nominal() - floor).mv())
-                    / f64::from(design.nominal().mv()),
-            }
-        })
-        .collect();
-    ScalingData { rows }
+pub fn row(node: TechnologyNode, design: &DvsBusDesign, summary: &TraceSummary) -> ScalingRow {
+    let bus = design.bus();
+    let corner = PvtCorner::TYPICAL;
+    let v = summary.lowest_voltage_for_error_rate(design, corner, 0.02);
+    let gain = summary.energy_gain(design, corner, v);
+    let worst = bus.worst_case_delay_at_design_corner();
+    let best = bus.delay(
+        bus.best_effective_cap_per_mm(),
+        design.nominal().to_volts() * (1.0 - design.bus().design_corner().ir.fraction()),
+        ProcessCorner::Slow,
+        razorbus_units::Celsius::HOT,
+    );
+    let floor = design.static_shadow_floor(corner);
+    ScalingRow {
+        node,
+        pattern_spread_per_mm2: node.pattern_delay_spread_per_mm2(),
+        pattern_delay_ratio: worst.ps() / best.ps(),
+        target_delay: bus.max_path_delay(),
+        typical_gain_2pct: gain,
+        relative_scaling_range: f64::from((design.nominal() - floor).mv())
+            / f64::from(design.nominal().mv()),
+    }
 }
 
 impl ScalingData {
@@ -92,40 +80,6 @@ impl ScalingData {
                 r.target_delay.ps(),
                 r.typical_gain_2pct * 100.0,
                 r.relative_scaling_range * 100.0
-            );
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pattern_spread_and_delay_ratio_grow_with_scaling() {
-        let data = run(2_000, 6);
-        assert_eq!(data.rows.len(), 4);
-        // The §6 claim: R*Cc strictly increases.
-        assert!(data
-            .rows
-            .windows(2)
-            .all(|w| w[1].pattern_spread_per_mm2 > w[0].pattern_spread_per_mm2));
-        // Worst/best pattern ratio widens (more data-dependent slack).
-        assert!(
-            data.rows[3].pattern_delay_ratio > data.rows[0].pattern_delay_ratio,
-            "{:?}",
-            data.rows
-                .iter()
-                .map(|r| r.pattern_delay_ratio)
-                .collect::<Vec<_>>()
-        );
-        // Gains remain substantial at every node.
-        for r in &data.rows {
-            assert!(
-                r.typical_gain_2pct > 0.10,
-                "{}: gain {}",
-                r.node,
-                r.typical_gain_2pct
             );
         }
     }

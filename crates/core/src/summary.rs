@@ -353,11 +353,38 @@ impl TraceSummary {
 }
 
 /// Per-window (10 000-cycle) summaries for the oracle analysis of Fig. 6.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct WindowedSummary {
-    /// One [`TraceSummary`]-shaped histogram per window, flattened.
+    /// One [`TraceSummary`] per window, in trace order.
     windows: Vec<TraceSummary>,
     window_len: u64,
+}
+
+/// Validating deserialization: at least one window, a positive window
+/// length, and every window (itself a validated [`TraceSummary`])
+/// summarizing exactly that many cycles.
+impl<'de> serde::Deserialize<'de> for WindowedSummary {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        #[derive(serde::Deserialize)]
+        struct Repr {
+            windows: Vec<TraceSummary>,
+            window_len: u64,
+        }
+        use serde::de::Error;
+        let Repr {
+            windows,
+            window_len,
+        } = Repr::deserialize(deserializer)?;
+        if windows.is_empty() || windows.iter().any(|w| w.cycles != window_len) {
+            return Err(D::Error::custom(format!(
+                "windowing must hold one or more windows of {window_len} cycles each"
+            )));
+        }
+        Ok(Self {
+            windows,
+            window_len,
+        })
+    }
 }
 
 impl WindowedSummary {

@@ -11,13 +11,14 @@ use razorbus_ctrl::GovernorSpec;
 use razorbus_units::Millivolts;
 
 /// Every named scenario, paper and non-paper.
-pub const NAMES: [&str; 12] = [
+pub const NAMES: [&str; 13] = [
     "fig4",
     "fig5",
     "fig8",
     "table1",
     "fig10",
     "paper-all",
+    "repro-all",
     "bursty-dma",
     "idle-churn",
     "crosstalk-storm",
@@ -45,6 +46,7 @@ pub fn by_name(name: &str, cycles: u64, seed: u64) -> Option<ScenarioSet> {
         "table1" => Some(paper::table1_set(cycles, seed)),
         "fig10" => Some(paper::fig10_set(cycles, seed)),
         "paper-all" => Some(paper::paper_all_set(cycles, seed)),
+        "repro-all" => Some(paper::repro_all_set(cycles, seed)),
         "bursty-dma" => Some(bursty_dma_set(cycles, seed)),
         "idle-churn" => Some(idle_churn_set(cycles, seed)),
         "crosstalk-storm" => Some(crosstalk_storm_set(cycles, seed)),
@@ -153,10 +155,7 @@ pub fn governor_shootout_set(cycles: u64, seed: u64) -> ScenarioSet {
         GovernorSpec::Proportional,
         GovernorSpec::Fixed(Millivolts::new(1_100)),
     ])];
-    ScenarioSet {
-        name: "governor-shootout".to_string(),
-        members: vec![spec],
-    }
+    ScenarioSet::new("governor-shootout", vec![spec])
 }
 
 /// The shared skeleton of the Monte-Carlo campaigns: mixed traffic
@@ -212,10 +211,7 @@ fn monte_carlo_member(
             }),
         ],
     };
-    ScenarioSet {
-        name: set.to_string(),
-        members: vec![spec],
-    }
+    ScenarioSet::new(set, vec![spec])
 }
 
 /// The 10 000-member Monte-Carlo DVS campaign: 625 trace seeds × 2

@@ -26,7 +26,11 @@
 //!   fills it: the key's shared compile ([`CompiledTrace::summary`]),
 //!   else the key's first live loop (a `with_histogram` by-product),
 //!   else a dedicated `TraceSummary::collect` pass. All three are
-//!   bit-identical (pinned in `razorbus-core`).
+//!   bit-identical (pinned in `razorbus-core`). A windowed product
+//!   ([`AnalysisSpec::WindowedSweep`], Fig. 6's input) always takes a
+//!   pass of its own, one `WindowedSummary::collect` job: each window
+//!   reads one more word than it has cycles, so no other pass holds
+//!   its windows.
 //! * **Words** — a key with a single loop (`paper-all`'s §6 modified
 //!   bus) whose words a compile already reads, on a design of the same
 //!   layout, rides that compile as its *co-analysis*: the compile drains
@@ -66,6 +70,7 @@
 //! pins that over generated sets.
 //!
 //! [`AnalysisSpec::Aggregate`]: crate::AnalysisSpec::Aggregate
+//! [`AnalysisSpec::WindowedSweep`]: crate::AnalysisSpec::WindowedSweep
 //! [`CampaignDigest`]: crate::CampaignDigest
 
 use crate::aggregate::{DigestBuilder, MemberMetrics};
@@ -73,10 +78,10 @@ use crate::pool;
 use crate::result::{LoopData, MemberResult, ScenarioSetResult, StreamRun, SweepData};
 use crate::spec::{CheckedRecipe, ControllerSpec, DesignSpec, ScenarioSpec, WorkloadSpec};
 use razorbus_core::experiments::fig8::{self, SuiteCursor};
-use razorbus_core::experiments::SummaryBank;
+use razorbus_core::experiments::{fig6::WINDOW_LEN, SummaryBank};
 use razorbus_core::{
     compile_chunk_knob, parse_knob, BusSimulator, CompiledChunk, CompiledTrace, DvsBusDesign,
-    FusedOp, TraceSummary,
+    FusedOp, TraceSummary, WindowedSummary,
 };
 use razorbus_ctrl::{BoxedGovernor, ControllerConfig, GovernorSpec};
 use razorbus_process::{IrDrop, ProcessCorner, PvtCorner};
@@ -321,6 +326,8 @@ enum Job<'p> {
     /// compile or live loop reads); the last stream to finish
     /// assembles the sweep product.
     Summary(usize, usize),
+    /// Collect windowed sweep `sweeps[s]` in a pass of its own.
+    Windows(usize),
     /// Replay `loop_jobs[i]` against its shared compiled stream.
     Replay(usize, Arc<CompiledTrace>),
     /// Land compiled stream `b` of a suite in window `w`, replaying
@@ -597,6 +604,8 @@ struct Plan {
     sweeps: Vec<SummaryKey>,
     /// Sweeps no compile or live loop reads: one summary pass each.
     own_sweeps: Vec<usize>,
+    /// Windowed sweeps: one windowed pass each.
+    own_windows: Vec<usize>,
     /// How many loop jobs keep their data.
     kept: usize,
     /// The suite loop each in-order window replays, by window.
@@ -608,6 +617,12 @@ struct Plan {
 }
 
 impl ScenarioSet {
+    /// A set named `name` of `members`.
+    pub(crate) fn new(name: &str, members: Vec<ScenarioSpec>) -> Self {
+        let name = name.to_string();
+        Self { name, members }
+    }
+
     /// A set with a single (possibly swept) scenario.
     #[must_use]
     pub fn single(spec: ScenarioSpec) -> Self {
@@ -752,8 +767,10 @@ impl ScenarioSet {
         compile_budget: Option<u64>,
     ) -> Result<Plan, String> {
         let members = self.expand()?;
-        // A run at an untabulated corner would panic inside a job.
+        // A run at an untabulated corner would panic inside a job, and
+        // so would a windowing the windowed pass cannot cut.
         members.iter().try_for_each(ScenarioSpec::check_corner)?;
+        members.iter().try_for_each(ScenarioSpec::check_windows)?;
         let (design_specs, member_design) = distinct_designs(members.iter().map(|m| &m.design));
         let mut interned = Interner::with_capacity(1);
         let member_workload: Vec<usize> =
@@ -808,8 +825,8 @@ impl ScenarioSet {
                     }));
                 }
             }
-            let swept = m.analysis.wants_sweep();
-            let sweep = swept.then(|| sweeps.id(LoopKey::of(m, d, w).summary_key()));
+            let (swept, windowed) = (m.analysis.wants_sweep(), m.analysis.wants_windows());
+            let sweep = swept.then(|| sweeps.id((LoopKey::of(m, d, w).summary_key(), windowed)));
             member_plans.push(MemberPlan { closed_loop, sweep });
         }
 
@@ -899,10 +916,15 @@ impl ScenarioSet {
             }
         }
 
-        // Each sweep's source: the pass that already reads its words.
+        // Each sweep's source: the pass that already reads its words,
+        // or for a windowed sweep a pass of its own.
         let mut compile_sweep = vec![[None, None]; compile_keys.len()];
-        let mut own_sweeps = Vec::new();
-        for (s, key) in sweeps.values.iter().enumerate() {
+        let (mut own_sweeps, mut own_windows) = (Vec::new(), Vec::new());
+        for (s, (key, windowed)) in sweeps.values.iter().enumerate() {
+            if *windowed {
+                own_windows.push(s);
+                continue;
+            }
             match skeys.ids.get(key).map(|&k| (k, skey_compile[k])) {
                 Some((_, Some((c, t)))) => compile_sweep[c][t] = Some(s),
                 Some((k, None)) => loop_jobs[first_loop[k]].sweep = Some(s),
@@ -948,8 +970,9 @@ impl ScenarioSet {
             workloads,
             loop_jobs,
             compile_jobs,
-            sweeps: sweeps.values,
+            sweeps: sweeps.values.into_iter().map(|(key, _)| key).collect(),
             own_sweeps,
+            own_windows,
             kept,
             windows,
             live_fallbacks,
@@ -982,11 +1005,12 @@ impl Plan {
     }
 
     /// The initial pool feed, each block in plan order: live
-    /// (uncompiled) loops, then compiles, then summary passes, one job
-    /// per workload stream. A live loop cannot split below a whole
-    /// workload — a suite loop threads one governor through every
-    /// benchmark — so it starts first, and the compiles' stealable
-    /// chunk jobs fill the pool around it.
+    /// (uncompiled) loops, then compiles, then windowed passes, then
+    /// summary passes, one job per workload stream. A live loop cannot
+    /// split below a whole workload — a suite loop threads one governor
+    /// through every benchmark — so it starts first, and the compiles'
+    /// stealable chunk jobs fill the pool around it. A windowed pass is
+    /// one whole stream, so it goes before the per-stream summaries.
     fn initial_feed(&self) -> Vec<Job<'_>> {
         let streams = |key: &SummaryKey| 0..self.workloads[key.workload].streams();
         let live = (self.loop_jobs.iter().enumerate()).filter(|(_, job)| job.compile.is_none());
@@ -995,8 +1019,10 @@ impl Plan {
             compiles.flat_map(|(c, job)| streams(&job.key).map(move |b| Job::Compile(c, b)));
         let summaries = (self.own_sweeps.iter())
             .flat_map(|&s| streams(&self.sweeps[s]).map(move |b| Job::Summary(s, b)));
+        let windows = self.own_windows.iter().map(|&s| Job::Windows(s));
         live.map(|(i, _)| Job::Loop(i))
             .chain(compiles)
+            .chain(windows)
             .chain(summaries)
             .collect()
     }
@@ -1148,6 +1174,14 @@ impl<'p> Run<'p> {
                 let design = &plan.designs[key.design_idx];
                 let summary = TraceSummary::collect(design, &mut trace, key.cycles);
                 self.fill_sweep(s, stream, summary);
+            }
+            Job::Windows(s) => {
+                let key = &plan.sweeps[s];
+                let mut trace = plan.workloads[key.workload].open(key.seed, 0);
+                let design = &plan.designs[key.design_idx];
+                let n = usize::try_from(key.cycles / WINDOW_LEN).expect("planned windows fit");
+                let windows = WindowedSummary::collect(design, &mut trace, n, WINDOW_LEN);
+                self.sweeps.fill(s, SweepData::Windows(windows));
             }
         }
     }
@@ -1504,10 +1538,15 @@ impl ScenarioSetRun {
                     loop_data.shadow_violations(),
                 );
             }
-            if let Some(sweep) = &member.sweep {
+            let summary = match &member.sweep {
+                Some(SweepData::Bank(bank)) => Some(bank.combined()),
+                Some(SweepData::Summary(summary)) => Some(summary),
+                // Fig. 6's windows keep no whole-run summary.
+                Some(SweepData::Windows(_)) | None => None,
+            };
+            if let Some(summary) = summary {
                 if let Ok(design) = self.design_for(&spec.design) {
                     let corner = spec.run.corner.resolve();
-                    let summary = sweep.combined();
                     let mut cells = Vec::new();
                     for target in razorbus_core::experiments::fig5::TARGETS {
                         let v = summary.lowest_voltage_for_error_rate(design, corner, target);
@@ -1951,6 +1990,7 @@ mod tests {
         Loop(usize),
         Compile(usize, usize),
         Summary(usize, usize),
+        Windows(usize),
     }
 
     fn fed(feed: Vec<Job<'_>>) -> Vec<Fed> {
@@ -1959,6 +1999,7 @@ mod tests {
                 Job::Loop(i) => Fed::Loop(i),
                 Job::Compile(c, b) => Fed::Compile(c, b),
                 Job::Summary(s, b) => Fed::Summary(s, b),
+                Job::Windows(s) => Fed::Windows(s),
                 Job::CompileChunk(..) | Job::Replay(..) | Job::Land(..) | Job::FusedReplay(..) => {
                     panic!("continuations are spawned, never fed")
                 }
@@ -2093,16 +2134,21 @@ mod tests {
         assert_eq!(loop_sweep(&plan), loop_sweeps);
         assert!(plan.own_sweeps.is_empty());
 
-        // Summary passes come last, in plan order: a suite pass one job
-        // per benchmark, a single-stream pass one job.
+        // Windowed passes follow the compiles, one job each, and summary
+        // passes come last, in plan order: a suite pass one job per
+        // benchmark, a single-stream pass one job.
         plan.workloads.push(Workload::Single(Benchmark::ALL[0]));
-        plan.sweeps.push(SummaryKey {
+        let single = SummaryKey {
             workload: plan.workloads.len() - 1,
             ..plan.compile_jobs[0].key
-        });
-        plan.own_sweeps = vec![modified_bank, plan.sweeps.len() - 1];
+        };
+        plan.sweeps.extend([single, single]);
+        let (summary, windows) = (plan.sweeps.len() - 2, plan.sweeps.len() - 1);
+        plan.own_sweeps = vec![modified_bank, summary];
+        plan.own_windows = vec![windows];
+        expected.push(Fed::Windows(windows));
         expected.extend((0..Benchmark::ALL.len()).map(|b| Fed::Summary(modified_bank, b)));
-        expected.push(Fed::Summary(plan.sweeps.len() - 1, 0));
+        expected.push(Fed::Summary(summary, 0));
         assert_eq!(fed(plan.initial_feed()), expected);
 
         // Without sharing, the three suite loops all run live, in plan
@@ -2504,6 +2550,93 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn repro_all_plans_paper_all_plus_its_own_passes() {
+        // The paper suite compile (co-analyzed for the modified bus) as
+        // in `paper-all`, one ablation suite compile co-analyzed for a
+        // skew-cap design, the other skew-cap loop live, three windowed
+        // passes, and the four scaling banks plus the Elmore-coupling
+        // bank as summary passes.
+        let set = crate::paper::repro_all_set(1_000, 7);
+        let plan = set.plan(Vec::new(), Some(DEFAULT_COMPILE_BUDGET)).unwrap();
+        assert_eq!(plan.compile_jobs.len(), 2);
+        assert!(plan.compile_jobs.iter().all(|job| job.analyses.len() == 2));
+        let live = plan.loop_jobs.iter().filter(|job| job.compile.is_none());
+        assert_eq!(live.count(), 1);
+        assert_eq!(plan.own_windows.len(), 3);
+        assert_eq!(plan.own_sweeps.len(), 5);
+    }
+
+    /// A windowed member on `workload` for `cycles`.
+    fn windowed(workload: WorkloadSpec, cycles: u64) -> ScenarioSet {
+        let mut m = member("windowed", AnalysisSpec::WindowedSweep, CornerSpec::Typical);
+        m.workload = workload;
+        m.run.cycles_per_benchmark = cycles;
+        ScenarioSet::single(m)
+    }
+
+    #[test]
+    fn windowed_sweep_on_the_suite_is_refused_before_any_job() {
+        // The oracle's windows cut one stream, and a suite is ten.
+        let set = windowed(WorkloadSpec::Suite, 2 * WINDOW_LEN);
+        let planned = set.plan(Vec::new(), Some(DEFAULT_COMPILE_BUDGET));
+        for (runner, result) in [
+            ("planner", planned.err()),
+            ("reference", set.run_reference().err()),
+        ] {
+            let err = result.expect("refused");
+            assert!(err.contains("member `windowed`"), "{runner}: {err}");
+            assert!(err.contains("not the ten-program suite"), "{runner}: {err}");
+        }
+    }
+
+    #[test]
+    fn windowed_sweep_off_the_window_grid_is_refused_before_any_job() {
+        for cycles in [WINDOW_LEN / 2, 3 * WINDOW_LEN + 1] {
+            let set = windowed(WorkloadSpec::Single(Benchmark::Crafty), cycles);
+            let planned = set.plan(Vec::new(), Some(DEFAULT_COMPILE_BUDGET));
+            for (runner, result) in [
+                ("planner", planned.err()),
+                ("reference", set.run_reference().err()),
+            ] {
+                let err = result.expect("refused");
+                assert!(err.contains("member `windowed`"), "{runner}: {err}");
+                let what = format!("multiple of {WINDOW_LEN} cycles, not {cycles}");
+                assert!(err.contains(&what), "{runner}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_sweeps_take_a_pass_of_their_own() {
+        // Two loops compile crafty's words and a static sweep rides the
+        // compile; the windowed member on the same words still takes
+        // its own pass, and every product equals the naive run's.
+        let mut set = windowed(WorkloadSpec::Single(Benchmark::Crafty), 2 * WINDOW_LEN);
+        let mut loops = member("loops", AnalysisSpec::Full, CornerSpec::Typical);
+        loops.workload = WorkloadSpec::Single(Benchmark::Crafty);
+        loops.run.cycles_per_benchmark = 2 * WINDOW_LEN;
+        loops.sweep = vec![SweepAxis::Corners(vec![
+            CornerSpec::Typical,
+            CornerSpec::Worst,
+        ])];
+        set.members.push(loops);
+        let (_, plan) = plan_of(&set, true);
+        assert_eq!(plan.compile_jobs.len(), 1);
+        assert_eq!(compile_sweep(&plan), vec![Some(1)]);
+        assert_eq!(plan.own_windows, vec![0]);
+        let reference = set.run_reference().unwrap();
+        for workers in [Some(1), Some(2)] {
+            let run = set.run_with_workers(Vec::new(), true, workers).unwrap();
+            assert_eq!(run.result, reference.result, "{workers:?}");
+        }
+        let product = &reference.result.member("windowed").unwrap().sweep;
+        let Some(SweepData::Windows(windows)) = product else {
+            panic!("a windowed member carries windows: {product:?}");
+        };
+        assert_eq!(windows.windows().len(), 2);
     }
 
     #[test]

@@ -35,12 +35,15 @@
 //!   bit-identically or reports the first diverging member and
 //!   component.
 //! * [`paper`] — the paper's figures as named sets plus adapters that
-//!   render them into `razorbus_core::experiments` data structures.
+//!   render them into `razorbus_core::experiments` data structures, up
+//!   to `repro-all`: every figure, Fig. 6's windowed oracle input, the
+//!   §6 scaling banks and the [`ablations`] in one campaign.
 //! * [`ScenarioSet::run_reference`] — the oracle: the same campaign run
 //!   naively, member by member, which [`ScenarioSet::run`] must equal
 //!   bit for bit at any worker count, chunk size and compile budget.
 //! * [`catalog`] — named scenarios: the five paper figures, the
-//!   combined `paper-all` pipeline, and four non-paper workloads
+//!   combined `paper-all` and `repro-all` pipelines, and four non-paper
+//!   workloads
 //!   (bursty DMA, idle-dominated, adversarial crosstalk, a governor
 //!   shootout).
 //!
@@ -63,6 +66,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablations;
 pub mod aggregate;
 pub mod catalog;
 mod exec;

@@ -2,12 +2,15 @@
 //! adapters that turn executor products back into the exact figure data
 //! structures of `razorbus_core::experiments`.
 //!
-//! Each adapter feeds a member's heavy inputs (summary bank, suite
-//! closed loop) to the `from_summary`/`from_parts` kernels, so a figure
-//! rendered from the shared, deduplicated campaign is **bit-identical**
-//! to the same figure rendered from [`ScenarioSet::run_reference`] —
-//! pinned by the differential tests in `tests/differential.rs`.
+//! Each adapter feeds a member's heavy inputs (summary bank, windowed
+//! summaries, suite closed loop) to the `from_summary`/`from_parts`
+//! kernels, so a figure rendered from the shared, deduplicated campaign
+//! is **bit-identical** to the same figure rendered from
+//! [`ScenarioSet::run_reference`] — pinned by the differential tests in
+//! `tests/differential.rs`. [`repro_all_set`] holds every member `repro
+//! all` prints.
 
+use crate::ablations;
 use crate::exec::{ScenarioSet, ScenarioSetRun};
 use crate::result::{LoopData, MemberResult, SweepData};
 use crate::spec::{
@@ -15,10 +18,12 @@ use crate::spec::{
     WorkloadSpec,
 };
 use razorbus_core::experiments::{self, fig10::Fig10Data, fig4::Fig4Data, fig5::Fig5Data};
+use razorbus_core::experiments::{fig6, fig6::Fig6Data, scaling::ScalingData};
 use razorbus_core::experiments::{fig8::Fig8Data, table1::Table1Data, SummaryBank};
+use razorbus_process::TechnologyNode;
 use razorbus_traces::Benchmark;
 
-fn paper_member(
+pub(crate) fn paper_member(
     name: &str,
     corner: CornerSpec,
     analysis: AnalysisSpec,
@@ -116,13 +121,11 @@ pub fn fig10_set(cycles: u64, seed: u64) -> ScenarioSet {
         seed,
     );
     modified.design = DesignSpec::ModifiedCoupling;
-    ScenarioSet {
-        name: "fig10".to_string(),
-        members: vec![original, modified],
-    }
+    ScenarioSet::new("fig10", vec![original, modified])
 }
 
-/// The whole `repro all` figure pipeline as one set. The executor plans
+/// Figs. 4, 5, 8 and 10 and Table 1 as one set (the core of
+/// [`repro_all_set`]). The executor plans
 /// exactly three heavy loop jobs over one pass of the suite's words:
 /// paper/typical and paper/worst replay one shared suite compile, which
 /// also summarizes the paper bank, and the compile co-analyzes the same
@@ -143,10 +146,54 @@ pub fn paper_all_set(cycles: u64, seed: u64) -> ScenarioSet {
     members.extend(fig5_set(cycles, seed).members);
     members.extend(table1_set(cycles, seed).members);
     members.extend(fig10_set(cycles, seed).members);
-    ScenarioSet {
-        name: "paper-all".to_string(),
-        members,
-    }
+    ScenarioSet::new("paper-all", members)
+}
+
+/// Fig. 6: one windowed-sweep member per plotted program at the
+/// typical corner, `cycles / 10 000` windows of 10 000 cycles each (at
+/// least 10).
+#[must_use]
+pub fn fig6_set(cycles: u64, seed: u64) -> ScenarioSet {
+    let cycles = (cycles / fig6::WINDOW_LEN).max(10) * fig6::WINDOW_LEN;
+    let (typical, windowed) = (CornerSpec::Typical, AnalysisSpec::WindowedSweep);
+    let members = (fig6::PROGRAMS.iter()).map(|&b| ScenarioSpec {
+        workload: WorkloadSpec::Single(b),
+        ..paper_member(&fig6_member(b), typical, windowed, cycles, seed)
+    });
+    ScenarioSet::new("fig6", members.collect())
+}
+
+fn fig6_member(program: Benchmark) -> String {
+    format!("fig6-{}", program.name())
+}
+
+/// §6 scaling: the ten-program suite's summary bank on each technology
+/// node's design, at `cycles / 4` per benchmark.
+#[must_use]
+pub fn scaling_set(cycles: u64, seed: u64) -> ScenarioSet {
+    let (typical, sweep) = (CornerSpec::Typical, AnalysisSpec::StaticSweep);
+    let members = (TechnologyNode::ALL.iter()).map(|&node| {
+        let design = DesignSpec::Technology(node);
+        let name = format!("scaling-{}", design.label());
+        let member = paper_member(&name, typical, sweep, cycles / 4, seed);
+        ScenarioSpec { design, ..member }
+    });
+    ScenarioSet::new("scaling", members.collect())
+}
+
+/// Everything `repro all` prints as one campaign: [`paper_all_set`],
+/// then [`fig6_set`], [`scaling_set`] and
+/// [`ablations::ablations_set`]. Fig. 6, scaling and the ablations keep
+/// their own geometries, so none of their keys meets a paper-all key:
+/// the set adds three windowed passes, the scaling banks' summary
+/// passes and the ablation loops to `paper-all`'s plan.
+#[must_use]
+pub fn repro_all_set(cycles: u64, seed: u64) -> ScenarioSet {
+    let mut members = paper_all_set(cycles, seed).members;
+    members.extend(fig6_set(cycles, seed).members);
+    members.extend(scaling_set(cycles, seed).members);
+    members.extend(ablations::ablations_set(cycles, seed).members);
+    ScenarioSet::new("repro-all", members)
 }
 
 fn sweep_bank<'a>(member: &'a MemberResult, what: &str) -> Result<&'a SummaryBank, String> {
@@ -280,6 +327,47 @@ pub fn fig10_data(run: &ScenarioSetRun) -> Result<Fig10Data, String> {
     ))
 }
 
+/// Fig. 6 from the `fig6-<program>` members.
+///
+/// # Errors
+///
+/// Errors when the members or their products are missing.
+pub fn fig6_data(run: &ScenarioSetRun) -> Result<Fig6Data, String> {
+    let first = &run.result.member(&fig6_member(fig6::PROGRAMS[0]))?.spec;
+    let programs = (fig6::PROGRAMS.iter())
+        .map(|&b| match run.result.member(&fig6_member(b))? {
+            MemberResult {
+                sweep: Some(SweepData::Windows(windows)),
+                ..
+            } => Ok((b, windows)),
+            m => Err(format!(
+                "member `{}` carries no windowed summaries",
+                m.spec.name
+            )),
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let (design, corner) = (run.design_for(&first.design)?, first.run.corner.resolve());
+    Ok(fig6::from_windows(design, corner, &programs))
+}
+
+/// §6 scaling from the `scaling-<node>` members.
+///
+/// # Errors
+///
+/// Errors when the members or their products are missing.
+pub fn scaling_data(run: &ScenarioSetRun) -> Result<ScalingData, String> {
+    let rows = TechnologyNode::ALL.iter().map(|&node| {
+        let design = DesignSpec::Technology(node);
+        let m = run.result.member(&format!("scaling-{}", design.label()))?;
+        let bank = sweep_bank(m, "scaling")?;
+        let design = run.design_for(&design)?;
+        Ok(experiments::scaling::row(node, design, bank.combined()))
+    });
+    Ok(ScalingData {
+        rows: rows.collect::<Result<_, String>>()?,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,5 +428,94 @@ mod tests {
         member.sweep = Some(SweepData::Bank(SummaryBank::from_per_benchmark(reversed)));
         let err = table1_data(&run).unwrap_err();
         assert!(err.contains("`table1@typical`: bank"), "{err}");
+    }
+
+    #[test]
+    fn fig6_program_separation() {
+        let run = fig6_set(12 * fig6::WINDOW_LEN, 3).run().unwrap();
+        let data = fig6_data(&run).unwrap();
+        assert_eq!(data.entries.len(), 6);
+        let mean = |b: Benchmark, t: f64| {
+            data.entries
+                .iter()
+                .find(|e| e.benchmark == b && e.target == t)
+                .unwrap()
+                .mean_voltage_mv()
+        };
+        // The paper's separation: crafty runs well below mgrid at 2%.
+        assert!(
+            mean(Benchmark::Crafty, 0.02) + 20.0 < mean(Benchmark::Mgrid, 0.02),
+            "crafty {} vs mgrid {}",
+            mean(Benchmark::Crafty, 0.02),
+            mean(Benchmark::Mgrid, 0.02)
+        );
+        // Looser target never raises the mean voltage.
+        for b in fig6::PROGRAMS {
+            assert!(mean(b, 0.05) <= mean(b, 0.02) + 1e-9, "{b}");
+        }
+    }
+
+    #[test]
+    fn residency_fractions_are_distributions() {
+        let run = fig6_set(8 * fig6::WINDOW_LEN, 9).run().unwrap();
+        for e in &fig6_data(&run).unwrap().entries {
+            let total: f64 = e.residency.iter().map(|(_, f)| f).sum();
+            assert!((total - 1.0).abs() < 1e-9, "{e:?}");
+            assert!(!e.residency.is_empty());
+        }
+    }
+
+    #[test]
+    fn pattern_spread_and_delay_ratio_grow_with_scaling() {
+        let run = scaling_set(4 * 2_000, 6).run().unwrap();
+        let data = scaling_data(&run).unwrap();
+        assert_eq!(data.rows.len(), 4);
+        // The §6 claim: R*Cc strictly increases.
+        assert!(data
+            .rows
+            .windows(2)
+            .all(|w| w[1].pattern_spread_per_mm2 > w[0].pattern_spread_per_mm2));
+        // Worst/best pattern ratio widens (more data-dependent slack).
+        assert!(
+            data.rows[3].pattern_delay_ratio > data.rows[0].pattern_delay_ratio,
+            "{:?}",
+            data.rows
+                .iter()
+                .map(|r| r.pattern_delay_ratio)
+                .collect::<Vec<_>>()
+        );
+        // Gains remain substantial at every node.
+        for r in &data.rows {
+            assert!(
+                r.typical_gain_2pct > 0.10,
+                "{}: gain {}",
+                r.node,
+                r.typical_gain_2pct
+            );
+        }
+    }
+
+    #[test]
+    fn repro_all_renders_identically_after_save_load_and_reload() {
+        use razorbus_artifact::{Artifact, Encoding};
+        let set = repro_all_set(1_000, 7);
+        let cold = set.run().unwrap();
+        let path =
+            std::env::temp_dir().join(format!("razorbus-repro-all-{}.rzba", std::process::id()));
+        cold.result.save_file(&path, Encoding::Binary).unwrap();
+        let loaded = crate::ScenarioSetResult::load_file(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(loaded, cold.result);
+        let warm = ScenarioSetRun::reload(loaded, &set).unwrap();
+        // Everything `repro all` prints.
+        let render = |run: &ScenarioSetRun| {
+            let fig4 = ["fig4@worst", "fig4@typical"].map(|m| fig4_panel(run, m).unwrap());
+            let (fig5, fig6) = (fig5_data(run).unwrap(), fig6_data(run).unwrap());
+            let (fig8, table1) = (fig8_data(run).unwrap(), table1_data(run).unwrap());
+            let (fig10, scaling) = (fig10_data(run).unwrap(), scaling_data(run).unwrap());
+            let studies = ablations::studies(run).unwrap();
+            format!("{fig4:?}{fig5:?}{fig6:?}{fig8:?}{table1:?}{fig10:?}{scaling:?}{studies:?}")
+        };
+        assert_eq!(render(&warm), render(&cold));
     }
 }

@@ -13,8 +13,8 @@ use crate::aggregate::{DigestBuilder, MemberMetrics};
 use crate::exec::{distinct_designs, ScenarioSet, ScenarioSetRun};
 use crate::result::{LoopData, MemberResult, ScenarioSetResult, StreamRun, SweepData};
 use crate::spec::{DesignSpec, ScenarioSpec, WorkloadSpec};
-use razorbus_core::experiments::{fig8, SummaryBank};
-use razorbus_core::{BusSimulator, DvsBusDesign, TraceSummary};
+use razorbus_core::experiments::{fig6::WINDOW_LEN, fig8, SummaryBank};
+use razorbus_core::{BusSimulator, DvsBusDesign, TraceSummary, WindowedSummary};
 use razorbus_traces::TraceSource;
 
 impl ScenarioSet {
@@ -22,7 +22,8 @@ impl ScenarioSet {
     /// design once, then runs every member on its own, in expansion
     /// order — suite loops through [`fig8::run_protocol`], single
     /// streams through [`BusSimulator::run`], sweeps through
-    /// [`SummaryBank::collect`] / [`TraceSummary::collect`], and
+    /// [`SummaryBank::collect`] / [`TraceSummary::collect`] /
+    /// [`WindowedSummary::collect`], and
     /// aggregate members through [`MemberMetrics::of`] into a
     /// [`DigestBuilder`] in rank order.
     ///
@@ -36,6 +37,7 @@ impl ScenarioSet {
     pub fn run_reference(&self) -> Result<ScenarioSetRun, String> {
         let members = self.expand()?;
         members.iter().try_for_each(ScenarioSpec::check_corner)?;
+        members.iter().try_for_each(ScenarioSpec::check_windows)?;
         let (design_specs, member_design) = distinct_designs(members.iter().map(|m| &m.design));
         let designs = design_specs
             .iter()
@@ -109,18 +111,18 @@ fn run_loop(design: &DvsBusDesign, spec: &ScenarioSpec) -> Result<LoopData, Stri
 /// One member's sweep histograms, collected in a pass of their own.
 fn collect_sweep(design: &DvsBusDesign, spec: &ScenarioSpec) -> Result<SweepData, String> {
     let (cycles, seed) = (spec.run.cycles_per_benchmark, spec.run.seed);
-    Ok(match &spec.workload {
-        WorkloadSpec::Suite => SweepData::Bank(SummaryBank::collect(design, cycles, seed)),
-        WorkloadSpec::Single(benchmark) => SweepData::Summary(TraceSummary::collect(
-            design,
-            &mut benchmark.trace(seed),
-            cycles,
-        )),
-        WorkloadSpec::Recipe(recipe) => SweepData::Summary(TraceSummary::collect(
-            design,
-            &mut recipe.build_trace(seed)?,
-            cycles,
-        )),
+    let mut trace: Box<dyn TraceSource + Send> = match &spec.workload {
+        WorkloadSpec::Suite => {
+            return Ok(SweepData::Bank(SummaryBank::collect(design, cycles, seed)));
+        }
+        WorkloadSpec::Single(benchmark) => Box::new(benchmark.trace(seed)),
+        WorkloadSpec::Recipe(recipe) => recipe.build_trace(seed)?,
+    };
+    Ok(if spec.analysis.wants_windows() {
+        let n = usize::try_from(cycles / WINDOW_LEN).map_err(|e| e.to_string())?;
+        SweepData::Windows(WindowedSummary::collect(design, &mut trace, n, WINDOW_LEN))
+    } else {
+        SweepData::Summary(TraceSummary::collect(design, &mut trace, cycles))
     })
 }
 
@@ -370,7 +372,10 @@ mod tests {
             members.push(m);
         }
         if e.below(3) == 0 {
-            members = co_analyzed(e, base);
+            members = co_analyzed(e, base.clone());
+        }
+        if e.below(4) == 0 {
+            members.push(windowed(e, &base));
         }
         if e.below(12) == 0 {
             let k = e.below(members.len());
@@ -421,13 +426,37 @@ mod tests {
         vec![base, twin, co]
     }
 
+    /// A windowed-sweep member for one or two windows, on the base's
+    /// words when they are one stream, else on a drawn program or
+    /// recipe. Rarely it asks for the suite or a partial window, which
+    /// both runners refuse.
+    fn windowed(e: &mut Entropy, base: &ScenarioSpec) -> ScenarioSpec {
+        let mut m = ScenarioSpec {
+            name: "windowed".to_string(),
+            analysis: AnalysisSpec::WindowedSweep,
+            sweep: vec![],
+            ..base.clone()
+        };
+        while m.workload == WorkloadSpec::Suite {
+            m.workload = workload(e);
+        }
+        m.run.cycles_per_benchmark = WINDOW_LEN * e.pick(&[1, 2]);
+        match e.below(16) {
+            0 => m.workload = WorkloadSpec::Suite,
+            1 => m.run.cycles_per_benchmark += e.pick(&[1, WINDOW_LEN / 2]),
+            _ => {}
+        }
+        m
+    }
+
     proptest! {
         /// THE executor contract: at any worker count (1–4), compile
         /// chunk (1 cycle up to past the longest stream) and compile
         /// budget (none, zero, tight, default), with or without a
         /// prebuilt design, a campaign is bit-identical to its naive
         /// member-by-member run — and when the reference refuses a set,
-        /// so does the executor. Each set runs under two drawn options.
+        /// so does the executor. Each set runs under two drawn options,
+        /// sized by its longest windowless member.
         #[test]
         fn executor_equals_reference(entropy in any::<u64>()) {
             let mut e = Entropy(entropy);
@@ -436,7 +465,8 @@ mod tests {
             let off_table = set
                 .expand()
                 .is_ok_and(|members| members.iter().any(|m| m.check_corner().is_err()));
-            let longest = set.members.iter().map(|m| m.run.cycles_per_benchmark).max();
+            let windowless = set.members.iter().filter(|m| !m.analysis.wants_windows());
+            let longest = windowless.map(|m| m.run.cycles_per_benchmark).max();
             let longest = longest.expect("sets hold members");
             for _ in 0..2 {
                 let workers = 1 + e.below(4);

@@ -5,7 +5,7 @@
 use crate::spec::ScenarioSpec;
 use razorbus_core::experiments::fig8::Fig8Data;
 use razorbus_core::experiments::SummaryBank;
-use razorbus_core::{SimReport, TraceSummary};
+use razorbus_core::{SimReport, TraceSummary, WindowedSummary};
 use razorbus_process::PvtCorner;
 
 /// A closed-loop product.
@@ -88,31 +88,25 @@ pub struct StreamRun {
 
 /// A sweep-engine product: the histograms static voltage analyses
 /// query. Corner- and governor-independent — the executor shares one
-/// per (design, workload, cycles, seed).
+/// per (design, workload, cycles, seed) and kind.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum SweepData {
     /// Per-benchmark histograms plus their merge (suite workloads).
     Bank(SummaryBank),
     /// One stream's histogram (single/recipe workloads).
     Summary(TraceSummary),
+    /// One stream's histogram per 10 000-cycle window
+    /// ([`crate::AnalysisSpec::WindowedSweep`] members).
+    Windows(WindowedSummary),
 }
 
 impl SweepData {
-    /// The combined summary static analyses query.
-    #[must_use]
-    pub fn combined(&self) -> &TraceSummary {
-        match self {
-            Self::Bank(bank) => bank.combined(),
-            Self::Summary(s) => s,
-        }
-    }
-
     /// The per-benchmark bank, when this is a suite product.
     #[must_use]
     pub fn bank(&self) -> Option<&SummaryBank> {
         match self {
             Self::Bank(bank) => Some(bank),
-            Self::Summary(_) => None,
+            Self::Summary(_) | Self::Windows(_) => None,
         }
     }
 }

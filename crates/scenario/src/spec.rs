@@ -8,6 +8,7 @@
 //! inconsistent knobs), so decoding a hostile spec artifact can never
 //! panic the executor.
 
+use razorbus_core::experiments::fig6::WINDOW_LEN;
 use razorbus_core::DvsBusDesign;
 use razorbus_ctrl::{BoxedGovernor, ControllerConfig, GovernorSpec};
 use razorbus_process::{PvtCorner, TechnologyNode};
@@ -457,6 +458,10 @@ pub enum AnalysisSpec {
     /// per-member products are dropped, so campaigns scale to tens of
     /// thousands of members in constant memory.
     Aggregate,
+    /// One sweep-engine summary per 10 000-cycle window of a single
+    /// stream (Fig. 6's oracle input), collected in a pass of its own.
+    /// The member's cycles must be a multiple of the window.
+    WindowedSweep,
 }
 
 impl AnalysisSpec {
@@ -466,10 +471,17 @@ impl AnalysisSpec {
         matches!(self, Self::ClosedLoop | Self::Full)
     }
 
-    /// Whether this member materializes a sweep product.
+    /// Whether this member materializes a sweep product (a summary, or
+    /// windowed summaries).
     #[must_use]
     pub fn wants_sweep(self) -> bool {
-        matches!(self, Self::StaticSweep | Self::Full)
+        matches!(self, Self::StaticSweep | Self::Full | Self::WindowedSweep)
+    }
+
+    /// Whether this member's sweep product is windowed.
+    #[must_use]
+    pub fn wants_windows(self) -> bool {
+        matches!(self, Self::WindowedSweep)
     }
 
     /// Whether this member folds into the campaign digest instead of
@@ -635,6 +647,24 @@ impl ScenarioSpec {
                 self.name
             )),
         }
+    }
+
+    /// Errors unless a windowed member reads a single stream for a
+    /// positive whole number of windows: the oracle's windows do not
+    /// span a suite's ten programs, and a partial window is no window.
+    /// The error names the member.
+    pub(crate) fn check_windows(&self) -> Result<(), String> {
+        let cycles = self.run.cycles_per_benchmark;
+        let why = if !self.analysis.wants_windows() {
+            return Ok(());
+        } else if self.workload == WorkloadSpec::Suite {
+            "reads one stream, not the ten-program suite".to_string()
+        } else if cycles == 0 || !cycles.is_multiple_of(WINDOW_LEN) {
+            format!("runs a positive multiple of {WINDOW_LEN} cycles, not {cycles}")
+        } else {
+            return Ok(());
+        };
+        Err(format!("member `{}`: a windowed sweep {why}", self.name))
     }
 
     /// Expands the sweep axes into concrete members (`sweep` emptied,

@@ -6,8 +6,8 @@
 //! cargo run --release --example interconnect_tuning
 //! ```
 
-use razorbus::core::{experiments, parse_count_knob, DvsBusDesign};
-use razorbus::process::PvtCorner;
+use razorbus::core::{parse_count_knob, DvsBusDesign};
+use razorbus::scenario::paper;
 
 fn main() {
     let cycles = match parse_count_knob("RAZORBUS_CYCLES", std::env::var_os("RAZORBUS_CYCLES")) {
@@ -34,17 +34,17 @@ fn main() {
         modified.bus().min_path_delay(),
     );
 
-    let fig10 = experiments::fig10::from_parts(
-        &base,
-        &modified,
-        &experiments::combined_summary(&base, cycles, 13),
-        &experiments::combined_summary(&modified, cycles, 13),
-        &experiments::fig8::run(&base, PvtCorner::WORST, cycles, 13),
-        &experiments::fig8::run(&modified, PvtCorner::WORST, cycles, 13),
-    );
-    fig10.print();
+    // Fig. 10's two buses and the four technology nodes (at half the
+    // cycles) as one campaign through the scenario executor.
+    let mut set = paper::fig10_set(cycles, 13);
+    set.members
+        .extend(paper::scaling_set(2 * cycles, 13).members);
+    let run = set.run().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    paper::fig10_data(&run).expect("fig10 members").print();
 
     println!();
-    let scaling = experiments::scaling::run(cycles / 2, 13);
-    scaling.print();
+    paper::scaling_data(&run).expect("scaling members").print();
 }

@@ -6,6 +6,7 @@
 use razorbus::core::{experiments, BusSimulator, DvsBusDesign};
 use razorbus::ctrl::{FixedVoltage, ThresholdController};
 use razorbus::process::PvtCorner;
+use razorbus::scenario::paper;
 use razorbus::traces::Benchmark;
 use razorbus::units::Millivolts;
 
@@ -86,8 +87,10 @@ fn instantaneous_error_spikes_from_regulator_lag() {
 
 #[test]
 fn oracle_fig6_separates_programs() {
-    let design = DvsBusDesign::paper_default();
-    let data = experiments::fig6::run(&design, 30, 10_000, 5);
+    let run = paper::fig6_set(30 * experiments::fig6::WINDOW_LEN, 5)
+        .run()
+        .unwrap();
+    let data = paper::fig6_data(&run).unwrap();
     let mean = |b: Benchmark, t: f64| {
         data.entries
             .iter()
