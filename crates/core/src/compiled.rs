@@ -37,7 +37,7 @@
 //! a design the trace was not compiled for (see [`CompiledTrace::matches`]).
 
 use crate::design::DvsBusDesign;
-use crate::summary::{bin_of, bucket_of, N_BUCKETS, N_CEFF_BINS};
+use crate::summary::{bin_of, HistogramFold, N_CEFF_BINS};
 use razorbus_traces::TraceSource;
 use razorbus_wire::{CycleAnalysis, CycleAnalyzer};
 
@@ -430,19 +430,11 @@ impl CompiledTrace {
     /// bus again.
     #[must_use]
     pub fn summary(&self) -> crate::TraceSummary {
-        let mut hist = vec![0u64; N_BUCKETS * N_CEFF_BINS];
-        let mut total_cap = 0.0f64;
-        let mut total_toggles = 0u64;
-        for c in 0..self.toggles.len() {
-            let t = u32::from(self.toggles[c]);
-            if t == 0 {
-                continue;
-            }
-            hist[bucket_of(t) * N_CEFF_BINS + usize::from(self.bins[c])] += 1;
-            total_cap += self.switched[c];
-            total_toggles += u64::from(t);
+        let mut fold = HistogramFold::new();
+        for ((&t, &bin), &switched) in self.toggles.iter().zip(&self.bins).zip(&self.switched) {
+            fold.add(u32::from(t), usize::from(bin), switched);
         }
-        crate::TraceSummary::from_parts(hist, total_cap, total_toggles, self.cycles)
+        fold.finish(self.cycles)
     }
 
     /// The raw struct-of-arrays view the lane-vectorized replay path

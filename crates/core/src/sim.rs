@@ -31,6 +31,12 @@
 //! kernel is pinned bit-identical to the scalar body
 //! ([`CompiledTrace::replay_scalar`]) by differential tests, so every
 //! path reports the same numbers to the last bit.
+//!
+//! No chunk body touches a histogram. The live path's
+//! [`BusSimulator::with_histogram`] by-product folds each classified
+//! cycle as the stream yields it, and a histogram replay attaches
+//! [`CompiledTrace::summary`]; both go through the same fold as
+//! [`crate::TraceSummary::collect`], so every summary agrees to the bit.
 
 use crate::compiled::CompiledTrace;
 use crate::design::DvsBusDesign;
@@ -41,7 +47,7 @@ use razorbus_tables::EnvCondition;
 use razorbus_traces::TraceSource;
 use razorbus_units::{Femtojoules, Millivolts};
 
-use crate::summary::{bin_of, bucket_of, CEFF_BIN_WIDTH, N_BUCKETS, N_CEFF_BINS};
+use crate::summary::{bin_of, bucket_of, HistogramFold, CEFF_BIN_WIDTH, N_BUCKETS};
 
 /// Everything the hot loop needs about one supply grid point, gathered so
 /// the steady-state inner loop runs without any matrix/table indexing.
@@ -59,16 +65,6 @@ struct VoltageRow {
     /// Error-recovery energy (fJ) — the extra bank clock + restored bit
     /// at this supply.
     recovery_fj: f64,
-}
-
-/// Histogram accumulators for [`BusSimulator::with_histogram`]: the
-/// identical per-cycle (bucket, load-bin) classification the sweep engine
-/// collects, gathered as a by-product of a closed-loop run.
-#[derive(Debug, Clone)]
-struct HistogramAccum {
-    hist: Vec<u64>,
-    total_cap: f64,
-    toggles: u64,
 }
 
 /// One sampled point of the supply/error trajectory (Fig. 8 material).
@@ -180,11 +176,13 @@ impl<'d, S: TraceSource, G: VoltageGovernor> BusSimulator<'d, S, G> {
     /// Also collect the trace's sweep-engine histogram during the run.
     ///
     /// The closed-loop simulator classifies every cycle by (activity
-    /// bucket, quantized worst-wire load) anyway, so gathering the same
-    /// histogram [`crate::TraceSummary::collect`] would produce costs one
-    /// array increment per cycle — and saves a whole second pass over the
-    /// trace when a driver needs both (Table 1, `repro all`). The result
-    /// arrives in [`SimReport::summary`].
+    /// bucket, quantized worst-wire load) anyway, so each classified
+    /// cycle is folded into the histogram as the word stream yields it,
+    /// through the same fold as [`crate::TraceSummary::collect`] — one
+    /// array increment per active cycle, and no second pass over the
+    /// trace when a caller needs both (Table 1, `repro all`). The
+    /// result arrives in [`SimReport::summary`], bit-identical to
+    /// `collect` over the same words.
     #[must_use]
     pub fn with_histogram(mut self) -> Self {
         self.collect_histogram = true;
@@ -220,20 +218,23 @@ impl<'d, S: TraceSource, G: VoltageGovernor> BusSimulator<'d, S, G> {
     ///
     /// Panics if the governor commands a voltage off the design grid.
     pub fn run(&mut self, cycles: u64) -> SimReport {
+        let mut fold = self.collect_histogram.then(HistogramFold::new);
         let stream = ScalarChunks(AnalyzeStream {
             bus: self.design.bus(),
             trace: &mut self.trace,
             prev: &mut self.prev_word,
+            fold: fold.as_mut(),
         });
-        run_stream(
+        let mut report = run_stream(
             self.design,
             self.pvt,
             &mut self.governor,
             self.sample_every,
-            self.collect_histogram,
             stream,
             cycles,
-        )
+        );
+        report.summary = fold.filter(|_| cycles > 0).map(|f| f.finish(cycles));
+        report
     }
 
     /// Runs `cycles` cycles through the original cycle-at-a-time loop:
@@ -422,11 +423,14 @@ trait CycleStream {
     fn next_cycle(&mut self) -> (u32, usize, f64);
 }
 
-/// Live classification: words → `analyze_cycle` → tuple.
+/// Live classification: words → `analyze_cycle` → tuple, folded into
+/// the run's histogram when [`BusSimulator::with_histogram`] asked for
+/// one.
 struct AnalyzeStream<'a, S> {
     bus: &'a razorbus_wire::BusPhysical,
     trace: &'a mut S,
     prev: &'a mut u32,
+    fold: Option<&'a mut HistogramFold>,
 }
 
 impl<S: TraceSource> CycleStream for AnalyzeStream<'_, S> {
@@ -437,84 +441,54 @@ impl<S: TraceSource> CycleStream for AnalyzeStream<'_, S> {
         *self.prev = cur;
         // Quantized exactly like the histogram engine (1 fF/mm bins) so
         // the two agree cycle-for-cycle.
-        (
-            a.toggled_wires,
-            bin_of(a.worst_ceff_per_mm),
-            a.switched_cap_per_mm,
-        )
+        let toggles = a.toggled_wires;
+        let bin = bin_of(a.worst_ceff_per_mm);
+        if let Some(fold) = self.fold.as_deref_mut() {
+            fold.add(toggles, bin, a.switched_cap_per_mm);
+        }
+        (toggles, bin, a.switched_cap_per_mm)
     }
 }
 
 /// The chunk-granular input of the batched loop: advance `chunk` cycles
-/// at one supply grid point (whose replay tables are `point`), return
-/// the chunk's accumulators, and feed `hist` when the histogram
-/// by-product is enabled. [`run_stream`] owns everything around the
-/// chunk (energy folds, sampling, governor batching); implementations
-/// own only the per-cycle classification — scalar for live streams,
-/// lane-vectorized for compiled arrays.
+/// at one supply grid point (whose replay tables are `point`) and
+/// return the chunk's accumulators. [`run_stream`] owns everything
+/// around the chunk (energy folds, sampling, governor batching);
+/// implementations own only the per-cycle classification — scalar for
+/// live streams, lane-vectorized for compiled arrays.
 trait ChunkStream {
-    fn run_chunk(
-        &mut self,
-        chunk: u64,
-        point: &ReplayPoint,
-        hist: Option<&mut HistogramAccum>,
-    ) -> LaneAccum;
+    fn run_chunk(&mut self, chunk: u64, point: &ReplayPoint) -> LaneAccum;
 }
 
-/// The scalar per-cycle chunk body over any [`CycleStream`] — the
-/// original inner loop, verbatim. The live path always runs this; the
-/// compiled path runs it for histogram replays (whose per-cycle array
-/// increments must land in collection order) and keeps it as the pinned
-/// reference for the lane kernel.
-fn scalar_chunk<C: CycleStream>(
-    stream: &mut C,
-    chunk: u64,
-    row: &VoltageRow,
-    mut hist: Option<&mut HistogramAccum>,
-) -> LaneAccum {
-    let mut acc = LaneAccum::default();
-    for _ in 0..chunk {
-        let (toggles, bin, switched_cap) = stream.next_cycle();
-        let bucket = bucket_of(toggles);
-        let load = bin as f64 * CEFF_BIN_WIDTH;
-        let error = toggles > 0 && load > row.pass[bucket];
-        acc.errors += u64::from(error);
-        acc.shadow += u64::from(error && load > row.shadow[bucket]);
-        acc.wire_cap += switched_cap;
-        acc.toggles += u64::from(toggles);
-        if let Some(h) = hist.as_deref_mut() {
-            // Same accumulation (and the same float-add order)
-            // as `TraceSummary::collect` over these words.
-            if toggles > 0 {
-                h.hist[bucket * N_CEFF_BINS + bin] += 1;
-                h.total_cap += switched_cap;
-                h.toggles += u64::from(toggles);
-            }
-        }
-    }
-    acc
-}
-
-/// Scalar chunking over any [`CycleStream`].
+/// Scalar chunking over any [`CycleStream`]: the original per-cycle
+/// inner loop. The live path always runs it; over a compiled cursor it
+/// is the pinned reference for the lane kernel
+/// ([`CompiledTrace::replay_scalar`]).
 struct ScalarChunks<C>(C);
 
 impl<C: CycleStream> ChunkStream for ScalarChunks<C> {
-    fn run_chunk(
-        &mut self,
-        chunk: u64,
-        point: &ReplayPoint,
-        hist: Option<&mut HistogramAccum>,
-    ) -> LaneAccum {
-        scalar_chunk(&mut self.0, chunk, &point.row, hist)
+    fn run_chunk(&mut self, chunk: u64, point: &ReplayPoint) -> LaneAccum {
+        let row = &point.row;
+        let mut acc = LaneAccum::default();
+        for _ in 0..chunk {
+            let (toggles, bin, switched_cap) = self.0.next_cycle();
+            let bucket = bucket_of(toggles);
+            let load = bin as f64 * CEFF_BIN_WIDTH;
+            let error = toggles > 0 && load > row.pass[bucket];
+            acc.errors += u64::from(error);
+            acc.shadow += u64::from(error && load > row.shadow[bucket]);
+            acc.wire_cap += switched_cap;
+            acc.toggles += u64::from(toggles);
+        }
+        acc
     }
 }
 
 /// Lane-vectorized chunking over the compiled struct-of-arrays stream:
 /// the grid point's integer thresholds from the design's replay tables,
-/// eight cycles per step through the u64 kernel in `lane.rs`. Histogram
-/// chunks fall back to the scalar body — identical numbers,
-/// collection-order array increments. Wrapped in [`ScalarChunks`], the
-/// same cursor is the per-cycle reference `replay_scalar` runs.
+/// eight cycles per step through the u64 kernel in `lane.rs`. Wrapped
+/// in [`ScalarChunks`], the same cursor is the per-cycle reference
+/// `replay_scalar` runs.
 struct LaneChunks<'a> {
     toggles: &'a [u8],
     bins: &'a [u16],
@@ -548,15 +522,7 @@ impl CycleStream for LaneChunks<'_> {
 }
 
 impl ChunkStream for LaneChunks<'_> {
-    fn run_chunk(
-        &mut self,
-        chunk: u64,
-        point: &ReplayPoint,
-        hist: Option<&mut HistogramAccum>,
-    ) -> LaneAccum {
-        if hist.is_some() {
-            return scalar_chunk(self, chunk, &point.row, hist);
-        }
+    fn run_chunk(&mut self, chunk: u64, point: &ReplayPoint) -> LaneAccum {
         let start = self.cursor;
         let end = start + usize::try_from(chunk).expect("chunk fits in memory");
         let acc = lane::process(
@@ -580,7 +546,6 @@ fn run_stream<C: ChunkStream, G: VoltageGovernor>(
     pvt: PvtCorner,
     governor: &mut G,
     sample_every: Option<u64>,
-    collect_histogram: bool,
     mut stream: C,
     cycles: u64,
 ) -> SimReport {
@@ -608,11 +573,6 @@ fn run_stream<C: ChunkStream, G: VoltageGovernor>(
     let mut samples = Vec::new();
     let mut window_errors = 0u64;
     let mut window_cycles = 0u64;
-    let mut hist = collect_histogram.then(|| HistogramAccum {
-        hist: vec![0u64; N_BUCKETS * N_CEFF_BINS],
-        total_cap: 0.0,
-        toggles: 0,
-    });
 
     let mut cycle = 0u64;
     while cycle < cycles {
@@ -631,7 +591,7 @@ fn run_stream<C: ChunkStream, G: VoltageGovernor>(
         }
 
         // Fast path: the whole chunk at one supply, no table lookups.
-        let acc = stream.run_chunk(chunk, point, hist.as_mut());
+        let acc = stream.run_chunk(chunk, point);
 
         let switched = acc.wire_cap * length_mm
             + acc.toggles as f64 * (rep_cap + data_cap)
@@ -670,15 +630,6 @@ fn run_stream<C: ChunkStream, G: VoltageGovernor>(
         });
     }
 
-    let summary = match hist {
-        Some(h) if cycles > 0 => Some(crate::TraceSummary::from_parts(
-            h.hist,
-            h.total_cap,
-            h.toggles,
-            cycles,
-        )),
-        _ => None,
-    };
     SimReport {
         cycles,
         errors,
@@ -692,7 +643,7 @@ fn run_stream<C: ChunkStream, G: VoltageGovernor>(
         },
         min_voltage: min_v,
         samples,
-        summary,
+        summary: None,
     }
 }
 
@@ -735,9 +686,10 @@ impl CompiledTrace {
     /// [`BusSimulator`] over the original trace with the same governor
     /// — and to [`CompiledTrace::replay_scalar`] — errors, violations
     /// and samples match bitwise, energies are exact (same per-cycle add
-    /// sequence). Histogram replays (`with_summary`) take the scalar
-    /// chunk body so the by-product's array increments land in
-    /// collection order.
+    /// sequence). With `with_summary`, the report also carries
+    /// [`CompiledTrace::summary`], equal to the live
+    /// [`BusSimulator::with_histogram`] by-product; the replay itself
+    /// runs the same lane kernel either way.
     ///
     /// Replays all [`CompiledTrace::cycles`] cycles and returns the
     /// governor (carried across program boundaries by suite protocols).
@@ -758,15 +710,8 @@ impl CompiledTrace {
     ) -> (SimReport, G) {
         self.check_replay(design, sampling);
         let stream = LaneChunks::new(self);
-        let report = run_stream(
-            design,
-            pvt,
-            &mut governor,
-            sampling,
-            with_summary,
-            stream,
-            self.cycles(),
-        );
+        let mut report = run_stream(design, pvt, &mut governor, sampling, stream, self.cycles());
+        report.summary = with_summary.then(|| self.summary());
         (report, governor)
     }
 
@@ -787,19 +732,10 @@ impl CompiledTrace {
         pvt: PvtCorner,
         mut governor: G,
         sampling: Option<u64>,
-        with_summary: bool,
     ) -> (SimReport, G) {
         self.check_replay(design, sampling);
         let stream = ScalarChunks(LaneChunks::new(self));
-        let report = run_stream(
-            design,
-            pvt,
-            &mut governor,
-            sampling,
-            with_summary,
-            stream,
-            self.cycles(),
-        );
+        let report = run_stream(design, pvt, &mut governor, sampling, stream, self.cycles());
         (report, governor)
     }
 
@@ -1418,7 +1354,7 @@ mod tests {
     ) {
         let compiled = crate::CompiledTrace::compile(d, &mut bench.trace(seed), cycles);
         let (fast, _) = compiled.replay(d, pvt, governor.clone(), sampling, false);
-        let (slow, _) = compiled.replay_scalar(d, pvt, governor, sampling, false);
+        let (slow, _) = compiled.replay_scalar(d, pvt, governor, sampling);
         let ctx = format!("{bench} @ {pvt}, {cycles} cycles");
         assert_eq!(fast.errors, slow.errors, "errors diverged: {ctx}");
         assert_eq!(
@@ -1530,9 +1466,8 @@ mod tests {
 
     #[test]
     fn vectorized_replay_matches_live_run_without_histogram() {
-        // The lane path end-to-end against the live simulator (the
-        // existing replay harness pins the histogram/scalar path; this
-        // pins the vectorized one).
+        // The lane path end-to-end against the live simulator, without
+        // the histogram by-product the replay harness also compares.
         let d = design();
         let cycles = 80_000;
         let ctrl = ThresholdController::new(d.controller_config(ProcessCorner::Typical));
@@ -1556,17 +1491,38 @@ mod tests {
 
     #[test]
     fn histogram_replay_takes_the_scalar_body_and_matches() {
-        // `with_summary` falls back to the scalar chunk body; its
-        // report (histogram included) must equal the scalar replay's
-        // exactly.
+        // Every histogram source folds through one `HistogramFold`: the
+        // live `with_histogram` by-product, a histogram replay and the
+        // compiled trace's own summary must be equal, and the replay's
+        // other numbers must equal the plain replay's exactly.
         let d = design();
-        let compiled = crate::CompiledTrace::compile(&d, &mut Benchmark::Mgrid.trace(8), 40_000);
         let ctrl = ThresholdController::new(d.controller_config(ProcessCorner::Typical));
-        let (fast, _) = compiled.replay(&d, PvtCorner::TYPICAL, ctrl.clone(), Some(10_000), true);
-        let (slow, _) = compiled.replay_scalar(&d, PvtCorner::TYPICAL, ctrl, Some(10_000), true);
-        assert_eq!(fast.summary, slow.summary);
-        assert_eq!(fast.energy.fj().to_bits(), slow.energy.fj().to_bits());
-        assert_eq!(fast.samples, slow.samples);
+        let live = BusSimulator::new(
+            &d,
+            PvtCorner::TYPICAL,
+            Benchmark::Mgrid.trace(8),
+            ctrl.clone(),
+        )
+        .with_sampling(10_000)
+        .with_histogram()
+        .run(40_000);
+        let compiled = crate::CompiledTrace::compile(&d, &mut Benchmark::Mgrid.trace(8), 40_000);
+        let (with, _) = compiled.replay(&d, PvtCorner::TYPICAL, ctrl.clone(), Some(10_000), true);
+        let (without, _) = compiled.replay(&d, PvtCorner::TYPICAL, ctrl, Some(10_000), false);
+        let summary = compiled.summary();
+        assert_eq!(live.summary.as_ref(), Some(&summary));
+        assert_eq!(with.summary.as_ref(), Some(&summary));
+        assert_eq!(without.summary, None);
+        for report in [live, with] {
+            assert_eq!(report.energy.fj().to_bits(), without.energy.fj().to_bits());
+            assert_eq!(
+                SimReport {
+                    summary: None,
+                    ..report
+                },
+                without
+            );
+        }
     }
 
     /// Differential harness for the fused replay: one

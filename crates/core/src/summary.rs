@@ -9,7 +9,7 @@
 
 use crate::design::DvsBusDesign;
 use razorbus_process::PvtCorner;
-use razorbus_tables::EnvCondition;
+use razorbus_tables::{EnvCondition, ThresholdMatrix};
 use razorbus_traces::TraceSource;
 use razorbus_units::Femtojoules;
 
@@ -129,53 +129,19 @@ impl TraceSummary {
     pub fn collect<S: TraceSource>(design: &DvsBusDesign, trace: &mut S, cycles: u64) -> Self {
         assert!(cycles > 0, "need at least one cycle");
         let mut analyzer = design.bus().analyzer();
-        let mut hist = vec![0u64; N_BUCKETS * N_CEFF_BINS];
-        let mut total_cap = 0.0f64;
-        let mut toggles = 0u64;
+        let mut fold = HistogramFold::new();
         let mut prev = trace.next_word();
         for _ in 0..cycles {
             let cur = trace.next_word();
             let a = analyzer.analyze(prev, cur);
             prev = cur;
-            if a.toggled_wires == 0 {
-                continue;
-            }
-            let bucket = bucket_of(a.toggled_wires);
-            hist[bucket * N_CEFF_BINS + bin_of(a.worst_ceff_per_mm)] += 1;
-            total_cap += a.switched_cap_per_mm;
-            toggles += u64::from(a.toggled_wires);
+            fold.add(
+                a.toggled_wires,
+                bin_of(a.worst_ceff_per_mm),
+                a.switched_cap_per_mm,
+            );
         }
-        Self {
-            hist,
-            total_switched_cap_per_mm: total_cap,
-            total_toggles: toggles,
-            cycles,
-        }
-    }
-
-    /// Assembles a summary from raw accumulators — used by the streaming
-    /// simulator, whose batched loop computes the identical per-cycle
-    /// (bucket, load-bin) classification and can therefore produce the
-    /// histogram as a by-product of a closed-loop run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histogram shape is wrong or `cycles == 0`.
-    #[must_use]
-    pub(crate) fn from_parts(
-        hist: Vec<u64>,
-        total_switched_cap_per_mm: f64,
-        total_toggles: u64,
-        cycles: u64,
-    ) -> Self {
-        assert_eq!(hist.len(), N_BUCKETS * N_CEFF_BINS, "histogram shape");
-        assert!(cycles > 0, "need at least one cycle");
-        Self {
-            hist,
-            total_switched_cap_per_mm,
-            total_toggles,
-            cycles,
-        }
+        fold.finish(cycles)
     }
 
     /// Merges another summary (same design) into this one — used to
@@ -222,23 +188,7 @@ impl TraceSummary {
         let matrix = design
             .tables()
             .threshold_matrix(EnvCondition::from_pvt(pvt), pvt.ir);
-        let vi = design
-            .grid()
-            .index_of(v)
-            .unwrap_or_else(|| panic!("voltage {v} off grid"));
-        let row = matrix.row(vi);
-        let mut errors = 0u64;
-        for (bucket, &limit) in row.iter().enumerate().take(N_BUCKETS) {
-            let start = if limit < 0.0 {
-                0
-            } else {
-                ((limit / CEFF_BIN_WIDTH).floor() as usize + 1).min(N_CEFF_BINS)
-            };
-            errors += self.hist[bucket * N_CEFF_BINS + start..(bucket + 1) * N_CEFF_BINS]
-                .iter()
-                .sum::<u64>();
-        }
-        errors
+        self.cycles_over(design, matrix, v)
     }
 
     /// Error rate at `(pvt, v)`.
@@ -264,23 +214,35 @@ impl TraceSummary {
         let matrix = design
             .tables()
             .shadow_threshold_matrix(EnvCondition::from_pvt(pvt), pvt.ir);
+        self.cycles_over(design, matrix, v)
+    }
+
+    /// Cycles whose load bin lies above its activity bucket's pass limit
+    /// in `matrix`'s row for supply `v` (a negative limit fails every
+    /// bin).
+    fn cycles_over(
+        &self,
+        design: &DvsBusDesign,
+        matrix: &ThresholdMatrix,
+        v: razorbus_units::Millivolts,
+    ) -> u64 {
         let vi = design
             .grid()
             .index_of(v)
             .unwrap_or_else(|| panic!("voltage {v} off grid"));
         let row = matrix.row(vi);
-        let mut violations = 0u64;
+        let mut over = 0u64;
         for (bucket, &limit) in row.iter().enumerate().take(N_BUCKETS) {
             let start = if limit < 0.0 {
                 0
             } else {
                 ((limit / CEFF_BIN_WIDTH).floor() as usize + 1).min(N_CEFF_BINS)
             };
-            violations += self.hist[bucket * N_CEFF_BINS + start..(bucket + 1) * N_CEFF_BINS]
+            over += self.hist[bucket * N_CEFF_BINS + start..(bucket + 1) * N_CEFF_BINS]
                 .iter()
                 .sum::<u64>();
         }
-        violations
+        over
     }
 
     /// Total bus energy of replaying this trace at fixed supply `v`
@@ -349,6 +311,55 @@ impl TraceSummary {
             .filter(|&v| v >= floor)
             .find(|&v| self.error_rate(design, pvt, v) <= target)
             .unwrap_or_else(|| design.nominal())
+    }
+}
+
+/// The one fold that increments a [`TraceSummary`] histogram: the sweep
+/// engine's [`TraceSummary::collect`], [`crate::CompiledTrace::summary`]
+/// and the closed-loop simulator's [`crate::BusSimulator::with_histogram`]
+/// by-product all feed it the same per-cycle tuples in cycle order, so
+/// their summaries agree to the bit (float adds included).
+#[derive(Debug)]
+pub(crate) struct HistogramFold {
+    hist: Vec<u64>,
+    total_switched_cap_per_mm: f64,
+    total_toggles: u64,
+}
+
+impl HistogramFold {
+    pub(crate) fn new() -> Self {
+        Self {
+            hist: vec![0; N_BUCKETS * N_CEFF_BINS],
+            total_switched_cap_per_mm: 0.0,
+            total_toggles: 0,
+        }
+    }
+
+    /// Adds one cycle's `(toggle count, load bin, switched capacitance
+    /// fF/mm)` tuple; a quiet cycle (no toggles) adds nothing.
+    #[inline]
+    pub(crate) fn add(&mut self, toggles: u32, bin: usize, switched: f64) {
+        if toggles == 0 {
+            return;
+        }
+        self.hist[bucket_of(toggles) * N_CEFF_BINS + bin] += 1;
+        self.total_switched_cap_per_mm += switched;
+        self.total_toggles += u64::from(toggles);
+    }
+
+    /// The summary of the `cycles` cycles folded (quiet ones included).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles == 0`.
+    pub(crate) fn finish(self, cycles: u64) -> TraceSummary {
+        assert!(cycles > 0, "need at least one cycle");
+        TraceSummary {
+            hist: self.hist,
+            total_switched_cap_per_mm: self.total_switched_cap_per_mm,
+            total_toggles: self.total_toggles,
+            cycles,
+        }
     }
 }
 

@@ -6,11 +6,12 @@
 //! exercised at randomized cycle counts and chunk sizes, on random and
 //! on quiet-heavy traffic (so seams also fall inside runs of repeated
 //! words). A fused replay of any operating-point set equals each
-//! member's solo replay.
+//! member's solo replay. A histogram replay's summary equals the
+//! collected and the live closed-loop summaries over the same words.
 
 use proptest::prelude::*;
-use razorbus_core::{CompiledTrace, DvsBusDesign, FusedOp};
-use razorbus_ctrl::FixedVoltage;
+use razorbus_core::{BusSimulator, CompiledTrace, DvsBusDesign, FusedOp, SimReport, TraceSummary};
+use razorbus_ctrl::{FixedVoltage, GovernorSpec};
 use razorbus_process::{IrDrop, PvtCorner};
 use razorbus_tables::EnvCondition;
 use razorbus_traces::{BurstyDma, RandomWords, TraceRecording, TraceSource, ZeroBurstWords};
@@ -122,5 +123,48 @@ proptest! {
             prop_assert_eq!(f.mean_voltage_mv.to_bits(), s.mean_voltage_mv.to_bits(), "{}", ctx);
             prop_assert_eq!(f, &s, "{}", ctx);
         }
+    }
+
+    /// Every histogram source agrees: under a closed-loop governor, on
+    /// random and quiet-heavy recordings, `replay(.., true)`'s summary
+    /// equals `TraceSummary::collect` over the same words and the live
+    /// `with_histogram` by-product, and asking for it leaves every
+    /// other field of the report as `replay(.., false)` has it, to the
+    /// bit.
+    #[test]
+    fn histogram_replays_equal_the_collected_summary(
+        which in 0usize..2,
+        family in 0usize..3,
+        seed in any::<u64>(),
+        cycles in 1u64..3_000,
+        window in 0u64..600,
+        proportional in any::<bool>(),
+        worst in any::<bool>(),
+    ) {
+        let (name, design) = &designs()[which];
+        let recording = record(family, seed, cycles);
+        let pvt = if worst { PvtCorner::WORST } else { PvtCorner::TYPICAL };
+        let spec = if proportional { GovernorSpec::Proportional } else { GovernorSpec::Threshold };
+        let governor = || spec.build(design.controller_config(pvt.process));
+        let sampling = (window > 0).then_some(window);
+        let ctx = format!("{name} @ {pvt}, {spec:?}, family {family}, {cycles} cycles, sampling {sampling:?}");
+
+        let compiled = CompiledTrace::compile(design, &mut recording.replay(), cycles);
+        let (with, _) = compiled.replay(design, pvt, governor(), sampling, true);
+        let (without, _) = compiled.replay(design, pvt, governor(), sampling, false);
+        let collected = TraceSummary::collect(design, &mut recording.replay(), cycles);
+        let mut live = BusSimulator::new(design, pvt, recording.replay(), governor()).with_histogram();
+        if let Some(w) = sampling {
+            live = live.with_sampling(w);
+        }
+        let live = live.run(cycles);
+        prop_assert_eq!(with.summary.as_ref(), Some(&collected), "{}", ctx);
+        prop_assert_eq!(live.summary.as_ref(), Some(&collected), "{}", ctx);
+
+        prop_assert_eq!(without.summary.as_ref(), None, "{}", ctx);
+        prop_assert_eq!(with.energy.fj().to_bits(), without.energy.fj().to_bits(), "{}", ctx);
+        prop_assert_eq!(with.baseline_energy.fj().to_bits(), without.baseline_energy.fj().to_bits(), "{}", ctx);
+        prop_assert_eq!(with.mean_voltage_mv.to_bits(), without.mean_voltage_mv.to_bits(), "{}", ctx);
+        prop_assert_eq!(SimReport { summary: None, ..with }, without, "{}", ctx);
     }
 }
