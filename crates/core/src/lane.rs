@@ -14,8 +14,12 @@
 //! * Eight toggle bytes load as one `u64`; their sum folds with two
 //!   masked adds and a multiply. Four 16-bit bins compare against four
 //!   packed thresholds in one borrow-free SWAR subtraction, yielding one
-//!   result bit per field ([`swar_ge4`]); `count_ones` turns the masks
-//!   into error/violation counts.
+//!   result bit per field ([`swar_ge4`]); one more multiply
+//!   ([`count8`]) turns two masks into an error/violation count.
+//!
+//! There is one kernel, [`process_fused`], which judges every lane
+//! against any number of members' threshold tables — a solo replay is
+//! one member, a fused replay one per operating point.
 //!
 //! The float work is deliberately **not** vectorized: the switched-cap
 //! accumulation keeps the scalar loop's exact add sequence (f64 addition
@@ -111,49 +115,47 @@ fn min_exceeding_bin(limit: f64) -> u16 {
     lo
 }
 
-/// One chunk's worth of inner-loop accumulators — the exact quantities
-/// the batched loop folds into energy/error totals per chunk.
-#[derive(Debug, Default, PartialEq)]
-pub(crate) struct LaneAccum {
-    /// Error (recovery) cycles in the chunk.
-    pub errors: u64,
-    /// Shadow-latch violations in the chunk.
-    pub shadow: u64,
-    /// Total toggled wires in the chunk.
-    pub toggles: u64,
-    /// Switched wire capacitance (fF/mm), summed in cycle order.
-    pub wire_cap: f64,
-}
-
-/// Per-member integer counts of one fused chunk: the member-*dependent*
-/// half of [`LaneAccum`]. The toggle sum and capacitance accumulation
-/// are member-independent (they never consult a threshold table), so
-/// [`process_fused`] computes them once for the whole group and returns
-/// them alongside these per-member counts.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub(crate) struct FusedCounts {
+/// One member's integer counts over one chunk. The toggle sum and the
+/// capacitance sum never consult a threshold table, so [`process_fused`]
+/// computes them once for all members and returns them alongside these.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+pub(crate) struct MemberCounts {
     /// Error (recovery) cycles in the chunk, for this member.
     pub errors: u64,
     /// Shadow-latch violations in the chunk, for this member.
     pub shadow: u64,
 }
 
-/// Classifies `toggles.len()` cycles against `thr`, eight per iteration.
+/// The lane kernel: classifies `toggles.len()` cycles against *every*
+/// member's thresholds in one pass, while each lane's words are hot in
+/// registers/L1. Returns the member-independent `(toggle sum,
+/// switched-capacitance sum)` pair and writes each member's
+/// error/violation counts into its `counts` slot.
 ///
-/// Bit-identical to the scalar loop body over the same slices: the
-/// integer counts are exact by construction, and the capacitance sum
-/// visits the same values in the same order (quiet lanes are skipped
-/// only because all-zero toggles imply all-`+0.0` capacitances, which
-/// cannot change a non-negative f64 accumulator bitwise).
-pub(crate) fn process(
+/// Bit-identical to the scalar loop body over the same slices, for every
+/// member: the integer counts are exact by construction (one bin pack
+/// serves every member, each compares it against its own gathered
+/// thresholds), and the capacitance sum visits the same values in the
+/// same order — quiet lanes are skipped only because all-zero toggles
+/// imply all-`+0.0` capacitances, which cannot change a non-negative f64
+/// accumulator bitwise, and `err_bin[0]` is [`NEVER`] in every table.
+/// Called with one-element arrays (as `run_stream` does for a lone
+/// member), the member loop unrolls after inlining and the counts stay
+/// in registers.
+#[inline(always)]
+pub(crate) fn process_fused<T: AsRef<LaneThresholds>>(
     toggles: &[u8],
     bins: &[u16],
     switched: &[f64],
-    thr: &LaneThresholds,
-) -> LaneAccum {
+    thrs: &[T],
+    counts: &mut [MemberCounts],
+) -> (u64, f64) {
     debug_assert_eq!(toggles.len(), bins.len());
     debug_assert_eq!(toggles.len(), switched.len());
-    let mut acc = LaneAccum::default();
+    debug_assert_eq!(thrs.len(), counts.len());
+    counts.fill(MemberCounts::default());
+    let mut toggle_sum = 0u64;
+    let mut wire_cap = 0.0f64;
     let lanes = toggles.len() / LANE;
     for lane in 0..lanes {
         let base = lane * LANE;
@@ -166,99 +168,31 @@ pub(crate) fn process(
         // fields, then sum the four fields with one widening multiply
         // (total <= 256, no field overflow at any step).
         let pairs = (t64 & PAIR_MASK) + ((t64 >> 8) & PAIR_MASK);
-        acc.toggles += pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48;
-
-        // Error/shadow: gather each cycle's thresholds by toggle count,
-        // compare four packed bins per SWAR op, one decision bit per
-        // field. The shadow decision is gated on the error decision,
-        // exactly like the scalar short-circuit.
-        let bins_lo = pack4(bins[base..base + 4].try_into().expect("lane half"));
-        let bins_hi = pack4(bins[base + 4..base + LANE].try_into().expect("lane half"));
-        let err_lo = gather4(&t8[0..4], &thr.err_bin);
-        let err_hi = gather4(&t8[4..LANE], &thr.err_bin);
-        let sh_lo = gather4(&t8[0..4], &thr.shadow_bin);
-        let sh_hi = gather4(&t8[4..LANE], &thr.shadow_bin);
-        let ge_err_lo = swar_ge4(bins_lo, err_lo);
-        let ge_err_hi = swar_ge4(bins_hi, err_hi);
-        acc.errors += u64::from(ge_err_lo.count_ones() + ge_err_hi.count_ones());
-        acc.shadow += u64::from(
-            (ge_err_lo & swar_ge4(bins_lo, sh_lo)).count_ones()
-                + (ge_err_hi & swar_ge4(bins_hi, sh_hi)).count_ones(),
-        );
-
-        // The float half stays serial: same values, same add order.
-        for &cap in &switched[base..base + LANE] {
-            acc.wire_cap += cap;
-        }
-    }
-    for c in lanes * LANE..toggles.len() {
-        let error = bins[c] >= thr.err_bin[usize::from(toggles[c])];
-        acc.errors += u64::from(error);
-        acc.shadow += u64::from(error && bins[c] >= thr.shadow_bin[usize::from(toggles[c])]);
-        acc.toggles += u64::from(toggles[c]);
-        acc.wire_cap += switched[c];
-    }
-    acc
-}
-
-/// The fused-replay kernel: classifies `toggles.len()` cycles against
-/// *every* member's thresholds in one pass, while each lane's words are
-/// hot in registers/L1. Returns the member-independent `(toggle sum,
-/// switched-capacitance sum)` pair and writes each member's
-/// error/violation counts into its `counts` slot.
-///
-/// Per member, the decisions are exactly [`process`]'s: the same packed
-/// bins compare against the member's own gathered thresholds with the
-/// same SWAR ops, the scalar tail evaluates the same comparisons, and
-/// the quiet-lane skip is member-independent (`err_bin[0]` is [`NEVER`]
-/// for every threshold table, and the capacitance elision is the same
-/// all-`+0.0` argument as in [`process`]) — so a fused member's counts
-/// are bit-identical to its solo run by construction, pinned by the
-/// differential test below and the replay differentials in `sim.rs`.
-pub(crate) fn process_fused(
-    toggles: &[u8],
-    bins: &[u16],
-    switched: &[f64],
-    thrs: &[&LaneThresholds],
-    counts: &mut [FusedCounts],
-) -> (u64, f64) {
-    debug_assert_eq!(toggles.len(), bins.len());
-    debug_assert_eq!(toggles.len(), switched.len());
-    debug_assert_eq!(thrs.len(), counts.len());
-    for c in counts.iter_mut() {
-        *c = FusedCounts::default();
-    }
-    let mut toggle_sum = 0u64;
-    let mut wire_cap = 0.0f64;
-    let lanes = toggles.len() / LANE;
-    for lane in 0..lanes {
-        let base = lane * LANE;
-        let t8: [u8; LANE] = toggles[base..base + LANE].try_into().expect("lane width");
-        let t64 = u64::from_le_bytes(t8);
-        if t64 == 0 {
-            continue;
-        }
-        let pairs = (t64 & PAIR_MASK) + ((t64 >> 8) & PAIR_MASK);
         toggle_sum += pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48;
 
-        // One bin pack serves every member; the gathers and compares
-        // run per member against its own requantized tables.
+        // Error/shadow: one bin pack serves every member; each gathers
+        // its own thresholds by toggle count and compares four packed
+        // bins per SWAR op, one decision bit per field. The shadow
+        // decision is gated on the error decision, exactly like the
+        // scalar short-circuit.
         let bins_lo = pack4(bins[base..base + 4].try_into().expect("lane half"));
         let bins_hi = pack4(bins[base + 4..base + LANE].try_into().expect("lane half"));
         for (thr, cnt) in thrs.iter().zip(counts.iter_mut()) {
+            let thr = thr.as_ref();
             let err_lo = gather4(&t8[0..4], &thr.err_bin);
             let err_hi = gather4(&t8[4..LANE], &thr.err_bin);
             let sh_lo = gather4(&t8[0..4], &thr.shadow_bin);
             let sh_hi = gather4(&t8[4..LANE], &thr.shadow_bin);
             let ge_err_lo = swar_ge4(bins_lo, err_lo);
             let ge_err_hi = swar_ge4(bins_hi, err_hi);
-            cnt.errors += u64::from(ge_err_lo.count_ones() + ge_err_hi.count_ones());
-            cnt.shadow += u64::from(
-                (ge_err_lo & swar_ge4(bins_lo, sh_lo)).count_ones()
-                    + (ge_err_hi & swar_ge4(bins_hi, sh_hi)).count_ones(),
+            cnt.errors += count8(ge_err_lo, ge_err_hi);
+            cnt.shadow += count8(
+                ge_err_lo & swar_ge4(bins_lo, sh_lo),
+                ge_err_hi & swar_ge4(bins_hi, sh_hi),
             );
         }
 
+        // The float half stays serial: same values, same add order.
         for &cap in &switched[base..base + LANE] {
             wire_cap += cap;
         }
@@ -267,12 +201,23 @@ pub(crate) fn process_fused(
         toggle_sum += u64::from(toggles[c]);
         wire_cap += switched[c];
         for (thr, cnt) in thrs.iter().zip(counts.iter_mut()) {
+            let thr = thr.as_ref();
             let error = bins[c] >= thr.err_bin[usize::from(toggles[c])];
             cnt.errors += u64::from(error);
             cnt.shadow += u64::from(error && bins[c] >= thr.shadow_bin[usize::from(toggles[c])]);
         }
     }
     (toggle_sum, wire_cap)
+}
+
+/// The number of set decision bits in two [`swar_ge4`] results: each
+/// field's top bit shifts down to the field's bottom, and one widening
+/// multiply sums the eight 0/1 fields (total <= 8, no field overflow).
+/// Equal to `lo.count_ones() + hi.count_ones()`, without two software
+/// popcounts on targets that lack the instruction.
+#[inline]
+fn count8(lo: u64, hi: u64) -> u64 {
+    ((lo >> 15) + (hi >> 15)).wrapping_mul(0x0001_0001_0001_0001) >> 48
 }
 
 /// Packs four 16-bit bins into one u64, field 0 in the low bits.
@@ -308,28 +253,49 @@ fn swar_ge4(a: u64, b: u64) -> u64 {
 mod tests {
     use super::*;
 
+    impl AsRef<LaneThresholds> for LaneThresholds {
+        fn as_ref(&self) -> &Self {
+            self
+        }
+    }
+
     /// The scalar loop body over the same slices — the semantic
-    /// reference `process` is pinned to, written with the *original*
+    /// reference the kernel is pinned to, written with the *original*
     /// float comparison so the requantization itself is under test.
+    /// Returns `(counts, toggle sum, capacitance sum)`.
     fn scalar_reference(
         toggles: &[u8],
         bins: &[u16],
         switched: &[f64],
         pass: &[f64; N_BUCKETS],
         shadow: &[f64; N_BUCKETS],
-    ) -> LaneAccum {
-        let mut acc = LaneAccum::default();
+    ) -> (MemberCounts, u64, f64) {
+        let mut counts = MemberCounts::default();
+        let (mut toggle_sum, mut wire_cap) = (0u64, 0.0f64);
         for c in 0..toggles.len() {
             let t = u32::from(toggles[c]);
             let bucket = bucket_of(t);
             let load = usize::from(bins[c]) as f64 * CEFF_BIN_WIDTH;
             let error = t > 0 && load > pass[bucket];
-            acc.errors += u64::from(error);
-            acc.shadow += u64::from(error && load > shadow[bucket]);
-            acc.toggles += u64::from(t);
-            acc.wire_cap += switched[c];
+            counts.errors += u64::from(error);
+            counts.shadow += u64::from(error && load > shadow[bucket]);
+            toggle_sum += u64::from(t);
+            wire_cap += switched[c];
         }
-        acc
+        (counts, toggle_sum, wire_cap)
+    }
+
+    /// The kernel for one member, through one-element arrays as
+    /// `run_stream` calls it, shaped like [`scalar_reference`].
+    fn solo(
+        toggles: &[u8],
+        bins: &[u16],
+        switched: &[f64],
+        thr: &LaneThresholds,
+    ) -> (MemberCounts, u64, f64) {
+        let mut one = [MemberCounts::default()];
+        let (toggle_sum, wire_cap) = process_fused(toggles, bins, switched, &[thr], &mut one);
+        (one[0], toggle_sum, wire_cap)
     }
 
     /// Deterministic xorshift so the differential sweeps need no crates.
@@ -502,14 +468,15 @@ mod tests {
                 let (toggles, bins, switched) = random_cycles(&mut rng, n, quiet_permille);
                 let (pass, shadow) = limits(&mut rng);
                 let thr = LaneThresholds::from_limits(&pass, &shadow);
-                let fast = process(&toggles, &bins, &switched, &thr);
-                let slow = scalar_reference(&toggles, &bins, &switched, &pass, &shadow);
+                let (fast, fast_toggles, fast_cap) = solo(&toggles, &bins, &switched, &thr);
+                let (slow, slow_toggles, slow_cap) =
+                    scalar_reference(&toggles, &bins, &switched, &pass, &shadow);
                 assert_eq!(fast.errors, slow.errors, "n={n} quiet={quiet_permille}");
                 assert_eq!(fast.shadow, slow.shadow, "n={n} quiet={quiet_permille}");
-                assert_eq!(fast.toggles, slow.toggles, "n={n} quiet={quiet_permille}");
+                assert_eq!(fast_toggles, slow_toggles, "n={n} quiet={quiet_permille}");
                 assert_eq!(
-                    fast.wire_cap.to_bits(),
-                    slow.wire_cap.to_bits(),
+                    fast_cap.to_bits(),
+                    slow_cap.to_bits(),
                     "n={n} quiet={quiet_permille}"
                 );
             }
@@ -518,8 +485,8 @@ mod tests {
 
     #[test]
     fn fused_kernel_matches_solo_process_per_member() {
-        // One fused pass over K member threshold tables must reproduce
-        // each member's solo `process` exactly: integer counts equal,
+        // One pass over K member threshold tables must reproduce each
+        // member's one-member run exactly: integer counts equal,
         // and the shared toggle/capacitance sums bit-equal to any solo
         // member's (they are member-independent) — across fan-ins,
         // lengths and traffic densities, tails and quiet lanes included.
@@ -535,16 +502,17 @@ mod tests {
                         })
                         .collect();
                     let refs: Vec<&LaneThresholds> = thrs.iter().collect();
-                    let mut counts = vec![FusedCounts::default(); fan_in];
+                    let mut counts = vec![MemberCounts::default(); fan_in];
                     let (toggle_sum, wire_cap) =
                         process_fused(&toggles, &bins, &switched, &refs, &mut counts);
                     for (m, (thr, cnt)) in thrs.iter().zip(&counts).enumerate() {
-                        let solo = process(&toggles, &bins, &switched, thr);
+                        let (alone, alone_toggles, alone_cap) =
+                            solo(&toggles, &bins, &switched, thr);
                         let ctx = format!("member {m}/{fan_in}, n={n} quiet={quiet_permille}");
-                        assert_eq!(cnt.errors, solo.errors, "{ctx}");
-                        assert_eq!(cnt.shadow, solo.shadow, "{ctx}");
-                        assert_eq!(toggle_sum, solo.toggles, "{ctx}");
-                        assert_eq!(wire_cap.to_bits(), solo.wire_cap.to_bits(), "{ctx}");
+                        assert_eq!(cnt.errors, alone.errors, "{ctx}");
+                        assert_eq!(cnt.shadow, alone.shadow, "{ctx}");
+                        assert_eq!(toggle_sum, alone_toggles, "{ctx}");
+                        assert_eq!(wire_cap.to_bits(), alone_cap.to_bits(), "{ctx}");
                     }
                 }
             }
@@ -559,6 +527,8 @@ mod tests {
         let b = pack4([0, 512, 100, 512]);
         let ge = swar_ge4(a, b);
         assert_eq!(ge.count_ones(), 3); // fields 0, 2, 3 are >=
+        assert_eq!(count8(ge, ge), 6);
+        assert_eq!(count8(ge, FIELD_TOP), 7);
         assert_eq!(ge & 0x8000, 0x8000);
         assert_eq!(ge & 0x8000_0000, 0);
     }
@@ -571,8 +541,8 @@ mod tests {
         let bins = [0u16; LANE];
         let switched = [0.0f64; LANE];
         let thr = LaneThresholds::from_limits(&[1e9; N_BUCKETS], &[1e9; N_BUCKETS]);
-        let acc = process(&toggles, &bins, &switched, &thr);
-        assert_eq!(acc.toggles, (MAX_TOGGLES * LANE) as u64);
+        let (acc, toggle_sum, _) = solo(&toggles, &bins, &switched, &thr);
+        assert_eq!(toggle_sum, (MAX_TOGGLES * LANE) as u64);
         assert_eq!(acc.errors, 0);
     }
 }

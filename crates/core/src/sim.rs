@@ -20,17 +20,21 @@
 //! [`BusSimulator::run_reference`] keeps the original cycle-at-a-time
 //! loop; differential tests pin the batched path to it cycle-for-cycle.
 //!
-//! The batched loop itself is generic over a [`ChunkStream`]: asked for
-//! a chunk of cycles at one supply, the live path classifies words
-//! through `analyze_cycle` on the fly (the scalar per-cycle body over a
-//! [`CycleStream`]), while the compiled path
-//! ([`crate::CompiledTrace::replay`]) runs the lane-vectorized kernel
-//! (`lane.rs`) directly over the stored struct-of-arrays tuples. The
-//! chunk accumulators and everything around them — energy folds,
-//! sampling, governor batching — are one shared function, and the lane
-//! kernel is pinned bit-identical to the scalar body
-//! ([`CompiledTrace::replay_scalar`]) by differential tests, so every
-//! path reports the same numbers to the last bit.
+//! The batched loop itself is one function, `run_stream`, generic over a
+//! [`ChunkStream`] and stepping one or more *members* — each a governor
+//! at its own corner — over one chunk of cycles at a time. The live
+//! path ([`BusSimulator::run`]) and solo replays
+//! ([`crate::CompiledTrace::replay`]) pass one member; a fused replay
+//! ([`crate::CompiledTrace::replay_fused`]) passes one
+//! [`razorbus_ctrl::FixedVoltage`] member per operating point. Asked for
+//! a chunk, the live stream classifies words through `analyze_cycle` on
+//! the fly (the scalar per-cycle body over a [`CycleStream`]), while the
+//! compiled stream runs the one lane-vectorized kernel (`lane.rs`)
+//! directly over the stored struct-of-arrays tuples. Energy folds,
+//! sampling and governor batching are the same code for every member of
+//! every run, and the lane kernel is pinned bit-identical to the scalar
+//! body (`CompiledTrace::replay_scalar`, test-only) by differential
+//! tests, so every path reports the same numbers to the last bit.
 //!
 //! No chunk body touches a histogram. The live path's
 //! [`BusSimulator::with_histogram`] by-product folds each classified
@@ -40,12 +44,12 @@
 
 use crate::compiled::CompiledTrace;
 use crate::design::DvsBusDesign;
-use crate::lane::{self, LaneAccum, LaneThresholds};
-use razorbus_ctrl::VoltageGovernor;
+use crate::lane::{self, LaneThresholds, MemberCounts};
+use razorbus_ctrl::{FixedVoltage, VoltageGovernor};
 use razorbus_process::PvtCorner;
 use razorbus_tables::EnvCondition;
 use razorbus_traces::TraceSource;
-use razorbus_units::{Femtojoules, Millivolts};
+use razorbus_units::{Femtojoules, Millivolts, VoltageGrid};
 
 use crate::summary::{bin_of, bucket_of, HistogramFold, CEFF_BIN_WIDTH, N_BUCKETS};
 
@@ -225,7 +229,7 @@ impl<'d, S: TraceSource, G: VoltageGovernor> BusSimulator<'d, S, G> {
             prev: &mut self.prev_word,
             fold: fold.as_mut(),
         });
-        let mut report = run_stream(
+        let mut report = run_one(
             self.design,
             self.pvt,
             &mut self.governor,
@@ -415,10 +419,8 @@ fn voltage_rows(design: &DvsBusDesign, pvt: PvtCorner) -> Vec<VoltageRow> {
 
 /// The per-cycle input of the batched loop: one `(toggle count,
 /// quantized load bin, switched capacitance fF/mm)` tuple per cycle.
-/// The live path computes it through `analyze_cycle`; the compiled path
-/// reads it back from a [`CompiledTrace`]. Keeping the loop body
-/// generic over this trait (instead of duplicating it) is what makes
-/// the replay bit-identical to the live run by construction.
+/// The live path computes it through `analyze_cycle`; over a compiled
+/// trace it is the per-cycle reference the lane kernel is pinned to.
 trait CycleStream {
     fn next_cycle(&mut self) -> (u32, usize, f64);
 }
@@ -450,42 +452,57 @@ impl<S: TraceSource> CycleStream for AnalyzeStream<'_, S> {
     }
 }
 
-/// The chunk-granular input of the batched loop: advance `chunk` cycles
-/// at one supply grid point (whose replay tables are `point`) and
-/// return the chunk's accumulators. [`run_stream`] owns everything
-/// around the chunk (energy folds, sampling, governor batching);
-/// implementations own only the per-cycle classification — scalar for
-/// live streams, lane-vectorized for compiled arrays.
+/// The chunk-granular input of the batched loop: advance `chunk` cycles,
+/// classifying each against every member's grid point (`points[m]`),
+/// write member `m`'s error/violation counts to `counts[m]`, and return
+/// the member-independent `(toggle sum, switched-capacitance sum)`.
+/// [`run_stream`] owns everything around the chunk (energy folds,
+/// sampling, governor batching); implementations own only the per-cycle
+/// classification — scalar for live streams, lane-vectorized for
+/// compiled arrays.
 trait ChunkStream {
-    fn run_chunk(&mut self, chunk: u64, point: &ReplayPoint) -> LaneAccum;
+    fn run_chunk(
+        &mut self,
+        chunk: u64,
+        points: &[&ReplayPoint],
+        counts: &mut [MemberCounts],
+    ) -> (u64, f64);
 }
 
 /// Scalar chunking over any [`CycleStream`]: the original per-cycle
-/// inner loop. The live path always runs it; over a compiled cursor it
-/// is the pinned reference for the lane kernel
-/// ([`CompiledTrace::replay_scalar`]).
+/// inner loop, each cycle judged for every member in turn. The live path
+/// always runs it; over a compiled cursor it is the pinned reference for
+/// the lane kernel (`CompiledTrace::replay_scalar`).
 struct ScalarChunks<C>(C);
 
 impl<C: CycleStream> ChunkStream for ScalarChunks<C> {
-    fn run_chunk(&mut self, chunk: u64, point: &ReplayPoint) -> LaneAccum {
-        let row = &point.row;
-        let mut acc = LaneAccum::default();
+    #[inline(always)]
+    fn run_chunk(
+        &mut self,
+        chunk: u64,
+        points: &[&ReplayPoint],
+        counts: &mut [MemberCounts],
+    ) -> (u64, f64) {
+        counts.fill(MemberCounts::default());
+        let (mut toggle_sum, mut wire_cap) = (0u64, 0.0f64);
         for _ in 0..chunk {
             let (toggles, bin, switched_cap) = self.0.next_cycle();
             let bucket = bucket_of(toggles);
             let load = bin as f64 * CEFF_BIN_WIDTH;
-            let error = toggles > 0 && load > row.pass[bucket];
-            acc.errors += u64::from(error);
-            acc.shadow += u64::from(error && load > row.shadow[bucket]);
-            acc.wire_cap += switched_cap;
-            acc.toggles += u64::from(toggles);
+            for (point, count) in points.iter().zip(counts.iter_mut()) {
+                let error = toggles > 0 && load > point.row.pass[bucket];
+                count.errors += u64::from(error);
+                count.shadow += u64::from(error && load > point.row.shadow[bucket]);
+            }
+            wire_cap += switched_cap;
+            toggle_sum += u64::from(toggles);
         }
-        acc
+        (toggle_sum, wire_cap)
     }
 }
 
 /// Lane-vectorized chunking over the compiled struct-of-arrays stream:
-/// the grid point's integer thresholds from the design's replay tables,
+/// each member's integer thresholds from the design's replay tables,
 /// eight cycles per step through the u64 kernel in `lane.rs`. Wrapped
 /// in [`ScalarChunks`], the same cursor is the per-cycle reference
 /// `replay_scalar` runs.
@@ -508,6 +525,7 @@ impl<'a> LaneChunks<'a> {
     }
 }
 
+#[cfg(test)]
 impl CycleStream for LaneChunks<'_> {
     #[inline]
     fn next_cycle(&mut self) -> (u32, usize, f64) {
@@ -522,129 +540,222 @@ impl CycleStream for LaneChunks<'_> {
 }
 
 impl ChunkStream for LaneChunks<'_> {
-    fn run_chunk(&mut self, chunk: u64, point: &ReplayPoint) -> LaneAccum {
+    #[inline(always)]
+    fn run_chunk(
+        &mut self,
+        chunk: u64,
+        points: &[&ReplayPoint],
+        counts: &mut [MemberCounts],
+    ) -> (u64, f64) {
         let start = self.cursor;
         let end = start + usize::try_from(chunk).expect("chunk fits in memory");
-        let acc = lane::process(
-            &self.toggles[start..end],
-            &self.bins[start..end],
-            &self.switched[start..end],
-            &point.thr,
-        );
         self.cursor = end;
-        acc
+        let toggles = &self.toggles[start..end];
+        let bins = &self.bins[start..end];
+        let switched = &self.switched[start..end];
+        lane::process_fused(toggles, bins, switched, points, counts)
     }
 }
 
-/// The batched closed-loop body shared by [`BusSimulator::run`] and
-/// [`CompiledTrace::replay`]: per-voltage rows borrowed from the
-/// design's replay tables, governor-guaranteed-steady chunks evaluated
-/// by the stream's chunk body (scalar or lane-vectorized). See
+impl AsRef<LaneThresholds> for ReplayPoint {
+    fn as_ref(&self) -> &LaneThresholds {
+        &self.thr
+    }
+}
+
+/// One governor stepped by [`run_stream`]: the replay tables of its
+/// corner, its nominal-supply constants and the running totals of its
+/// report.
+struct Member<'a, G> {
+    governor: &'a mut G,
+    points: &'a [ReplayPoint],
+    v2_nominal: f64,
+    leak_nominal: f64,
+    errors: u64,
+    shadow_violations: u64,
+    energy_fj: f64,
+    baseline_fj: f64,
+    mv_sum: f64,
+    min_voltage: Millivolts,
+    window_errors: u64,
+    samples: Vec<VoltageSample>,
+}
+
+impl<'a, G: VoltageGovernor> Member<'a, G> {
+    fn new(design: &'a DvsBusDesign, pvt: PvtCorner, governor: &'a mut G) -> Self {
+        let points = design.replay_points(pvt);
+        let nominal_idx = design
+            .grid()
+            .index_of(design.nominal())
+            .expect("nominal on grid");
+        let nominal = &points[nominal_idx].row;
+        Self {
+            min_voltage: governor.voltage(),
+            governor,
+            points,
+            v2_nominal: nominal.v2,
+            leak_nominal: nominal.leak_fj,
+            errors: 0,
+            shadow_violations: 0,
+            energy_fj: 0.0,
+            baseline_fj: 0.0,
+            mv_sum: 0.0,
+            window_errors: 0,
+            samples: Vec::new(),
+        }
+    }
+
+    /// The grid point of the governor's current supply.
+    fn point(&self, grid: VoltageGrid) -> &'a ReplayPoint {
+        let v = self.governor.voltage();
+        let vi = grid
+            .index_of(v)
+            .unwrap_or_else(|| panic!("governor voltage {v} off grid"));
+        &self.points[vi]
+    }
+
+    /// Closes a sampling window of `window_cycles` cycles ending at
+    /// `cycle`.
+    fn sample(&mut self, cycle: u64, window_cycles: u64) {
+        self.samples.push(VoltageSample {
+            cycle,
+            voltage: self.governor.voltage(),
+            window_error_rate: self.window_errors as f64 / window_cycles as f64,
+        });
+        self.window_errors = 0;
+    }
+
+    fn report(self, cycles: u64) -> SimReport {
+        SimReport {
+            cycles,
+            errors: self.errors,
+            shadow_violations: self.shadow_violations,
+            energy: Femtojoules::new(self.energy_fj),
+            baseline_energy: Femtojoules::new(self.baseline_fj),
+            mean_voltage_mv: if cycles == 0 {
+                0.0
+            } else {
+                self.mv_sum / cycles as f64
+            },
+            min_voltage: self.min_voltage,
+            samples: self.samples,
+            summary: None,
+        }
+    }
+}
+
+/// The batched closed-loop body behind every run but the reference:
+/// [`BusSimulator::run`], [`CompiledTrace::replay`] and
+/// [`CompiledTrace::replay_fused`]. It steps `members` — each a governor
+/// at its own corner — over one chunk stream: every chunk is as long as
+/// no member's steady guarantee, sampling window or the run is
+/// outlived, the stream classifies it against each member's current
+/// grid point (scalar or lane-vectorized), and each member folds its own
+/// energy, baseline, voltage and samples from the shared sums. See
 /// [`BusSimulator::run`] for the contract.
 fn run_stream<C: ChunkStream, G: VoltageGovernor>(
+    design: &DvsBusDesign,
+    members: &mut [Member<'_, G>],
+    sample_every: Option<u64>,
+    mut stream: C,
+    cycles: u64,
+) {
+    let grid = design.grid();
+    let tables = design.tables();
+    let fe = design.flop_energy();
+    let length_mm = design.bus().line().total_length().mm();
+    let rep_cap = tables.repeater_cap_per_toggle().ff();
+    let clock_cap = fe.clock_capacitance(tables.n_bits()).ff();
+    let data_cap = fe.data_capacitance().ff();
+
+    // Each member's grid point and chunk counts, refilled every chunk.
+    let mut points: Vec<&ReplayPoint> = members.iter().map(|m| m.point(grid)).collect();
+    let mut counts = vec![MemberCounts::default(); members.len()];
+    let mut window_cycles = 0u64;
+    let mut cycle = 0u64;
+    while cycle < cycles {
+        // Slow path: re-resolve every supply and the chunk length.
+        let mut chunk = cycles - cycle;
+        if let Some(window) = sample_every {
+            chunk = chunk.min(window - window_cycles);
+        }
+        for (m, point) in members.iter().zip(&mut points) {
+            *point = m.point(grid);
+            chunk = chunk.min(m.governor.steady_cycles().max(1));
+        }
+
+        // Fast path: the whole chunk at each member's supply.
+        let (toggles, wire_cap) = match (&points[..], &mut counts[..]) {
+            ([point], [count]) => run_one_chunk(&mut stream, chunk, point, count),
+            _ => stream.run_chunk(chunk, &points, &mut counts),
+        };
+
+        let switched =
+            wire_cap * length_mm + toggles as f64 * (rep_cap + data_cap) + chunk as f64 * clock_cap;
+        cycle += chunk;
+        window_cycles += chunk;
+        let window_full = sample_every == Some(window_cycles);
+        for ((m, point), cnt) in members.iter_mut().zip(&points).zip(&counts) {
+            let row = &point.row;
+            let v = m.governor.voltage();
+            m.energy_fj += switched * row.v2
+                + chunk as f64 * row.leak_fj
+                + cnt.errors as f64 * row.recovery_fj;
+            m.baseline_fj += switched * m.v2_nominal + chunk as f64 * m.leak_nominal;
+            m.errors += cnt.errors;
+            m.shadow_violations += cnt.shadow;
+            m.mv_sum += f64::from(v.mv()) * chunk as f64;
+            m.min_voltage = m.min_voltage.min(v);
+            m.governor.record_batch(chunk, cnt.errors);
+            m.window_errors += cnt.errors;
+            if window_full {
+                m.sample(cycle, window_cycles);
+            }
+        }
+        if window_full {
+            window_cycles = 0;
+        }
+    }
+    if sample_every.is_some() && window_cycles > 0 {
+        // Trailing partial window: report it rather than dropping the
+        // tail of the trajectory.
+        for m in members {
+            m.sample(cycles, window_cycles);
+        }
+    }
+}
+
+/// One member's chunk — a live run's or a solo replay's — through
+/// one-element arrays: the chunk body is inlined here, so its member
+/// loop unrolls and the counts stay in registers. Kept out of
+/// `run_stream`, so the unrolled kernel does not compete for registers
+/// with the loop around it (measured ~2 % on solo replays).
+#[inline(never)]
+fn run_one_chunk<C: ChunkStream>(
+    stream: &mut C,
+    chunk: u64,
+    point: &ReplayPoint,
+    count: &mut MemberCounts,
+) -> (u64, f64) {
+    let mut one = [MemberCounts::default()];
+    let sums = stream.run_chunk(chunk, &[point], &mut one);
+    *count = one[0];
+    sums
+}
+
+/// [`run_stream`] for one governor: the live run and solo replays.
+fn run_one<C: ChunkStream, G: VoltageGovernor>(
     design: &DvsBusDesign,
     pvt: PvtCorner,
     governor: &mut G,
     sample_every: Option<u64>,
-    mut stream: C,
+    stream: C,
     cycles: u64,
 ) -> SimReport {
-    let grid = design.grid();
-    let tables = design.tables();
-    let fe = design.flop_energy();
-
-    let n_flops = tables.n_bits();
-    let length_mm = design.bus().line().total_length().mm();
-    let rep_cap = tables.repeater_cap_per_toggle().ff();
-    let clock_cap = fe.clock_capacitance(n_flops).ff();
-    let data_cap = fe.data_capacitance().ff();
-    let points = design.replay_points(pvt);
-
-    let nominal_idx = grid.index_of(design.nominal()).expect("nominal on grid");
-    let v2_nominal = points[nominal_idx].row.v2;
-    let leak_nominal = points[nominal_idx].row.leak_fj;
-
-    let mut errors = 0u64;
-    let mut shadow_violations = 0u64;
-    let mut energy_fj = 0.0f64;
-    let mut baseline_fj = 0.0f64;
-    let mut mv_sum = 0.0f64;
-    let mut min_v = governor.voltage();
-    let mut samples = Vec::new();
-    let mut window_errors = 0u64;
-    let mut window_cycles = 0u64;
-
-    let mut cycle = 0u64;
-    while cycle < cycles {
-        // Slow path: re-resolve the supply and chunk length. The
-        // chunk never outlives the governor's steady guarantee, the
-        // sample window, or the run itself.
-        let v = governor.voltage();
-        let vi = grid
-            .index_of(v)
-            .unwrap_or_else(|| panic!("governor voltage {v} off grid"));
-        let point = &points[vi];
-        let row = &point.row;
-        let mut chunk = governor.steady_cycles().max(1).min(cycles - cycle);
-        if let Some(window) = sample_every {
-            chunk = chunk.min(window - window_cycles);
-        }
-
-        // Fast path: the whole chunk at one supply, no table lookups.
-        let acc = stream.run_chunk(chunk, point);
-
-        let switched = acc.wire_cap * length_mm
-            + acc.toggles as f64 * (rep_cap + data_cap)
-            + chunk as f64 * clock_cap;
-        energy_fj +=
-            switched * row.v2 + chunk as f64 * row.leak_fj + acc.errors as f64 * row.recovery_fj;
-        baseline_fj += switched * v2_nominal + chunk as f64 * leak_nominal;
-        errors += acc.errors;
-        shadow_violations += acc.shadow;
-        mv_sum += f64::from(v.mv()) * chunk as f64;
-        min_v = min_v.min(v);
-        governor.record_batch(chunk, acc.errors);
-        cycle += chunk;
-
-        if let Some(window) = sample_every {
-            window_errors += acc.errors;
-            window_cycles += chunk;
-            if window_cycles == window {
-                samples.push(VoltageSample {
-                    cycle,
-                    voltage: governor.voltage(),
-                    window_error_rate: window_errors as f64 / window as f64,
-                });
-                window_errors = 0;
-                window_cycles = 0;
-            }
-        }
-    }
-    if window_cycles > 0 {
-        // Trailing partial window: report it rather than dropping the
-        // tail of the trajectory.
-        samples.push(VoltageSample {
-            cycle: cycles,
-            voltage: governor.voltage(),
-            window_error_rate: window_errors as f64 / window_cycles as f64,
-        });
-    }
-
-    SimReport {
-        cycles,
-        errors,
-        shadow_violations,
-        energy: Femtojoules::new(energy_fj),
-        baseline_energy: Femtojoules::new(baseline_fj),
-        mean_voltage_mv: if cycles == 0 {
-            0.0
-        } else {
-            mv_sum / cycles as f64
-        },
-        min_voltage: min_v,
-        samples,
-        summary: None,
-    }
+    let mut members = [Member::new(design, pvt, governor)];
+    run_stream(design, &mut members, sample_every, stream, cycles);
+    let [member] = members;
+    member.report(cycles)
 }
 
 /// One member of a fused replay group: an *open-loop* operating point —
@@ -659,24 +770,6 @@ pub struct FusedOp {
     pub supply: Millivolts,
 }
 
-/// Per-member running state of a fused replay: the member's hot row
-/// (borrowed from the design's replay tables) and nominal constants
-/// plus exactly the accumulators [`run_stream`] folds per chunk.
-struct FusedMember<'d> {
-    supply: Millivolts,
-    v_mv: f64,
-    row: &'d VoltageRow,
-    v2_nominal: f64,
-    leak_nominal: f64,
-    errors: u64,
-    shadow: u64,
-    energy_fj: f64,
-    baseline_fj: f64,
-    mv_sum: f64,
-    window_errors: u64,
-    samples: Vec<VoltageSample>,
-}
-
 impl CompiledTrace {
     /// Replays the compiled stream through the batched closed-loop body
     /// — the exact loop [`BusSimulator::run`] executes, with the
@@ -684,10 +777,10 @@ impl CompiledTrace {
     /// kernel (`lane.rs`): integer bin-threshold compares in eight-cycle
     /// u64 lanes, float accumulation untouched. Bit-identical to running
     /// [`BusSimulator`] over the original trace with the same governor
-    /// — and to [`CompiledTrace::replay_scalar`] — errors, violations
-    /// and samples match bitwise, energies are exact (same per-cycle add
-    /// sequence). With `with_summary`, the report also carries
-    /// [`CompiledTrace::summary`], equal to the live
+    /// — and to the scalar per-cycle body over the same arrays —
+    /// errors, violations and samples match bitwise, energies are exact
+    /// (same per-cycle add sequence). With `with_summary`, the report
+    /// also carries [`CompiledTrace::summary`], equal to the live
     /// [`BusSimulator::with_histogram`] by-product; the replay itself
     /// runs the same lane kernel either way.
     ///
@@ -710,7 +803,7 @@ impl CompiledTrace {
     ) -> (SimReport, G) {
         self.check_replay(design, sampling);
         let stream = LaneChunks::new(self);
-        let mut report = run_stream(design, pvt, &mut governor, sampling, stream, self.cycles());
+        let mut report = run_one(design, pvt, &mut governor, sampling, stream, self.cycles());
         report.summary = with_summary.then(|| self.summary());
         (report, governor)
     }
@@ -719,14 +812,9 @@ impl CompiledTrace {
     /// semantic reference for the lane-vectorized
     /// [`CompiledTrace::replay`]. Same contract, same numbers to the
     /// last bit (differential tests enforce `to_bits()` equality across
-    /// designs, governors and corners); kept callable so any future
-    /// kernel change always has an executable baseline to diff against.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`CompiledTrace::replay`].
-    #[must_use]
-    pub fn replay_scalar<G: VoltageGovernor>(
+    /// designs, governors and corners).
+    #[cfg(test)]
+    pub(crate) fn replay_scalar<G: VoltageGovernor>(
         &self,
         design: &DvsBusDesign,
         pvt: PvtCorner,
@@ -735,27 +823,25 @@ impl CompiledTrace {
     ) -> (SimReport, G) {
         self.check_replay(design, sampling);
         let stream = ScalarChunks(LaneChunks::new(self));
-        let report = run_stream(design, pvt, &mut governor, sampling, stream, self.cycles());
+        let report = run_one(design, pvt, &mut governor, sampling, stream, self.cycles());
         (report, governor)
     }
 
     /// Replays *every* operating point of `ops` in **one pass** over the
-    /// compiled stream: the fused kernel (`lane.rs`) applies each
-    /// member's requantized integer thresholds to every 8-cycle lane
-    /// while the lane's words are hot in registers/L1, so a group of N
-    /// open-loop members streams the 11 B/cycle arrays once instead of
-    /// N times.
+    /// compiled stream: each op is one [`razorbus_ctrl::FixedVoltage`]
+    /// member of the same batched body [`CompiledTrace::replay`] runs,
+    /// and the lane kernel (`lane.rs`) applies each member's requantized
+    /// integer thresholds to every 8-cycle lane while the lane's words
+    /// are hot in registers/L1, so a group of N open-loop members
+    /// streams the 11 B/cycle arrays once instead of N times.
     ///
     /// Each member's report is **bit-identical** to its solo replay
-    /// under [`razorbus_ctrl::FixedVoltage`] at the same corner, supply
-    /// and sampling, by construction: a fixed supply is steady forever
-    /// (`steady_cycles` is `u64::MAX`), so the solo chunk sequence is
-    /// exactly the sampling windows (or one whole-trace chunk) — shared
-    /// by every member — and the fused loop folds each member's
-    /// accumulators per chunk in that same order, from the same
-    /// member-independent toggle/capacitance sums the solo kernel
-    /// produces. Pinned by `to_bits()` differential tests across
-    /// designs × corners × fan-ins.
+    /// under `FixedVoltage` at the same corner, supply and sampling: a
+    /// fixed supply is steady forever, so the shared chunks are exactly
+    /// the sampling windows (or one whole-trace chunk), as in each solo
+    /// replay, and each member folds them with the one fold every replay
+    /// uses. Pinned by `to_bits()` differential tests across designs ×
+    /// corners × fan-ins, and against [`BusSimulator::run_reference`].
     ///
     /// Closed-loop governors are *not* expressible here — their voltage
     /// trajectories are feedback-driven, so their chunk boundaries
@@ -777,123 +863,32 @@ impl CompiledTrace {
         if ops.is_empty() {
             return Vec::new();
         }
-        let grid = design.grid();
-        let tables = design.tables();
-        let fe = design.flop_energy();
-        let n_flops = tables.n_bits();
-        let length_mm = design.bus().line().total_length().mm();
-        let rep_cap = tables.repeater_cap_per_toggle().ff();
-        let clock_cap = fe.clock_capacitance(n_flops).ff();
-        let data_cap = fe.data_capacitance().ff();
-        let nominal_idx = grid.index_of(design.nominal()).expect("nominal on grid");
-
-        // Every member borrows its row and thresholds from the design's
-        // replay tables, exactly as its solo replay would.
-        let mut thrs = Vec::with_capacity(ops.len());
-        let mut members = Vec::with_capacity(ops.len());
-        for op in ops {
-            let points = design.replay_points(op.pvt);
-            let vi = grid
-                .index_of(op.supply)
-                .unwrap_or_else(|| panic!("fused member supply {} off the design grid", op.supply));
-            thrs.push(&points[vi].thr);
-            members.push(FusedMember {
-                supply: op.supply,
-                v_mv: f64::from(op.supply.mv()),
-                row: &points[vi].row,
-                v2_nominal: points[nominal_idx].row.v2,
-                leak_nominal: points[nominal_idx].row.leak_fj,
-                errors: 0,
-                shadow: 0,
-                energy_fj: 0.0,
-                baseline_fj: 0.0,
-                mv_sum: 0.0,
-                window_errors: 0,
-                samples: Vec::new(),
-            });
-        }
-
-        let (toggles, bins, switched) = self.arrays();
-        let cycles = self.cycles();
-        let mut counts = vec![lane::FusedCounts::default(); ops.len()];
-        let mut cycle = 0u64;
-        let mut window_cycles = 0u64;
-        let mut cursor = 0usize;
-        while cycle < cycles {
-            // A fixed supply is steady forever, so — exactly as in each
-            // member's solo replay — chunks are the sampling windows,
-            // or one whole-trace chunk without sampling.
-            let mut chunk = cycles - cycle;
-            if let Some(window) = sampling {
-                chunk = chunk.min(window - window_cycles);
-            }
-            let end = cursor + usize::try_from(chunk).expect("chunk fits in memory");
-            let (toggle_sum, wire_cap) = lane::process_fused(
-                &toggles[cursor..end],
-                &bins[cursor..end],
-                &switched[cursor..end],
-                &thrs,
-                &mut counts,
-            );
-            cursor = end;
-            let switched_cap = wire_cap * length_mm
-                + toggle_sum as f64 * (rep_cap + data_cap)
-                + chunk as f64 * clock_cap;
-            for (m, cnt) in members.iter_mut().zip(&counts) {
-                m.energy_fj += switched_cap * m.row.v2
-                    + chunk as f64 * m.row.leak_fj
-                    + cnt.errors as f64 * m.row.recovery_fj;
-                m.baseline_fj += switched_cap * m.v2_nominal + chunk as f64 * m.leak_nominal;
-                m.errors += cnt.errors;
-                m.shadow += cnt.shadow;
-                m.mv_sum += m.v_mv * chunk as f64;
-            }
-            cycle += chunk;
-            if let Some(window) = sampling {
-                window_cycles += chunk;
-                for (m, cnt) in members.iter_mut().zip(&counts) {
-                    m.window_errors += cnt.errors;
-                }
-                if window_cycles == window {
-                    for m in &mut members {
-                        m.samples.push(VoltageSample {
-                            cycle,
-                            voltage: m.supply,
-                            window_error_rate: m.window_errors as f64 / window as f64,
-                        });
-                        m.window_errors = 0;
-                    }
-                    window_cycles = 0;
-                }
-            }
-        }
-        if window_cycles > 0 {
-            for m in &mut members {
-                m.samples.push(VoltageSample {
-                    cycle: cycles,
-                    voltage: m.supply,
-                    window_error_rate: m.window_errors as f64 / window_cycles as f64,
-                });
-            }
-        }
-
+        let mut governors: Vec<FixedVoltage> = ops
+            .iter()
+            .map(|op| {
+                assert!(
+                    design.grid().index_of(op.supply).is_some(),
+                    "fused member supply {} off the design grid",
+                    op.supply
+                );
+                FixedVoltage::new(op.supply)
+            })
+            .collect();
+        let mut members: Vec<_> = ops
+            .iter()
+            .zip(&mut governors)
+            .map(|(op, governor)| Member::new(design, op.pvt, governor))
+            .collect();
+        run_stream(
+            design,
+            &mut members,
+            sampling,
+            LaneChunks::new(self),
+            self.cycles(),
+        );
         members
             .into_iter()
-            .map(|m| SimReport {
-                cycles,
-                errors: m.errors,
-                shadow_violations: m.shadow,
-                energy: Femtojoules::new(m.energy_fj),
-                baseline_energy: Femtojoules::new(m.baseline_fj),
-                mean_voltage_mv: if cycles == 0 {
-                    0.0
-                } else {
-                    m.mv_sum / cycles as f64
-                },
-                min_voltage: m.supply,
-                samples: m.samples,
-                summary: None,
-            })
+            .map(|m| m.report(self.cycles()))
             .collect()
     }
 

@@ -6,8 +6,9 @@
 //! exercised at randomized cycle counts and chunk sizes, on random and
 //! on quiet-heavy traffic (so seams also fall inside runs of repeated
 //! words). A fused replay of any operating-point set equals each
-//! member's solo replay. A histogram replay's summary equals the
-//! collected and the live closed-loop summaries over the same words.
+//! member's solo replay and the cycle-at-a-time reference loop. A
+//! histogram replay's summary equals the collected and the live
+//! closed-loop summaries over the same words.
 
 use proptest::prelude::*;
 use razorbus_core::{BusSimulator, CompiledTrace, DvsBusDesign, FusedOp, SimReport, TraceSummary};
@@ -88,8 +89,13 @@ proptest! {
     /// Any set of open-loop operating points — tabulated corners × grid
     /// supplies, repeats allowed — fused in one pass reports for each
     /// member exactly its solo `replay` under `FixedVoltage`, to the
-    /// bit. The designs live across cases, so later cases read replay
-    /// tables an earlier case (or the solo replays) built.
+    /// bit. Fused and solo replays share one batched body, so each
+    /// member is also held to `BusSimulator::run_reference`, the
+    /// cycle-at-a-time loop over the recorded words: errors,
+    /// violations, samples and minimum voltage exactly, energies within
+    /// 1e-9 relative (the add order differs). The designs live across
+    /// cases, so later cases read replay tables an earlier case (or the
+    /// solo replays) built.
     #[test]
     fn fused_replay_equals_solo_replays(
         which in 0usize..2,
@@ -112,12 +118,29 @@ proptest! {
             })
             .collect();
         let sampling = (window > 0).then_some(window);
-        let compiled = CompiledTrace::compile(design, &mut RandomWords::new(seed), cycles);
+        let recording = record(0, seed, cycles);
+        let compiled = CompiledTrace::compile(design, &mut recording.replay(), cycles);
         let fused = compiled.replay_fused(design, &ops, sampling);
         prop_assert_eq!(fused.len(), ops.len());
         for (op, f) in ops.iter().zip(&fused) {
-            let (s, _) = compiled.replay(design, op.pvt, FixedVoltage::new(op.supply), sampling, false);
             let ctx = format!("{name} @ {} {}, {cycles} cycles, sampling {sampling:?}", op.pvt, op.supply);
+            let mut sim = BusSimulator::new(design, op.pvt, recording.replay(), FixedVoltage::new(op.supply));
+            if let Some(w) = sampling {
+                sim = sim.with_sampling(w);
+            }
+            let r = sim.run_reference(cycles);
+            prop_assert_eq!(f.errors, r.errors, "errors vs reference: {}", ctx);
+            prop_assert_eq!(f.shadow_violations, r.shadow_violations, "violations vs reference: {}", ctx);
+            prop_assert_eq!(&f.samples, &r.samples, "samples vs reference: {}", ctx);
+            prop_assert_eq!(f.min_voltage, r.min_voltage, "min V vs reference: {}", ctx);
+            let rel = |a: f64, b: f64| (a - b).abs() / b;
+            prop_assert!(rel(f.energy.fj(), r.energy.fj()) < 1e-9, "energy vs reference: {}", ctx);
+            prop_assert!(
+                rel(f.baseline_energy.fj(), r.baseline_energy.fj()) < 1e-9,
+                "baseline vs reference: {}", ctx
+            );
+
+            let (s, _) = compiled.replay(design, op.pvt, FixedVoltage::new(op.supply), sampling, false);
             prop_assert_eq!(f.energy.fj().to_bits(), s.energy.fj().to_bits(), "{}", ctx);
             prop_assert_eq!(f.baseline_energy.fj().to_bits(), s.baseline_energy.fj().to_bits(), "{}", ctx);
             prop_assert_eq!(f.mean_voltage_mv.to_bits(), s.mean_voltage_mv.to_bits(), "{}", ctx);
