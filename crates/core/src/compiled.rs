@@ -267,8 +267,7 @@ impl CompiledTrace {
     ) -> [Self; K] {
         assert!(cycles > 0, "need at least one cycle");
         let n = usize::try_from(cycles).expect("cycle count fits in memory");
-        let words = std::iter::repeat_with(|| trace.next_word()).take(n + 1);
-        let mut arrays = classify_words(designs, n, words).into_iter();
+        let mut arrays = classify_words(designs, n, WordBlocks::new(trace, n + 1)).into_iter();
         designs.map(|design| Self::from_arrays(design, cycles, arrays.next().expect("K arrays")))
     }
 
@@ -285,10 +284,8 @@ impl CompiledTrace {
     pub fn drain_words<S: TraceSource>(trace: &mut S, cycles: u64) -> Vec<u32> {
         assert!(cycles > 0, "need at least one cycle");
         let n = usize::try_from(cycles).expect("cycle count fits in memory");
-        let mut words = Vec::with_capacity(n + 1);
-        for _ in 0..=n {
-            words.push(trace.next_word());
-        }
+        let mut words = vec![0; n + 1];
+        trace.fill(&mut words);
         words
     }
 
@@ -453,6 +450,54 @@ impl CompiledTrace {
         self.toggles.len()
             + self.bins.len() * core::mem::size_of::<u16>()
             + self.switched.len() * core::mem::size_of::<f64>()
+    }
+}
+
+/// Words per [`TraceSource::fill`] call of a [`WordBlocks`] reader.
+const WORD_BLOCK: usize = 256;
+
+/// The next `n` words of a source, drawn a fixed-size block at a time
+/// through [`TraceSource::fill`] and never past the `n`th, so a
+/// streaming loop leaves the source exactly where `n` calls of
+/// [`TraceSource::next_word`] would. A boxed source costs one dynamic
+/// call per block instead of one per word.
+pub(crate) struct WordBlocks<'a, S: ?Sized> {
+    trace: &'a mut S,
+    block: [u32; WORD_BLOCK],
+    /// The next word's index in `block`, of `len` filled.
+    at: usize,
+    len: usize,
+    /// Words not yet drawn from the source.
+    left: usize,
+}
+
+impl<'a, S: TraceSource + ?Sized> WordBlocks<'a, S> {
+    pub(crate) fn new(trace: &'a mut S, n: usize) -> Self {
+        Self {
+            trace,
+            block: [0; WORD_BLOCK],
+            at: 0,
+            len: 0,
+            left: n,
+        }
+    }
+}
+
+impl<S: TraceSource + ?Sized> Iterator for WordBlocks<'_, S> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        if self.at == self.len {
+            if self.left == 0 {
+                return None;
+            }
+            (self.at, self.len) = (0, self.left.min(WORD_BLOCK));
+            self.trace.fill(&mut self.block[..self.len]);
+            self.left -= self.len;
+        }
+        self.at += 1;
+        Some(self.block[self.at - 1])
     }
 }
 
@@ -678,6 +723,19 @@ mod tests {
             }),
         );
         assert_eq!((chunk.cycles(), drawn), (5, 6));
+    }
+
+    #[test]
+    fn word_blocks_yield_exactly_n_words_and_draw_no_further() {
+        // Around the block size: the reader yields the next `n` words
+        // in order and leaves the source at word `n`.
+        for n in [0, 1, 255, 256, 257, 1_000] {
+            let mut trace = Benchmark::Mcf.trace(3);
+            let read: Vec<u32> = WordBlocks::new(&mut trace, n).collect();
+            let mut again = Benchmark::Mcf.trace(3);
+            assert_eq!(read, again.take_words(n), "{n} words");
+            assert_eq!(trace.next_word(), again.next_word(), "the word after {n}");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! few kilobytes — after which evaluating *any* supply voltage, corner or
 //! target error rate is a table walk, independent of trace length.
 
+use crate::compiled::WordBlocks;
 use crate::design::DvsBusDesign;
 use razorbus_process::PvtCorner;
 use razorbus_tables::{EnvCondition, ThresholdMatrix};
@@ -128,11 +129,12 @@ impl TraceSummary {
     #[must_use]
     pub fn collect<S: TraceSource>(design: &DvsBusDesign, trace: &mut S, cycles: u64) -> Self {
         assert!(cycles > 0, "need at least one cycle");
+        let n = usize::try_from(cycles).expect("cycle count fits in memory");
+        let mut words = WordBlocks::new(trace, n + 1);
         let mut analyzer = design.bus().analyzer();
         let mut fold = HistogramFold::new();
-        let mut prev = trace.next_word();
-        for _ in 0..cycles {
-            let cur = trace.next_word();
+        let mut prev = words.next().expect("a priming word");
+        for cur in words {
             let a = analyzer.analyze(prev, cur);
             prev = cur;
             fold.add(

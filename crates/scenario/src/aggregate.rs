@@ -117,11 +117,14 @@ impl MemberMetrics {
 /// sketch is a pure function of its observation sequence).
 ///
 /// Level `i` holds values of weight `2^i`; a level reaching
-/// `SKETCH_LEVEL_CAPACITY` sorts itself (`f64::total_cmp`), leaves
+/// `SKETCH_LEVEL_CAPACITY` is put in `f64::total_cmp` order, leaves
 /// the largest value behind when its length is odd, and promotes the
 /// even-indexed survivors of the rest to level `i + 1` at doubled
 /// weight — so the total weight always equals the observation count
 /// exactly (a validated invariant of the `campaign-digest` artifact).
+/// Level 0 orders by an integer sort of `total_cmp`'s own keys; a
+/// higher level is the sorted survivor runs of the compactions below
+/// it, which a stable sort finds and merges.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct QuantileSketch {
     /// `levels[i]` holds values of weight `2^i`, each shorter than
@@ -165,10 +168,15 @@ impl QuantileSketch {
                 i += 1;
                 continue;
             }
-            // Values `total_cmp` calls equal are bit-equal, so an
-            // unstable sort orders them exactly as a stable one would.
             let mut level = std::mem::take(&mut self.levels[i]);
-            level.sort_unstable_by(f64::total_cmp);
+            if i == 0 {
+                sort_by_total_order(&mut level);
+            } else {
+                // A higher level is a concatenation of already sorted
+                // survivor runs (plus at most one leftover), which the
+                // stable sort finds and merges.
+                level.sort_by(f64::total_cmp);
+            }
             let leftover = (level.len() % 2 == 1).then(|| level.pop().expect("odd length"));
             if i + 1 == self.levels.len() {
                 self.levels.push(Vec::new());
@@ -251,6 +259,26 @@ impl QuantileSketch {
             && self.levels.iter().all(|level| {
                 level.len() < SKETCH_LEVEL_CAPACITY && level.iter().all(|v| v.is_finite())
             })
+    }
+}
+
+/// Sorts `values` in [`f64::total_cmp`] order as integers: the key is
+/// `total_cmp`'s own bit transform (flip every bit below the sign of a
+/// negative value), which orders as the floats do and undoes itself.
+/// Values `total_cmp` calls equal are bit-equal, so this unstable
+/// integer sort stores exactly what a stable float sort would.
+fn sort_by_total_order(values: &mut [f64]) {
+    let key = |bits: u64| bits ^ (((bits as i64 >> 63) as u64) >> 1);
+    // Level 0 holds under the capacity before an observation, or two
+    // sketches' worth after a merge, so twice the capacity holds it.
+    let mut keys = [0i64; 2 * SKETCH_LEVEL_CAPACITY];
+    let keys = &mut keys[..values.len()];
+    for (k, v) in keys.iter_mut().zip(values.iter()) {
+        *k = key(v.to_bits()) as i64;
+    }
+    keys.sort_unstable();
+    for (v, &k) in values.iter_mut().zip(keys.iter()) {
+        *v = f64::from_bits(key(k as u64));
     }
 }
 
@@ -881,7 +909,10 @@ mod tests {
     }
 
     /// A drawn sketch input: signed zeros, a small pool of repeated
-    /// values (ties across a compaction), or an arbitrary finite value.
+    /// values (ties across a compaction), an infinity of either sign, a
+    /// NaN of either sign with any payload (level 0's integer-key sort
+    /// must order them exactly as `total_cmp` does), or an arbitrary
+    /// finite value.
     fn sketch_value((kind, raw): (u8, u64)) -> f64 {
         const POOL: [f64; 4] = [-1.5, 0.25, 0.25 + f64::EPSILON, 1.0e3];
         let x = f64::from_bits(raw);
@@ -889,6 +920,10 @@ mod tests {
             0 => 0.0,
             1 => -0.0,
             2 | 3 => POOL[(raw % 4) as usize],
+            4 if raw >> 63 == 0 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            // Exponent all ones, a non-zero payload, `raw`'s sign.
+            5 => f64::from_bits(raw | 0x7FF0_0000_0000_0001),
             _ if x.is_finite() => x,
             _ => raw as f64,
         }
@@ -917,7 +952,7 @@ mod tests {
         /// after a merge of two folded halves.
         #[test]
         fn sketch_compaction_matches_its_reference(
-            draws in proptest::collection::vec((0u8..6, any::<u64>()), 1..3_000),
+            draws in proptest::collection::vec((0u8..8, any::<u64>()), 1..3_000),
             split in any::<usize>(),
         ) {
             let values: Vec<f64> = draws.into_iter().map(sketch_value).collect();

@@ -62,6 +62,12 @@
 //! [`MemberMetrics`] and folds them into one streaming
 //! [`CampaignDigest`] through a rank-ordered reorder buffer
 //! ([`DigestBuilder`]), keeping memory constant at Monte-Carlo scale.
+//! No worker waits on that fold, in the suite window's way: a job
+//! extracts its metrics outside any lock, posts them to an inbox under
+//! a short lock and `try_lock`s the builder. The winner folds the inbox
+//! and looks at it again after letting go, so a post that lost the race
+//! is folded by the worker that won it; the pool's last posts are
+//! folded before `execute` returns.
 //!
 //! None of this sharing may show in the output: under any worker
 //! count, compile chunk size and compile budget, a campaign equals
@@ -112,14 +118,20 @@ pub struct ScenarioSetRun {
     pub result: ScenarioSetResult,
 }
 
-/// Everything that identifies one closed-loop simulation.
+/// Everything that identifies one closed-loop simulation, as 32 bytes
+/// of integers: the design, corner, workload and controller are
+/// indices into the plan's distinct values of each, in
+/// first-appearance order. An index is below the member count, which
+/// a plan holding every member's spec keeps far under `u32::MAX`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct LoopKey {
-    design_idx: usize,
-    corner: CornerId,
+    design_idx: u32,
+    /// Index into the plan's interned corners.
+    corner: u32,
     /// Index into the plan's interned workloads.
-    workload: usize,
-    controller: ControllerSpec,
+    workload: u32,
+    /// Index into the plan's interned controllers.
+    controller: u32,
     cycles: u64,
     seed: u64,
 }
@@ -153,21 +165,10 @@ impl CornerId {
 }
 
 impl LoopKey {
-    fn of(m: &ScenarioSpec, design_idx: usize, workload: usize) -> Self {
-        Self {
-            design_idx,
-            corner: CornerId::of(m.run.corner.resolve()),
-            workload,
-            controller: m.controller,
-            cycles: m.run.cycles_per_benchmark,
-            seed: m.run.seed,
-        }
-    }
-
     fn summary_key(&self) -> SummaryKey {
         SummaryKey {
-            design_idx: self.design_idx,
-            workload: self.workload,
+            design_idx: self.design_idx as usize,
+            workload: self.workload as usize,
             cycles: self.cycles,
             seed: self.seed,
         }
@@ -175,6 +176,15 @@ impl LoopKey {
 }
 
 impl SummaryKey {
+    fn of(m: &ScenarioSpec, design_idx: usize, workload: usize) -> Self {
+        Self {
+            design_idx,
+            workload,
+            cycles: m.run.cycles_per_benchmark,
+            seed: m.run.seed,
+        }
+    }
+
     /// The words the key reads, whatever the design: its workload,
     /// cycles and seed.
     fn words(&self) -> (usize, u64, u64) {
@@ -204,6 +214,10 @@ impl Hasher for FxHasher {
         }
     }
 
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
     fn write_u64(&mut self, n: u64) {
         self.add(n);
     }
@@ -219,6 +233,9 @@ impl Hasher for FxHasher {
 
 /// Dense ids in first-appearance order: equal values share an id. A
 /// run of equal values costs one comparison each instead of a hash.
+/// The map grows as values arrive: reserving a slot per member up
+/// front numbered `mc-10k-short`'s 10 000 distinct loop keys slower
+/// (docs/performance.md, "Planning").
 struct Interner<T> {
     ids: HashMap<T, usize, BuildHasherDefault<FxHasher>>,
     values: Vec<T>,
@@ -226,10 +243,10 @@ struct Interner<T> {
 }
 
 impl<T: Hash + Eq + Clone> Interner<T> {
-    fn with_capacity(n: usize) -> Self {
+    fn new() -> Self {
         Self {
-            ids: HashMap::with_capacity_and_hasher(n, BuildHasherDefault::default()),
-            values: Vec::with_capacity(n),
+            ids: HashMap::default(),
+            values: Vec::new(),
             last: None,
         }
     }
@@ -368,12 +385,17 @@ enum ReplayPlan {
 /// Partitions one stream compile's waiting loop indices into replay
 /// plans: closed-loop members solo, in replayer order, then one
 /// unbounded fused group per sampling window, in first-seen order.
-fn plan_replay_groups(replayers: &[usize], loop_jobs: &[LoopKey]) -> Vec<ReplayPlan> {
+/// `point` gives a loop's corner and controller.
+fn plan_replay_groups(
+    replayers: &[usize],
+    point: impl Fn(usize) -> (PvtCorner, ControllerSpec),
+) -> Vec<ReplayPlan> {
     let mut plans = Vec::new();
     let mut groups: Vec<(Option<u64>, FusedGroup)> = Vec::new();
     for &i in replayers {
-        let (pvt, sampling) = (loop_jobs[i].corner.pvt(), loop_jobs[i].controller.sampling);
-        let GovernorSpec::Fixed(supply) = loop_jobs[i].controller.governor else {
+        let (pvt, controller) = point(i);
+        let sampling = controller.sampling;
+        let GovernorSpec::Fixed(supply) = controller.governor else {
             plans.push(ReplayPlan::Solo(i));
             continue;
         };
@@ -503,23 +525,62 @@ pub(crate) fn distinct_designs<'a>(
     (distinct, ids)
 }
 
-/// Each member's loop job, for members that run one, and the distinct
-/// loop keys numbered by first appearance.
+/// A plan's loops, numbered over its members.
+struct Loops {
+    /// The distinct corners and controllers, first-appearance order:
+    /// loop keys index them.
+    corners: Vec<CornerId>,
+    controllers: Vec<ControllerSpec>,
+    /// The distinct loop keys, first-appearance order.
+    keys: Vec<LoopKey>,
+    /// Each loop's governor setting: its (design, corner, controller),
+    /// numbered by first appearance over the loops, so each distinct
+    /// setting is configured once.
+    setting: Vec<usize>,
+    /// Each member's loop, for members that run one.
+    member_loop: Vec<Option<usize>>,
+}
+
+/// Numbers the members' loops by first appearance. Corners and
+/// controllers are interned to ids first, so the loop interner hashes
+/// a 32-byte key.
 fn number_loops(
     members: &[ScenarioSpec],
     member_design: &[usize],
     member_workload: &[usize],
-) -> (Vec<LoopKey>, Vec<Option<usize>>) {
-    let mut loops = Interner::with_capacity(members.len());
+) -> Loops {
+    let (mut corners, mut controllers) = (Interner::new(), Interner::new());
+    let (mut settings, mut loops) = (Interner::new(), Interner::new());
+    let mut setting = Vec::new();
     let member_loop = members
         .iter()
         .zip(member_design.iter().zip(member_workload))
         .map(|(m, (&d, &w))| {
-            (m.analysis.wants_loop() || m.analysis.wants_aggregate())
-                .then(|| loops.id(LoopKey::of(m, d, w)))
+            (m.analysis.wants_loop() || m.analysis.wants_aggregate()).then(|| {
+                let corner = corners.id(CornerId::of(m.run.corner.resolve()));
+                let controller = controllers.id(m.controller);
+                let i = loops.id(LoopKey {
+                    design_idx: d as u32,
+                    corner: corner as u32,
+                    workload: w as u32,
+                    controller: controller as u32,
+                    cycles: m.run.cycles_per_benchmark,
+                    seed: m.run.seed,
+                });
+                if i == setting.len() {
+                    setting.push(settings.id([d, corner, controller]));
+                }
+                i
+            })
         })
         .collect();
-    (loops.values, member_loop)
+    Loops {
+        corners: corners.values,
+        controllers: controllers.values,
+        keys: loops.values,
+        setting,
+        member_loop,
+    }
 }
 
 /// One member's place in the plan.
@@ -533,22 +594,18 @@ struct MemberPlan {
 /// One deduplicated closed loop and everything its job needs.
 struct LoopJob {
     key: LoopKey,
-    /// The governor's checked configuration.
-    config: ControllerConfig,
+    /// Its governor setting: the index of its checked configuration in
+    /// the plan's `configs`.
+    setting: usize,
     /// Its shared compile; `None` runs live.
     compile: Option<usize>,
     /// The sweep it collects as a histogram by-product (a live loop).
     sweep: Option<usize>,
     /// The kept-loop slot its data fills, if a member keeps it.
     keep: Option<usize>,
-    /// The digest ranks its metrics fold at, ascending.
-    ranks: Vec<usize>,
-}
-
-impl LoopJob {
-    fn governor(&self) -> BoxedGovernor {
-        self.key.controller.governor.build(self.config)
-    }
+    /// Where the digest ranks its metrics fold at sit in the plan's
+    /// `ranks`, ascending.
+    ranks: Range<usize>,
 }
 
 /// One shared compile: the words it drains and the designs it
@@ -594,8 +651,13 @@ struct Plan {
     /// The members' distinct designs, first-appearance order.
     design_specs: Vec<DesignSpec>,
     designs: Vec<DvsBusDesign>,
-    /// The members' distinct workloads, first-appearance order.
+    /// The members' distinct workloads, corners and controllers,
+    /// first-appearance order, and each distinct governor setting's
+    /// configuration.
     workloads: Vec<Workload>,
+    corners: Vec<CornerId>,
+    controllers: Vec<ControllerSpec>,
+    configs: Vec<ControllerConfig>,
     /// Deduplicated loop jobs, first-appearance order.
     loop_jobs: Vec<LoopJob>,
     /// Shared compiles, first-appearance order.
@@ -608,6 +670,8 @@ struct Plan {
     own_windows: Vec<usize>,
     /// How many loop jobs keep their data.
     kept: usize,
+    /// Every loop job's digest ranks, loop by loop (`LoopJob::ranks`).
+    ranks: Vec<usize>,
     /// The suite loop each in-order window replays, by window.
     windows: Vec<usize>,
     /// Keys the compile budget left on the live path — shared by two
@@ -772,20 +836,27 @@ impl ScenarioSet {
         members.iter().try_for_each(ScenarioSpec::check_corner)?;
         members.iter().try_for_each(ScenarioSpec::check_windows)?;
         let (design_specs, member_design) = distinct_designs(members.iter().map(|m| &m.design));
-        let mut interned = Interner::with_capacity(1);
+        let mut interned = Interner::new();
         let member_workload: Vec<usize> =
             members.iter().map(|m| interned.id(&m.workload)).collect();
-        let (keys, member_loop) = number_loops(&members, &member_design, &member_workload);
+        let loops = number_loops(&members, &member_design, &member_workload);
+        let keys = &loops.keys;
+        let point = |i: usize| {
+            let key = &keys[i];
+            let corner = loops.corners[key.corner as usize].pvt();
+            (corner, loops.controllers[key.controller as usize])
+        };
 
         // Build and check what each member names, at the first member
         // that needs it, and map it onto its products. An aggregate
         // member folds into the digest at its rank among the aggregate
         // members: rank order, not completion order, fixes the fold. A
         // loop keeps its data only if a member wants it.
-        let (mut designs, mut workloads) = (Vec::new(), Vec::new());
-        let mut loop_jobs = Vec::with_capacity(keys.len());
-        let mut sweeps = Interner::with_capacity(0);
-        let (mut kept, mut aggregates) = (0, 0);
+        let (mut designs, mut workloads, mut configs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut loop_jobs: Vec<LoopJob> = Vec::with_capacity(keys.len());
+        let mut rank_loop = Vec::new();
+        let mut sweeps = Interner::new();
+        let mut kept = 0;
         let mut member_plans = Vec::with_capacity(members.len());
         for (mi, m) in members.iter().enumerate() {
             let named = |e: String| format!("member `{}`: {e}", m.name);
@@ -801,23 +872,25 @@ impl ScenarioSet {
                 workloads.push(Workload::check(&m.workload).map_err(named)?);
             }
             let mut closed_loop = None;
-            if let Some(i) = member_loop[mi] {
+            if let Some(i) = loops.member_loop[mi] {
                 if i == loop_jobs.len() {
-                    let key = keys[i];
-                    let config = key.controller.configure(&designs[d], key.corner.pvt());
+                    let setting = loops.setting[i];
+                    if setting == configs.len() {
+                        let (corner, controller) = point(i);
+                        configs.push(controller.configure(&designs[d], corner).map_err(named)?);
+                    }
                     loop_jobs.push(LoopJob {
-                        key,
-                        config: config.map_err(named)?,
+                        key: keys[i],
+                        setting,
                         compile: None,
                         sweep: None,
                         keep: None,
-                        ranks: Vec::new(),
+                        ranks: 0..0,
                     });
                 }
                 let job = &mut loop_jobs[i];
                 if m.analysis.wants_aggregate() {
-                    job.ranks.push(aggregates);
-                    aggregates += 1;
+                    rank_loop.push(i);
                 } else {
                     closed_loop = Some(*job.keep.get_or_insert_with(|| {
                         kept += 1;
@@ -826,13 +899,30 @@ impl ScenarioSet {
                 }
             }
             let (swept, windowed) = (m.analysis.wants_sweep(), m.analysis.wants_windows());
-            let sweep = swept.then(|| sweeps.id((LoopKey::of(m, d, w).summary_key(), windowed)));
+            let sweep = swept.then(|| sweeps.id((SummaryKey::of(m, d, w), windowed)));
             member_plans.push(MemberPlan { closed_loop, sweep });
+        }
+
+        // Each loop's digest ranks, ascending, as one range of `ranks`:
+        // a counting sort of the ranks by loop.
+        let mut next = vec![0; loop_jobs.len()];
+        for &i in &rank_loop {
+            next[i] += 1;
+        }
+        let mut end = 0;
+        for (job, next) in loop_jobs.iter_mut().zip(&mut next) {
+            job.ranks = end..end + *next;
+            (*next, end) = (end, job.ranks.end);
+        }
+        let mut ranks = vec![0; rank_loop.len()];
+        for (rank, &i) in rank_loop.iter().enumerate() {
+            ranks[next[i]] = rank;
+            next[i] += 1;
         }
 
         // Each loop job's summary key as a dense id, with each key's first
         // loop (ids count up in loop order) and its number of loops.
-        let mut skeys = Interner::with_capacity(keys.len());
+        let mut skeys = Interner::new();
         let (mut first_loop, mut users) = (Vec::new(), Vec::new());
         let loop_skey: Vec<usize> = (keys.iter().enumerate())
             .map(|(i, key)| {
@@ -941,7 +1031,7 @@ impl ScenarioSet {
                     windows.extend_from_slice(&loops);
                     Replays::Suite(windows.len() - loops.len()..windows.len())
                 }
-                _ => Replays::Stream(plan_replay_groups(&loops, &keys)),
+                _ => Replays::Stream(plan_replay_groups(&loops, point)),
             };
             Analysis {
                 design_idx,
@@ -968,12 +1058,16 @@ impl ScenarioSet {
             design_specs,
             designs,
             workloads,
+            corners: loops.corners,
+            controllers: loops.controllers,
+            configs,
             loop_jobs,
             compile_jobs,
             sweeps: sweeps.values.into_iter().map(|(key, _)| key).collect(),
             own_sweeps,
             own_windows,
             kept,
+            ranks,
             windows,
             live_fallbacks,
         })
@@ -981,6 +1075,18 @@ impl ScenarioSet {
 }
 
 impl Plan {
+    /// A loop key's corner and controller.
+    fn point(&self, key: &LoopKey) -> (PvtCorner, ControllerSpec) {
+        let corner = self.corners[key.corner as usize].pvt();
+        (corner, self.controllers[key.controller as usize])
+    }
+
+    /// A fresh governor for loop job `job`, at its checked setting.
+    fn governor(&self, job: &LoopJob) -> BoxedGovernor {
+        let (_, controller) = self.point(&job.key);
+        controller.governor.build(self.configs[job.setting])
+    }
+
     /// The designs compile `c` classifies its words for: the primary
     /// analysis's, and the co-analysis's if one rides along.
     fn analyzed_designs(&self, c: usize) -> (&DvsBusDesign, Option<&DvsBusDesign>) {
@@ -998,7 +1104,8 @@ impl Plan {
         (self.windows.iter())
             .map(|&i| {
                 let job = &self.loop_jobs[i];
-                let cursor = SuiteCursor::new(job.key.corner.pvt(), job.key.cycles, job.governor());
+                let (corner, _) = self.point(&job.key);
+                let cursor = SuiteCursor::new(corner, job.key.cycles, self.governor(job));
                 SuiteWindow::new(cursor)
             })
             .collect()
@@ -1051,7 +1158,7 @@ impl Plan {
             chunk_cycles,
             kept: Table::new(self.kept),
             sweeps: Table::new(self.sweeps.len()),
-            folder: Mutex::new(DigestBuilder::new(&self.name)),
+            digest: DigestFold::new(&self.name),
             windows: self.windows(),
             summaries: (self.sweeps.iter())
                 .map(|key| BenchSlots::new(streams(key)))
@@ -1062,9 +1169,7 @@ impl Plan {
         });
 
         let (kept, sweeps) = (run.kept.into_vec(), run.sweeps.into_vec());
-        let folder = run.folder.into_inner().expect("digest folder");
-        let digest =
-            (self.loop_jobs.iter().any(|job| !job.ranks.is_empty())).then(|| folder.finish());
+        let digest = (!self.ranks.is_empty()).then(|| run.digest.finish());
         // The jobs are done: free them before the results grow, and
         // move each spec into its result.
         drop((self.loop_jobs, self.compile_jobs, self.workloads));
@@ -1101,7 +1206,8 @@ struct Run<'p> {
     /// Kept loops' data by kept slot, and sweep products.
     kept: Table<LoopData>,
     sweeps: Table<SweepData>,
-    folder: Mutex<DigestBuilder>,
+    /// The campaign digest's fold, which no job waits on.
+    digest: DigestFold,
     /// The in-order windows of the suite loops compiles feed.
     windows: Vec<SuiteWindow>,
     /// Each sweep's per-stream summaries.
@@ -1135,7 +1241,8 @@ impl<'p> Run<'p> {
             // reference differential in [`crate::reference`].
             Job::Replay(i, trace) => {
                 let (job, design, corner, sampling) = self.loop_job(i);
-                let (report, _) = trace.replay(design, corner, job.governor(), sampling, false);
+                let governor = plan.governor(job);
+                let (report, _) = trace.replay(design, corner, governor, sampling, false);
                 self.finish_loops([(job, LoopData::Stream(StreamRun { corner, report }))]);
             }
             Job::Land(w, stream, trace) => {
@@ -1156,8 +1263,9 @@ impl<'p> Run<'p> {
                 // fused kernel judges them all in one pass over the
                 // trace.
                 let lead = &plan.loop_jobs[group.loops[0]].key;
-                let design = &plan.designs[lead.design_idx];
-                let reports = trace.replay_fused(design, &group.ops, lead.controller.sampling);
+                let design = &plan.designs[lead.design_idx as usize];
+                let (_, controller) = plan.point(lead);
+                let reports = trace.replay_fused(design, &group.ops, controller.sampling);
                 let runs =
                     (group.loops.iter().zip(&group.ops).zip(reports)).map(|((&i, op), report)| {
                         let run = StreamRun {
@@ -1189,9 +1297,9 @@ impl<'p> Run<'p> {
     /// Loop job `i` with its design, corner and sampling window.
     fn loop_job(&self, i: usize) -> (&'p LoopJob, &'p DvsBusDesign, PvtCorner, Option<u64>) {
         let job = &self.plan.loop_jobs[i];
-        let key = &job.key;
-        let design = &self.plan.designs[key.design_idx];
-        (job, design, key.corner.pvt(), key.controller.sampling)
+        let design = &self.plan.designs[job.key.design_idx as usize];
+        let (corner, controller) = self.plan.point(&job.key);
+        (job, design, corner, controller.sampling)
     }
 
     /// Runs loop job `i` against the live trace; a loop that sources a
@@ -1199,9 +1307,9 @@ impl<'p> Run<'p> {
     fn run_live(&self, i: usize) -> LoopData {
         let (job, design, corner, sampling) = self.loop_job(i);
         let (key, with_hist) = (&job.key, job.sweep.is_some());
-        let workload = &self.plan.workloads[key.workload];
+        let workload = &self.plan.workloads[key.workload as usize];
         let (data, sweep) = if let Workload::Suite = workload {
-            let governor = job.governor();
+            let governor = self.plan.governor(job);
             let (data, per) = fig8::run_protocol(
                 design, corner, key.cycles, key.seed, governor, sampling, with_hist,
             );
@@ -1209,7 +1317,7 @@ impl<'p> Run<'p> {
             (LoopData::Suite(data), sweep)
         } else {
             let trace = workload.open(key.seed, 0);
-            let mut sim = BusSimulator::new(design, corner, trace, job.governor());
+            let mut sim = BusSimulator::new(design, corner, trace, self.plan.governor(job));
             if let Some(window) = sampling {
                 sim = sim.with_sampling(window);
             }
@@ -1226,23 +1334,24 @@ impl<'p> Run<'p> {
         data
     }
 
-    /// Finished loops (live or replayed): fold each one's metrics into
-    /// the digest for every rank it carries, taking the digest lock once
-    /// for the whole batch (a fused group), and keep its data if planned.
+    /// Finished loops (live or replayed): extract each one's metrics,
+    /// outside any lock, for every digest rank it carries, post the
+    /// whole batch (a fused group) to the digest fold at once, and keep
+    /// each loop's data if planned.
     fn finish_loops<'a>(&self, done: impl IntoIterator<Item = (&'a LoopJob, LoopData)>) {
-        let mut folder = None;
+        let mut posts = Vec::new();
         for (job, data) in done {
-            if !job.ranks.is_empty() {
+            let ranks = &self.plan.ranks[job.ranks.clone()];
+            if !ranks.is_empty() {
                 let metrics = MemberMetrics::of(&data);
-                let folder =
-                    folder.get_or_insert_with(|| self.folder.lock().expect("digest folder"));
-                for &rank in &job.ranks {
-                    folder.submit(rank, metrics.clone());
-                }
+                posts.extend(ranks.iter().map(|&rank| (rank, metrics.clone())));
             }
             if let Some(k) = job.keep {
                 self.kept.fill(k, data);
             }
+        }
+        if !posts.is_empty() {
+            self.digest.post(posts);
         }
     }
 
@@ -1421,6 +1530,66 @@ impl SuiteWindow {
             state = self.state.lock().expect("suite window");
             state.cursor = Some(cursor);
         }
+    }
+}
+
+/// The campaign digest's rank-ordered fold, which no worker waits on
+/// (the [`SuiteWindow`] pattern). A job posts its `(rank, metrics)`
+/// pairs to the inbox under a short lock, then tries the folder's lock:
+/// if it wins, it folds everything the inbox holds, lets go, and looks
+/// at the inbox again, folding anew if anything arrived meanwhile. A
+/// job that finds the folder taken leaves its posts behind: the worker
+/// holding the folder looks at the inbox after it lets go, which is
+/// after those posts, so none is left unfolded.
+struct DigestFold {
+    inbox: Mutex<Vec<(usize, MemberMetrics)>>,
+    /// The builder, and the batch buffer it folds from: batches swap
+    /// buffers with the inbox, so neither reallocates once grown.
+    folder: Mutex<(DigestBuilder, Vec<(usize, MemberMetrics)>)>,
+}
+
+impl DigestFold {
+    fn new(campaign: &str) -> Self {
+        Self {
+            inbox: Mutex::new(Vec::new()),
+            folder: Mutex::new((DigestBuilder::new(campaign), Vec::new())),
+        }
+    }
+
+    /// Posts `posts`, then folds the inbox unless another job is
+    /// folding it.
+    fn post(&self, mut posts: Vec<(usize, MemberMetrics)>) {
+        self.inbox.lock().expect("digest inbox").append(&mut posts);
+        while let Ok(mut folder) = self.folder.try_lock() {
+            let (builder, batch) = &mut *folder;
+            std::mem::swap(batch, &mut *self.inbox.lock().expect("digest inbox"));
+            fold_batch(builder, batch);
+            drop(folder);
+            if self.inbox.lock().expect("digest inbox").is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// The digest, once the pool has drained: folds whatever the inbox
+    /// still holds first.
+    fn finish(self) -> crate::CampaignDigest {
+        let (mut builder, _) = self.folder.into_inner().expect("digest folder");
+        fold_batch(
+            &mut builder,
+            &mut self.inbox.into_inner().expect("digest inbox"),
+        );
+        builder.finish()
+    }
+}
+
+/// Folds `batch` into `builder` and empties it. Sorted by rank, a batch
+/// folds straight through the builder instead of parking in its
+/// reorder buffer.
+fn fold_batch(builder: &mut DigestBuilder, batch: &mut Vec<(usize, MemberMetrics)>) {
+    batch.sort_unstable_by_key(|&(rank, _)| rank);
+    for (rank, metrics) in batch.drain(..) {
+        builder.submit(rank, metrics);
     }
 }
 
@@ -2043,8 +2212,10 @@ mod tests {
         let suite = (plan.workloads.iter())
             .position(|w| *w == Workload::check(&modified.workload).unwrap())
             .unwrap();
-        let key = LoopKey::of(modified, 1, suite); // second design
-        let co_loop = plan.loop_jobs.iter().position(|j| j.key == key).unwrap();
+        let key = SummaryKey::of(modified, 1, suite); // second design
+        let co_loop = (plan.loop_jobs.iter())
+            .position(|j| j.key.summary_key() == key)
+            .unwrap();
         assert_eq!(plan.compile_jobs.len(), 1);
         let expected: Vec<_> = (0..Benchmark::ALL.len())
             .map(|b| Fed::Compile(0, b))
@@ -2079,7 +2250,7 @@ mod tests {
         let tight = set.plan(Vec::new(), Some(footprint)).unwrap();
         assert_eq!(tight.compile_jobs[0].analyses.len(), 1);
         assert_eq!(tight.loop_jobs[co_loop].compile, None);
-        assert_eq!(tight.live_fallbacks, vec![(key.summary_key(), footprint)]);
+        assert_eq!(tight.live_fallbacks, vec![(key, footprint)]);
         let mut expected = vec![Fed::Loop(co_loop)];
         expected.extend((0..Benchmark::ALL.len()).map(|b| Fed::Compile(0, b)));
         assert_eq!(fed(tight.initial_feed()), expected);
@@ -2107,7 +2278,7 @@ mod tests {
                     .position(|d| *d == m.design)
                     .unwrap();
                 (plan.loop_jobs.iter())
-                    .position(|job| job.key.seed == 8 && job.key.design_idx == design)
+                    .position(|job| job.key.seed == 8 && job.key.summary_key().design_idx == design)
                     .unwrap()
             })
             .into();
@@ -2258,55 +2429,47 @@ mod tests {
         cases.push(("mixed kinds at one seed".to_string(), kinds));
 
         for (name, members) in &cases {
-            let (_, designs) = distinct_designs(members.iter().map(|m| &m.design));
-            let mut workloads = Interner::with_capacity(1);
-            let keys: Vec<(LoopKey, SummaryKey)> = members
-                .iter()
-                .zip(designs)
-                .map(|(m, d)| {
-                    let w = workloads.id(&m.workload);
-                    let key = LoopKey::of(m, d, w);
-                    (key, key.summary_key())
-                })
-                .collect();
-            // The old keys' Debug renderings: whole workload specs, no
-            // interned ids.
+            let (_, member_design) = distinct_designs(members.iter().map(|m| &m.design));
+            let mut workloads = Interner::new();
+            let member_workload: Vec<usize> =
+                members.iter().map(|m| workloads.id(&m.workload)).collect();
+            // The old keys' Debug renderings: whole corner, workload and
+            // controller specs, no interned ids.
             let spelled: Vec<(String, String)> = members
                 .iter()
-                .zip(&keys)
-                .map(|(m, (l, _))| {
+                .zip(&member_design)
+                .map(|(m, d)| {
+                    let (cycles, seed) = (m.run.cycles_per_benchmark, m.run.seed);
+                    let corner = m.run.corner.resolve();
                     (
-                        format!(
-                            "{:?}",
-                            (
-                                l.design_idx,
-                                l.corner.pvt(),
-                                &m.workload,
-                                l.controller,
-                                l.cycles,
-                                l.seed
-                            )
-                        ),
-                        format!("{:?}", (l.design_idx, &m.workload, l.cycles, l.seed)),
+                        format!("{:?}", (d, corner, &m.workload, m.controller, cycles, seed)),
+                        format!("{:?}", (d, &m.workload, cycles, seed)),
                     )
                 })
                 .collect();
-            let loop_groups = partition(spelled.iter().map(|(l, _)| l));
+            // Every member keyed as a loop.
+            let looped: Vec<ScenarioSpec> = (members.iter())
+                .map(|m| ScenarioSpec {
+                    analysis: AnalysisSpec::Full,
+                    ..m.clone()
+                })
+                .collect();
+            let all = number_loops(&looped, &member_design, &member_workload);
             assert_eq!(
-                partition(keys.iter().map(|(l, _)| l)),
-                loop_groups,
+                partition(all.member_loop),
+                partition(spelled.iter().map(|(l, _)| l)),
                 "loop keys of {name}"
             );
+            let summaries = (members.iter().zip(&member_design).zip(&member_workload))
+                .map(|((m, &d), &w)| SummaryKey::of(m, d, w));
             assert_eq!(
-                partition(keys.iter().map(|(_, s)| s)),
+                partition(summaries),
                 partition(spelled.iter().map(|(_, s)| s)),
                 "summary keys of {name}"
             );
             // The executor's plan numbers loop jobs by first appearance,
             // so every member's job is its group index.
-            let member_workload: Vec<usize> = keys.iter().map(|(l, _)| l.workload).collect();
-            let member_design: Vec<usize> = keys.iter().map(|(l, _)| l.design_idx).collect();
-            let (_, member_loop) = number_loops(members, &member_design, &member_workload);
+            let member_loop = number_loops(members, &member_design, &member_workload).member_loop;
             let wanted = |mi: &usize| {
                 let a = members[*mi].analysis;
                 a.wants_loop() || a.wants_aggregate()
@@ -2319,7 +2482,8 @@ mod tests {
         // Members 0/1 run at -0.0 °C, 2/3 at 0.0 °C, 6/7 again at
         // -0.0 °C (two governors per corner).
         let corners = &cases[cases.len() - 3].1;
-        let groups = partition(corners.iter().map(|m| LoopKey::of(m, 0, 0)));
+        let zeros = vec![0; corners.len()];
+        let groups = number_loops(corners, &zeros, &zeros).member_loop;
         assert_ne!(groups[0], groups[2], "-0.0 and 0.0 must key apart");
         assert_eq!(groups[0], groups[6]);
     }
@@ -2461,6 +2625,88 @@ mod tests {
         assert_eq!(one.result, two.result);
         let live = set.run_with_workers(Vec::new(), false, None).unwrap();
         assert_eq!(one.result, live.result);
+    }
+
+    #[test]
+    fn digest_fold_from_four_threads_equals_a_serial_rank_order_fold() {
+        // Four threads post shuffled batches of ranks through the inbox
+        // and the `try_lock` handoff, as finished fused groups do, over
+        // many short campaigns, and race their last posts to each
+        // campaign behind a barrier. Every post is folded by some poster
+        // (the inbox is empty once they are done, before `finish` could
+        // fold a leftover), and each digest's bytes equal a serial fold
+        // in rank order.
+        const ROUNDS: usize = 1_000;
+        let metrics = |rank: usize| {
+            let x = (rank as f64).mul_add(0.618_033_988_749, 0.1) % 1.0;
+            MemberMetrics {
+                energy_gain: x * 0.6 - 0.1,
+                error_rate: x * 0.05,
+                peak_window_error_rate: x * 0.08,
+                mean_voltage_mv: 900.0 + x * 300.0,
+                min_voltage_mv: 850 + (rank % 9) as i32 * 50,
+                shadow_violations: 0,
+                errors: rank as u64 * 3,
+                cycles: 2_000,
+                energy_fj: 1.0e6 + x * 1.0e5,
+                baseline_energy_fj: 1.3e6,
+            }
+        };
+        let bytes = |d: &crate::CampaignDigest| razorbus_artifact::binary::to_bytes(d).unwrap();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Each round's ranks, shuffled, in batches of 1 to 16 dealt
+        // round robin: 64 or more ranks give every thread a batch.
+        let mut dealt: [Vec<Vec<Vec<usize>>>; 4] = Default::default();
+        let mut sizes = Vec::with_capacity(ROUNDS);
+        for round in 0..ROUNDS {
+            let n = 64 + round * 37 % 193;
+            let mut ranks: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                ranks.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            dealt.iter_mut().for_each(|rounds| rounds.push(Vec::new()));
+            let (mut rest, mut t) = (&ranks[..], 0);
+            while !rest.is_empty() {
+                let len = (1 + next() % 16).min(rest.len() as u64) as usize;
+                dealt[t % 4][round].push(rest[..len].to_vec());
+                (rest, t) = (&rest[len..], t + 1);
+            }
+            sizes.push(n);
+        }
+        let folds: Vec<DigestFold> = (0..ROUNDS).map(|_| DigestFold::new("fold")).collect();
+        let last = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for rounds in &dealt {
+                let (folds, last) = (&folds, &last);
+                scope.spawn(move || {
+                    for (fold, batches) in folds.iter().zip(rounds) {
+                        for (k, batch) in batches.iter().enumerate() {
+                            if k + 1 == batches.len() {
+                                last.wait();
+                            }
+                            fold.post(batch.iter().map(|&rank| (rank, metrics(rank))).collect());
+                        }
+                    }
+                });
+            }
+        });
+        for (fold, n) in folds.into_iter().zip(sizes) {
+            assert!(
+                fold.inbox.lock().unwrap().is_empty(),
+                "a post to the {n}-rank campaign was left unfolded"
+            );
+            let mut serial = DigestBuilder::new("fold");
+            for rank in 0..n {
+                serial.submit(rank, metrics(rank));
+            }
+            assert_eq!(bytes(&fold.finish()), bytes(&serial.finish()), "{n} ranks");
+        }
     }
 
     #[test]
@@ -2735,50 +2981,39 @@ mod tests {
                     GovernorSpec::Threshold
                 };
                 let sampling = samplings[(rng.next() % 3) as usize];
-                loop_jobs.push(LoopKey {
-                    design_idx: 0,
-                    corner: CornerId::of(corners[(rng.next() % 2) as usize]),
-                    workload: 0,
-                    controller: ControllerSpec {
-                        governor,
-                        sampling,
-                        ..ControllerSpec::paper()
-                    },
-                    cycles: 1_000,
-                    seed: 3,
-                });
+                let controller = ControllerSpec {
+                    governor,
+                    sampling,
+                    ..ControllerSpec::paper()
+                };
+                loop_jobs.push((corners[(rng.next() % 2) as usize], controller));
             }
             let replayers: Vec<usize> = (0..n).collect();
-            let plans = plan_replay_groups(&replayers, &loop_jobs);
+            let plans = plan_replay_groups(&replayers, |i| loop_jobs[i]);
             let mut seen = vec![0usize; n];
             let mut windows = HashSet::new();
             for plan in &plans {
                 match plan {
                     ReplayPlan::Solo(i) => {
                         seen[*i] += 1;
-                        let open =
-                            matches!(loop_jobs[*i].controller.governor, GovernorSpec::Fixed(_));
+                        let open = matches!(loop_jobs[*i].1.governor, GovernorSpec::Fixed(_));
                         assert!(!open, "fixed-supply member replayed solo");
                     }
                     ReplayPlan::Fused(group) => {
                         assert!(!group.loops.is_empty());
                         assert_eq!(group.loops.len(), group.ops.len());
-                        let sampling = loop_jobs[group.loops[0]].controller.sampling;
+                        let sampling = loop_jobs[group.loops[0]].1.sampling;
                         assert!(windows.insert(sampling), "sampling window split");
                         for (&i, &op) in group.loops.iter().zip(&group.ops) {
                             seen[i] += 1;
-                            let job = &loop_jobs[i];
+                            let (corner, controller) = loop_jobs[i];
                             assert_eq!(
-                                job.controller.governor,
+                                controller.governor,
                                 GovernorSpec::Fixed(op.supply),
                                 "fused op off its member's supply"
                             );
-                            assert_eq!(
-                                op.pvt,
-                                job.corner.pvt(),
-                                "fused op off its member's corner"
-                            );
-                            assert_eq!(job.controller.sampling, sampling);
+                            assert_eq!(op.pvt, corner, "fused op off its member's corner");
+                            assert_eq!(controller.sampling, sampling);
                         }
                     }
                 }

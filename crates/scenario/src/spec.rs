@@ -255,15 +255,27 @@ struct MixedTraffic {
 
 impl TraceSource for MixedTraffic {
     fn next_word(&mut self) -> u32 {
-        while self.remaining == 0 {
-            self.phase = (self.phase + 1) % self.lens.len();
-            self.remaining = self.lens[self.phase];
-        }
-        self.remaining -= 1;
-        match self.phase {
-            0 => self.dma.next_word(),
-            1 => self.idle.next_word(),
-            _ => self.storm.next_word(),
+        let mut word = [0];
+        self.fill(&mut word);
+        word[0]
+    }
+
+    /// Hands each phase's run to its generator's own `fill` in one call.
+    fn fill(&mut self, mut out: &mut [u32]) {
+        while !out.is_empty() {
+            while self.remaining == 0 {
+                self.phase = (self.phase + 1) % self.lens.len();
+                self.remaining = self.lens[self.phase];
+            }
+            let n = self.remaining.min(out.len() as u64) as usize;
+            let (run, rest) = std::mem::take(&mut out).split_at_mut(n);
+            match self.phase {
+                0 => self.dma.fill(run),
+                1 => self.idle.fill(run),
+                _ => self.storm.fill(run),
+            }
+            self.remaining -= n as u64;
+            out = rest;
         }
     }
 }
@@ -992,6 +1004,51 @@ mod tests {
         let err = spec.expand().unwrap_err();
         assert!(err.contains("scenario `huge`"), "{err}");
         assert!(err.contains("more members than fit in memory"), "{err}");
+    }
+
+    /// The word-at-a-time rotation `fill` replaced: the oracle both of
+    /// `MixedTraffic`'s entry points must match.
+    fn next_word_reference(m: &mut MixedTraffic) -> u32 {
+        while m.remaining == 0 {
+            m.phase = (m.phase + 1) % m.lens.len();
+            m.remaining = m.lens[m.phase];
+        }
+        m.remaining -= 1;
+        match m.phase {
+            0 => m.dma.next_word(),
+            1 => m.idle.next_word(),
+            _ => m.storm.next_word(),
+        }
+    }
+
+    #[test]
+    fn mixed_fill_matches_the_word_at_a_time_reference() {
+        // Phases of 0 to 5 words (a zero-length one is skipped) put many
+        // rotations inside each chunk; chunks of 1 word are `next_word`.
+        let mixed = |seed: u64, lens: [u64; 3]| MixedTraffic {
+            dma: BurstyDma::new(seed, 2, 3, 0.5),
+            idle: ZeroBurstWords::new(seed, 0.3),
+            storm: AdversarialCrosstalk::new(seed, 0.4),
+            lens,
+            phase: 2,
+            remaining: 0,
+        };
+        for (seed, lens) in [
+            (1, [1, 1, 1]),
+            (2, [0, 3, 5]),
+            (3, [4, 0, 1]),
+            (4, [5, 2, 0]),
+        ] {
+            let (mut filled, mut reference) = (mixed(seed, lens), mixed(seed, lens));
+            for len in [1, 7, 64, 1, 300, 2, 5] {
+                let mut block = vec![0; len];
+                filled.fill(&mut block);
+                let words: Vec<u32> = (0..len)
+                    .map(|_| next_word_reference(&mut reference))
+                    .collect();
+                assert_eq!(block, words, "seed {seed}, phases {lens:?}");
+            }
+        }
     }
 
     #[test]

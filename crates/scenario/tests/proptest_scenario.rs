@@ -11,7 +11,7 @@ use razorbus_scenario::{
     RunSpec, ScenarioSet, ScenarioSetResult, ScenarioSpec, StormProfile, SweepAxis, TrafficRecipe,
     VoltageSweep, WorkloadSpec,
 };
-use razorbus_traces::Benchmark;
+use razorbus_traces::{Benchmark, TraceSource};
 use razorbus_units::Millivolts;
 
 use std::sync::OnceLock;
@@ -166,7 +166,90 @@ where
     }
 }
 
+/// Every distinct recipe the catalog's sets expand to.
+fn catalog_recipes() -> &'static [TrafficRecipe] {
+    static RECIPES: OnceLock<Vec<TrafficRecipe>> = OnceLock::new();
+    RECIPES.get_or_init(|| {
+        let mut recipes = Vec::new();
+        for name in razorbus_scenario::catalog::NAMES {
+            let set = razorbus_scenario::catalog::by_name(name, 1_000, 7).expect("catalog name");
+            for member in set.expand().expect("catalog sets expand") {
+                if let WorkloadSpec::Recipe(recipe) = member.workload {
+                    if !recipes.contains(&recipe) {
+                        recipes.push(recipe);
+                    }
+                }
+            }
+        }
+        recipes
+    })
+}
+
+/// A recipe with short phases, so a few hundred words cross many of
+/// `Mixed`'s rotations and `BurstyDma`'s bursts. `pick` chooses the
+/// kind; a housekeeping rate of 0 ‰ holds idle words without a draw.
+fn short_recipe(pick: u8, lens: (u64, u64, u64), permille: u32) -> TrafficRecipe {
+    let (a, b, c) = lens;
+    let dma = DmaProfile {
+        mean_burst: a + 1,
+        mean_idle: b + 1,
+        housekeeping_permille: [0, 10, 500, 1_000][(c % 4) as usize],
+    };
+    let idle = IdleProfile {
+        nonzero_permille: permille,
+    };
+    let storm = StormProfile {
+        aggression_permille: permille,
+    };
+    match pick % 4 {
+        0 => TrafficRecipe::BurstyDma(dma),
+        1 => TrafficRecipe::IdleDominated(idle),
+        2 => TrafficRecipe::CrosstalkStorm(storm),
+        // Zero-length phases are skipped; at least one word rotates.
+        _ => TrafficRecipe::Mixed(MixProfile {
+            dma,
+            dma_words: a % 25,
+            idle,
+            idle_words: b % 25,
+            storm,
+            storm_words: c % 25 + 1,
+        }),
+    }
+}
+
+/// Draws chunks of `chunks`' lengths through `fill` from `recipe`'s
+/// stream at `seed`, and as many words one at a time from a twin: the
+/// words must agree chunk by chunk, and so must the next word.
+fn assert_recipe_fill_is_next_word(recipe: &TrafficRecipe, seed: u64, chunks: &[usize]) {
+    let mut filled = recipe.build_trace(seed).expect("a valid recipe");
+    let mut stepped = recipe.build_trace(seed).expect("a valid recipe");
+    for (k, &len) in chunks.iter().enumerate() {
+        let mut block = vec![0; len];
+        filled.fill(&mut block);
+        let words: Vec<u32> = (0..len).map(|_| stepped.next_word()).collect();
+        assert_eq!(block, words, "{recipe:?}: chunk {k} of {chunks:?}");
+    }
+    let next = (filled.next_word(), stepped.next_word());
+    assert_eq!(next.0, next.1, "{recipe:?}: the word after {chunks:?}");
+}
+
 proptest! {
+    /// `fill` is repeated `next_word` for every catalog recipe and for
+    /// short-phase recipes of every kind, over any split into chunks.
+    #[test]
+    fn recipe_fill_equals_repeated_next_word(
+        pick in 0u8..=255,
+        lens in (0u64..60, 0u64..60, 0u64..60),
+        permille in 0u32..=1_000,
+        seed in any::<u64>(),
+        chunks in proptest::collection::vec(0usize..700, 0..10),
+    ) {
+        for recipe in catalog_recipes() {
+            assert_recipe_fill_is_next_word(recipe, seed, &chunks);
+        }
+        assert_recipe_fill_is_next_word(&short_recipe(pick, lens, permille), seed, &chunks);
+    }
+
     /// Every reachable spec shape round-trips bit-exactly in both
     /// encodings, standalone and inside a set.
     #[test]

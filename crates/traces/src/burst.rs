@@ -100,20 +100,39 @@ impl BurstyDma {
 
 impl TraceSource for BurstyDma {
     fn next_word(&mut self) -> u32 {
-        if self.remaining == 0 {
-            let next_burst = !self.in_burst;
-            self.start_phase(next_burst);
+        let mut word = [0];
+        self.fill(&mut word);
+        word[0]
+    }
+
+    /// Emits whole phase runs: a burst draws one random word per cycle,
+    /// an idle cycle one housekeeping trial (none at a zero rate) and,
+    /// on a hit, its value — the draws a word at a time would make, in
+    /// the same order.
+    fn fill(&mut self, mut out: &mut [u32]) {
+        while !out.is_empty() {
+            if self.remaining == 0 {
+                let next_burst = !self.in_burst;
+                self.start_phase(next_burst);
+            }
+            let n = self.remaining.min(out.len() as u64) as usize;
+            let (run, rest) = std::mem::take(&mut out).split_at_mut(n);
+            if self.in_burst {
+                run.iter_mut().for_each(|word| *word = self.rng.random());
+            } else if self.housekeeping > 0.0 {
+                for word in run.iter_mut() {
+                    if self.rng.random_bool(self.housekeeping) {
+                        self.prev = self.rng.random::<u32>() & 0x0000_00FF;
+                    }
+                    *word = self.prev;
+                }
+            } else {
+                run.fill(self.prev);
+            }
+            self.prev = run[n - 1];
+            self.remaining -= n as u64;
+            out = rest;
         }
-        self.remaining -= 1;
-        let word = if self.in_burst {
-            self.rng.random()
-        } else if self.housekeeping > 0.0 && self.rng.random_bool(self.housekeeping) {
-            self.rng.random::<u32>() & 0x0000_00FF
-        } else {
-            self.prev
-        };
-        self.prev = word;
-        word
     }
 }
 
@@ -193,6 +212,45 @@ mod tests {
         assert_eq!(a.take_words(2_048), b.take_words(2_048));
         let mut c = BurstyDma::new(12, 300, 4_000, 0.01);
         assert_ne!(a.take_words(2_048), c.take_words(2_048));
+    }
+
+    /// The word-at-a-time body `fill` replaced: the oracle both of
+    /// `BurstyDma`'s entry points must match, draw for draw.
+    fn next_word_reference(g: &mut BurstyDma) -> u32 {
+        if g.remaining == 0 {
+            let next_burst = !g.in_burst;
+            g.start_phase(next_burst);
+        }
+        g.remaining -= 1;
+        let word = if g.in_burst {
+            g.rng.random()
+        } else if g.housekeeping > 0.0 && g.rng.random_bool(g.housekeeping) {
+            g.rng.random::<u32>() & 0x0000_00FF
+        } else {
+            g.prev
+        };
+        g.prev = word;
+        word
+    }
+
+    #[test]
+    fn fill_matches_the_word_at_a_time_reference() {
+        // Short phases put many burst/idle boundaries inside each chunk,
+        // and chunks of 1 word are `next_word` itself.
+        for housekeeping in [0.0, 0.01, 0.5, 1.0] {
+            for (seed, burst, idle) in [(1, 1, 1), (2, 3, 17), (3, 40, 5), (4, 300, 4_000)] {
+                let mut filled = BurstyDma::new(seed, burst, idle, housekeeping);
+                let mut reference = filled.clone();
+                for len in [1, 7, 64, 1, 300, 2, 1_000, 5] {
+                    let mut block = vec![0; len];
+                    filled.fill(&mut block);
+                    let words: Vec<u32> = (0..len)
+                        .map(|_| next_word_reference(&mut reference))
+                        .collect();
+                    assert_eq!(block, words, "{seed} {burst} {idle} {housekeeping}");
+                }
+            }
+        }
     }
 
     #[test]

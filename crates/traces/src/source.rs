@@ -9,6 +9,17 @@ pub trait TraceSource {
     /// Produces the next word driven onto the bus.
     fn next_word(&mut self) -> u32;
 
+    /// Fills `out` with the next `out.len()` words, exactly the words
+    /// that many [`TraceSource::next_word`] calls would produce, leaving
+    /// the source where they would. Generators override it to emit
+    /// whole runs per call; a boxed source then pays one dynamic call
+    /// per block instead of one per word.
+    fn fill(&mut self, out: &mut [u32]) {
+        for word in out {
+            *word = self.next_word();
+        }
+    }
+
     /// Collects the next `n` words into a vector (testing convenience).
     fn take_words(&mut self, n: usize) -> Vec<u32>
     where
@@ -22,11 +33,19 @@ impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
     fn next_word(&mut self) -> u32 {
         (**self).next_word()
     }
+
+    fn fill(&mut self, out: &mut [u32]) {
+        (**self).fill(out);
+    }
 }
 
 impl<T: TraceSource + ?Sized> TraceSource for &mut T {
     fn next_word(&mut self) -> u32 {
         (**self).next_word()
+    }
+
+    fn fill(&mut self, out: &mut [u32]) {
+        (**self).fill(out);
     }
 }
 
@@ -56,5 +75,19 @@ mod tests {
         let mut c = Counter(0);
         let mut r = &mut c;
         assert_eq!(TraceSource::next_word(&mut r), 1);
+    }
+
+    #[test]
+    fn fill_equals_repeated_next_word_through_every_forwarder() {
+        let mut out = [0; 3];
+        Counter(0).fill(&mut out);
+        assert_eq!(out, [1, 2, 3]);
+        let mut boxed: Box<dyn TraceSource> = Box::new(Counter(10));
+        boxed.fill(&mut out);
+        assert_eq!((out, boxed.next_word()), ([11, 12, 13], 14));
+        let mut c = Counter(0);
+        let mut r = &mut c;
+        TraceSource::fill(&mut r, &mut out);
+        assert_eq!((out, c.next_word()), ([1, 2, 3], 4));
     }
 }

@@ -4,14 +4,103 @@
 
 use proptest::prelude::*;
 use razorbus_traces::{
-    Benchmark, Mixture, MixtureWeights, TraceRecording, TraceSource, TraceStats,
+    AdversarialCrosstalk, Benchmark, BurstyDma, Mixture, MixtureWeights, PhaseModulated,
+    RandomWords, SmallIntWords, StrideWords, TraceRecording, TraceSource, TraceStats,
+    ValueLocalityWords, ZeroBurstWords,
 };
 
 fn benchmarks() -> impl Strategy<Value = Benchmark> {
     proptest::sample::select(Benchmark::ALL.to_vec())
 }
 
+/// Generators a [`fill_equals_repeated_next_word`] case draws from.
+const GENERATORS: usize = 10;
+
+/// Generator `kind` at `seed`, with `a` and `b` as its lengths or
+/// sizes and `rate` as its probability. Short phases make a few hundred
+/// words cross many phase boundaries.
+fn generator(kind: usize, seed: u64, a: u64, b: u64, rate: f64) -> Box<dyn TraceSource> {
+    let weights = MixtureWeights::new(rate, 0.3, 0.2, 0.1, 0.05);
+    match kind {
+        0 => Box::new(RandomWords::new(seed)),
+        1 => Box::new(SmallIntWords::new(seed, 1 + (a % 31) as u32)),
+        2 => Box::new(StrideWords::new(seed, rate)),
+        3 => Box::new(ValueLocalityWords::new(
+            seed,
+            SmallIntWords::new(seed ^ 1, 8),
+            a as usize,
+            rate,
+        )),
+        4 => Box::new(ZeroBurstWords::new(seed, rate)),
+        5 => Box::new(BurstyDma::new(seed, a, b, rate)),
+        6 => Box::new(AdversarialCrosstalk::new(seed, rate)),
+        7 => Box::new(Mixture::new(seed, weights)),
+        8 => Box::new(PhaseModulated::new(
+            seed,
+            weights,
+            weights.with_random_boost(8.0),
+            a,
+            rate,
+        )),
+        _ => Box::new(Benchmark::ALL[(a % 10) as usize].trace(seed)),
+    }
+}
+
+/// Draws chunks of `chunks`' lengths through `fill` from `filled`, and
+/// as many words one at a time from `stepped`, its twin: the words must
+/// agree chunk by chunk, and so must the word after the last chunk.
+fn assert_fill_is_next_word(
+    mut filled: impl TraceSource,
+    mut stepped: impl TraceSource,
+    chunks: &[usize],
+) {
+    for (k, &len) in chunks.iter().enumerate() {
+        let mut block = vec![0; len];
+        filled.fill(&mut block);
+        let words: Vec<u32> = (0..len).map(|_| stepped.next_word()).collect();
+        assert_eq!(block, words, "chunk {k} of {chunks:?}");
+    }
+    assert_eq!(
+        filled.next_word(),
+        stepped.next_word(),
+        "the word after {chunks:?}"
+    );
+}
+
 proptest! {
+    /// `fill` is repeated `next_word` for every generator, through the
+    /// boxed forwarder the executor calls, over any split into chunks
+    /// (empty ones too). Half the cases draw a zero rate: `BurstyDma`
+    /// then holds its idle word without a housekeeping draw.
+    #[test]
+    fn fill_equals_repeated_next_word(
+        kind in 0..GENERATORS,
+        seed in any::<u64>(),
+        (a, b) in (1u64..40, 1u64..40),
+        rate in 0u32..2_000,
+        chunks in proptest::collection::vec(0usize..600, 0..10),
+    ) {
+        let rate = f64::from(rate.saturating_sub(1_000)) / 1_000.0;
+        let open = || generator(kind, seed, a, b, rate);
+        assert_fill_is_next_word(open(), open(), &chunks);
+    }
+
+    /// `BurstyDma` fills across bursts and idle runs of any length, at
+    /// a zero, a partial and a certain housekeeping rate, called on the
+    /// bare generator as well as boxed.
+    #[test]
+    fn bursty_dma_fill_crosses_bursts_and_idle_runs(
+        seed in any::<u64>(),
+        (burst, idle) in (1u64..60, 1u64..60),
+        housekeeping in proptest::sample::select(vec![0.0, 0.01, 0.5, 1.0]),
+        chunks in proptest::collection::vec(0usize..400, 1..12),
+    ) {
+        let open = || BurstyDma::new(seed, burst, idle, housekeeping);
+        assert_fill_is_next_word(open(), open(), &chunks);
+        let boxed = || -> Box<dyn TraceSource> { Box::new(open()) };
+        assert_fill_is_next_word(boxed(), open(), &chunks);
+    }
+
     /// Same seed, same stream — for every benchmark.
     #[test]
     fn benchmark_traces_deterministic(b in benchmarks(), seed in any::<u64>()) {
